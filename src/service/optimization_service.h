@@ -8,28 +8,29 @@
 // frontier (cached or quick-mode), refines it in the background over a
 // geometric alpha ladder, answers Select(preference) at any moment in
 // O(|frontier|), and supports cancellation and per-rung deadlines (see
-// service/frontier_session.h for the full story). The classic one-shot
-// calls remain as thin layers over the same machinery:
+// service/frontier_session.h for the full story). The one-shot calls ride
+// the same machinery — there is one request path:
 //
-//   - SubmitAndWait() is a ONE-STEP session: ladder = {resolved alpha},
-//     no quick prelude, the request deadline as the rung budget. Its
-//     results are byte-identical to driving a session by hand, and
-//     identical-spec deadline-free calls coalesce onto one session.
-//     (Preference-dependent algorithms — IRA, weighted-sum — cannot be
-//     preference-free sessions and fall back to Submit().get().)
-//   - Submit() keeps the PR 1-4 asynchronous pipeline: cache probe ->
-//     in-flight coalescing -> admission control -> worker pool, with
-//     deadline degradation to Section 5.1 quick mode.
+//   - Submit() opens a ONE-STEP session: ladder = {resolved alpha}, no
+//     quick prelude, the request deadline as the total budget (a rung
+//     that expires degrades to Section 5.1 quick mode). Its future is
+//     completed from the session — synchronously for a cache hit, from
+//     OnDone for a run or a coalesced wait. Identical deadline-free
+//     requests coalesce onto one session. The preference-dependent
+//     algorithms (IRA, weighted-sum) run the same way: their cache key,
+//     and so their session key, encodes alpha, weights and bounds.
+//   - SubmitAndWait() is Submit().get(); its results are byte-identical
+//     to driving a one-step session by hand.
 //
-// Both paths share the PlanCache, which since PR 5 uses *relaxed alpha
-// identity*: signatures of frontier-producing algorithms are alpha-free
+// Every path shares the PlanCache, which uses *relaxed alpha identity*:
+// signatures of frontier-producing algorithms are alpha-free
 // (service/signature.h), entries are tagged with the alpha their run
 // achieved, and a tighter-alpha entry serves any looser-alpha request —
 // so a session's refinement ladder progressively upgrades one entry that
 // every later request benefits from, and a request under a tight deadline
 // (coarse policy alpha) is answered by any precise frontier already
-// cached. Exact-run identity, where it matters (in-flight coalescing, the
-// session registry), uses the alpha-extended signature.
+// cached. Exact-run identity, where it matters (the session registry that
+// coalescing uses), extends the signature with the ladder.
 
 #ifndef MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
 #define MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
@@ -89,8 +90,6 @@ struct PersistOptions {
   /// PlanCache's and the SubplanMemo's tiers; 0 disables demotion (the
   /// snapshot path still works).
   size_t tier_capacity_bytes = 0;
-  /// Independently locked tier shards per cache (power of two).
-  int tier_shards = 4;
   /// Stamped into snapshot headers and compared on restore: a snapshot
   /// written under a different catalog epoch is skipped wholesale (its
   /// content-derived keys are unreachable anyway; skipping just avoids
@@ -126,12 +125,11 @@ struct ServiceOptions {
   /// refinement only sheds once first-frontier work is itself about to be
   /// rejected (too late to help).
   double refinement_shed_fraction = 0.75;
-  /// Budget applied when a request does not carry its own; < 0 = none.
-  int64_t default_deadline_ms = -1;
   /// Set false to bypass the cache entirely (benchmarking cold paths).
   bool enable_cache = true;
-  /// Set false to disable in-flight request coalescing AND session
-  /// coalescing (each duplicate then runs its own optimization).
+  /// Set false to disable coalescing of identical sessions and
+  /// deadline-free requests (each duplicate then runs its own
+  /// optimization).
   bool enable_coalescing = true;
   /// Frontier compaction before caching: PlanSets larger than this are
   /// shrunk to an epsilon-coverage subset (CompactPlanSet) before the
@@ -160,8 +158,6 @@ struct ServiceOptions {
   PolicyOptions policy;
   /// Plan space shared by every request the service runs.
   OperatorRegistry::Options operators;
-  bool bushy = true;
-  bool cartesian_heuristic = true;
   /// Observability (PR 6): request tracing knobs. Disabled by default —
   /// the instrumentation then costs one relaxed load per span site.
   /// Enable (or flip at runtime via tracer()->SetEnabled) to record
@@ -210,20 +206,20 @@ class OptimizationService {
   std::shared_ptr<FrontierSession> OpenFrontier(ProblemSpec spec,
                                                 SessionOptions options = {});
 
-  /// Submits a request; the future always resolves (accepted requests run
-  /// to completion even during shutdown, rejected ones resolve
-  /// immediately). Never throws on load: overload surfaces as kRejected.
+  /// Runs `request` as a one-step session (ladder = {resolved alpha})
+  /// and answers from its frontier — byte-identical to opening that
+  /// session by hand. The future always resolves: cache hits and
+  /// rejections before Submit returns, runs and coalesced waits when the
+  /// session completes (accepted requests run to completion even during
+  /// shutdown). Never throws on load: overload surfaces as kRejected.
   std::future<ServiceResponse> Submit(ServiceRequest request);
 
-  /// The one-shot compatibility shim: runs `request` as a one-step
-  /// session (ladder = {resolved alpha}) and answers from its frontier —
-  /// byte-identical to opening that session by hand. Deadline-free
-  /// duplicates coalesce onto one session; preference-dependent
-  /// algorithm overrides fall back to Submit().get().
+  /// Submit(request).get().
   ServiceResponse SubmitAndWait(ServiceRequest request);
 
   /// Currently queued or running requests, including coalesced waiters
-  /// and actively refining sessions (cache hits never count).
+  /// and actively refining sessions (cache hits never count). A Submit
+  /// frees every slot it took before its future resolves.
   size_t InFlight() const { return inflight_.load(std::memory_order_relaxed); }
 
   int num_workers() const { return pool_.num_threads(); }
@@ -281,18 +277,17 @@ class OptimizationService {
   persist::PersistStatsSnapshot PersistStats() const;
 
  private:
-  struct Admitted;  // One queued request's state.
-
-  /// Waiters parked behind one in-flight signature.
-  struct CoalesceEntry {
-    std::vector<std::shared_ptr<Admitted>> waiters;
-  };
+  struct PendingSubmit;  // One Submit() call until its future resolves.
 
   /// How OpenSession answered the caller.
   struct OpenInfo {
     CacheOutcome outcome = CacheOutcome::kMiss;
     bool joined = false;    ///< Attached to an already-running session.
     bool rejected = false;  ///< Shed by admission control / shutdown.
+    /// The opener's preference normalized against the spec (uniform
+    /// weights when empty or mis-sized, unbounded when mis-sized): what
+    /// selection and exact-hit classification compare against.
+    Preference preference;
   };
 
   /// Optimizer options for one request given its remaining budget, its
@@ -301,18 +296,29 @@ class OptimizationService {
   OptimizerOptions MakeOptimizerOptions(double alpha, int64_t timeout_ms,
                                         int parallelism, bool use_memo);
 
-  /// The shared open path behind OpenFrontier and the SubmitAndWait shim.
-  /// `preference` (may be null = uniform) seeds quick-mode weights and the
-  /// cached selection; `deadline_ms` feeds the policy and, for one-step
-  /// sessions, bounds the whole ladder; `hold_slot_if_joined` makes a
-  /// joiner take an admission slot (the shim's waiters stay bounded).
+  /// The shared open path behind OpenFrontier and Submit. `preference`
+  /// is null for OpenFrontier (sessions are preference-free, so the
+  /// preference-dependent algorithms are rejected). Submit passes the
+  /// request's: it seeds the cached selection, its deadline feeds the
+  /// policy and bounds the whole ladder (a deadline-bounded open never
+  /// coalesces — a waiter could not degrade to quick mode mid-wait), and
+  /// a joiner takes an admission slot so Submit's waiters stay bounded.
   std::shared_ptr<FrontierSession> OpenSession(ProblemSpec spec,
                                                const SessionOptions& options,
                                                const Preference* preference,
-                                               int64_t deadline_ms,
-                                               bool coalescable,
-                                               bool hold_slot_if_joined,
                                                OpenInfo* info);
+
+  /// Opens `call`'s one-step session and completes its promise: at once
+  /// for a cache hit or a rejection, otherwise from the session's OnDone.
+  void OpenOneStep(const std::shared_ptr<PendingSubmit>& call);
+
+  /// Answers `call` from its done one-step session, as OpenSession
+  /// described it in `info`: a rejection, a cache hit, a primary's run,
+  /// or a joiner's selection over the shared frontier — or re-opens the
+  /// joiner when the shared run degraded or failed.
+  void CompleteOneStep(const std::shared_ptr<PendingSubmit>& call,
+                       FrontierSession& session, const OpenInfo& info,
+                       const StopWatch& since_open);
 
   /// Serves a session directly from a cache entry (born done, no
   /// ladder): classifies exact vs frontier hit against the opener's
@@ -348,7 +354,8 @@ class OptimizationService {
                      int rung, double alpha, const OptimizerResult& result);
 
   /// Completes a session: final state, registry removal (after the last
-  /// cache insert — the race-closing re-probe relies on that order), slot
+  /// cache insert — the race-closing re-probe relies on that order; and
+  /// before MarkDone — Submit's joiner retry relies on that one), slot
   /// release, gauges.
   void FinishSession(const std::shared_ptr<FrontierSession>& session,
                      std::shared_ptr<const OptimizerResult> final_result,
@@ -361,26 +368,6 @@ class OptimizationService {
       const std::shared_ptr<const OptimizerResult>& result,
       const WeightVector& weights, const BoundVector& bounds,
       double achieved_alpha);
-
-  /// Builds and resolves a response from a cached frontier (exact,
-  /// frontier, or — when the entry was promoted from disk — tier hit).
-  void ServeFromCache(const std::shared_ptr<Admitted>& admitted,
-                      const std::shared_ptr<const CachedFrontier>& cached,
-                      bool from_tier);
-
-  /// Rejects a primary that will never run (admission/shutdown), flushing
-  /// any waiters already parked on its coalescing entry.
-  void AbandonPrimary(const std::shared_ptr<Admitted>& admitted);
-
-  /// Resolves a coalesced waiter from the primary's completed result.
-  void ServeCoalesced(const std::shared_ptr<Admitted>& waiter,
-                      const std::shared_ptr<const OptimizerResult>& result);
-
-  /// Removes and returns the waiter list for `signature` (empty if none).
-  std::vector<std::shared_ptr<Admitted>> TakeWaiters(
-      const ProblemSignature& signature);
-
-  void RunRequest(const std::shared_ptr<Admitted>& admitted);
 
   /// Last-resort degradation (PR 8): when a rung dies mid-flight
   /// (allocation failure, injected fault) and nothing has completed yet,
@@ -426,12 +413,6 @@ class OptimizationService {
   std::shared_ptr<persist::PersistCounters> persist_counters_ =
       std::make_shared<persist::PersistCounters>();
   Mutex snapshot_mu_;  ///< Serializes SnapshotNow/RestoreNow.
-
-  Mutex coalesce_mu_;
-  /// Keyed by the alpha-EXTENDED signature: runs at different precisions
-  /// must not coalesce even though they share a cache entry.
-  std::unordered_map<ProblemSignature, std::shared_ptr<CoalesceEntry>>
-      inflight_by_signature_ MOQO_GUARDED_BY(coalesce_mu_);
 
   /// Live refinement sessions by exact session key (spec + ladder + step
   /// budget); entries are removed when the ladder finishes, *after* its

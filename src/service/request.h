@@ -36,7 +36,8 @@ struct ProblemSpec {
   /// Overrides for the policy layer's auto-selection. Note: kIra and
   /// kWeightedSum produce preference-dependent output, so their cache
   /// entries are shared only between identical preferences (and they
-  /// cannot back a FrontierSession, which is preference-free by design).
+  /// cannot back an OpenFrontier session, which is preference-free by
+  /// design; Submit runs them).
   std::optional<AlgorithmKind> algorithm;
   std::optional<double> alpha;
   /// Override for the policy's intra-query DP parallelism (1 = force
@@ -54,7 +55,9 @@ struct Preference {
   /// Empty or all-infinite = weighted MOQO; finite bounds are honored at
   /// selection time (bounded SelectBest of Algorithm 1).
   BoundVector bounds;
-  /// Total budget (queue wait + optimization) in ms; -1 = service default.
+  /// Total budget (queue wait + optimization) in ms; < 0 = none. A
+  /// deadline-bounded request never waits on an identical in-flight one
+  /// (it could not degrade to quick mode mid-wait): it runs its own.
   int64_t deadline_ms = -1;
 };
 
@@ -82,7 +85,7 @@ enum class CacheOutcome : uint8_t {
   kMiss,          ///< Ran the optimizer.
   kExactHit,      ///< Cached entry with the same preference: reused verbatim.
   kFrontierHit,   ///< Cached PlanSet, new preference: O(|frontier|) selection.
-  kCoalescedHit,  ///< Waited on an identical in-flight miss, then selected.
+  kCoalescedHit,  ///< Waited on an identical in-flight run, then selected.
   kTierHit,       ///< Missed RAM, served from the disk tier (and promoted).
 };
 
@@ -97,7 +100,8 @@ struct ServiceResponse {
   /// Never null unless status == kRejected. Carries the shared PlanSet
   /// (result->plan_set) and the preference's selection from it.
   std::shared_ptr<const OptimizerResult> result;
-  /// Time from Submit() to worker pickup (0 for cache hits / rejects).
+  /// Time from Submit() to the worker picking up its run (0 for cache
+  /// hits, coalesced waits and rejects).
   double queue_ms = 0;
   /// Total time from Submit() to response.
   double service_ms = 0;

@@ -35,8 +35,8 @@ struct ServiceStatsSnapshot {
   /// Cache hits resolved by SelectPlan over the shared PlanSet (the
   /// preference — weights/bounds — differed from the cached one).
   uint64_t frontier_hits = 0;
-  /// Requests that waited on an identical in-flight miss instead of
-  /// optimizing again, then selected from the primary's frontier.
+  /// Requests that waited on an identical in-flight session instead of
+  /// optimizing again, then selected from its frontier.
   uint64_t coalesced_hits = 0;
   /// Cache hits served from the RAM→disk tier (the entry had been evicted
   /// from RAM, demoted to a segment file, and was promoted back by this
@@ -69,16 +69,16 @@ struct ServiceStatsSnapshot {
   size_t memo_entries = 0;
   size_t memo_bytes = 0;
   /// Anytime-session counters (PR 5). `sessions_opened` counts public
-  /// OpenFrontier calls (the SubmitAndWait shim's internal one-step
-  /// sessions count as requests, not sessions); `sessions_coalesced`
-  /// counts opens (including shim calls) that attached to an already
-  /// running identical refinement instead of starting their own.
+  /// OpenFrontier calls (Submit's internal one-step sessions count as
+  /// requests, not sessions); `sessions_coalesced` counts opens
+  /// (including Submit calls) that attached to an already running
+  /// identical session instead of starting their own.
   uint64_t sessions_opened = 0;
   uint64_t sessions_coalesced = 0;
   /// Refinement ladders currently running (gauge; each holds one
   /// admission slot).
   uint64_t sessions_active = 0;
-  /// Completed ladder rungs across all sessions (includes the shim's
+  /// Completed ladder rungs across all sessions (includes Submit's
   /// one-step rungs).
   uint64_t refinement_steps = 0;
   /// Ladders ended early by priority admission under overload (PR 7):

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -631,6 +632,61 @@ TEST(ChaosTest, PersistFaultsAndTornSnapshotsAcrossRestartsStayClean) {
     EXPECT_GT(service.PersistStats().restored_entries(), 0u);
   }
   ExpectAllSitesHit(kPersistSites);
+}
+
+// ---- Submit() under chaos: every future resolves. ----------------------
+
+TEST(ChaosTest, EverySubmitFutureResolves) {
+  // Submit's future is completed from its one-step session's OnDone, so a
+  // lost completion — or a joiner retry that never lands — would leave a
+  // future unresolved forever. Duplicate-heavy load from several threads
+  // keeps sessions shared (deadline-free requests coalesce, deadline-
+  // bounded ones run privately) while faults degrade and fail their runs.
+  if (!rt::kFailpointsEnabled) {
+    GTEST_SKIP() << "built with MOQO_FAILPOINTS=OFF";
+  }
+  const uint64_t seed = ChaosSeed();
+  SCOPED_TRACE("MOQO_CHAOS_SEED=" + std::to_string(seed));
+  ChaosHarness harness(ChaosServiceOptions(2));
+  ArmSites(kServiceSites, 0.05, seed);
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 40;
+  std::atomic<int> unresolved{0};
+  std::atomic<int> planless{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      std::vector<std::future<ServiceResponse>> futures;
+      for (int i = 0; i < kPerThread; ++i) {
+        // Four specs shared by every thread: mostly duplicates.
+        ServiceRequest request = ChaosStarRequest(
+            harness.queries, 2 + i % 2, /*alpha=*/1.1 + 0.05 * (i % 4 / 2));
+        request.preference.weights[0] = 1.0 + t;
+        if ((t + i) % 2 == 1) request.preference.deadline_ms = 5;
+        futures.push_back(harness.service->Submit(std::move(request)));
+      }
+      for (std::future<ServiceResponse>& future : futures) {
+        if (future.wait_for(std::chrono::seconds(30)) !=
+            std::future_status::ready) {
+          unresolved.fetch_add(1);
+          continue;
+        }
+        const ServiceResponse response = future.get();
+        if (response.status != ResponseStatus::kRejected &&
+            (response.result == nullptr || response.result->plan == nullptr)) {
+          planless.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  rt::FailpointRegistry::Global().DisarmAll();
+
+  ASSERT_EQ(unresolved.load(), 0);
+  EXPECT_EQ(planless.load(), 0);
+  // Every slot comes back before the future that held it resolves.
+  EXPECT_EQ(harness.service->InFlight(), 0u);
 }
 
 }  // namespace

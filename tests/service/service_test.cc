@@ -6,6 +6,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "core/exa.h"
 #include "harness/service_experiment.h"
 #include "query/tpch_queries.h"
+#include "rt/failpoint.h"
 #include "service/policy.h"
 #include "testing/test_helpers.h"
 
@@ -353,6 +355,73 @@ TEST(ServiceTest, ExplicitIraOverrideIsPreferenceKeyed) {
   EXPECT_EQ(OptimizerRuns(service), 2u);
 }
 
+// IRA and weighted-sum run as one-step sessions keyed by their
+// preference: the answer is a direct run's, a repeat is the same cached
+// object, and any weight change runs again.
+TEST(ServiceTest, PreferenceDependentOverridesMatchDirectRuns) {
+  Catalog catalog = MakeTinyCatalog();
+  for (AlgorithmKind kind :
+       {AlgorithmKind::kIra, AlgorithmKind::kWeightedSum}) {
+    SCOPED_TRACE(AlgorithmName(kind));
+    ServiceOptions options = SmallServiceOptions(2);
+    options.subplan_memo.min_tables = 2;  // Every multi-table set qualifies.
+    options.subplan_memo.admission_epsilon = 0;
+    OptimizationService service(options);
+
+    // An RTA run first, so the memo holds entries a memo-sharing
+    // weighted-sum run could hit or add to.
+    ServiceRequest warm = StarRequest(&catalog, 3, 3);
+    warm.spec.algorithm = AlgorithmKind::kRta;
+    ASSERT_EQ(service.Submit(warm).get().status, ResponseStatus::kCompleted);
+    const SubplanMemo::Stats memo_before = service.MemoStats();
+    ASSERT_GT(memo_before.insertions, 0u);
+
+    ServiceRequest request = StarRequest(&catalog, 3, 3);
+    request.spec.algorithm = kind;
+    request.spec.alpha = 1.5;
+    request.preference.weights[0] = 2.0;
+    if (kind == AlgorithmKind::kIra) {
+      request.preference.bounds = BoundVector::Unbounded(3);
+      request.preference.bounds[0] = 1e12;  // Finite: the bounded IRA.
+    }
+
+    const ServiceResponse first = service.Submit(request).get();
+    ASSERT_EQ(first.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(first.cache, CacheOutcome::kMiss);
+    EXPECT_EQ(first.algorithm, kind);
+    ASSERT_NE(first.result, nullptr);
+    ASSERT_NE(first.result->plan, nullptr);
+
+    MOQOProblem problem;
+    problem.query = request.spec.query.get();
+    problem.objectives = request.spec.objectives;
+    problem.weights = request.preference.weights;
+    problem.bounds = request.preference.bounds;
+    const OptimizerResult direct =
+        MakeOptimizer(kind, SmallOptions(1.5))->Optimize(problem);
+    ASSERT_NE(direct.plan, nullptr);
+    EXPECT_TRUE(PlansEqual(direct.plan, first.result->plan));
+    EXPECT_EQ(direct.cost, first.result->cost);
+    EXPECT_EQ(direct.frontier(), first.result->frontier());
+
+    const ServiceResponse repeat = service.Submit(request).get();
+    EXPECT_EQ(repeat.cache, CacheOutcome::kExactHit);
+    EXPECT_EQ(repeat.result.get(), first.result.get());
+
+    request.preference.weights[1] = 3.5;
+    const ServiceResponse reweighted = service.Submit(request).get();
+    ASSERT_EQ(reweighted.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(reweighted.cache, CacheOutcome::kMiss);
+    EXPECT_EQ(OptimizerRuns(service), 3u);  // RTA warm-up + two runs.
+
+    if (kind == AlgorithmKind::kWeightedSum) {
+      // Its per-set output depends on the weights: never memo-shared.
+      EXPECT_EQ(service.MemoStats().hits, memo_before.hits);
+      EXPECT_EQ(service.MemoStats().insertions, memo_before.insertions);
+    }
+  }
+}
+
 // Coalescing (TSan-covered): duplicate cache misses on one signature
 // optimize once — later arrivals wait on the first miss and are served
 // from its frontier by selection.
@@ -449,10 +518,13 @@ TEST(ServiceTest, CoalescedDuplicateMissesOptimizeOnce) {
 }
 
 TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
-  // A primary that quick-modes cannot serve its waiters (its plan depends
-  // on its own weights and carries no guarantee): exactly ONE waiter is
-  // promoted to a fresh full run and the rest are served from that run —
-  // no thundering herd of identical DPs.
+  // A request that quick-modes cannot serve waiters (its plan depends on
+  // its own weights and carries no guarantee), so a deadline-bounded
+  // request never becomes a primary: the doomed request below degrades
+  // on its own, the first deadline-free waiter runs the ONE full
+  // optimization, and the rest are served from that run — no thundering
+  // herd of identical DPs. (Waiters of a shared run that does degrade
+  // retry as one new primary; JoinersOfAFailedRungRetryAsOnePrimary.)
   Catalog catalog = MakeTinyCatalog();
   ServiceOptions options = SmallServiceOptions(1);
   // The subplan memo would let the heavy runs below share their DP work
@@ -488,8 +560,8 @@ TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
     heavy_futures.push_back(service.Submit(heavy));
   }
 
-  // Primary with an already-hopeless deadline: by the time the single
-  // worker reaches it, it degrades to quick mode and cannot be cached.
+  // An already-hopeless deadline: by the time the single worker reaches
+  // it, it degrades to quick mode and cannot be cached.
   ServiceRequest dup = StarRequest(&catalog, 2, 3);
   ServiceRequest doomed = dup;
   doomed.preference.deadline_ms = 1;
@@ -498,7 +570,7 @@ TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
   constexpr int kWaiters = 4;
   std::vector<std::future<ServiceResponse>> futures;
   for (int i = 0; i < kWaiters; ++i) {
-    ServiceRequest request = dup;  // Deadline-free: parks as waiter.
+    ServiceRequest request = dup;  // Deadline-free: may coalesce.
     request.preference.weights = WeightVector::Uniform(3);
     request.preference.weights[0] = 2.0 + i;
     futures.push_back(service.Submit(request));
@@ -520,6 +592,95 @@ TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
   // kHeavy heavies + doomed quick run + ONE promoted full run.
   EXPECT_EQ(OptimizerRuns(service), kHeavy + 2u);
   EXPECT_EQ(service.InFlight(), 0u);
+}
+
+TEST(ServiceTest, JoinersOfAFailedRungRetryAsOnePrimary) {
+  // When the shared run itself fails, its waiters cannot be served from
+  // it: each re-opens, and the re-opens coalesce again — ONE retry runs,
+  // the other waiters wait on it.
+  if (!rt::kFailpointsEnabled) {
+    GTEST_SKIP() << "built with MOQO_FAILPOINTS=OFF";
+  }
+  struct Disarm {
+    ~Disarm() { rt::FailpointRegistry::Global().DisarmAll(); }
+  } disarm;
+  // Rung visit 1 is the blocker's and runs; visit 2 is the shared
+  // primary's and throws; visit 3 is the retry's and runs.
+  ASSERT_TRUE(rt::FailpointRegistry::Global().Arm("session.rung",
+                                                  "every_nth(2):throw"));
+
+  Catalog catalog = MakeTinyCatalog();
+  Catalog tpch = Catalog::TpcH(0.01);
+  ServiceOptions options = SmallServiceOptions(1);
+  options.trace.enabled = true;
+  OptimizationService service(options);
+
+  // Pin the single worker: an exact nine-objective run over TPC-H Q8's
+  // eight tables cannot finish inside its deadline, so every duplicate
+  // below is parked before the primary's rung starts.
+  ServiceRequest blocker;
+  blocker.spec.query = std::make_shared<Query>(MakeTpcHQuery(&tpch, 8));
+  blocker.spec.objectives = FirstObjectives(kNumObjectives);
+  blocker.spec.algorithm = AlgorithmKind::kExa;
+  blocker.spec.parallelism = 1;
+  blocker.preference.deadline_ms = 300;
+  std::future<ServiceResponse> blocker_future = service.Submit(blocker);
+
+  const ServiceRequest dup = StarRequest(&catalog, 2, 3);
+  std::future<ServiceResponse> primary_future = service.Submit(dup);
+  constexpr int kWaiters = 4;
+  std::vector<std::future<ServiceResponse>> futures;
+  std::vector<WeightVector> weights;
+  for (int i = 0; i < kWaiters; ++i) {
+    ServiceRequest request = dup;
+    request.preference.weights[0] = 2.0 + i;
+    weights.push_back(request.preference.weights);
+    futures.push_back(service.Submit(request));
+  }
+
+  // The primary's rung died: it answers with the quick-mode fallback.
+  const ServiceResponse primary = primary_future.get();
+  EXPECT_EQ(primary.status, ResponseStatus::kCompletedQuick);
+  EXPECT_EQ(primary.cache, CacheOutcome::kMiss);
+  ASSERT_NE(primary.result, nullptr);
+  EXPECT_NE(primary.result->plan, nullptr);
+
+  int retried = 0, coalesced = 0;
+  for (int i = 0; i < kWaiters; ++i) {
+    const ServiceResponse response = futures[i].get();
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted) << i;
+    ASSERT_NE(response.result, nullptr) << i;
+    ASSERT_NE(response.result->plan, nullptr) << i;
+    if (response.cache == CacheOutcome::kMiss) ++retried;
+    if (response.cache == CacheOutcome::kCoalescedHit) {
+      ++coalesced;
+      EXPECT_DOUBLE_EQ(response.result->weighted_cost,
+                       MinWeightedCost(*response.plan_set(), weights[i]));
+    }
+  }
+  EXPECT_EQ(retried, 1);
+  EXPECT_EQ(coalesced, kWaiters - 1);
+  EXPECT_NE(blocker_future.get().status, ResponseStatus::kRejected);
+
+  EXPECT_EQ(rt::FailpointRegistry::Global().Register("session.rung").hits(),
+            1u);
+  EXPECT_EQ(service.Stats().coalesced_hits,
+            static_cast<uint64_t>(kWaiters - 1));
+  // The blocker and the one retry; the failed rung never reached the
+  // optimizer.
+  EXPECT_EQ(OptimizerRuns(service), 2u);
+  EXPECT_EQ(service.InFlight(), 0u);
+
+  // Every wait is traced, the one that ended in a retry too: kWaiters on
+  // the failed session, kWaiters - 1 on the retry's.
+  const std::string trace = service.tracer()->ExportChromeTrace();
+  const std::string wait_event = "\"name\":\"coalesce.wait\"";
+  int waits = 0;
+  for (size_t at = trace.find(wait_event); at != std::string::npos;
+       at = trace.find(wait_event, at + 1)) {
+    ++waits;
+  }
+  EXPECT_EQ(waits, 2 * kWaiters - 1);
 }
 
 TEST(ServiceTest, DeadlineBoundedDuplicatesDoNotCoalesce) {
