@@ -55,7 +55,7 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
   int iteration = 0;
   while (true) {
     ++iteration;
-    const double alpha = iteration >= options_.max_iterations
+    const double alpha = iteration >= kIraMaxIterations
                              ? 1.0  // Safety net: exact final iteration.
                              : IRAIterationPrecision(options_.alpha,
                                                      iteration, l);
@@ -79,7 +79,7 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
     const bool out_of_time =
         generator.stats().timed_out || deadline.Expired();
 
-    // No max_iterations disjunct needed: at that iteration alpha is
+    // No kIraMaxIterations disjunct needed: at that iteration alpha is
     // forced to 1.0 above, which makes `converged` true.
     if (converged || out_of_time) {
       // FinishResult's SelectPlan re-derives popt over the PlanSet copy:

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,7 +38,9 @@ struct MOQOProblem {
   }
 };
 
-struct OptimizerResult;
+/// IRA: hard cap on refinement iterations (safety net; Theorem 8
+/// guarantees termination well before this in practice).
+inline constexpr int kIraMaxIterations = 64;
 
 /// Optimizer configuration shared by all algorithms.
 struct OptimizerOptions {
@@ -56,9 +57,6 @@ struct OptimizerOptions {
   bool cartesian_heuristic = true;
   /// Ablation only: guarantee-destroying aggressive pruning (Section 6.2).
   bool aggressive_delete = false;
-  /// IRA: hard cap on refinement iterations (safety net; Theorem 8
-  /// guarantees termination well before this in practice).
-  int max_iterations = 64;
   /// Intra-query parallelism: threads cooperating on each DP level
   /// (1 = serial; the calling thread counts as one). Requires `dp_pool`.
   /// Frontiers are identical for every value (see dp_driver.h).
@@ -71,30 +69,6 @@ struct OptimizerOptions {
   /// cross-query reuse. Frontiers are byte-identical with the memo on or
   /// off; only the work to build them is shared (see memo/subplan_memo.h).
   SubplanMemo* subplan_memo = nullptr;
-  /// Anytime refinement ladder (RTA only; ignored by the other
-  /// algorithms): user precisions to run in order, strictly decreasing
-  /// toward the target. Each rung is one full DP at that precision; after
-  /// a rung completes, `on_rung` (if set) receives its result — the
-  /// intermediate-frontier publish hook the service's FrontierSessions are
-  /// built on. Rungs share the attached `subplan_memo`, so a rung probes
-  /// (and republishes) the table-set frontiers that same-alpha rungs of
-  /// overlapping queries already sealed, and each rung's PlanSet is
-  /// byte-identical to a standalone run at its alpha. When non-empty,
-  /// `alpha` is superseded by the ladder's last entry. Empty = classic
-  /// single-run behaviour.
-  std::vector<double> alpha_ladder;
-  /// Called after every completed (non-timed-out) ladder rung with the
-  /// rung index, that rung's user precision, and its result (whose PlanSet
-  /// the callee may share — it survives the optimizer). Return false to
-  /// stop refining; the rung's result then becomes the final one. Invoked
-  /// on the optimizing thread.
-  std::function<bool(int rung, double alpha, const OptimizerResult& result)>
-      on_rung;
-  /// Per-rung wall budget in ms (< 0 = none), combined with the overall
-  /// `timeout_ms`. A rung that exceeds it terminates the ladder; the last
-  /// completed rung's result is returned (marked timed out only when no
-  /// rung ever completed).
-  int64_t step_timeout_ms = -1;
   /// External cancellation flag, polled wherever the deadline is (see
   /// Deadline::WithCancel); not owned, must outlive the run. Cancellation
   /// behaves like deadline expiry: the run degrades to a quick finish and

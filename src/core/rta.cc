@@ -2,78 +2,28 @@
 
 namespace moqo {
 
-namespace {
-
-/// Bounds honored at selection time over the finished frontier — the same
-/// bounded SelectBest the service applies on frontier hits, so cold misses
-/// and cache hits agree. Mis-sized bounds mean "unbounded".
-BoundVector SelectBounds(const MOQOProblem& problem) {
-  return problem.bounds.size() == problem.objectives.size()
-             ? problem.bounds
-             : BoundVector();
-}
-
-}  // namespace
-
 OptimizerResult RTAOptimizer::Optimize(const MOQOProblem& problem) {
   StopWatch watch;
-  const int n = problem.query->num_tables();
-  const Deadline overall = MakeDeadline();
-  const BoundVector select_bounds = SelectBounds(problem);
+  arena_.Reset();
   CostModel model(problem.query, &registry_, problem.objectives);
+  DPPlanGenerator generator(&model, &registry_, &arena_);
 
-  // The precision schedule: the classic single run is a one-rung ladder at
-  // the configured alpha.
-  const std::vector<double> ladder = options_.alpha_ladder.empty()
-                                         ? std::vector<double>{options_.alpha}
-                                         : options_.alpha_ladder;
+  // Algorithm 2: derive the internal pruning precision from the user
+  // precision alpha_U.
+  DPOptions dp = MakeDPOptions(
+      problem,
+      RTAInternalPrecision(options_.alpha, problem.query->num_tables()),
+      MakeDeadline());
+  const ParetoSet& pareto = generator.Run(*problem.query, dp);
 
-  OptimizerResult last;
-  bool have_complete = false;
-  for (size_t rung = 0; rung < ladder.size(); ++rung) {
-    // Each rung gets the remaining overall budget, tightened by the
-    // per-rung budget when one is set.
-    Deadline deadline = overall;
-    if (options_.step_timeout_ms >= 0) {
-      deadline = Deadline::Earliest(
-          overall, Deadline::AfterMillis(options_.step_timeout_ms)
-                       .WithCancel(options_.cancel));
-    }
-
-    // Memory is reused across rungs (as in the IRA, Section 7.2): each
-    // rung starts from a fresh arena and DP table. Results survive the
-    // reset — FinishResult snapshots the frontier into a shared PlanSet
-    // with its own storage.
-    StopWatch rung_watch;
-    arena_.Reset();
-    DPPlanGenerator generator(&model, &registry_, &arena_);
-    // Algorithm 2: derive the internal pruning precision from the rung's
-    // user precision alpha_U.
-    DPOptions dp = MakeDPOptions(problem, RTAInternalPrecision(ladder[rung], n),
-                                 deadline);
-    const ParetoSet& pareto = generator.Run(*problem.query, dp);
-    OptimizerResult result = FinishResult(problem, generator, pareto,
-                                          select_bounds,
-                                          rung_watch.ElapsedMillis());
-    result.metrics.iterations = static_cast<int>(rung) + 1;
-
-    if (result.metrics.timed_out) {
-      // An interrupted rung carries no alpha guarantee. Fall back to the
-      // last completed rung if there is one (its looser guarantee still
-      // holds); otherwise return the degraded quick-mode result as-is.
-      if (!have_complete) return result;
-      last.metrics.optimization_ms = watch.ElapsedMillis();
-      return last;
-    }
-    last = std::move(result);
-    have_complete = true;
-    if (options_.on_rung &&
-        !options_.on_rung(static_cast<int>(rung), ladder[rung], last)) {
-      break;  // The caller has what it needs (e.g. session cancelled).
-    }
-  }
-  last.metrics.optimization_ms = watch.ElapsedMillis();
-  return last;
+  // Bounds are honored at selection time over the finished frontier — the
+  // same bounded SelectBest the service applies on frontier hits, so cold
+  // misses and cache hits agree. Mis-sized bounds mean "unbounded".
+  const BoundVector select_bounds =
+      problem.bounds.size() == problem.objectives.size() ? problem.bounds
+                                                         : BoundVector();
+  return FinishResult(problem, generator, pareto, select_bounds,
+                      watch.ElapsedMillis());
 }
 
 }  // namespace moqo

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "query/canonical.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 
@@ -31,12 +32,12 @@ SubplanKeyContext::SubplanKeyContext(
                 return std::tie(x->column, x->op, x->value, x->value_hi) <
                        std::tie(y->column, y->op, y->value, y->value_hi);
               });
-    AppendCanonicalU64(fragment, filters.size());
+    PutU64(fragment, filters.size());
     for (const FilterPredicate* filter : filters) {
       AppendCanonicalString(fragment, filter->column);
-      AppendCanonicalU64(fragment, static_cast<uint64_t>(filter->op));
-      AppendCanonicalDouble(fragment, filter->value);
-      AppendCanonicalDouble(fragment, filter->value_hi);
+      PutU64(fragment, static_cast<uint64_t>(filter->op));
+      PutDouble(fragment, filter->value);
+      PutDouble(fragment, filter->value_hi);
     }
 
     std::vector<const std::string*> incident;
@@ -52,7 +53,7 @@ SubplanKeyContext::SubplanKeyContext(
                                [](const std::string* x,
                                   const std::string* y) { return *x == *y; }),
                    incident.end());
-    AppendCanonicalU64(fragment, incident.size());
+    PutU64(fragment, incident.size());
     for (const std::string* column : incident) {
       AppendCanonicalString(fragment, *column);
     }
@@ -84,11 +85,11 @@ SubplanKeyContext::SubplanKeyContext(
   // must not share entries. CostModelParams are not encoded — every
   // optimizer constructs the defaults; revisit if they become a knob on
   // the service path.
-  AppendCanonicalU64(&suffix_, static_cast<uint64_t>(objectives.size()));
+  PutU64(&suffix_, static_cast<uint64_t>(objectives.size()));
   for (Objective objective : objectives) {
-    AppendCanonicalU64(&suffix_, static_cast<uint64_t>(objective));
+    PutU64(&suffix_, static_cast<uint64_t>(objective));
   }
-  AppendCanonicalDouble(&suffix_, alpha);
+  PutDouble(&suffix_, alpha);
   uint64_t flags = 0;
   flags |= bushy ? 1u : 0u;
   flags |= cartesian_heuristic ? 2u : 0u;
@@ -97,14 +98,14 @@ SubplanKeyContext::SubplanKeyContext(
   flags |= operators.enable_sampling ? 16u : 0u;
   flags |= operators.enable_index_scan ? 32u : 0u;
   flags |= operators.enable_parallelism ? 64u : 0u;
-  AppendCanonicalU64(&suffix_, flags);
-  AppendCanonicalU64(&suffix_, operators.sampling_rates.size());
+  PutU64(&suffix_, flags);
+  PutU64(&suffix_, operators.sampling_rates.size());
   for (double rate : operators.sampling_rates) {
-    AppendCanonicalDouble(&suffix_, rate);
+    PutDouble(&suffix_, rate);
   }
-  AppendCanonicalU64(&suffix_, operators.dops.size());
+  PutU64(&suffix_, operators.dops.size());
   for (int dop : operators.dops) {
-    AppendCanonicalU64(&suffix_, static_cast<uint64_t>(dop));
+    PutU64(&suffix_, static_cast<uint64_t>(dop));
   }
 }
 
@@ -124,7 +125,7 @@ SubplanSignature SubplanKeyContext::SignatureFor(TableSet tables) const {
   for (int member : members) reserve += table_fragments_[member].size();
   key.reserve(reserve);
 
-  AppendCanonicalU64(&key, members.size());
+  PutU64(&key, members.size());
   for (int member : members) {
     key.append(table_fragments_[member]);
   }
@@ -132,28 +133,22 @@ SubplanSignature SubplanKeyContext::SignatureFor(TableSet tables) const {
   // Induced edges in rank space. edges_ is sorted and rank mapping is
   // monotone in both endpoints, so the filtered sequence is already in
   // canonical order.
-  const auto edge_count_pos = key.size();
-  AppendCanonicalU64(&key, 0);  // Patched below.
-  uint64_t induced = 0;
+  const auto induced = [tables](const Edge& edge) {
+    return tables.Contains(edge.left_table) &&
+           tables.Contains(edge.right_table);
+  };
+  PutU64(&key, static_cast<uint64_t>(
+                   std::count_if(edges_.begin(), edges_.end(), induced)));
   for (const Edge& edge : edges_) {
-    if (!tables.Contains(edge.left_table) ||
-        !tables.Contains(edge.right_table)) {
-      continue;
-    }
-    ++induced;
-    AppendCanonicalU64(&key,
-                       static_cast<uint64_t>(rank_of[edge.left_table]));
+    if (!induced(edge)) continue;
+    PutU64(&key, static_cast<uint64_t>(rank_of[edge.left_table]));
     AppendCanonicalString(&key, *edge.left_column);
-    AppendCanonicalU64(&key,
-                       static_cast<uint64_t>(rank_of[edge.right_table]));
+    PutU64(&key, static_cast<uint64_t>(rank_of[edge.right_table]));
     AppendCanonicalString(&key, *edge.right_column);
-  }
-  for (int i = 0; i < 8; ++i) {
-    key[edge_count_pos + i] = static_cast<char>(induced >> (8 * i));
   }
 
   key.append(suffix_);
-  signature.hash = Fnv1aHash(key);
+  signature.hash = Fnv1a(key.data(), key.size(), kFnv1aOffsetBasis);
   return signature;
 }
 

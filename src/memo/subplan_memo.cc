@@ -76,7 +76,8 @@ void SubplanMemo::AttachTier(std::shared_ptr<persist::DiskTier> tier) {
         if (value == nullptr || value->empty()) return;
         std::string payload;
         persist::PlanSetCodec::Append(*value, &payload);
-        tier_ptr->Put(key.hash, key.key, 0.0, payload);
+        tier_ptr->Put(persist::RecordKind::kMemoEntry, key.hash, key.key, 0.0,
+                      payload);
       });
 }
 

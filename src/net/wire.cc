@@ -2,51 +2,17 @@
 
 #include "net/wire.h"
 
+#include <string_view>
+
 #include "core/plan_set.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace net {
 namespace {
 
-// ---- Little-endian primitive writers over std::string. ----
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v & 0xff));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    PutU8(out, static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    PutU8(out, static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-/// Bit-pattern transport: the receiver reconstructs the exact double,
-/// which is what byte-identity of frontier costs rests on.
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
+// ---- Wire composites over the shared codec: u32-length-prefixed strings
+// and double vectors. ----
 
 void PutString(std::string* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
@@ -55,7 +21,7 @@ void PutString(std::string* out, const std::string& s) {
 
 void PutF64Vector(std::string* out, const std::vector<double>& values) {
   PutU32(out, static_cast<uint32_t>(values.size()));
-  for (double v : values) PutF64(out, v);
+  for (double v : values) PutDouble(out, v);
 }
 
 /// Prepends the 8-byte header once the payload is complete.
@@ -70,108 +36,30 @@ std::string Frame(MsgType type, const std::string& payload) {
   return frame;
 }
 
-// ---- Bounds-checked little-endian reader. All Get* return false on
-// truncation, which the Decode* functions propagate. ----
+bool GetString(ByteReader* r, std::string* s) {
+  uint32_t len = 0;
+  std::string_view bytes;
+  if (!r->GetU32(&len) || !r->GetView(len, &bytes)) return false;
+  s->assign(bytes);
+  return true;
+}
 
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = data_[pos_++];
-    return true;
+/// `count` doubles into `out`. A count cannot promise more doubles than
+/// bytes remain — rejecting up front keeps a hostile length from
+/// reserving gigabytes.
+bool GetDoubles(ByteReader* r, uint64_t count, std::vector<double>* out) {
+  if (r->remaining() / 8 < count) return false;
+  out->resize(count);
+  for (double& v : *out) {
+    if (!r->GetDouble(&v)) return false;
   }
+  return true;
+}
 
-  bool GetU16(uint16_t* v) {
-    uint8_t lo, hi;
-    if (!GetU8(&lo) || !GetU8(&hi)) return false;
-    *v = static_cast<uint16_t>(lo | (hi << 8));
-    return true;
-  }
-
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-
-  bool GetI8(int8_t* v) {
-    uint8_t u;
-    if (!GetU8(&u)) return false;
-    *v = static_cast<int8_t>(u);
-    return true;
-  }
-
-  bool GetI32(int32_t* v) {
-    uint32_t u;
-    if (!GetU32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-
-  bool GetI64(int64_t* v) {
-    uint64_t u;
-    if (!GetU64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-
-  bool GetF64(double* v) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool GetString(std::string* s) {
-    uint32_t len;
-    if (!GetU32(&len) || pos_ + len > size_) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-
-  bool GetBytes(std::vector<uint8_t>* out, uint32_t count) {
-    if (pos_ + count > size_) return false;
-    out->assign(data_ + pos_, data_ + pos_ + count);
-    pos_ += count;
-    return true;
-  }
-
-  bool GetF64Vector(std::vector<double>* out) {
-    uint32_t count;
-    if (!GetU32(&count)) return false;
-    // A count field cannot promise more doubles than bytes remain —
-    // rejecting here keeps a hostile length from reserving gigabytes.
-    if (remaining() / 8 < count) return false;
-    out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!GetF64(&(*out)[i])) return false;
-    }
-    return true;
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+bool GetF64Vector(ByteReader* r, std::vector<double>* out) {
+  uint32_t count = 0;
+  return r->GetU32(&count) && GetDoubles(r, count, out);
+}
 
 }  // namespace
 
@@ -181,10 +69,10 @@ std::string EncodeOpenFrontier(const OpenFrontierMsg& msg) {
   PutU8(&payload, static_cast<uint8_t>(msg.objectives.size()));
   for (uint8_t objective : msg.objectives) PutU8(&payload, objective);
   PutU8(&payload, static_cast<uint8_t>(msg.algorithm));
-  PutF64(&payload, msg.alpha);
+  PutDouble(&payload, msg.alpha);
   PutI32(&payload, msg.parallelism);
-  PutF64(&payload, msg.alpha_start);
-  PutF64(&payload, msg.alpha_target);
+  PutDouble(&payload, msg.alpha_start);
+  PutDouble(&payload, msg.alpha_target);
   PutI32(&payload, msg.max_steps);
   PutI64(&payload, msg.step_deadline_ms);
   PutU8(&payload, msg.quick_first);
@@ -206,12 +94,12 @@ std::string EncodeClose() { return Frame(MsgType::kClose, std::string()); }
 std::string EncodeFrontierUpdate(const FrontierUpdateMsg& msg) {
   std::string payload;
   PutI32(&payload, msg.step);
-  PutF64(&payload, msg.alpha);
+  PutDouble(&payload, msg.alpha);
   PutU8(&payload, msg.from_cache);
-  PutF64(&payload, msg.step_ms);
+  PutDouble(&payload, msg.step_ms);
   PutU32(&payload, msg.num_plans());
   PutU8(&payload, static_cast<uint8_t>(msg.dims));
-  for (double cost : msg.costs) PutF64(&payload, cost);
+  for (double cost : msg.costs) PutDouble(&payload, cost);
   return Frame(MsgType::kFrontierUpdate, payload);
 }
 
@@ -219,9 +107,9 @@ std::string EncodeSelectResult(const SelectResultMsg& msg) {
   std::string payload;
   PutU64(&payload, msg.tag);
   PutI32(&payload, msg.step);
-  PutF64(&payload, msg.alpha);
+  PutDouble(&payload, msg.alpha);
   PutI32(&payload, msg.plan_index);
-  PutF64(&payload, msg.weighted_cost);
+  PutDouble(&payload, msg.weighted_cost);
   PutF64Vector(&payload, msg.cost);
   return Frame(MsgType::kSelectResult, payload);
 }
@@ -234,7 +122,7 @@ std::string EncodeDone(const DoneMsg& msg) {
   PutU8(&payload, msg.shed);
   PutU8(&payload, msg.rejected);
   PutI32(&payload, msg.steps_published);
-  PutF64(&payload, msg.best_alpha);
+  PutDouble(&payload, msg.best_alpha);
   return Frame(MsgType::kDone, payload);
 }
 
@@ -284,23 +172,25 @@ FrontierUpdateMsg MakeFrontierUpdate(int step, double alpha, bool from_cache,
 
 bool DecodeOpenFrontier(const uint8_t* data, size_t size,
                         OpenFrontierMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t num_objectives = 0;
-  if (!r.GetString(&out->query_id) || !r.GetU8(&num_objectives) ||
-      !r.GetBytes(&out->objectives, num_objectives) ||
-      !r.GetI8(&out->algorithm) || !r.GetF64(&out->alpha) ||
-      !r.GetI32(&out->parallelism) || !r.GetF64(&out->alpha_start) ||
-      !r.GetF64(&out->alpha_target) || !r.GetI32(&out->max_steps) ||
+  std::string_view objectives;
+  if (!GetString(&r, &out->query_id) || !r.GetU8(&num_objectives) ||
+      !r.GetView(num_objectives, &objectives) ||
+      !r.GetI8(&out->algorithm) || !r.GetDouble(&out->alpha) ||
+      !r.GetI32(&out->parallelism) || !r.GetDouble(&out->alpha_start) ||
+      !r.GetDouble(&out->alpha_target) || !r.GetI32(&out->max_steps) ||
       !r.GetI64(&out->step_deadline_ms) || !r.GetU8(&out->quick_first)) {
     return false;
   }
+  out->objectives.assign(objectives.begin(), objectives.end());
   return r.exhausted();
 }
 
 bool DecodeSelect(const uint8_t* data, size_t size, SelectMsg* out) {
-  Reader r(data, size);
-  if (!r.GetU64(&out->tag) || !r.GetF64Vector(&out->weights) ||
-      !r.GetF64Vector(&out->bounds)) {
+  ByteReader r(data, size);
+  if (!r.GetU64(&out->tag) || !GetF64Vector(&r, &out->weights) ||
+      !GetF64Vector(&r, &out->bounds)) {
     return false;
   }
   return r.exhausted();
@@ -308,49 +198,44 @@ bool DecodeSelect(const uint8_t* data, size_t size, SelectMsg* out) {
 
 bool DecodeFrontierUpdate(const uint8_t* data, size_t size,
                           FrontierUpdateMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint32_t num_plans = 0;
   uint8_t dims = 0;
-  if (!r.GetI32(&out->step) || !r.GetF64(&out->alpha) ||
-      !r.GetU8(&out->from_cache) || !r.GetF64(&out->step_ms) ||
-      !r.GetU32(&num_plans) || !r.GetU8(&dims)) {
+  if (!r.GetI32(&out->step) || !r.GetDouble(&out->alpha) ||
+      !r.GetU8(&out->from_cache) || !r.GetDouble(&out->step_ms) ||
+      !r.GetU32(&num_plans) || !r.GetU8(&dims) ||
+      !GetDoubles(&r, static_cast<uint64_t>(num_plans) * dims, &out->costs)) {
     return false;
   }
   out->dims = dims;
-  const uint64_t count = static_cast<uint64_t>(num_plans) * dims;
-  if (r.remaining() / 8 < count) return false;
-  out->costs.resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!r.GetF64(&out->costs[i])) return false;
-  }
   return r.exhausted();
 }
 
 bool DecodeSelectResult(const uint8_t* data, size_t size,
                         SelectResultMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   if (!r.GetU64(&out->tag) || !r.GetI32(&out->step) ||
-      !r.GetF64(&out->alpha) || !r.GetI32(&out->plan_index) ||
-      !r.GetF64(&out->weighted_cost) || !r.GetF64Vector(&out->cost)) {
+      !r.GetDouble(&out->alpha) || !r.GetI32(&out->plan_index) ||
+      !r.GetDouble(&out->weighted_cost) || !GetF64Vector(&r, &out->cost)) {
     return false;
   }
   return r.exhausted();
 }
 
 bool DecodeDone(const uint8_t* data, size_t size, DoneMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   if (!r.GetU8(&out->target_reached) || !r.GetU8(&out->cancelled) ||
       !r.GetU8(&out->degraded) || !r.GetU8(&out->shed) ||
       !r.GetU8(&out->rejected) || !r.GetI32(&out->steps_published) ||
-      !r.GetF64(&out->best_alpha)) {
+      !r.GetDouble(&out->best_alpha)) {
     return false;
   }
   return r.exhausted();
 }
 
 bool DecodeError(const uint8_t* data, size_t size, ErrorMsg* out) {
-  Reader r(data, size);
-  if (!r.GetU8(&out->code) || !r.GetString(&out->message)) return false;
+  ByteReader r(data, size);
+  if (!r.GetU8(&out->code) || !GetString(&r, &out->message)) return false;
   return r.exhausted();
 }
 
@@ -364,26 +249,26 @@ FrameDecoder::Status FrameDecoder::Next(MsgType* type,
                   buffer_.begin() + static_cast<ptrdiff_t>(consumed_));
     consumed_ = 0;
   }
-  const size_t available = buffer_.size() - consumed_;
-  if (available < kHeaderBytes) return Status::kNeedMore;
-  const uint8_t* head = buffer_.data() + consumed_;
-  const uint16_t magic =
-      static_cast<uint16_t>(head[0] | (static_cast<uint16_t>(head[1]) << 8));
-  if (magic != kMagic || head[2] != kProtocolVersion) {
+  ByteReader r(buffer_.data() + consumed_, buffer_.size() - consumed_);
+  uint16_t magic = 0;
+  uint8_t version = 0, raw_type = 0;
+  uint32_t payload_len = 0;
+  if (!r.GetU16(&magic) || !r.GetU8(&version) || !r.GetU8(&raw_type) ||
+      !r.GetU32(&payload_len)) {
+    return Status::kNeedMore;
+  }
+  if (magic != kMagic || version != kProtocolVersion) {
     broken_ = Status::kBadHeader;
     return broken_;
-  }
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(head[4 + i]) << (8 * i);
   }
   if (payload_len > max_frame_bytes_) {
     broken_ = Status::kOversized;
     return broken_;
   }
-  if (available < kHeaderBytes + payload_len) return Status::kNeedMore;
-  *type = static_cast<MsgType>(head[3]);
-  payload->assign(head + kHeaderBytes, head + kHeaderBytes + payload_len);
+  std::string_view body;
+  if (!r.GetView(payload_len, &body)) return Status::kNeedMore;
+  *type = static_cast<MsgType>(raw_type);
+  payload->assign(body.begin(), body.end());
   consumed_ += kHeaderBytes + payload_len;
   return Status::kFrame;
 }

@@ -2,10 +2,11 @@
 //
 // The moqo wire protocol (PR 7): a minimal length-prefixed binary framing
 // for streaming FrontierSessions over a socket, dependency-free on both
-// sides. All integers are little-endian; doubles travel as their IEEE-754
-// bit pattern (memcpy through uint64_t), which is what makes a frontier
-// received over the wire *byte-identical* to the in-process PlanSet costs
-// it was encoded from.
+// sides. Bytes go through util/byte_codec.h, the codec the snapshot file
+// and the cache keys share: integers little-endian, doubles as their
+// IEEE-754 bit pattern, which is what makes a frontier received over the
+// wire *byte-identical* to the in-process PlanSet costs it was encoded
+// from.
 //
 // Frame layout (8-byte header + payload):
 //
@@ -34,8 +35,8 @@
 #ifndef MOQO_NET_WIRE_H_
 #define MOQO_NET_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 

@@ -25,9 +25,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 namespace moqo {
@@ -172,35 +172,28 @@ class LatencyHistogram {
       total += snapshot.buckets[i];
     }
     snapshot.count = total;
-    snapshot.sum_ms = BitsToDouble(sum_bits_.load(std::memory_order_relaxed));
-    snapshot.max_ms = BitsToDouble(max_bits_.load(std::memory_order_relaxed));
+    snapshot.sum_ms =
+        std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
+    snapshot.max_ms =
+        std::bit_cast<double>(max_bits_.load(std::memory_order_relaxed));
     return snapshot;
   }
 
  private:
-  static double BitsToDouble(uint64_t bits) {
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-  static uint64_t DoubleToBits(double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-  }
-
   static void AtomicAdd(std::atomic<uint64_t>* cell, double delta) {
     uint64_t observed = cell->load(std::memory_order_relaxed);
     while (!cell->compare_exchange_weak(
-        observed, DoubleToBits(BitsToDouble(observed) + delta),
+        observed,
+        std::bit_cast<uint64_t>(std::bit_cast<double>(observed) + delta),
         std::memory_order_relaxed)) {
     }
   }
 
   static void AtomicMax(std::atomic<uint64_t>* cell, double value) {
     uint64_t observed = cell->load(std::memory_order_relaxed);
-    while (BitsToDouble(observed) < value &&
-           !cell->compare_exchange_weak(observed, DoubleToBits(value),
+    while (std::bit_cast<double>(observed) < value &&
+           !cell->compare_exchange_weak(observed,
+                                        std::bit_cast<uint64_t>(value),
                                         std::memory_order_relaxed)) {
     }
   }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -50,7 +51,9 @@ class SlowQueryLog {
   void Offer(const SlowQueryEntry& entry) {
     // Bit pattern of a double compares like the double for non-negative
     // values, so the threshold probe needs no lock.
-    if (entry.total_ms < ThresholdMs()) return;
+    const double threshold_ms =
+        std::bit_cast<double>(threshold_bits_.load(std::memory_order_relaxed));
+    if (entry.total_ms < threshold_ms) return;
     MutexLock lock(mu_);
     if (static_cast<int>(entries_.size()) < capacity_) {
       entries_.push_back(entry);
@@ -68,7 +71,8 @@ class SlowQueryLog {
       for (const SlowQueryEntry& kept : entries_) {
         floor_ms = std::min(floor_ms, kept.total_ms);
       }
-      threshold_bits_.store(BitsOf(floor_ms), std::memory_order_relaxed);
+      threshold_bits_.store(std::bit_cast<uint64_t>(floor_ms),
+                            std::memory_order_relaxed);
     }
   }
 
@@ -103,21 +107,6 @@ class SlowQueryLog {
   }
 
  private:
-  static uint64_t BitsOf(double ms) {
-    // Non-negative doubles order identically to their bit patterns.
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(ms), "double width");
-    __builtin_memcpy(&bits, &ms, sizeof(bits));
-    return bits;
-  }
-
-  double ThresholdMs() const {
-    const uint64_t bits = threshold_bits_.load(std::memory_order_relaxed);
-    double ms = 0;
-    __builtin_memcpy(&ms, &bits, sizeof(ms));
-    return ms;
-  }
-
   const int capacity_;
   /// Bit pattern of the smallest kept total_ms once the log is full;
   /// 0.0 until then (so every offer enters the locked path while filling).

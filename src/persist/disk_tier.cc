@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <bit>
-#include <cstring>
 
 #include "persist/format.h"
 #include "rt/failpoint.h"
@@ -16,7 +15,6 @@ namespace persist {
 
 namespace {
 
-constexpr size_t kRecordHeaderBytes = 32;
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 size_t RecordBytes(size_t key_len, size_t payload_len) {
@@ -82,7 +80,7 @@ void DiskTier::ResetShard(Shard* shard) {
   }
 }
 
-bool DiskTier::Put(uint64_t key_hash, std::string_view key,
+bool DiskTier::Put(RecordKind kind, uint64_t key_hash, std::string_view key,
                    double achieved_alpha, std::string_view payload) {
   if (!ok_) return false;
   MOQO_FAILPOINT_RETURN("persist.tier.write", false);
@@ -91,15 +89,7 @@ bool DiskTier::Put(uint64_t key_hash, std::string_view key,
 
   std::string record;
   record.reserve(record_bytes);
-  PutU32(&record, static_cast<uint32_t>(key.size()));
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  PutU64(&record, key_hash);
-  PutU64(&record, DoubleBits(achieved_alpha));
-  uint64_t checksum = Fnv1a(key.data(), key.size());
-  checksum = Fnv1a(payload.data(), payload.size(), checksum);
-  PutU64(&record, checksum);
-  record.append(key);
-  record.append(payload);
+  AppendRecord(&record, kind, key, key_hash, achieved_alpha, payload);
 
   Shard& shard = ShardFor(key_hash);
   MutexLock lock(shard.mu);
@@ -172,26 +162,12 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
       }
       done += static_cast<size_t>(n);
     }
-    bool corrupt = !read_ok;
-    const char* key_ptr = nullptr;
-    const char* payload_ptr = nullptr;
-    if (!corrupt) {
-      ByteReader reader(record.data(), record.size());
-      uint32_t key_len = 0, payload_len = 0;
-      uint64_t stored_hash = 0, alpha_bits = 0, stored_checksum = 0;
-      reader.GetU32(&key_len);
-      reader.GetU32(&payload_len);
-      reader.GetU64(&stored_hash);
-      reader.GetU64(&alpha_bits);
-      reader.GetU64(&stored_checksum);
-      key_ptr = record.data() + kRecordHeaderBytes;
-      payload_ptr = key_ptr + entry.key_len;
-      uint64_t checksum = Fnv1a(key_ptr, entry.key_len);
-      checksum = Fnv1a(payload_ptr, entry.payload_len, checksum);
-      corrupt = key_len != entry.key_len || payload_len != entry.payload_len ||
-                stored_hash != key_hash || checksum != stored_checksum ||
-                DoubleFromBits(alpha_bits) != entry.alpha;
-    }
+    ByteReader reader(record.data(), record.size());
+    RecordView view;
+    const bool corrupt =
+        !read_ok || ReadRecord(&reader, &view) != ReadRecordStatus::kOk ||
+        !reader.exhausted() || view.key_hash != key_hash ||
+        view.achieved_alpha != entry.alpha;
     if (corrupt) {
       counters_->corrupt.fetch_add(1, kRelaxed);
       counters_->entries.fetch_sub(1, kRelaxed);
@@ -202,11 +178,11 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
     }
     // Full-key comparison: equal hashes with different keys must never
     // alias (the caches' identity contract).
-    if (std::string_view(key_ptr, entry.key_len) != key) {
+    if (view.key != key) {
       ++it;
       continue;
     }
-    payload_out->assign(payload_ptr, entry.payload_len);
+    payload_out->assign(view.payload);
     if (alpha_out != nullptr) *alpha_out = entry.alpha;
     shard.live_bytes -= record_bytes;
     shard.index.erase(it);

@@ -22,8 +22,8 @@
 // overflow; *cross-restart* warmth is the snapshot file's job
 // (snapshot.h).
 //
-// On-disk record: u32 key_len, u32 payload_len, u64 key_hash,
-// u64 alpha_bits, u64 checksum(FNV over key + payload), key, payload.
+// On-disk record: the snapshot file's record layout (persist/format.h),
+// 40 bytes + key + payload.
 
 #ifndef MOQO_PERSIST_DISK_TIER_H_
 #define MOQO_PERSIST_DISK_TIER_H_
@@ -36,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "persist/format.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -87,8 +88,8 @@ class DiskTier {
   /// record exceeds a whole shard's budget, the write fails, or the
   /// `persist.write` failpoint fires — in every case the entry is simply
   /// gone (a dropped demotion is a future miss, not an error).
-  bool Put(uint64_t key_hash, std::string_view key, double achieved_alpha,
-           std::string_view payload);
+  bool Put(RecordKind kind, uint64_t key_hash, std::string_view key,
+           double achieved_alpha, std::string_view payload);
 
   /// Probes for `key` with achieved alpha <= `max_alpha` (the caches'
   /// relaxed alpha identity). On a hit fills `payload_out` (+ optional

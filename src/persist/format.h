@@ -1,28 +1,41 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// On-disk format primitives shared by the snapshot file (snapshot.h), the
-// RAM→disk cache tier (disk_tier.h), and the PlanSet codec
-// (plan_set_codec.h).
+// On-disk format shared by the snapshot file (snapshot.h), the RAM→disk
+// cache tier (disk_tier.h), and the PlanSet codec (plan_set_codec.h).
 //
-// Encoding contract — identical to the wire protocol (net/wire.h): every
-// integer is little-endian fixed-width, every double is its IEEE-754 bit
-// pattern moved through uint64_t with memcpy. No varints, no alignment
-// padding beyond what the record layouts spell out, no host-endianness
-// leaks. A snapshot written on one machine reads back bit-identically on
-// any other little-endian-serialized reader, and round-trips are bit-exact
-// by construction (the acceptance criterion for cached frontiers, whose
+// Bytes go through util/byte_codec.h, the codec the wire protocol and the
+// cache keys use too: little-endian fixed-width integers, doubles as
+// IEEE-754 bit patterns. A snapshot written on one machine reads back
+// bit-identically on any other, and round trips are bit-exact by
+// construction (the acceptance criterion for cached frontiers, whose
 // identity contract is "equal keys imply byte-identical frontiers").
 //
-// Integrity: FNV-1a 64-bit over the exact encoded bytes. Not
-// cryptographic — it detects torn writes, truncation, and bit rot, which
-// is all a local cache file needs.
+// One record layout serves snapshot files and tier segments alike:
+//
+//   record header, 32 bytes:
+//     u32 kind               RecordKind
+//     u32 key_len
+//     u64 key_hash           signature hash (FNV-1a of the key)
+//     u64 alpha_bits         achieved alpha (f64 bits); 0.0 for memo
+//     u32 payload_len
+//     u32 reserved           0
+//   u64 record_checksum      FNV-1a over record header + key + payload
+//   key bytes                canonical signature string
+//   payload bytes            kind-specific (see RecordKind)
+//
+// Integrity: FNV-1a 64-bit seeded with kChecksumSeed. Not cryptographic —
+// it detects torn writes, truncation, and bit rot, which is all a local
+// cache file needs.
 
 #ifndef MOQO_PERSIST_FORMAT_H_
 #define MOQO_PERSIST_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
+#include <string_view>
+
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace persist {
@@ -37,129 +50,85 @@ inline constexpr uint32_t kFormatVersion = 1;
 /// Sentinel for "no child" in the PlanSet node table.
 inline constexpr uint32_t kNoChild = 0xFFFFFFFFu;
 
-/// Record kinds in a snapshot file.
+/// Seed of every persist checksum: the standard FNV-1a offset basis with
+/// its last decimal digit dropped. Every snapshot on disk is checksummed
+/// with it, so it can never be corrected to the standard constant.
+inline constexpr uint64_t kChecksumSeed = 1469598103934665603ull;
+
+/// Record header plus checksum: a record occupies this many bytes plus
+/// its key and payload.
+inline constexpr size_t kRecordHeaderBytes = 40;
+
+/// Record kinds in a snapshot file or tier segment.
 enum class RecordKind : uint32_t {
   kPlanCacheEntry = 1,  ///< Payload: preference block + PlanSet block.
   kMemoEntry = 2,       ///< Payload: PlanSet block only.
 };
 
-// ---- Checksums. ----
-
-inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
-inline constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-/// FNV-1a over `len` bytes, chainable through `seed` so a checksum can
-/// cover discontiguous pieces (record header, then key, then payload).
-inline uint64_t Fnv1a(const void* data, size_t len,
-                      uint64_t seed = kFnvOffsetBasis) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = seed;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-// ---- Little-endian append helpers. ----
-
-inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-inline void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-/// IEEE-754 bit pattern; NaNs and signed zeros survive unchanged.
-inline void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-inline uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-inline double DoubleFromBits(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-// ---- Bounds-checked little-endian reader. ----
-
-/// Cursor over an encoded byte range (an mmap'ed file region or an
-/// in-memory string). Every Get* fails (returns false, cursor unchanged)
-/// instead of reading past the end, so a truncated file can never fault —
-/// torn tails surface as a clean decode failure.
-class ByteReader {
- public:
-  ByteReader(const void* data, size_t size)
-      : data_(static_cast<const unsigned char*>(data)), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  size_t position() const { return pos_; }
-  const unsigned char* cursor() const { return data_ + pos_; }
-
-  bool Skip(size_t n) {
-    if (remaining() < n) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool GetU32(uint32_t* out) {
-    if (remaining() < 4) return false;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-
-  bool GetU64(uint64_t* out) {
-    if (remaining() < 8) return false;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return true;
-  }
-
-  bool GetI32(int32_t* out) {
-    uint32_t v;
-    if (!GetU32(&v)) return false;
-    *out = static_cast<int32_t>(v);
-    return true;
-  }
-
-  bool GetDouble(double* out) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    *out = DoubleFromBits(bits);
-    return true;
-  }
-
- private:
-  const unsigned char* data_;
-  size_t size_;
-  size_t pos_ = 0;
+/// One decoded record, viewing the bytes it was read from.
+struct RecordView {
+  RecordKind kind = RecordKind::kPlanCacheEntry;
+  uint64_t key_hash = 0;
+  double achieved_alpha = 0;
+  std::string_view key;
+  std::string_view payload;
 };
+
+/// Appends one record, checksum included.
+inline void AppendRecord(std::string* out, RecordKind kind,
+                         std::string_view key, uint64_t key_hash,
+                         double achieved_alpha, std::string_view payload) {
+  const size_t start = out->size();
+  PutU32(out, static_cast<uint32_t>(kind));
+  PutU32(out, static_cast<uint32_t>(key.size()));
+  PutU64(out, key_hash);
+  PutDouble(out, achieved_alpha);
+  PutU32(out, static_cast<uint32_t>(payload.size()));
+  PutU32(out, 0);  // reserved
+  uint64_t checksum = Fnv1a(out->data() + start, out->size() - start,
+                            kChecksumSeed);
+  checksum = Fnv1a(key.data(), key.size(), checksum);
+  checksum = Fnv1a(payload.data(), payload.size(), checksum);
+  PutU64(out, checksum);
+  out->append(key);
+  out->append(payload);
+}
+
+enum class ReadRecordStatus {
+  kOk,
+  kTruncated,  ///< Fewer bytes remain than the record declares.
+  kCorrupt,    ///< Checksum mismatch.
+};
+
+/// Reads the record at the reader's cursor into `out`, whose views point
+/// into the reader's range. On kCorrupt the cursor has moved past the
+/// record, but the lengths that moved it are untrusted: a caller must not
+/// parse on from there.
+inline ReadRecordStatus ReadRecord(ByteReader* reader, RecordView* out) {
+  std::string_view header;
+  if (!reader->GetView(kRecordHeaderBytes - 8, &header)) {
+    return ReadRecordStatus::kTruncated;
+  }
+  ByteReader fields(header.data(), header.size());
+  uint32_t kind = 0, key_len = 0, payload_len = 0;
+  uint64_t stored_checksum = 0;
+  fields.GetU32(&kind);
+  fields.GetU32(&key_len);
+  fields.GetU64(&out->key_hash);
+  fields.GetDouble(&out->achieved_alpha);
+  fields.GetU32(&payload_len);
+  if (!reader->GetU64(&stored_checksum) ||
+      !reader->GetView(key_len, &out->key) ||
+      !reader->GetView(payload_len, &out->payload)) {
+    return ReadRecordStatus::kTruncated;
+  }
+  out->kind = static_cast<RecordKind>(kind);
+  uint64_t checksum = Fnv1a(header.data(), header.size(), kChecksumSeed);
+  checksum = Fnv1a(out->key.data(), out->key.size(), checksum);
+  checksum = Fnv1a(out->payload.data(), out->payload.size(), checksum);
+  return checksum == stored_checksum ? ReadRecordStatus::kOk
+                                     : ReadRecordStatus::kCorrupt;
+}
 
 }  // namespace persist
 }  // namespace moqo

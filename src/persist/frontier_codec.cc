@@ -4,8 +4,8 @@
 
 #include "core/optimizer.h"
 #include "cost/objective.h"
-#include "persist/format.h"
 #include "persist/plan_set_codec.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace persist {
@@ -49,8 +49,10 @@ std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
     if (!reader.GetDouble(&v)) return nullptr;
     bounds[static_cast<int>(i)] = v;
   }
-  std::shared_ptr<const PlanSet> plan_set = PlanSetCodec::Decode(
-      reader.cursor(), reader.remaining(), nullptr);
+  std::string_view block;
+  reader.GetView(reader.remaining(), &block);
+  std::shared_ptr<const PlanSet> plan_set =
+      PlanSetCodec::Decode(block.data(), block.size(), nullptr);
   if (plan_set == nullptr) return nullptr;
 
   // Rebuild the stored selection the way the service builds frontier-hit

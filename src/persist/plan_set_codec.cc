@@ -86,7 +86,7 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
       static_cast<uint64_t>(num_nodes) * node_bytes;
   if (need > reader.remaining()) return nullptr;
   if (num_plans == 0) {
-    if (consumed != nullptr) *consumed = reader.position();
+    if (consumed != nullptr) *consumed = size - reader.remaining();
     return PlanSet::Empty();
   }
   // Every plan needs a root node.
@@ -149,7 +149,7 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
   for (uint32_t i = 0; i < num_plans; ++i) {
     result->plans_.push_back(nodes[roots[i]]);
   }
-  if (consumed != nullptr) *consumed = reader.position();
+  if (consumed != nullptr) *consumed = size - reader.remaining();
   return result;
 } catch (const std::bad_alloc&) {
   // Allocation failure mid-decode (arena growth, vector reserve — real or

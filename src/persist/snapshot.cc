@@ -17,7 +17,6 @@ namespace persist {
 namespace {
 
 constexpr size_t kFileHeaderBytes = 48;
-constexpr size_t kRecordHeaderBytes = 32;
 
 void AppendFileHeader(std::string* out, uint64_t catalog_epoch,
                       uint64_t cost_model_version, uint32_t record_count) {
@@ -27,7 +26,7 @@ void AppendFileHeader(std::string* out, uint64_t catalog_epoch,
   PutU64(out, catalog_epoch);
   PutU64(out, cost_model_version);
   PutU64(out, 0);  // reserved
-  PutU64(out, Fnv1a(out->data(), out->size()));
+  PutU64(out, Fnv1a(out->data(), out->size(), kChecksumSeed));
 }
 
 }  // namespace
@@ -35,21 +34,7 @@ void AppendFileHeader(std::string* out, uint64_t catalog_epoch,
 void SnapshotWriter::AddRecord(RecordKind kind, std::string_view key,
                                uint64_t key_hash, double achieved_alpha,
                                std::string_view payload) {
-  std::string header;
-  header.reserve(kRecordHeaderBytes);
-  PutU32(&header, static_cast<uint32_t>(kind));
-  PutU32(&header, static_cast<uint32_t>(key.size()));
-  PutU64(&header, key_hash);
-  PutU64(&header, DoubleBits(achieved_alpha));
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  PutU32(&header, 0);  // reserved
-  uint64_t checksum = Fnv1a(header.data(), header.size());
-  checksum = Fnv1a(key.data(), key.size(), checksum);
-  checksum = Fnv1a(payload.data(), payload.size(), checksum);
-  body_ += header;
-  PutU64(&body_, checksum);
-  body_.append(key);
-  body_.append(payload);
+  AppendRecord(&body_, kind, key, key_hash, achieved_alpha, payload);
   ++record_count_;
 }
 
@@ -135,17 +120,16 @@ SnapshotReadResult ReadSnapshot(
   do {
     ByteReader reader(data, size);
     SnapshotHeader header;
-    uint64_t reserved = 0, stored_checksum = 0;
+    uint64_t stored_checksum = 0;
     reader.GetU64(&header.magic);
     reader.GetU32(&header.format_version);
     reader.GetU32(&header.record_count);
     reader.GetU64(&header.catalog_epoch);
     reader.GetU64(&header.cost_model_version);
-    reader.GetU64(&reserved);
+    reader.Skip(8);  // reserved
     reader.GetU64(&stored_checksum);
-    (void)reserved;
     if (header.magic != kSnapshotMagic ||
-        Fnv1a(data, kFileHeaderBytes - 8) != stored_checksum) {
+        Fnv1a(data, kFileHeaderBytes - 8, kChecksumSeed) != stored_checksum) {
       break;
     }
     result.loaded = true;
@@ -157,47 +141,19 @@ SnapshotReadResult ReadSnapshot(
     if (!record_cb) break;
 
     for (uint32_t i = 0; i < header.record_count; ++i) {
-      if (reader.remaining() < kRecordHeaderBytes + 8) {
+      RecordView view;
+      const ReadRecordStatus status = ReadRecord(&reader, &view);
+      if (status == ReadRecordStatus::kTruncated) {
         result.truncated += header.record_count - i;
         break;
       }
-      const unsigned char* record_start = reader.cursor();
-      uint32_t kind_raw = 0, key_len = 0, payload_len = 0, rec_reserved = 0;
-      uint64_t key_hash = 0, alpha_bits = 0, record_checksum = 0;
-      reader.GetU32(&kind_raw);
-      reader.GetU32(&key_len);
-      reader.GetU64(&key_hash);
-      reader.GetU64(&alpha_bits);
-      reader.GetU32(&payload_len);
-      reader.GetU32(&rec_reserved);
-      reader.GetU64(&record_checksum);
-      (void)rec_reserved;
-      if (reader.remaining() < static_cast<uint64_t>(key_len) + payload_len) {
-        result.truncated += header.record_count - i;
-        break;
-      }
-      // lint:allow raw-encode — decode-side view of checksummed bytes.
-      const char* key_ptr = reinterpret_cast<const char*>(reader.cursor());
-      reader.Skip(key_len);
-      // lint:allow raw-encode — decode-side view of checksummed bytes.
-      const char* payload_ptr = reinterpret_cast<const char*>(reader.cursor());
-      reader.Skip(payload_len);
-      uint64_t checksum = Fnv1a(record_start, kRecordHeaderBytes);
-      checksum = Fnv1a(key_ptr, key_len, checksum);
-      checksum = Fnv1a(payload_ptr, payload_len, checksum);
-      if (checksum != record_checksum) {
+      if (status == ReadRecordStatus::kCorrupt) {
         // The lengths that position the next record came from this corrupt
         // header; trusting them would misparse the whole tail. Drop it.
         result.skipped_checksum += 1;
         result.truncated += header.record_count - i - 1;
         break;
       }
-      SnapshotRecordView view;
-      view.kind = static_cast<RecordKind>(kind_raw);
-      view.key_hash = key_hash;
-      view.achieved_alpha = DoubleFromBits(alpha_bits);
-      view.key = std::string_view(key_ptr, key_len);
-      view.payload = std::string_view(payload_ptr, payload_len);
       record_cb(view);
       result.records_ok += 1;
     }

@@ -3,7 +3,7 @@
 // Snapshot file: the cross-restart persistence format for the service's
 // warm state (PlanCache + SubplanMemo entries).
 //
-// File layout (all little-endian; format.h has the primitives):
+// File layout (all little-endian; format.h has the record layout):
 //
 //   file header, 48 bytes:
 //     u64 magic                "MOQOSNP1"
@@ -13,17 +13,8 @@
 //     u64 cost_model_version   writer's kCostModelVersion
 //     u64 reserved             0
 //     u64 header_checksum      FNV-1a over the 40 bytes above
-//   records, record_count of:
-//     record header, 32 bytes:
-//       u32 kind               RecordKind
-//       u32 key_len
-//       u64 key_hash           signature hash (FNV-1a of the key)
-//       u64 alpha_bits         achieved alpha (f64 bits); 0.0 for memo
-//       u32 payload_len
-//       u32 reserved           0
-//     u64 record_checksum      FNV-1a over record header + key + payload
-//     key bytes                canonical signature string
-//     payload bytes            kind-specific (see RecordKind)
+//   records, record_count of: the format.h record, 40 bytes + key +
+//     payload each
 //
 // Validation matrix (every outcome is a clean skip, never a crash):
 //   bad magic / header checksum / short header  -> whole file ignored
@@ -62,13 +53,7 @@ struct SnapshotHeader {
 
 /// One decoded record, viewing memory owned by the reader. Valid only for
 /// the duration of the record callback.
-struct SnapshotRecordView {
-  RecordKind kind = RecordKind::kPlanCacheEntry;
-  uint64_t key_hash = 0;
-  double achieved_alpha = 0;
-  std::string_view key;
-  std::string_view payload;
-};
+using SnapshotRecordView = RecordView;
 
 /// Accumulates records in memory, then writes the whole file atomically.
 /// Single-threaded by design: the service serializes under its own

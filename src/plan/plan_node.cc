@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/byte_codec.h"
+
 namespace moqo {
 
 int PlanNode::Height() const {
@@ -12,14 +14,6 @@ int PlanNode::Height() const {
 bool PlanNode::IsLeftDeep() const {
   if (IsScan()) return true;
   return right->IsScan() && left->IsLeftDeep();
-}
-
-const PlanNode* DeepCopyPlan(const PlanNode* plan, Arena* arena) {
-  if (plan == nullptr) return nullptr;
-  PlanNode* copy = arena->New<PlanNode>(*plan);
-  copy->left = DeepCopyPlan(plan->left, arena);
-  copy->right = DeepCopyPlan(plan->right, arena);
-  return copy;
 }
 
 const PlanNode* DeepCopyPlanRemapped(
@@ -53,17 +47,11 @@ bool PlansEqual(const PlanNode* a, const PlanNode* b) {
 
 uint64_t PlanHash(const PlanNode* plan) {
   if (plan == nullptr) return 0;
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(static_cast<uint64_t>(plan->op_config) + 1);
-  mix(static_cast<uint64_t>(plan->table) + 2);
-  mix(plan->tables.mask());
-  mix(PlanHash(plan->left) * 3);
-  mix(PlanHash(plan->right) * 5);
-  return h;
+  const uint64_t words[] = {static_cast<uint64_t>(plan->op_config) + 1,
+                            static_cast<uint64_t>(plan->table) + 2,
+                            plan->tables.mask(), PlanHash(plan->left) * 3,
+                            PlanHash(plan->right) * 5};
+  return Fnv1a(words, sizeof(words), kFnv1aOffsetBasis);
 }
 
 }  // namespace moqo

@@ -60,11 +60,6 @@ struct PlanNode {
 static_assert(std::is_trivially_destructible_v<PlanNode>,
               "PlanNode must be arena-compatible");
 
-/// Recursively copies `plan` (and all sub-plans) into `arena`; returns the
-/// new root. Used to hand plans to callers that outlive the optimizer run
-/// that produced them.
-const PlanNode* DeepCopyPlan(const PlanNode* plan, Arena* arena);
-
 /// DAG-sharing deep copy that additionally *renumbers* table references:
 /// every node's `table` and `tables` are rewritten through `table_map`
 /// (new_index = table_map[old_index]; every referenced old index must have

@@ -3,37 +3,16 @@
 #include "query/canonical.h"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
 #include <vector>
+
+#include "util/byte_codec.h"
 
 namespace moqo {
 
 void AppendCanonicalString(std::string* out, const std::string& s) {
-  AppendCanonicalU64(out, s.size());
+  PutU64(out, s.size());
   out->append(s);
-}
-
-void AppendCanonicalU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-
-void AppendCanonicalDouble(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendCanonicalU64(out, bits);
-}
-
-uint64_t Fnv1aHash(const std::string& data) {
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 /// Catalog identity by content: the same table id over a differently
@@ -43,31 +22,31 @@ uint64_t Fnv1aHash(const std::string& data) {
 /// availability (drives the physical plan space).
 void AppendCanonicalTable(std::string* out, const Table& table) {
   AppendCanonicalString(out, table.name());
-  AppendCanonicalDouble(out, table.row_count());
-  AppendCanonicalDouble(out, table.row_width_bytes());
-  AppendCanonicalU64(out, table.columns().size());
+  PutDouble(out, table.row_count());
+  PutDouble(out, table.row_width_bytes());
+  PutU64(out, table.columns().size());
   for (const ColumnStats& column : table.columns()) {
     AppendCanonicalString(out, column.name);
-    AppendCanonicalDouble(out, column.ndv);
-    AppendCanonicalDouble(out, column.min_value);
-    AppendCanonicalDouble(out, column.max_value);
-    AppendCanonicalDouble(out, column.null_fraction);
-    AppendCanonicalDouble(out, column.avg_width_bytes);
-    AppendCanonicalU64(out, table.HasIndexOn(column.name) ? 1 : 0);
+    PutDouble(out, column.ndv);
+    PutDouble(out, column.min_value);
+    PutDouble(out, column.max_value);
+    PutDouble(out, column.null_fraction);
+    PutDouble(out, column.avg_width_bytes);
+    PutU64(out, table.HasIndexOn(column.name) ? 1 : 0);
     const Histogram& histogram = column.histogram;
-    AppendCanonicalDouble(out, histogram.lo());
-    AppendCanonicalDouble(out, histogram.hi());
-    AppendCanonicalU64(out, static_cast<uint64_t>(histogram.num_buckets()));
+    PutDouble(out, histogram.lo());
+    PutDouble(out, histogram.hi());
+    PutU64(out, static_cast<uint64_t>(histogram.num_buckets()));
     for (int b = 0; b < histogram.num_buckets(); ++b) {
-      AppendCanonicalDouble(out, histogram.bucket_count(b));
+      PutDouble(out, histogram.bucket_count(b));
     }
   }
 }
 
 void AppendCanonicalQuery(std::string* out, const Query& query) {
-  AppendCanonicalU64(out, static_cast<uint64_t>(query.num_tables()));
+  PutU64(out, static_cast<uint64_t>(query.num_tables()));
   for (int i = 0; i < query.num_tables(); ++i) {
-    AppendCanonicalU64(out, static_cast<uint64_t>(query.table_id(i)));
+    PutU64(out, static_cast<uint64_t>(query.table_id(i)));
     AppendCanonicalTable(out, query.table(i));
   }
 
@@ -92,11 +71,11 @@ void AppendCanonicalQuery(std::string* out, const Query& query) {
                      std::tie(y.first.first, *y.first.second, y.second.first,
                               *y.second.second);
             });
-  AppendCanonicalU64(out, edges.size());
+  PutU64(out, edges.size());
   for (const auto& [a, b] : edges) {
-    AppendCanonicalU64(out, static_cast<uint64_t>(a.first));
+    PutU64(out, static_cast<uint64_t>(a.first));
     AppendCanonicalString(out, *a.second);
-    AppendCanonicalU64(out, static_cast<uint64_t>(b.first));
+    PutU64(out, static_cast<uint64_t>(b.first));
     AppendCanonicalString(out, *b.second);
   }
 
@@ -112,13 +91,13 @@ void AppendCanonicalQuery(std::string* out, const Query& query) {
                                                       y->op, y->value,
                                                       y->value_hi);
             });
-  AppendCanonicalU64(out, filters.size());
+  PutU64(out, filters.size());
   for (const FilterPredicate* filter : filters) {
-    AppendCanonicalU64(out, static_cast<uint64_t>(filter->table));
+    PutU64(out, static_cast<uint64_t>(filter->table));
     AppendCanonicalString(out, filter->column);
-    AppendCanonicalU64(out, static_cast<uint64_t>(filter->op));
-    AppendCanonicalDouble(out, filter->value);
-    AppendCanonicalDouble(out, filter->value_hi);
+    PutU64(out, static_cast<uint64_t>(filter->op));
+    PutDouble(out, filter->value);
+    PutDouble(out, filter->value_hi);
   }
 }
 

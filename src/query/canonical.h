@@ -18,18 +18,11 @@
 
 namespace moqo {
 
-/// Appends a length-prefixed string to a canonical encoding.
+/// Appends a u64-length-prefixed string to a canonical encoding. Integers
+/// and doubles go in through util/byte_codec.h (PutU64, PutDouble), and
+/// every canonical cache key (service/signature, memo/subplan_key) hashes
+/// with Fnv1a seeded by kFnv1aOffsetBasis.
 void AppendCanonicalString(std::string* out, const std::string& s);
-
-/// Appends a 64-bit value little-endian.
-void AppendCanonicalU64(std::string* out, uint64_t v);
-
-/// Appends a double bit-exactly (its IEEE-754 representation).
-void AppendCanonicalDouble(std::string* out, double v);
-
-/// FNV-1a over a canonical encoding; the hash every canonical cache key
-/// (service/signature, memo/subplan_key) derives its routing value from.
-uint64_t Fnv1aHash(const std::string& data);
 
 /// Appends the canonical *content* encoding of one catalog table:
 /// everything the cost model reads (name, cardinality, widths, per-column

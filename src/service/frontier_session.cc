@@ -126,22 +126,6 @@ bool FrontierSession::AwaitFor(int64_t timeout_ms) {
   return target_reached_;
 }
 
-bool FrontierSession::AwaitFrontier(int64_t timeout_ms) {
-  MutexLock lock(mu_);
-  if (timeout_ms < 0) {
-    while (best_ == nullptr && !done_) cv_.Wait(mu_);
-  } else {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (best_ == nullptr && !done_) {
-      if (cv_.WaitUntil(mu_, deadline) && best_ == nullptr && !done_) {
-        return false;
-      }
-    }
-  }
-  return best_ != nullptr;
-}
-
 int FrontierSession::OnRefined(RefinedCallback callback) {
   // callback_mu_ is taken first so no publish can deliver to the new
   // callback between the history snapshot and the replay: a publisher

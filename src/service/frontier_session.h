@@ -179,10 +179,6 @@ class FrontierSession {
   bool AwaitTarget();
   /// Same with a timeout; false also when the wait timed out.
   bool AwaitFor(int64_t timeout_ms);
-  /// Blocks until at least one frontier is published (immediately true
-  /// for quick_first/cache-seeded sessions); false on timeout
-  /// (timeout_ms < 0 = wait forever).
-  bool AwaitFrontier(int64_t timeout_ms = -1);
 
   /// Registers a callback invoked for every published frontier. Already-
   /// published steps are replayed synchronously before registration

@@ -231,15 +231,17 @@ void OptimizationService::WatchdogMain() {
   watchdog_mu_.Unlock();
 }
 
-std::shared_ptr<const OptimizerResult> OptimizationService::TryQuickFallback(
+std::shared_ptr<const OptimizerResult> OptimizationService::RunQuickMode(
     const std::shared_ptr<FrontierSession>& session) {
   try {
     // Quick mode (timeout 0), serial, no memo: the smallest possible
-    // footprint, maximizing the chance it survives whatever killed the
+    // footprint, maximizing the chance it survives whatever killed a
     // rung (e.g. memory pressure).
     OptimizerOptions opts =
         MakeOptimizerOptions(session->decision_.alpha, /*timeout_ms=*/0,
                              /*parallelism=*/1, /*use_memo=*/false);
+    opts.tracer = &tracer_;
+    opts.trace_id = session->trace_id_;
     std::unique_ptr<OptimizerBase> optimizer =
         MakeOptimizer(session->decision_.algorithm, opts);
     StopWatch quick_watch;
@@ -547,25 +549,11 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   // Stage 5: quick-mode prelude — the Section 5.1 single-plan-per-set
   // finish, run synchronously so OpenFrontier returns with a selectable
   // frontier in hand. No guarantee (alpha = infinity), but valid plans.
+  // A failed prelude only costs the early frontier; the ladder still runs.
   if (session_options.quick_first && session->BestFrontier() == nullptr) {
-    try {
-      TraceSpan quick_span(&tracer_, "service", "quick.prelude",
-                           session->trace_id_);
-      OptimizerOptions quick_opts = MakeOptimizerOptions(
-          decision.alpha, /*timeout_ms=*/0, /*parallelism=*/1,
-          /*use_memo=*/false);
-      quick_opts.tracer = &tracer_;
-      quick_opts.trace_id = session->trace_id_;
-      std::unique_ptr<OptimizerBase> optimizer =
-          MakeOptimizer(decision.algorithm, quick_opts);
-      StopWatch quick_watch;
-      OptimizerResult quick = optimizer->Optimize(session->problem_);
-      session->Publish(kInfiniteAlpha, quick.plan_set,
-                       quick_watch.ElapsedMillis(), /*from_cache=*/false);
-    } catch (...) {
-      // A failed prelude only costs the early frontier; the ladder still
-      // runs.
-    }
+    TraceSpan quick_span(&tracer_, "service", "quick.prelude",
+                         session->trace_id_);
+    RunQuickMode(session);
   }
 
   // Watchdog registration (PR 8): ladders with a per-rung budget are
@@ -767,7 +755,7 @@ void OptimizationService::RunSessionRung(
     if (any_completed) {
       degraded = true;
     } else {
-      degraded_result = TryQuickFallback(session);
+      degraded_result = RunQuickMode(session);
       degraded = degraded_result != nullptr;
       failed = degraded_result == nullptr;
     }

@@ -369,11 +369,13 @@ class OptimizationService {
       const WeightVector& weights, const BoundVector& bounds,
       double achieved_alpha);
 
-  /// Last-resort degradation (PR 8): when a rung dies mid-flight
-  /// (allocation failure, injected fault) and nothing has completed yet,
-  /// computes the paper's Section 5.1 quick-mode frontier — "never return
-  /// null" — serially, fully fenced. Null only if even quick mode fails.
-  std::shared_ptr<const OptimizerResult> TryQuickFallback(
+  /// Computes and publishes the paper's Section 5.1 quick-mode frontier
+  /// (alpha = infinity: no guarantee, but valid plans) serially and fully
+  /// fenced. Serves both OpenSession's prelude — a selectable frontier
+  /// before the first rung — and the last-resort degradation when a rung
+  /// dies mid-flight (allocation failure, injected fault) with nothing
+  /// completed: "never return null". Null only if quick mode fails.
+  std::shared_ptr<const OptimizerResult> RunQuickMode(
       const std::shared_ptr<FrontierSession>& session);
 
   /// The watchdog thread body; see ServiceOptions::watchdog_poll_ms.

@@ -92,7 +92,8 @@ void PlanCache::AttachTier(std::shared_ptr<persist::DiskTier> tier) {
         if (value == nullptr) return;
         std::string payload;
         if (!persist::EncodeFrontierPayload(*value, &payload)) return;
-        tier_ptr->Put(key.hash, key.key, value->achieved_alpha, payload);
+        tier_ptr->Put(persist::RecordKind::kPlanCacheEntry, key.hash, key.key,
+                      value->achieved_alpha, payload);
       });
 }
 

@@ -8,6 +8,17 @@ namespace moqo {
 
 namespace {
 
+/// EXA handles queries up to this many tables / objectives exactly.
+constexpr int kExaMaxTables = 4;
+constexpr int kExaMaxObjectives = 3;
+/// Default user precision for the approximation schemes.
+constexpr double kDefaultAlpha = 1.5;
+/// Deadlines at or below this are "tight": prefer approximation over
+/// exactness and coarsen alpha.
+constexpr int64_t kTightDeadlineMs = 250;
+/// Precision used under tight deadlines.
+constexpr double kTightAlpha = 2.5;
+
 /// Deterministic for a fixed host: hardware concurrency only enters when
 /// max_parallelism = 0, and parallelism never affects the frontier (or the
 /// cache signature), so routing stays reproducible where it matters.
@@ -28,8 +39,7 @@ PolicyDecision ChooseAlgorithm(const Query& query,
                                int64_t deadline_ms,
                                const PolicyOptions& options) {
   PolicyDecision decision;
-  const bool tight =
-      deadline_ms >= 0 && deadline_ms <= options.tight_deadline_ms;
+  const bool tight = deadline_ms >= 0 && deadline_ms <= kTightDeadlineMs;
   const int num_tables = query.num_tables();
   const int num_objectives = objectives.size();
   decision.parallelism = ResolveParallelism(query, options);
@@ -45,15 +55,15 @@ PolicyDecision ChooseAlgorithm(const Query& query,
     return decision;
   }
 
-  if (!tight && num_tables <= options.exa_max_tables &&
-      num_objectives <= options.exa_max_objectives) {
+  if (!tight && num_tables <= kExaMaxTables &&
+      num_objectives <= kExaMaxObjectives) {
     decision.algorithm = AlgorithmKind::kExa;
     decision.alpha = 1.0;
     return decision;
   }
 
   decision.algorithm = AlgorithmKind::kRta;
-  decision.alpha = tight ? options.tight_alpha : options.default_alpha;
+  decision.alpha = tight ? kTightAlpha : kDefaultAlpha;
   return decision;
 }
 

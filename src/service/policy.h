@@ -33,16 +33,6 @@
 namespace moqo {
 
 struct PolicyOptions {
-  /// EXA handles queries up to this many tables / objectives exactly.
-  int exa_max_tables = 4;
-  int exa_max_objectives = 3;
-  /// Default user precision for the approximation schemes.
-  double default_alpha = 1.5;
-  /// Deadlines at or below this are "tight": prefer approximation over
-  /// exactness and coarsen alpha.
-  int64_t tight_deadline_ms = 250;
-  /// Precision used under tight deadlines.
-  double tight_alpha = 2.5;
   /// Queries with at least this many tables fan their DP levels out over
   /// the intra-query pool; smaller ones stay serial (their levels are too
   /// shallow to amortize the fan-out).

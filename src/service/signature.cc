@@ -2,22 +2,16 @@
 
 #include "service/signature.h"
 
-#include <cstring>
+#include <bit>
 #include <limits>
 
 #include "query/canonical.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace {
 
 constexpr uint64_t kUnboundedSentinel = std::numeric_limits<uint64_t>::max();
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
 
 }  // namespace
 
@@ -33,9 +27,9 @@ ProblemSignature ComputeSignature(const Query& query,
   AppendCanonicalQuery(&key, query);
 
   // Objective selection, in order: the order fixes CostVector dimensions.
-  AppendCanonicalU64(&key, static_cast<uint64_t>(objectives.size()));
+  PutU64(&key, static_cast<uint64_t>(objectives.size()));
   for (Objective objective : objectives) {
-    AppendCanonicalU64(&key, static_cast<uint64_t>(objective));
+    PutU64(&key, static_cast<uint64_t>(objective));
   }
 
   // Resolved algorithm: an RTA result must never be served to a request
@@ -43,7 +37,7 @@ ProblemSignature ComputeSignature(const Query& query,
   // deliberately NOT part of the frontier-algorithm key — the cache tags
   // entries with their achieved alpha and serves any looser request from a
   // tighter entry (relaxed identity; see the header comment).
-  AppendCanonicalU64(&key, static_cast<uint64_t>(algorithm));
+  PutU64(&key, static_cast<uint64_t>(algorithm));
 
   // Result-relevant optimizer switches (the timeout is deliberately
   // excluded: only non-timed-out results are cached, so a cached entry is
@@ -55,15 +49,17 @@ ProblemSignature ComputeSignature(const Query& query,
   flags |= options.operators.enable_sampling ? 8u : 0u;
   flags |= options.operators.enable_index_scan ? 16u : 0u;
   flags |= options.operators.enable_parallelism ? 32u : 0u;
-  AppendCanonicalU64(&key, flags);
-  AppendCanonicalU64(&key, static_cast<uint64_t>(options.max_iterations));
-  AppendCanonicalU64(&key, options.operators.sampling_rates.size());
+  PutU64(&key, flags);
+  // The IRA iteration cap is a constant, keyed anyway so that existing
+  // keys and snapshots stay valid.
+  PutU64(&key, static_cast<uint64_t>(kIraMaxIterations));
+  PutU64(&key, options.operators.sampling_rates.size());
   for (double rate : options.operators.sampling_rates) {
-    AppendCanonicalDouble(&key, rate);
+    PutDouble(&key, rate);
   }
-  AppendCanonicalU64(&key, options.operators.dops.size());
+  PutU64(&key, options.operators.dops.size());
   for (int dop : options.operators.dops) {
-    AppendCanonicalU64(&key, static_cast<uint64_t>(dop));
+    PutU64(&key, static_cast<uint64_t>(dop));
   }
 
   // Preference-dependent algorithms only: their frontier is tailored to
@@ -72,30 +68,30 @@ ProblemSignature ComputeSignature(const Query& query,
   // that is what makes a weight-only change (and, since PR 5, an
   // alpha-only relaxation) a cache hit.
   if (IsPreferenceDependent(algorithm)) {
-    AppendCanonicalDouble(&key, alpha);
+    PutDouble(&key, alpha);
     const int num_weights = weights != nullptr ? weights->size() : 0;
-    AppendCanonicalU64(&key, static_cast<uint64_t>(num_weights));
+    PutU64(&key, static_cast<uint64_t>(num_weights));
     for (int i = 0; i < num_weights; ++i) {
-      AppendCanonicalU64(&key, DoubleBits((*weights)[i]));
+      PutDouble(&key, (*weights)[i]);
     }
     // A default-constructed (size-0) BoundVector and an explicit
     // all-unbounded one describe the same weighted-MOQO instance
     // (MOQOProblem::IsWeightedOnly); canonicalize both to the empty
     // encoding so they share cache entries.
     if (bounds == nullptr || bounds->AllUnbounded()) {
-      AppendCanonicalU64(&key, 0);
+      PutU64(&key, 0);
     } else {
-      AppendCanonicalU64(&key, static_cast<uint64_t>(bounds->size()));
+      PutU64(&key, static_cast<uint64_t>(bounds->size()));
       for (int i = 0; i < bounds->size(); ++i) {
-        AppendCanonicalU64(&key, bounds->IsUnbounded(i)
-                                     ? kUnboundedSentinel
-                                     : DoubleBits((*bounds)[i]));
+        PutU64(&key, bounds->IsUnbounded(i)
+                         ? kUnboundedSentinel
+                         : std::bit_cast<uint64_t>((*bounds)[i]));
       }
     }
   }
 
   ProblemSignature signature;
-  signature.hash = Fnv1aHash(key);
+  signature.hash = Fnv1a(key.data(), key.size(), kFnv1aOffsetBasis);
   signature.key = std::move(key);
   return signature;
 }
@@ -103,8 +99,9 @@ ProblemSignature ComputeSignature(const Query& query,
 ProblemSignature ExtendSignature(const ProblemSignature& base, double alpha) {
   ProblemSignature extended;
   extended.key = base.key;
-  AppendCanonicalDouble(&extended.key, alpha);
-  extended.hash = Fnv1aHash(extended.key);
+  PutDouble(&extended.key, alpha);
+  extended.hash =
+      Fnv1a(extended.key.data(), extended.key.size(), kFnv1aOffsetBasis);
   return extended;
 }
 

@@ -109,12 +109,6 @@ struct ServiceStatsSnapshot {
     return lookups == 0 ? 0 : static_cast<double>(cache_hits) / lookups;
   }
 
-  /// Fraction of cache hits that needed only O(|frontier|) re-selection.
-  double FrontierHitRate() const {
-    const uint64_t hits = exact_hits + frontier_hits;
-    return hits == 0 ? 0 : static_cast<double>(frontier_hits) / hits;
-  }
-
   /// Fraction of table-set probes answered by the cross-query memo.
   double MemoHitRate() const {
     const uint64_t lookups = memo_hits + memo_misses;

@@ -54,14 +54,6 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
 
-  /// The earlier of two deadlines; keeps either one's cancel flag (a's
-  /// wins if both carry one).
-  static Deadline Earliest(const Deadline& a, const Deadline& b) {
-    Deadline d = a.expires_ <= b.expires_ ? a : b;
-    d.cancel_ = a.cancel_ != nullptr ? a.cancel_ : b.cancel_;
-    return d;
-  }
-
   /// Copy of this deadline that additionally expires once `*cancel`
   /// becomes true. `cancel` is not owned and must outlive the deadline;
   /// null detaches.

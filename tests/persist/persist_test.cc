@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +36,6 @@
 namespace moqo {
 namespace {
 
-using persist::DoubleBits;
 using persist::PlanSetCodec;
 using persist::ReadSnapshot;
 using persist::RecordKind;
@@ -46,6 +46,8 @@ using persist::SnapshotWriter;
 using testing::MakeStarQuery;
 using testing::MakeTinyCatalog;
 using testing::SmallOperatorSpace;
+
+uint64_t DoubleBits(double v) { return std::bit_cast<uint64_t>(v); }
 
 /// Fresh per-test scratch directory (tests must not see each other's
 /// snapshot or segment files).
@@ -319,7 +321,8 @@ TEST(PersistTest, SnapshotValidationMatrix) {
   std::string bad_version = raw;
   bad_version[8] ^= 0x40;  // format_version.
   {
-    const uint64_t checksum = persist::Fnv1a(bad_version.data(), 40);
+    const uint64_t checksum =
+        Fnv1a(bad_version.data(), 40, persist::kChecksumSeed);
     std::memcpy(bad_version.data() + 40, &checksum, 8);
   }
   SnapshotReadResult version = read_count(write_variant("bad_version",

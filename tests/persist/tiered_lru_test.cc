@@ -10,7 +10,9 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -24,12 +26,15 @@
 #include "persist/format.h"
 #include "service/plan_cache.h"
 #include "util/arena.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace {
 
 using persist::DiskTier;
-using persist::DoubleBits;
+using persist::RecordKind;
+
+uint64_t DoubleBits(double v) { return std::bit_cast<uint64_t>(v); }
 
 /// Fresh per-test scratch directory for segment files.
 std::string FreshDir(const std::string& tag) {
@@ -51,15 +56,16 @@ DiskTier::Options TierOptions(const std::string& dir,
   return options;
 }
 
-/// On-disk record footprint: 32-byte header + key + payload (disk_tier.h).
+/// On-disk record footprint: 40-byte header + key + payload (format.h).
 size_t RecordBytes(const std::string& key, const std::string& payload) {
-  return 32 + key.size() + payload.size();
+  return 40 + key.size() + payload.size();
 }
 
 TEST(TieredLruTest, DiskTierRoundTripIsReadOnce) {
   DiskTier tier(TierOptions(FreshDir("roundtrip")));
   ASSERT_TRUE(tier.ok());
-  ASSERT_TRUE(tier.Put(42, "key", 1.25, "payload-bytes"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       42, "key", 1.25, "payload-bytes"));
   EXPECT_EQ(tier.GetStats().entries, 1u);
   EXPECT_EQ(tier.GetStats().bytes, RecordBytes("key", "payload-bytes"));
 
@@ -82,7 +88,8 @@ TEST(TieredLruTest, DiskTierRoundTripIsReadOnce) {
 
 TEST(TieredLruTest, DiskTierAlphaGateSkipsWithoutErasing) {
   DiskTier tier(TierOptions(FreshDir("alpha")));
-  ASSERT_TRUE(tier.Put(7, "k", /*achieved_alpha=*/1.5, "p"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       7, "k", /*achieved_alpha=*/1.5, "p"));
 
   // A probe needing a tighter guarantee than the stored entry must miss —
   // and must NOT consume the entry: a later, looser probe still hits.
@@ -98,8 +105,10 @@ TEST(TieredLruTest, DiskTierHashCollisionsNeverAlias) {
   // Two distinct keys forced onto the same hash (shapes differ, so both
   // are stored): the full-key verify must route each probe to its own
   // payload, and an unknown key with a known hash must miss.
-  ASSERT_TRUE(tier.Put(99, "key-a", 1.0, "payload-a"));
-  ASSERT_TRUE(tier.Put(99, "key-bee", 1.0, "payload-bee"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       99, "key-a", 1.0, "payload-a"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       99, "key-bee", 1.0, "payload-bee"));
   EXPECT_EQ(tier.GetStats().entries, 2u);
 
   std::string payload;
@@ -113,8 +122,10 @@ TEST(TieredLruTest, DiskTierHashCollisionsNeverAlias) {
   // alpha) trips Put's re-demotion dedup: the second entry is not
   // appended. That must degrade to a clean miss for the new key — the
   // full-key check may never serve the resident key's payload for it.
-  ASSERT_TRUE(tier.Put(77, "twin-1", 1.0, "payload-1"));
-  ASSERT_TRUE(tier.Put(77, "twin-2", 1.0, "payload-2"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       77, "twin-1", 1.0, "payload-1"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       77, "twin-2", 1.0, "payload-2"));
   EXPECT_EQ(tier.GetStats().entries, 1u);
   EXPECT_FALSE(tier.Take(77, "twin-2", 2.0, &payload, nullptr));
   ASSERT_TRUE(tier.Take(77, "twin-1", 2.0, &payload, nullptr));
@@ -123,11 +134,13 @@ TEST(TieredLruTest, DiskTierHashCollisionsNeverAlias) {
 
 TEST(TieredLruTest, DiskTierDedupsIdenticalReDemotion) {
   DiskTier tier(TierOptions(FreshDir("dedup")));
-  ASSERT_TRUE(tier.Put(5, "k", 1.0, "same-payload"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       5, "k", 1.0, "same-payload"));
   const size_t bytes = tier.GetStats().bytes;
   // Re-demoting a byte-identical entry (same hash, key, alpha, payload
   // shape) is a no-op, not a duplicate index entry or dead bytes.
-  ASSERT_TRUE(tier.Put(5, "k", 1.0, "same-payload"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       5, "k", 1.0, "same-payload"));
   EXPECT_EQ(tier.GetStats().entries, 1u);
   EXPECT_EQ(tier.GetStats().bytes, bytes);
 }
@@ -138,7 +151,8 @@ TEST(TieredLruTest, DiskTierResetsShardAtBudgetAndRefusesOversize) {
   DiskTier tier(TierOptions(FreshDir("reset"), /*capacity_bytes=*/512));
   ASSERT_TRUE(tier.ok());
   for (int i = 0; i < 32; ++i) {
-    EXPECT_TRUE(tier.Put(1000 + i, "key" + std::to_string(i), 1.0, payload));
+    EXPECT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                         1000 + i, "key" + std::to_string(i), 1.0, payload));
   }
   const DiskTier::Stats stats = tier.GetStats();
   EXPECT_EQ(stats.demotions, 32u);
@@ -149,8 +163,31 @@ TEST(TieredLruTest, DiskTierResetsShardAtBudgetAndRefusesOversize) {
   // A single record bigger than the whole shard budget can never be
   // stored; refusing it must not disturb the resident generation.
   const size_t entries_before = tier.GetStats().entries;
-  EXPECT_FALSE(tier.Put(1, "big", 1.0, std::string(4096, 'y')));
+  EXPECT_FALSE(tier.Put(RecordKind::kPlanCacheEntry,
+                        1, "big", 1.0, std::string(4096, 'y')));
   EXPECT_EQ(tier.GetStats().entries, entries_before);
+}
+
+TEST(TieredLruTest, DiskTierDropsACorruptRecord) {
+  const std::string dir = FreshDir("corrupt");
+  DiskTier tier(TierOptions(dir));
+  ASSERT_TRUE(tier.Put(RecordKind::kMemoEntry, 11, "key", 1.0, "payload"));
+  // Flip one payload bit on disk: the record checksum must catch it, and
+  // the probe must drop the record rather than serve it.
+  FILE* segment = std::fopen((dir + "/test_tier.shard0.seg").c_str(), "r+b");
+  ASSERT_NE(segment, nullptr);
+  std::fseek(segment, -1, SEEK_END);
+  const int last = std::fgetc(segment);
+  std::fseek(segment, -1, SEEK_END);
+  std::fputc(last ^ 0x01, segment);
+  std::fclose(segment);
+
+  std::string payload;
+  EXPECT_FALSE(tier.Take(11, "key", 2.0, &payload, nullptr));
+  const DiskTier::Stats stats = tier.GetStats();
+  EXPECT_EQ(stats.corrupt, 1u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
 }
 
 // ---- PlanCache with an attached tier. ----------------------------------
@@ -158,12 +195,7 @@ TEST(TieredLruTest, DiskTierResetsShardAtBudgetAndRefusesOversize) {
 ProblemSignature Sig(const std::string& key) {
   ProblemSignature signature;
   signature.key = key;
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : key) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  signature.hash = hash;
+  signature.hash = Fnv1a(key.data(), key.size(), kFnv1aOffsetBasis);
   return signature;
 }
 

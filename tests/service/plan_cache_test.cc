@@ -11,6 +11,7 @@
 
 #include "core/plan_set.h"
 #include "util/arena.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace {
@@ -18,12 +19,7 @@ namespace {
 ProblemSignature Sig(const std::string& key) {
   ProblemSignature signature;
   signature.key = key;
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : key) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  signature.hash = hash;
+  signature.hash = Fnv1a(key.data(), key.size(), kFnv1aOffsetBasis);
   return signature;
 }
 

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/byte_codec.h"
+
 namespace moqo {
 namespace {
 
@@ -30,12 +32,7 @@ struct TestKey {
 TestKey Key(const std::string& text) {
   TestKey key;
   key.key = text;
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  key.hash = hash;
+  key.hash = Fnv1a(text.data(), text.size(), kFnv1aOffsetBasis);
   return key;
 }
 

@@ -14,12 +14,12 @@ Rules (IDs are stable; tests/lint asserts them exactly):
                  with the same value; new entries may only append (no value
                  reuse). To extend an enum intentionally, add the entry and
                  rerun with --write-baseline, then commit the new baseline.
-  raw-encode     Wire/persist encoding goes through the format.h / wire.h
-                 primitives only: outside those files, no reinterpret_cast
-                 to byte pointers and no memcpy except the scalar
-                 bit-pattern idiom memcpy(&a, &b, sizeof(...)). Genuine
-                 exceptions (e.g. decode-side views of checksummed bytes)
-                 carry `lint:allow raw-encode` on or above the line.
+  raw-encode     Byte encoding goes through util/byte_codec.h (and the
+                 persist/format.h record layout) only: outside those
+                 files, no reinterpret_cast to byte pointers and no memcpy
+                 except the scalar bit-pattern idiom
+                 memcpy(&a, &b, sizeof(...)). Genuine exceptions carry
+                 `lint:allow raw-encode` on or above the line.
   failpoint-site Every MOQO_FAILPOINT* site name is globally unique and
                  listed in the README failpoint catalog table.
   naked-mutex    All locking in src/ goes through util/mutex.h (Mutex,
@@ -40,7 +40,7 @@ import re
 import sys
 
 # Files whose whole job is byte-level encoding; raw-encode does not apply.
-ENCODING_FILES = {"src/net/wire.h", "src/net/wire.cc", "src/persist/format.h"}
+ENCODING_FILES = {"src/util/byte_codec.h", "src/persist/format.h"}
 MUTEX_FILE = "src/util/mutex.h"
 BASELINE_REL = "tools/lint/frozen_enums.json"
 README_REL = "README.md"
@@ -210,7 +210,7 @@ def check_file(root, rel, findings, escapes):
             if hit and not allows(lines, idx, "raw-encode"):
                 findings.append(Finding(
                     "raw-encode", rel, line_no,
-                    "byte-level encoding outside wire.h/format.h primitives "
+                    "byte-level encoding outside byte_codec.h/format.h "
                     "(or annotate with `lint:allow raw-encode`)"))
 
         if rel != MUTEX_FILE and NAKED_MUTEX_RE.search(code):
