@@ -1,14 +1,19 @@
 // Micro benchmarks (google-benchmark) for the optimizer's hot paths:
 // dominance checks, Pareto-set pruning, cost-model combination, subset
-// enumeration, and end-to-end optimization of small queries.
+// enumeration, and end-to-end optimization of small queries — plus the
+// per-request work of a plan-cache hit: signature computation and
+// extension, and SelectPlan over a cached frontier.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/exa.h"
 #include "core/pareto_set.h"
 #include "core/rta.h"
 #include "model/cost_model.h"
 #include "query/tpch_queries.h"
+#include "service/signature.h"
 #include "util/random.h"
 
 namespace moqo {
@@ -127,6 +132,95 @@ BENCHMARK(BM_OptimizeTpcH)
     ->Args({10, 3})
     ->Args({10, 6})
     ->Unit(benchmark::kMillisecond);
+
+ObjectiveSet FirstObjectives(int num_objectives) {
+  return ObjectiveSet(std::vector<Objective>(
+      kAllObjectives.begin(), kAllObjectives.begin() + num_objectives));
+}
+
+/// The plan-cache signature of an RTA spec on TPC-H query `q`. With
+/// `warm` = 1 the query's cached canonical form is reused across
+/// iterations (every request after the first); with 0 each iteration
+/// signs a never-used copy, which encodes the query from scratch.
+void BM_ComputeSignature(benchmark::State& state) {
+  const int query_number = static_cast<int>(state.range(0));
+  const bool warm = state.range(1) != 0;
+  const Catalog catalog = Catalog::TpcH(1.0);
+  const Query query = MakeTpcHQuery(&catalog, query_number);
+  const ObjectiveSet objectives = FirstObjectives(6);
+  const OptimizerOptions options;
+  for (auto _ : state) {
+    if (warm) {
+      benchmark::DoNotOptimize(ComputeSignature(
+          query, objectives, AlgorithmKind::kRta, 1.5, options));
+    } else {
+      const Query fresh = query;
+      benchmark::DoNotOptimize(ComputeSignature(
+          fresh, objectives, AlgorithmKind::kRta, 1.5, options));
+    }
+  }
+  state.counters["key_bytes"] = static_cast<double>(
+      ComputeSignature(query, objectives, AlgorithmKind::kRta, 1.5, options)
+          .key.size());
+}
+BENCHMARK(BM_ComputeSignature)
+    ->ArgNames({"q", "warm"})
+    ->ArgsProduct({{3, 5, 8}, {0, 1}});
+
+/// Extends a TPC-H Q5 signature with `n` values: n = 1 through the
+/// single-value overload (the coalescing identity), n > 1 through the
+/// vector overload (a session key: the ladder plus the rung deadline).
+void BM_ExtendSignature(benchmark::State& state) {
+  const int num_values = static_cast<int>(state.range(0));
+  const Catalog catalog = Catalog::TpcH(1.0);
+  const Query query = MakeTpcHQuery(&catalog, 5);
+  const ProblemSignature base = ComputeSignature(
+      query, FirstObjectives(6), AlgorithmKind::kRta, 1.5, OptimizerOptions());
+  std::vector<double> values;
+  for (int i = 0; i < num_values; ++i) values.push_back(4.0 / (1 + i));
+  for (auto _ : state) {
+    if (num_values == 1) {
+      benchmark::DoNotOptimize(ExtendSignature(base, values[0]));
+    } else {
+      benchmark::DoNotOptimize(ExtendSignature(base, values));
+    }
+  }
+}
+BENCHMARK(BM_ExtendSignature)->Arg(1)->Arg(6);
+
+/// Request-time scalarization: SelectPlan over a real RTA frontier
+/// (TPC-H Q7, six objectives, alpha 1.5; the `plans` counter reports its
+/// size) with a fresh random preference per iteration, as a plan-cache hit
+/// does.
+void BM_SelectPlan(benchmark::State& state) {
+  Catalog catalog = Catalog::TpcH(1.0);
+  Query query = MakeTpcHQuery(&catalog, 7);
+  constexpr int kObjectives = 6;
+  MOQOProblem problem;
+  problem.query = &query;
+  problem.objectives = FirstObjectives(kObjectives);
+  problem.weights = WeightVector::Uniform(kObjectives);
+  OptimizerOptions options;
+  options.alpha = 1.5;
+  options.operators.sampling_rates = {0.05};
+  options.operators.dops = {1, 2};
+  const std::shared_ptr<const PlanSet> frontier =
+      RTAOptimizer(options).Optimize(problem).plan_set;
+  Xoshiro256 rng(7);
+  std::vector<WeightVector> preferences;
+  for (int i = 0; i < 64; ++i) {
+    WeightVector weights(kObjectives);
+    for (int d = 0; d < kObjectives; ++d) weights[d] = rng.NextDouble();
+    preferences.push_back(weights);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SelectPlan(*frontier, preferences[next++ % preferences.size()]));
+  }
+  state.counters["plans"] = frontier->size();
+}
+BENCHMARK(BM_SelectPlan);
 
 }  // namespace
 }  // namespace moqo

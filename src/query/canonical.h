@@ -39,9 +39,12 @@ void AppendCanonicalTable(std::string* out, const Table& table);
 /// over differently scaled or differently distributed catalogs encode
 /// differently — then join edges with endpoints ordered and the edge list
 /// sorted, then filters sorted. The query name is deliberately excluded.
+/// Encodes from scratch; Query::CanonicalForm() caches the result per
+/// query and catalog epoch.
 void AppendCanonicalQuery(std::string* out, const Query& query);
 
-/// Convenience wrapper returning the encoding of just the query structure.
+/// Convenience wrapper returning a from-scratch encoding of just the
+/// query structure.
 std::string CanonicalQueryEncoding(const Query& query);
 
 }  // namespace moqo

@@ -4,12 +4,16 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "query/canonical.h"
+#include "util/byte_codec.h"
+
 namespace moqo {
 
 int Query::AddTable(int table_id) {
   assert(table_id >= 0 && table_id < catalog_->num_tables());
   assert(num_tables() < TableSet::kMaxTables);
   table_ids_.push_back(table_id);
+  canonical_.Clear();
   return num_tables() - 1;
 }
 
@@ -26,11 +30,13 @@ void Query::AddJoin(int left_table, std::string left_column, int right_table,
   assert(right_table >= 0 && right_table < num_tables());
   joins_.push_back(JoinPredicate{left_table, std::move(left_column),
                                  right_table, std::move(right_column)});
+  canonical_.Clear();
 }
 
 void Query::AddFilter(FilterPredicate filter) {
   assert(filter.table >= 0 && filter.table < num_tables());
   filters_.push_back(std::move(filter));
+  canonical_.Clear();
 }
 
 bool Query::SplitHasJoinPredicate(TableSet a, TableSet b) const {
@@ -103,6 +109,20 @@ std::string Query::ToString() const {
   }
   out << "]";
   return out.str();
+}
+
+std::shared_ptr<const CanonicalQueryForm> Query::CanonicalForm() const {
+  const uint64_t epoch = catalog_->epoch();
+  MutexLock lock(canonical_.mu);
+  if (canonical_.form == nullptr || canonical_.epoch != epoch) {
+    auto form = std::make_shared<CanonicalQueryForm>();
+    AppendCanonicalQuery(&form->bytes, *this);
+    form->hash =
+        Fnv1a(form->bytes.data(), form->bytes.size(), kFnv1aOffsetBasis);
+    canonical_.form = std::move(form);
+    canonical_.epoch = epoch;
+  }
+  return canonical_.form;
 }
 
 }  // namespace moqo

@@ -8,20 +8,37 @@
 #ifndef MOQO_QUERY_QUERY_H_
 #define MOQO_QUERY_QUERY_H_
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "query/predicate.h"
+#include "util/mutex.h"
 #include "util/table_set.h"
 
 namespace moqo {
+
+/// A query's canonical encoding (query/canonical.h) together with the
+/// FNV-1a state after hashing it from kFnv1aOffsetBasis, so a key that
+/// extends the encoding hashes only its own suffix (service/signature.h).
+struct CanonicalQueryForm {
+  std::string bytes;
+  uint64_t hash = 0;
+};
 
 /// A join query over tables of a Catalog.
 ///
 /// Tables are referenced by *query-local* indexes 0..n-1 (multiple
 /// occurrences of the same base table, as in TPC-H Q21's self-joins of
 /// lineitem, get distinct local indexes).
+///
+/// The canonical form is cached: encoded on the first CanonicalForm()
+/// call and reused until an edit (AddTable/AddJoin/AddFilter or
+/// assignment) drops it or the catalog's epoch changes. Concurrent const
+/// use, including CanonicalForm(), is safe. Copies and moves start
+/// without a cached form.
 class Query {
  public:
   Query(const Catalog* catalog, std::string name)
@@ -79,12 +96,39 @@ class Query {
 
   std::string ToString() const;
 
+  /// The canonical form of this query, encoded on first use and rebuilt
+  /// only after an edit or a change of the catalog's epoch. Byte-identical
+  /// to a from-scratch AppendCanonicalQuery.
+  std::shared_ptr<const CanonicalQueryForm> CanonicalForm() const;
+
  private:
+  /// Holds the cached form. Copying yields an empty cache and assigning
+  /// empties the destination's, so Query keeps its implicit copy and move
+  /// members and a copy never carries a form for content it may diverge
+  /// from.
+  struct FormCache {
+    FormCache() = default;
+    FormCache(const FormCache&) noexcept {}
+    FormCache& operator=(const FormCache&) {
+      Clear();
+      return *this;
+    }
+    void Clear() {
+      MutexLock lock(mu);
+      form.reset();
+    }
+
+    Mutex mu;
+    std::shared_ptr<const CanonicalQueryForm> form MOQO_GUARDED_BY(mu);
+    uint64_t epoch MOQO_GUARDED_BY(mu) = 0;  ///< Catalog epoch of `form`.
+  };
+
   const Catalog* catalog_;
   std::string name_;
   std::vector<int> table_ids_;
   std::vector<JoinPredicate> joins_;
   std::vector<FilterPredicate> filters_;
+  mutable FormCache canonical_;
 };
 
 }  // namespace moqo

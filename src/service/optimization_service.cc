@@ -84,9 +84,9 @@ std::vector<double> MakeAlphaLadder(double start, double target,
 ProblemSignature SessionKey(const ProblemSignature& base,
                             const std::vector<double>& ladder,
                             int64_t step_deadline_ms) {
-  ProblemSignature key = base;
-  for (double alpha : ladder) key = ExtendSignature(key, alpha);
-  return ExtendSignature(key, static_cast<double>(step_deadline_ms));
+  std::vector<double> values = ladder;
+  values.push_back(static_cast<double>(step_deadline_ms));
+  return ExtendSignature(base, values);
 }
 
 /// Builds a result over `plan_set` with `base`'s cold-run metrics and the
@@ -462,7 +462,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   }
 
   // Only a session that may run needs its exact identity: the key copies
-  // the whole signature twice more, which born-done hits never pay for.
+  // the whole signature once more, which born-done hits never pay for.
   session->session_key_ =
       SessionKey(session->cache_signature_, session->ladder_,
                  session_options.step_deadline_ms);

@@ -5,13 +5,21 @@
 #include <bit>
 #include <limits>
 
-#include "query/canonical.h"
 #include "util/byte_codec.h"
 
 namespace moqo {
 namespace {
 
 constexpr uint64_t kUnboundedSentinel = std::numeric_limits<uint64_t>::max();
+
+/// Hashes the bytes of `key` past `prefix_size`, chained from `prefix_hash`
+/// (the FNV-1a state after the first `prefix_size` bytes): equal to a
+/// from-scratch Fnv1a of the whole key.
+uint64_t ChainHash(const std::string& key, size_t prefix_size,
+                   uint64_t prefix_hash) {
+  return Fnv1a(key.data() + prefix_size, key.size() - prefix_size,
+               prefix_hash);
+}
 
 }  // namespace
 
@@ -21,10 +29,12 @@ ProblemSignature ComputeSignature(const Query& query,
                                   const OptimizerOptions& options,
                                   const WeightVector* weights,
                                   const BoundVector* bounds) {
+  // The query's encoding is cached on the Query; only the short spec
+  // suffix below is encoded and hashed per call.
+  const std::shared_ptr<const CanonicalQueryForm> form = query.CanonicalForm();
   std::string key;
-  key.reserve(256);
-
-  AppendCanonicalQuery(&key, query);
+  key.reserve(form->bytes.size() + 256);
+  key.append(form->bytes);
 
   // Objective selection, in order: the order fixes CostVector dimensions.
   PutU64(&key, static_cast<uint64_t>(objectives.size()));
@@ -91,17 +101,22 @@ ProblemSignature ComputeSignature(const Query& query,
   }
 
   ProblemSignature signature;
-  signature.hash = Fnv1a(key.data(), key.size(), kFnv1aOffsetBasis);
+  signature.hash = ChainHash(key, form->bytes.size(), form->hash);
   signature.key = std::move(key);
   return signature;
 }
 
 ProblemSignature ExtendSignature(const ProblemSignature& base, double alpha) {
+  return ExtendSignature(base, std::vector<double>{alpha});
+}
+
+ProblemSignature ExtendSignature(const ProblemSignature& base,
+                                 const std::vector<double>& values) {
   ProblemSignature extended;
-  extended.key = base.key;
-  PutDouble(&extended.key, alpha);
-  extended.hash =
-      Fnv1a(extended.key.data(), extended.key.size(), kFnv1aOffsetBasis);
+  extended.key.reserve(base.key.size() + sizeof(double) * values.size());
+  extended.key.append(base.key);
+  for (double value : values) PutDouble(&extended.key, value);
+  extended.hash = ChainHash(extended.key, base.key.size(), base.hash);
   return extended;
 }
 

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/optimizer.h"
 #include "core/algorithm.h"
@@ -38,7 +39,9 @@ namespace moqo {
 /// An equality-comparable canonical cache key with a precomputed hash.
 struct ProblemSignature {
   std::string key;    ///< Canonical byte encoding; defines equality.
-  uint64_t hash = 0;  ///< FNV-1a of `key`; shard + hash-table routing.
+  /// FNV-1a of `key` from kFnv1aOffsetBasis; shard + hash-table routing.
+  /// Every function below keeps this invariant and chains from it.
+  uint64_t hash = 0;
 
   bool operator==(const ProblemSignature& other) const {
     return hash == other.hash && key == other.key;
@@ -59,7 +62,10 @@ inline bool IsPreferenceDependent(AlgorithmKind algorithm) {
 /// the timeout). `alpha`, `weights` and `bounds` are encoded only when the
 /// algorithm IsPreferenceDependent; pass null preferences otherwise (or
 /// always — they are ignored for frontier-producing algorithms, whose
-/// signatures are alpha- and preference-free by design).
+/// signatures are alpha- and preference-free by design). The query part
+/// of the key is copied from Query::CanonicalForm(), so a query is encoded
+/// once per catalog epoch and each call hashes only its short spec
+/// suffix, chained from the form's hash.
 ProblemSignature ComputeSignature(const Query& query,
                                   const ObjectiveSet& objectives,
                                   AlgorithmKind algorithm, double alpha,
@@ -67,11 +73,18 @@ ProblemSignature ComputeSignature(const Query& query,
                                   const WeightVector* weights = nullptr,
                                   const BoundVector* bounds = nullptr);
 
-/// `base` with `alpha` appended bit-exactly (and the hash recomputed):
-/// the exact-run identity used where relaxed alpha matching would be
-/// wrong — two in-flight runs at different precisions must not coalesce,
-/// and two sessions refining to different targets must not share a ladder.
+/// `base` with `alpha` appended bit-exactly, its hash chained from
+/// `base.hash` over the 8 new bytes: the exact-run identity used where
+/// relaxed alpha matching would be wrong — two in-flight runs at different
+/// precisions must not coalesce, and two sessions refining to different
+/// targets must not share a ladder.
 ProblemSignature ExtendSignature(const ProblemSignature& base, double alpha);
+
+/// `base` with every value of `values` appended bit-exactly, in order:
+/// equal to chaining the single-value overload over `values`, but copies
+/// `base.key` once and hashes only the appended bytes.
+ProblemSignature ExtendSignature(const ProblemSignature& base,
+                                 const std::vector<double>& values);
 
 }  // namespace moqo
 
