@@ -52,6 +52,11 @@
 using namespace moqo;
 
 // --- Little-endian byte writers: what any client language needs. --------
+// Hand-rolled on purpose (the library has its own in util/byte_codec.h):
+// this file documents the protocol for clients written in anything. They
+// live in their own namespace so they never collide with the library's.
+
+namespace raw {
 
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -89,6 +94,8 @@ std::string Frame(uint8_t type, const std::string& payload) {
   frame += payload;
   return frame;
 }
+
+}  // namespace raw
 
 int main() {
   // -- Self-hosted server: catalog, service, net front end. ---------------
@@ -130,20 +137,21 @@ int main() {
   //   i64     step_deadline_ms (-1 = none)
   //   u8      quick_first (1 = publish a heuristic frontier at open)
   std::string open;
-  PutString(&open, "tpch_q3");
-  PutU8(&open, 3);     // three objectives...
-  PutU8(&open, 0);     //   kTotalTime
-  PutU8(&open, 6);     //   kBufferFootprint
-  PutU8(&open, 8);     //   kTupleLoss
-  PutU8(&open, 1);     // algorithm: RTA (i8)
-  PutF64(&open, 1.25); // alpha target
-  PutI32(&open, 0);    // parallelism: policy
-  PutF64(&open, 3.0);  // alpha_start
-  PutF64(&open, -1);   // alpha_target: derive from alpha
-  PutI32(&open, 3);    // max_steps
-  PutU64(&open, static_cast<uint64_t>(int64_t{-1}));  // step_deadline_ms
-  PutU8(&open, 1);     // quick_first
-  if (!client.SendRaw(Frame(1, open))) return 1;  // type 1 = OPEN_FRONTIER
+  raw::PutString(&open, "tpch_q3");
+  raw::PutU8(&open, 3);     // three objectives...
+  raw::PutU8(&open, 0);     //   kTotalTime
+  raw::PutU8(&open, 6);     //   kBufferFootprint
+  raw::PutU8(&open, 8);     //   kTupleLoss
+  raw::PutU8(&open, 1);     // algorithm: RTA (i8)
+  raw::PutF64(&open, 1.25); // alpha target
+  raw::PutI32(&open, 0);    // parallelism: policy
+  raw::PutF64(&open, 3.0);  // alpha_start
+  raw::PutF64(&open, -1);   // alpha_target: derive from alpha
+  raw::PutI32(&open, 3);    // max_steps
+  raw::PutU64(&open, static_cast<uint64_t>(int64_t{-1}));  // step deadline
+  raw::PutU8(&open, 1);     // quick_first
+  // Type 1 = OPEN_FRONTIER.
+  if (!client.SendRaw(raw::Frame(1, open))) return 1;
 
   // -- Server-pushed frontier stream. -------------------------------------
   // The server pushes one FRONTIER_UPDATE per refinement step: the plan
@@ -188,13 +196,13 @@ int main() {
   //   u32  num_weights + f64 each (empty = uniform)
   //   u32  num_bounds  + f64 each (empty = unbounded)
   std::string select;
-  PutU64(&select, 42);   // tag
-  PutU32(&select, 3);    // three weights...
-  PutF64(&select, 1.0);  //   total time
-  PutF64(&select, 1e-6); //   buffer bytes are a big unit
-  PutF64(&select, 1e5);  //   tuple loss is precious
-  PutU32(&select, 0);    // no bounds
-  if (!client.SendRaw(Frame(2, select))) return 1;  // type 2 = SELECT
+  raw::PutU64(&select, 42);   // tag
+  raw::PutU32(&select, 3);    // three weights...
+  raw::PutF64(&select, 1.0);  //   total time
+  raw::PutF64(&select, 1e-6); //   buffer bytes are a big unit
+  raw::PutF64(&select, 1e5);  //   tuple loss is precious
+  raw::PutU32(&select, 0);    // no bounds
+  if (!client.SendRaw(raw::Frame(2, select))) return 1;  // type 2 = SELECT
 
   if (!client.NextEvent(&event, 30000) ||
       event.type != net::MsgType::kSelectResult) {
@@ -212,7 +220,7 @@ int main() {
   }
 
   // CLOSE (type 4, empty payload); disconnecting would also do.
-  client.SendRaw(Frame(4, ""));
+  client.SendRaw(raw::Frame(4, ""));
   client.Disconnect();
   server.Stop();
   std::printf("\nok\n");

@@ -9,6 +9,16 @@ const std::vector<CostVector>& OptimizerResult::frontier() const {
   return plan_set ? plan_set->costs() : kEmpty;
 }
 
+void OptimizerResult::Select(const WeightVector& weights,
+                             const BoundVector& bounds) {
+  const PlanSelection selection = SelectPlan(*plan_set, weights, bounds);
+  if (selection.plan == nullptr) return;
+  plan = selection.plan;
+  cost = selection.cost;
+  weighted_cost = selection.weighted_cost;
+  respects_bounds = bounds.size() == 0 || bounds.Respects(cost);
+}
+
 OptimizerResult OptimizerBase::FinishResult(const MOQOProblem& problem,
                                             const DPPlanGenerator& generator,
                                             const ParetoSet& final_set,
@@ -16,14 +26,12 @@ OptimizerResult OptimizerBase::FinishResult(const MOQOProblem& problem,
                                             double elapsed_ms) const {
   OptimizerResult result;
   result.plan_set = PlanSet::FromParetoSet(final_set);
-  const PlanSelection selection =
-      SelectPlan(*result.plan_set, problem.weights, select_bounds);
-  if (selection.plan != nullptr) {
-    result.plan = selection.plan;
-    result.cost = selection.cost;
-    result.weighted_cost = selection.weighted_cost;
+  result.Select(problem.weights, select_bounds);
+  // Feasibility is judged against the problem's bounds, whatever bounds
+  // the selection ran under.
+  if (result.plan != nullptr) {
     result.respects_bounds = problem.bounds.size() == 0 ||
-                             problem.bounds.Respects(selection.cost);
+                             problem.bounds.Respects(result.cost);
   }
   result.metrics.optimization_ms = elapsed_ms;
   result.metrics.memory_bytes =

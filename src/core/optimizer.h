@@ -120,6 +120,11 @@ struct OptimizerResult {
   /// `plan_set`; empty when `plan_set` is null.
   const std::vector<CostVector>& frontier() const;
   int frontier_size() const { return plan_set ? plan_set->size() : 0; }
+
+  /// Sets plan/cost/weighted_cost to the plan SelectPlan picks from
+  /// `plan_set` (non-null) for the preference, and respects_bounds to
+  /// whether its cost respects `bounds`. An empty set leaves them as is.
+  void Select(const WeightVector& weights, const BoundVector& bounds);
 };
 
 /// Shared implementation scaffolding: owns the arena, the operator

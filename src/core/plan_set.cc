@@ -9,54 +9,28 @@
 
 namespace moqo {
 
-namespace {
-
-/// Deep copy preserving DAG sharing: every distinct source node is copied
-/// exactly once. Frontier plans of one table set share most of their
-/// sub-plans through the DP memo, so the naive per-plan recursive copy
-/// would multiply the footprint by the frontier size.
-const PlanNode* CopyShared(
-    const PlanNode* node, Arena* arena,
-    std::unordered_map<const PlanNode*, const PlanNode*>* copied) {
-  if (node == nullptr) return nullptr;
-  auto it = copied->find(node);
-  if (it != copied->end()) return it->second;
-  PlanNode* copy = arena->New<PlanNode>(*node);
-  copy->left = CopyShared(node->left, arena, copied);
-  copy->right = CopyShared(node->right, arena, copied);
-  (*copied)[node] = copy;
-  return copy;
-}
-
-}  // namespace
-
 std::shared_ptr<const PlanSet> PlanSet::FromParetoSet(const ParetoSet& set) {
   if (set.empty()) return Empty();
   // Frontier snapshots deep-copy into a fresh arena; arm with `oom` to
   // fail the copy before any allocation happens.
   MOQO_FAILPOINT("planset.snapshot");
-  // make_shared needs a public constructor; the private one is reached
-  // through this local subclass trampoline.
-  struct Constructible : PlanSet {};
-  auto result = std::make_shared<Constructible>();
-  std::unordered_map<const PlanNode*, const PlanNode*> copied;
-  copied.reserve(static_cast<size_t>(set.size()) * 2);
-  const std::vector<const PlanNode*> plans = set.plans();
-  result->plans_.reserve(plans.size());
-  result->costs_.reserve(plans.size());
-  for (const PlanNode* plan : plans) {
-    result->plans_.push_back(CopyShared(plan, &result->arena_, &copied));
-    result->costs_.push_back(plan->cost);
-  }
-  return result;
+  return Copy(set, {});
 }
 
 std::shared_ptr<const PlanSet> PlanSet::FromParetoSetRemapped(
     const ParetoSet& set, const std::vector<int>& table_map) {
   if (set.empty()) return Empty();
   MOQO_FAILPOINT("planset.snapshot.remap");
+  return Copy(set, table_map);
+}
+
+std::shared_ptr<const PlanSet> PlanSet::Copy(
+    const ParetoSet& set, const std::vector<int>& table_map) {
+  // make_shared needs a public constructor; the private one is reached
+  // through this local subclass trampoline.
   struct Constructible : PlanSet {};
   auto result = std::make_shared<Constructible>();
+  // One map across all roots: every distinct source node is copied once.
   std::unordered_map<const PlanNode*, const PlanNode*> copied;
   copied.reserve(static_cast<size_t>(set.size()) * 2);
   const std::vector<const PlanNode*> plans = set.plans();
@@ -88,7 +62,7 @@ std::shared_ptr<const PlanSet> PlanSet::FromIndices(
   result->costs_.reserve(indices.size());
   for (int i : indices) {
     result->plans_.push_back(
-        CopyShared(source.plan(i), &result->arena_, &copied));
+        DeepCopyPlanRemapped(source.plan(i), &result->arena_, {}, &copied));
     result->costs_.push_back(source.cost(i));
   }
   return result;

@@ -85,6 +85,14 @@ class PlanSet {
  private:
   PlanSet() = default;
 
+  /// The one copy loop behind FromParetoSet(Remapped): deep-copies the
+  /// live plans of `set` through `table_map` (empty = table fields
+  /// verbatim), preserving DAG sharing — frontier plans of one table set
+  /// share most of their sub-plans through the DP memo, so a per-plan
+  /// copy would multiply the footprint by the frontier size.
+  static std::shared_ptr<const PlanSet> Copy(
+      const ParetoSet& set, const std::vector<int>& table_map);
+
   /// The on-disk codec (src/persist/plan_set_codec.h) materializes decoded
   /// snapshots directly into a fresh set's arena — the only writer besides
   /// the factory functions above.

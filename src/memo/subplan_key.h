@@ -49,21 +49,14 @@
 #include "cost/objective.h"
 #include "plan/operators.h"
 #include "query/query.h"
+#include "util/byte_codec.h"
 #include "util/table_set.h"
 
 namespace moqo {
 
-/// An equality-comparable canonical table-set key with precomputed hash.
-/// Equality compares the full key, so hash collisions can never alias two
-/// different sub-problems.
-struct SubplanSignature {
-  std::string key;
-  uint64_t hash = 0;
-
-  bool operator==(const SubplanSignature& other) const {
-    return hash == other.hash && key == other.key;
-  }
-};
+/// The canonical table-set key (CanonicalKey: the full key defines
+/// equality, so hash collisions never alias two sub-problems).
+using SubplanSignature = CanonicalKey;
 
 /// Per-run context for building table-set signatures: the per-table and
 /// per-edge canonical fragments are encoded once per DP run, so each
@@ -100,14 +93,5 @@ class SubplanKeyContext {
 };
 
 }  // namespace moqo
-
-namespace std {
-template <>
-struct hash<moqo::SubplanSignature> {
-  size_t operator()(const moqo::SubplanSignature& sig) const noexcept {
-    return static_cast<size_t>(sig.hash);
-  }
-};
-}  // namespace std
 
 #endif  // MOQO_MEMO_SUBPLAN_KEY_H_

@@ -17,10 +17,12 @@
 // tasks only ever read immutable entries and a cold run's frontiers are
 // byte-identical with the memo on or off.
 //
-// Storage is the same ShardedLru machinery the PlanCache uses
-// (util/sharded_lru.h): N independently locked shards, each with its own
-// LRU list and byte-budget slice; entries are accounted by their PlanSet
-// footprint plus key/index overhead. Admission is
+// Storage, the disk tier and snapshot export/restore are the same
+// persist::TieredLru the PlanCache is (persist/tiered_lru.h), over PlanSet
+// with the MemoEntryCodec below: entries are accounted by their PlanSet
+// footprint plus key/index overhead and tagged alpha 0, since the key
+// already carries the precision bit-exactly. This class keeps only the
+// memo's own policy. Admission is
 // shaped by three knobs: `min_tables` (small sets are cheaper to rebuild
 // than to copy), `admission_epsilon` (only frontiers already compact at
 // the service's cache epsilon are worth pinning — a denser frontier would
@@ -38,19 +40,37 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "core/plan_set.h"
 #include "memo/subplan_key.h"
+#include "persist/tiered_lru.h"
 #include "util/mutex.h"
-#include "util/sharded_lru.h"
 #include "util/thread_annotations.h"
 
 namespace moqo {
 
-namespace persist {
-class DiskTier;
-}  // namespace persist
+/// The TieredLru codec of a memo entry: kMemoEntry records whose payload
+/// is the PlanSet block (persist/plan_set_codec.h), tagged alpha 0.
+struct MemoEntryCodec {
+  static constexpr persist::RecordKind kKind = persist::RecordKind::kMemoEntry;
+  static double Alpha(const PlanSet& /*frontier*/) { return 0.0; }
+  static size_t Plans(const PlanSet& frontier) {
+    return static_cast<size_t>(frontier.size());
+  }
+  static size_t Footprint(const PlanSet& frontier) {
+    return frontier.ApproxBytes();
+  }
+  /// False for the empty set: nothing worth persisting.
+  static bool Encode(const PlanSet& frontier, std::string* out);
+  static std::shared_ptr<const PlanSet> Decode(std::string_view payload,
+                                               double alpha);
+  /// The `memo.insert` failpoint; `return_error` drops the publish.
+  static bool DropInsert();
+};
 
 class SubplanMemo {
  public:
@@ -76,27 +96,11 @@ class SubplanMemo {
     size_t max_entry_plans = 0;
   };
 
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
+  struct Stats : persist::TieredStats {
     /// Publishes refused by admission (epsilon density / entry size).
     uint64_t admission_rejects = 0;
     /// Epoch changes that flushed the memo.
     uint64_t invalidations = 0;
-    /// Probes that missed RAM but were served (and promoted back) from
-    /// the attached disk tier; counted inside `hits` as well.
-    uint64_t tier_hits = 0;
-    size_t entries = 0;
-    size_t bytes = 0;
-    /// Sum of resident entries' frontier sizes.
-    size_t frontier_plans = 0;
-
-    double HitRate() const {
-      const uint64_t lookups = hits + misses;
-      return lookups == 0 ? 0 : static_cast<double>(hits) / lookups;
-    }
   };
 
   SubplanMemo();  ///< Default Options.
@@ -109,8 +113,10 @@ class SubplanMemo {
   int min_tables() const { return options_.min_tables; }
 
   /// Returns the shared frontier for `signature` (promoting it to
-  /// most-recently-used) or nullptr on miss.
-  std::shared_ptr<const PlanSet> Lookup(const SubplanSignature& signature);
+  /// most-recently-used) or nullptr on miss; see TieredLru::Lookup.
+  std::shared_ptr<const PlanSet> Lookup(const SubplanSignature& signature) {
+    return lru_.Lookup(signature);
+  }
 
   /// True iff `frontier` passes the admission policy (size cap and epsilon
   /// compactness); counts rejects. `alpha` is the pruning precision the
@@ -123,9 +129,13 @@ class SubplanMemo {
   bool Admits(const ParetoSet& frontier, double alpha);
 
   /// Inserts (or refreshes) an admitted frontier, evicting LRU entries of
-  /// the target shard until it fits the byte budget and entry cap.
+  /// the target shard until it fits the byte budget and entry cap. Equal
+  /// keys imply byte-identical frontiers, so a refresh only touches
+  /// recency and accounting.
   void Insert(const SubplanSignature& signature,
-              std::shared_ptr<const PlanSet> frontier);
+              std::shared_ptr<const PlanSet> frontier) {
+    lru_.Insert(signature, std::move(frontier));
+  }
 
   /// Declares that the catalog identified by `catalog` (any stable
   /// identity token — the service passes the Catalog address) is now at
@@ -143,29 +153,23 @@ class SubplanMemo {
   /// entries on every alternation.
   void ObserveCatalog(const void* catalog, uint64_t epoch);
 
-  /// Attaches the RAM→disk demotion tier: evicted frontiers demote to
-  /// `tier` as encoded PlanSet blocks, misses probe it. Call before
-  /// concurrent use; nullptr detaches.
-  void AttachTier(std::shared_ptr<persist::DiskTier> tier);
-
-  /// Visits every resident entry as fn(signature, plan_set_ptr, bytes);
-  /// see ShardedLru::ForEach for locking. The snapshot exporter.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    lru_.ForEach(fn);
+  /// See TieredLru: the RAM→disk tier, snapshot export and restore.
+  void AttachTier(std::shared_ptr<persist::DiskTier> tier) {
+    lru_.AttachTier(std::move(tier));
+  }
+  void ExportTo(persist::SnapshotWriter* writer) const {
+    lru_.ExportTo(writer);
+  }
+  bool Restore(const persist::RecordView& record) {
+    return lru_.Restore(record);
   }
 
   Stats GetStats() const;
   size_t size() const { return lru_.size(); }
-  void Clear() { lru_.Clear(); }
-
-  int num_shards() const { return lru_.num_shards(); }
 
  private:
   Options options_;
-  ShardedLru<SubplanSignature, std::shared_ptr<const PlanSet>> lru_;
-  std::shared_ptr<persist::DiskTier> tier_;
-  std::atomic<uint64_t> tier_hits_{0};
+  persist::TieredLru<PlanSet, MemoEntryCodec> lru_;
 
   /// Last-seen epoch per catalog identity; epoch_mu_ also serializes the
   /// flush an epoch change triggers.

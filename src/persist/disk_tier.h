@@ -1,9 +1,10 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// DiskTier: the RAM→disk demotion tier behind the sharded LRU caches.
+// DiskTier: the RAM→disk demotion tier behind the caches' TieredLru
+// (persist/tiered_lru.h), its only caller.
 //
 // When a byte-budgeted cache evicts an entry that is still admissible
-// (it fell to cache pressure, not invalidation), the owner's eviction
+// (it fell to cache pressure, not invalidation), the TieredLru's eviction
 // hook appends its encoded payload to a per-shard, append-mostly segment
 // file and keeps only a compact index entry in RAM: signature hash,
 // file offset, lengths, achieved alpha — a few dozen bytes (the
@@ -11,8 +12,8 @@
 // resident index for millions of demoted frontiers stays cheap. A later
 // miss probes the tier; a hit reads the record back, verifies checksum
 // and full key (hash collisions never alias — same contract as the
-// caches), removes the index entry, and the owner re-inserts the entry
-// into RAM ("promotion"), surfacing as CacheOutcome::kTierHit.
+// caches), removes the index entry, and the TieredLru re-inserts the
+// entry into RAM ("promotion"), surfacing as CacheOutcome::kTierHit.
 //
 // Append-mostly: promotions and overwrites leave dead bytes behind; when
 // a shard's segment reaches its slice of the byte budget the whole shard

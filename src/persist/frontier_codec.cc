@@ -56,18 +56,11 @@ std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
   if (plan_set == nullptr) return nullptr;
 
   // Rebuild the stored selection the way the service builds frontier-hit
-  // results (ResultOverPlanSet): deterministic SelectPlan over the
-  // restored, bit-identical frontier.
+  // results: deterministic SelectPlan over the restored, bit-identical
+  // frontier.
   auto result = std::make_shared<OptimizerResult>();
   result->plan_set = plan_set;
-  const PlanSelection selection = SelectPlan(*plan_set, weights, bounds);
-  if (selection.plan != nullptr) {
-    result->plan = selection.plan;
-    result->cost = selection.cost;
-    result->weighted_cost = selection.weighted_cost;
-    result->respects_bounds =
-        bounds.size() == 0 || bounds.Respects(selection.cost);
-  }
+  result->Select(weights, bounds);
   auto entry = std::make_shared<CachedFrontier>();
   entry->result = std::move(result);
   entry->weights = weights;

@@ -1,12 +1,12 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// Persistence counters of the optimization service: snapshot writes,
-// warm restores (with per-reason skip accounting mirroring the snapshot
-// validation matrix), and the RAM→disk tier traffic of both caches.
-// The atomics live behind a shared_ptr owned jointly by the service and
-// every metric sampler registered against them, so a scrape racing
-// service teardown reads frozen counters instead of freed memory (the
-// moqo_net_* pattern).
+// Persistence counters of the optimization service: snapshot writes and
+// warm restores, with per-reason skip accounting mirroring the snapshot
+// validation matrix. (Each cache's RAM→disk tier traffic is its DiskTier's
+// own Counters, exported as the moqo_persist_tier_* metrics.) The atomics
+// live behind a shared_ptr owned jointly by the service and every metric
+// sampler registered against them, so a scrape racing service teardown
+// reads frozen counters instead of freed memory (the moqo_net_* pattern).
 
 #ifndef MOQO_PERSIST_PERSIST_STATS_H_
 #define MOQO_PERSIST_PERSIST_STATS_H_
@@ -37,8 +37,8 @@ struct PersistCounters {
   std::atomic<uint64_t> restore_truncated{0};
 };
 
-/// Plain-value snapshot of PersistCounters plus both tiers' stats,
-/// assembled by OptimizationService::PersistStats().
+/// Plain-value snapshot of PersistCounters, assembled by
+/// OptimizationService::PersistStats().
 struct PersistStatsSnapshot {
   uint64_t snapshots_written = 0;
   uint64_t snapshot_failures = 0;
@@ -53,15 +53,6 @@ struct PersistStatsSnapshot {
   uint64_t restore_skipped_version = 0;
   uint64_t restore_skipped_checksum = 0;
   uint64_t restore_truncated = 0;
-  /// Tier traffic, split per owning cache (zero when the tier is off).
-  uint64_t cache_tier_demotions = 0;
-  uint64_t cache_tier_promotions = 0;
-  uint64_t memo_tier_demotions = 0;
-  uint64_t memo_tier_promotions = 0;
-  size_t cache_tier_entries = 0;
-  size_t cache_tier_bytes = 0;
-  size_t memo_tier_entries = 0;
-  size_t memo_tier_bytes = 0;
 
   uint64_t restored_entries() const {
     return restored_plan_entries + restored_memo_entries;

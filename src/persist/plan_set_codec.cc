@@ -18,8 +18,8 @@ namespace {
 
 /// Children-before-parents node enumeration with DAG dedup: every distinct
 /// node gets exactly one index, child indices are always smaller than the
-/// parent's. Mirrors CopyShared in plan_set.cc, but flattening instead of
-/// copying.
+/// parent's. Mirrors DeepCopyPlanRemapped (plan/plan_node.h), but
+/// flattening instead of copying.
 void EnumerateNodes(const PlanNode* node,
                     std::unordered_map<const PlanNode*, uint32_t>* index,
                     std::vector<const PlanNode*>* nodes) {

@@ -23,12 +23,14 @@ const PlanNode* DeepCopyPlanRemapped(
   auto it = copied->find(plan);
   if (it != copied->end()) return it->second;
   PlanNode* copy = arena->New<PlanNode>(*plan);
-  if (plan->table >= 0) copy->table = table_map[plan->table];
-  TableSet mapped;
-  for (int table : plan->tables.Members()) {
-    mapped = mapped.With(table_map[table]);
+  if (!table_map.empty()) {
+    if (plan->table >= 0) copy->table = table_map[plan->table];
+    TableSet mapped;
+    for (int table : plan->tables.Members()) {
+      mapped = mapped.With(table_map[table]);
+    }
+    copy->tables = mapped;
   }
-  copy->tables = mapped;
   copy->left = DeepCopyPlanRemapped(plan->left, arena, table_map, copied);
   copy->right = DeepCopyPlanRemapped(plan->right, arena, table_map, copied);
   (*copied)[plan] = copy;

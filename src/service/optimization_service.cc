@@ -14,8 +14,6 @@
 
 #include "model/cost_model.h"
 #include "persist/disk_tier.h"
-#include "persist/frontier_codec.h"
-#include "persist/plan_set_codec.h"
 #include "persist/snapshot.h"
 #include "rt/failpoint.h"
 #include "util/deadline.h"
@@ -98,15 +96,7 @@ std::shared_ptr<const OptimizerResult> ResultOverPlanSet(
   auto result = std::make_shared<OptimizerResult>();
   result->plan_set = std::move(plan_set);
   result->metrics = base->metrics;
-  const PlanSelection selection =
-      SelectPlan(*result->plan_set, weights, bounds);
-  if (selection.plan != nullptr) {
-    result->plan = selection.plan;
-    result->cost = selection.cost;
-    result->weighted_cost = selection.weighted_cost;
-    result->respects_bounds =
-        bounds.size() == 0 || bounds.Respects(selection.cost);
-  }
+  result->Select(weights, bounds);
   return result;
 }
 
@@ -1163,31 +1153,8 @@ bool OptimizationService::SnapshotNow() {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   persist::SnapshotWriter writer(options_.persist.catalog_epoch,
                                  kCostModelVersion);
-  // ForEach holds one shard lock at a time; the lambdas only encode into
-  // the writer's buffer and never re-enter the container.
-  cache_.ForEach([&writer](const ProblemSignature& key,
-                           const std::shared_ptr<const CachedFrontier>& value,
-                           size_t /*bytes*/) {
-    if (value == nullptr) return;
-    std::string payload;
-    if (!persist::EncodeFrontierPayload(*value, &payload)) return;
-    writer.AddRecord(persist::RecordKind::kPlanCacheEntry, key.key, key.hash,
-                     value->achieved_alpha, payload);
-  });
-  if (subplan_memo_ != nullptr) {
-    subplan_memo_->ForEach(
-        [&writer](const SubplanSignature& key,
-                  const std::shared_ptr<const PlanSet>& value,
-                  size_t /*bytes*/) {
-          if (value == nullptr || value->empty()) return;
-          std::string payload;
-          persist::PlanSetCodec::Append(*value, &payload);
-          // Memo identity lives entirely in the key (alpha is encoded
-          // bit-exactly inside it), so records carry alpha 0.
-          writer.AddRecord(persist::RecordKind::kMemoEntry, key.key, key.hash,
-                           0.0, payload);
-        });
-  }
+  cache_.ExportTo(&writer);
+  if (subplan_memo_ != nullptr) subplan_memo_->ExportTo(&writer);
   const bool ok = writer.WriteFile(SnapshotPath());
   if (ok) {
     persist_counters_->snapshots_written.fetch_add(1, kRelaxed);
@@ -1231,33 +1198,15 @@ size_t OptimizationService::RestoreNow() {
       },
       [this, &counters, &restored, &restored_bytes,
        kRelaxed](const persist::SnapshotRecordView& record) {
-        switch (record.kind) {
-          case persist::RecordKind::kPlanCacheEntry: {
-            auto frontier = persist::DecodeFrontierPayload(
-                record.payload.data(), record.payload.size(),
-                record.achieved_alpha);
-            if (frontier == nullptr) return;
-            ProblemSignature signature;
-            signature.key.assign(record.key);
-            signature.hash = record.key_hash;
-            cache_.Insert(signature, std::move(frontier));
-            counters.restored_plan_entries.fetch_add(1, kRelaxed);
-            break;
-          }
-          case persist::RecordKind::kMemoEntry: {
-            if (subplan_memo_ == nullptr) return;
-            auto frontier = persist::PlanSetCodec::Decode(
-                record.payload.data(), record.payload.size(), nullptr);
-            if (frontier == nullptr) return;
-            SubplanSignature signature;
-            signature.key.assign(record.key);
-            signature.hash = record.key_hash;
-            subplan_memo_->Insert(signature, std::move(frontier));
-            counters.restored_memo_entries.fetch_add(1, kRelaxed);
-            break;
-          }
-          default:
-            return;  // A future kind: skip, never crash.
+        // Each cache restores only its own kind; a record no cache claims
+        // (a future kind, or memo records with the memo off) is skipped.
+        if (cache_.Restore(record)) {
+          counters.restored_plan_entries.fetch_add(1, kRelaxed);
+        } else if (subplan_memo_ != nullptr &&
+                   subplan_memo_->Restore(record)) {
+          counters.restored_memo_entries.fetch_add(1, kRelaxed);
+        } else {
+          return;
         }
         ++restored;
         restored_bytes += record.payload.size();
@@ -1293,20 +1242,6 @@ persist::PersistStatsSnapshot OptimizationService::PersistStats() const {
   s.restore_skipped_version = c.restore_skipped_version.load(kRelaxed);
   s.restore_skipped_checksum = c.restore_skipped_checksum.load(kRelaxed);
   s.restore_truncated = c.restore_truncated.load(kRelaxed);
-  if (cache_tier_ != nullptr) {
-    const persist::DiskTier::Stats tier = cache_tier_->GetStats();
-    s.cache_tier_demotions = tier.demotions;
-    s.cache_tier_promotions = tier.promotions;
-    s.cache_tier_entries = tier.entries;
-    s.cache_tier_bytes = tier.bytes;
-  }
-  if (memo_tier_ != nullptr) {
-    const persist::DiskTier::Stats tier = memo_tier_->GetStats();
-    s.memo_tier_demotions = tier.demotions;
-    s.memo_tier_promotions = tier.promotions;
-    s.memo_tier_entries = tier.entries;
-    s.memo_tier_bytes = tier.bytes;
-  }
   return s;
 }
 

@@ -272,8 +272,8 @@ class OptimizationService {
   /// persist.restore_on_start is set.
   size_t RestoreNow();
 
-  /// Persistence counters + both tiers' occupancy; all-zero when
-  /// persistence is disabled.
+  /// Snapshot and restore counters; all-zero when persistence is
+  /// disabled. Tier traffic is in the moqo_persist_tier_* metrics.
   persist::PersistStatsSnapshot PersistStats() const;
 
  private:

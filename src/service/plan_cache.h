@@ -1,52 +1,47 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// PlanCache: a sharded, thread-safe LRU cache of optimization frontiers
-// keyed by ProblemSignature, with relaxed alpha identity.
+// PlanCache: the whole-query cache of optimization frontiers, keyed by
+// ProblemSignature with relaxed alpha identity.
 //
 // The Pareto-frontier computation that MOQO amortizes here is orders of
 // magnitude more expensive than a lookup, so the cache sits in front of the
 // worker pool and resolves repeated or structurally identical requests
-// without re-running the DP. Since PR 2 the cached value is a
-// CachedFrontier: the cold run's immutable OptimizerResult (which owns the
-// full PlanSet) plus the preference its stored selection answers — an equal
-// preference is an *exact hit* (the stored selection is reused verbatim),
-// any other preference is a *frontier hit* (O(|frontier|) SelectPlan over
-// the shared PlanSet).
+// without re-running the DP. The cached value is a CachedFrontier: the cold
+// run's immutable OptimizerResult (which owns the full PlanSet) plus the
+// preference its stored selection answers — an equal preference is an
+// *exact hit* (the stored selection is reused verbatim), any other
+// preference is a *frontier hit* (O(|frontier|) SelectPlan over the shared
+// PlanSet).
 //
-// Since PR 5 identity is additionally relaxed over the precision alpha:
-// signatures of frontier-producing algorithms are alpha-free
-// (service/signature.h) and each entry is tagged with the alpha its run
-// *achieved*. A lookup passes the precision it needs; an entry whose
-// achieved alpha is at most that bound serves the request — an
-// alpha-approximate Pareto set is an alpha'-approximate Pareto set for
-// every alpha' >= alpha, so a tighter frontier always answers a looser
-// question. Refreshes follow the same lattice: re-inserting under an
-// existing key replaces the stored value only when the incoming entry is
-// at least as tight, so a session's refinement ladder monotonically
-// upgrades the entry and a later coarse run can never downgrade it.
+// Identity is relaxed over the precision alpha: signatures of
+// frontier-producing algorithms are alpha-free (service/signature.h) and
+// each entry is tagged with the alpha its run *achieved*. A lookup passes
+// the precision it needs; an entry whose achieved alpha is at most that
+// bound serves the request — an alpha-approximate Pareto set is an
+// alpha'-approximate Pareto set for every alpha' >= alpha. Re-inserting
+// under an existing key replaces the stored value only when the incoming
+// entry is at least as tight, so a session's refinement ladder upgrades the
+// entry and a later coarse run can never downgrade it.
 //
-// Sharding, LRU, and the byte budget are the shared ShardedLru machinery
-// (util/sharded_lru.h). Results own their plan storage via
-// shared_ptr<const PlanSet>, so a cached plan stays valid for as long as
-// any response still references it, even after eviction.
+// All of that, plus sharding, LRU, the byte budget, the disk tier and
+// snapshot export/restore, is the shared persist::TieredLru
+// (persist/tiered_lru.h); this file supplies only the entry type and its
+// codec. Results own their plan storage via shared_ptr<const PlanSet>, so a
+// cached plan stays valid for as long as any response still references it,
+// even after eviction.
 
 #ifndef MOQO_SERVICE_PLAN_CACHE_H_
 #define MOQO_SERVICE_PLAN_CACHE_H_
 
-#include <atomic>
-#include <cstdint>
-#include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "core/optimizer.h"
+#include "persist/tiered_lru.h"
 #include "service/signature.h"
-#include "util/sharded_lru.h"
 
 namespace moqo {
-
-namespace persist {
-class DiskTier;
-}  // namespace persist
 
 /// One cached optimization outcome: the run's result (sharing the
 /// PlanSet), the preference that produced its stored selection, and the
@@ -66,92 +61,26 @@ struct CachedFrontier {
   double achieved_alpha = 1.0;
 };
 
-class PlanCache {
- public:
-  using Options = ShardedLru<ProblemSignature,
-                             std::shared_ptr<const CachedFrontier>>::Options;
-
-  /// Counter snapshot for the stats registry / bench harness.
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    size_t entries = 0;
-    /// Accounted bytes of all resident entries.
-    size_t bytes = 0;
-    /// Sum of resident entries' frontier sizes (plans per cached PlanSet);
-    /// bytes / entries and frontier_plans / entries give the per-entry
-    /// means the stats registry surfaces.
-    size_t frontier_plans = 0;
-    /// Lookups that missed RAM but were served (and promoted back) from
-    /// the attached disk tier. Counted inside `hits` as well — a tier hit
-    /// is reclassified from the miss it first recorded.
-    uint64_t tier_hits = 0;
-  };
-
-  /// Accepts any achieved alpha (plain keyed lookup).
-  static constexpr double kAnyAlpha = std::numeric_limits<double>::infinity();
-
-  PlanCache();  ///< Default Options.
-  explicit PlanCache(const Options& options);
-
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
-
-  /// Returns the cached frontier for `signature` (promoting it to
-  /// most-recently-used) if its achieved alpha is <= `max_alpha`, nullptr
-  /// otherwise. A present-but-too-loose entry counts as (and behaves like)
-  /// a miss; the caller's tighter run then upgrades it via Insert.
-  /// `record_stats` = false skips the hit/miss counters — used by the
-  /// service's coalescing re-probe so each request records exactly one
-  /// lookup. With a tier attached, a RAM miss probes the disk tier; a
-  /// tier hit promotes the entry back into RAM, reclassifies the recorded
-  /// miss as a hit (only when `record_stats` — an uncounted probe must
-  /// stay uncounted), and sets `*from_tier` so the service can surface
-  /// CacheOutcome::kTierHit.
-  std::shared_ptr<const CachedFrontier> Lookup(
-      const ProblemSignature& signature, double max_alpha = kAnyAlpha,
-      bool record_stats = true, bool* from_tier = nullptr);
-
-  /// Converts one recorded miss into a hit. The service calls this when
-  /// its uncounted coalescing re-probe finds an entry inserted after the
-  /// request's first (miss-counted) lookup, so that request's net
-  /// contribution is one hit — preserving both
-  /// hits + misses == lookups and hits == exact_hits + frontier_hits.
-  void ReclassifyMissAsHit() { lru_.ReclassifyMissAsHit(); }
-
-  /// Inserts the frontier for `signature`, evicting the least-recently-
-  /// used entries of the target shard when its slice is full. An existing
-  /// entry is replaced only if `frontier` is at least as tight
-  /// (achieved_alpha <=); a looser re-insert just refreshes recency —
-  /// refinement only ever upgrades an entry.
-  void Insert(const ProblemSignature& signature,
-              std::shared_ptr<const CachedFrontier> frontier);
-
-  /// Attaches the RAM→disk demotion tier: evicted entries are encoded and
-  /// appended to `tier` (persist/frontier_codec.h), RAM misses probe it.
-  /// Call before concurrent use; passing nullptr detaches.
-  void AttachTier(std::shared_ptr<persist::DiskTier> tier);
-
-  /// Visits every resident entry as fn(signature, frontier_ptr, bytes);
-  /// see ShardedLru::ForEach for locking. The snapshot exporter.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    lru_.ForEach(fn);
+/// The TieredLru codec of a CachedFrontier: kPlanCacheEntry records with
+/// the persist/frontier_codec.h payload, tagged with the achieved alpha.
+struct PlanCacheEntryCodec {
+  static constexpr persist::RecordKind kKind =
+      persist::RecordKind::kPlanCacheEntry;
+  static double Alpha(const CachedFrontier& entry) {
+    return entry.achieved_alpha;
   }
-
-  Stats GetStats() const;
-  size_t size() const { return lru_.size(); }
-  void Clear() { lru_.Clear(); }
-
-  int num_shards() const { return lru_.num_shards(); }
-
- private:
-  ShardedLru<ProblemSignature, std::shared_ptr<const CachedFrontier>> lru_;
-  std::shared_ptr<persist::DiskTier> tier_;
-  std::atomic<uint64_t> tier_hits_{0};
+  static size_t Plans(const CachedFrontier& entry);
+  /// The shared PlanSet (the dominant term — plans plus cost matrix) and
+  /// the entry and result structs around it.
+  static size_t Footprint(const CachedFrontier& entry);
+  static bool Encode(const CachedFrontier& entry, std::string* out);
+  static std::shared_ptr<const CachedFrontier> Decode(std::string_view payload,
+                                                      double alpha);
+  /// The `cache.insert` failpoint; `return_error` drops the insert.
+  static bool DropInsert();
 };
+
+using PlanCache = persist::TieredLru<CachedFrontier, PlanCacheEntryCodec>;
 
 }  // namespace moqo
 

@@ -27,26 +27,18 @@
 #ifndef MOQO_SERVICE_SIGNATURE_H_
 #define MOQO_SERVICE_SIGNATURE_H_
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/optimizer.h"
 #include "core/algorithm.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 
-/// An equality-comparable canonical cache key with a precomputed hash.
-struct ProblemSignature {
-  std::string key;    ///< Canonical byte encoding; defines equality.
-  /// FNV-1a of `key` from kFnv1aOffsetBasis; shard + hash-table routing.
-  /// Every function below keeps this invariant and chains from it.
-  uint64_t hash = 0;
-
-  bool operator==(const ProblemSignature& other) const {
-    return hash == other.hash && key == other.key;
-  }
-};
+/// The whole-query cache key. `hash` is FNV-1a of `key` from
+/// kFnv1aOffsetBasis; every function below keeps that invariant and chains
+/// from it.
+using ProblemSignature = CanonicalKey;
 
 /// True iff the algorithm's full output — not just the selected plan —
 /// depends on the request's weights/bounds, making its cache entries
@@ -87,14 +79,5 @@ ProblemSignature ExtendSignature(const ProblemSignature& base,
                                  const std::vector<double>& values);
 
 }  // namespace moqo
-
-namespace std {
-template <>
-struct hash<moqo::ProblemSignature> {
-  size_t operator()(const moqo::ProblemSignature& sig) const noexcept {
-    return static_cast<size_t>(sig.hash);
-  }
-};
-}  // namespace std
 
 #endif  // MOQO_SERVICE_SIGNATURE_H_

@@ -150,6 +150,32 @@ inline uint64_t Fnv1a(const void* data, size_t len, uint64_t seed) {
   return hash;
 }
 
+// ---- Canonical keys. ----
+
+/// An equality-comparable canonical cache key with its precomputed hash —
+/// the whole-query ProblemSignature (service/signature.h) and the
+/// table-set SubplanSignature (memo/subplan_key.h) alike. Equality
+/// compares the full key, so hash collisions never alias two problems.
+struct CanonicalKey {
+  std::string key;  ///< Canonical byte encoding; defines equality.
+  /// Fnv1a of `key` from kFnv1aOffsetBasis (producers that extend a key
+  /// chain from it); shard + hash-table routing.
+  uint64_t hash = 0;
+
+  bool operator==(const CanonicalKey& other) const {
+    return hash == other.hash && key == other.key;
+  }
+};
+
 }  // namespace moqo
+
+namespace std {
+template <>
+struct hash<moqo::CanonicalKey> {
+  size_t operator()(const moqo::CanonicalKey& key) const noexcept {
+    return static_cast<size_t>(key.hash);
+  }
+};
+}  // namespace std
 
 #endif  // MOQO_UTIL_BYTE_CODEC_H_

@@ -1,26 +1,24 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// ShardedLru: the concurrent, byte-budgeted, sharded LRU container shared
-// by the whole-query PlanCache (service/plan_cache.h) and the cross-query
-// SubplanMemo (memo/subplan_memo.h).
+// ShardedLru: the concurrent, byte-budgeted, sharded LRU container under
+// persist::TieredLru (persist/tiered_lru.h), the one cache core of the
+// whole-query PlanCache and the cross-query SubplanMemo.
 //
-// Both caches want the same machinery — N independently locked shards,
-// each with its own LRU list and capacity slice, entries accounted by a
+// It owns only the mechanics — N independently locked shards, each with
+// its own LRU list and capacity slice, entries accounted by a
 // caller-supplied byte footprint, keys stored exactly once (the LRU list
-// points at map keys, which unordered_map never moves) — but differ in
-// policy: what counts as a servable hit (the PlanCache's relaxed alpha
-// identity), when a re-insert replaces the stored value (tighter-alpha
-// refreshes only), and what admission/invalidation logic wraps the
-// container (the memo's epsilon admission and catalog epochs). Those stay
-// with the owners as hooks and wrapper code; this template owns only the
-// mechanics.
+// points at map keys, which unordered_map never moves). Policy arrives as
+// hooks: what counts as a servable hit (LookupIf's admit — TieredLru's
+// relaxed alpha identity), when a re-insert replaces the stored value
+// (InsertIf's replace — equal-or-tighter alpha), and what eviction means
+// (the eviction hook — TieredLru's demotion to a disk tier).
 //
 // Key requirements: equality-comparable and a public `hash` member with a
 // well-mixed 64-bit value — used both for the in-shard hash table and
 // (re-mixed, so shard choice stays decorrelated from the bucket choice)
 // for shard routing. Value requirements: cheap to copy,
-// default-constructible to a distinguishable "absent" state (both owners
-// use shared_ptr).
+// default-constructible to a distinguishable "absent" state (TieredLru
+// stores shared_ptr).
 
 #ifndef MOQO_UTIL_SHARDED_LRU_H_
 #define MOQO_UTIL_SHARDED_LRU_H_
@@ -55,7 +53,7 @@ class ShardedLru {
   };
 
   /// Counter snapshot. `weight` is an owner-defined per-entry quantity
-  /// summed over residents (both owners count frontier plans).
+  /// summed over residents (TieredLru counts frontier plans).
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -97,7 +95,7 @@ class ShardedLru {
 
   /// Called once per evicted entry, outside the shard lock, in eviction
   /// order (coldest victim first). The owner decides what "demote" means —
-  /// the persistence layer appends the entry to a disk tier. Set before
+  /// TieredLru appends the entry to its disk tier. Set before
   /// concurrent use; not synchronized against in-flight operations. The
   /// hook may re-enter the container (a promote-triggered insert may evict
   /// and fire the hook again) because no lock is held at call time.
@@ -237,8 +235,8 @@ class ShardedLru {
 
   /// Visits every resident entry as `fn(key, value, bytes)`, shard by
   /// shard, most-recently-used first within a shard. Holds one shard lock
-  /// at a time — `fn` must not re-enter this container. Used by the
-  /// persistence layer to export a snapshot without draining the cache.
+  /// at a time — `fn` must not re-enter this container. TieredLru exports
+  /// snapshots through it without draining the cache.
   template <typename Fn>
   void ForEach(Fn fn) const {
     for (const auto& shard : shards_) {

@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -457,6 +459,122 @@ TEST(PersistTest, ServiceSnapshotRestoreServesWarmBitIdentical) {
             DoubleBits(warm_exact.result->weighted_cost));
   EXPECT_EQ(DoubleBits(approx_weighted),
             DoubleBits(warm_approx.result->weighted_cost));
+}
+
+/// One snapshot record with its bytes owned (a reader's views die with
+/// the record callback). Ordered and compared field by field.
+struct OwnedRecord {
+  uint32_t kind = 0;
+  std::string key;
+  uint64_t hash = 0;
+  uint64_t alpha_bits = 0;
+  std::string payload;
+
+  auto Fields() const { return std::tie(kind, key, hash, alpha_bits, payload); }
+  bool operator<(const OwnedRecord& other) const {
+    return Fields() < other.Fields();
+  }
+};
+
+std::vector<OwnedRecord> ReadRecords(const std::string& path) {
+  std::vector<OwnedRecord> records;
+  const SnapshotReadResult result =
+      ReadSnapshot(path, nullptr, [&records](const SnapshotRecordView& r) {
+        records.push_back({static_cast<uint32_t>(r.kind), std::string(r.key),
+                           r.key_hash, DoubleBits(r.achieved_alpha),
+                           std::string(r.payload)});
+      });
+  EXPECT_TRUE(result.loaded);
+  EXPECT_EQ(result.skipped_checksum, 0u);
+  EXPECT_EQ(result.truncated, 0u);
+  return records;
+}
+
+size_t CountKind(const std::vector<OwnedRecord>& records, RecordKind kind) {
+  return static_cast<size_t>(
+      std::count_if(records.begin(), records.end(),
+                    [kind](const OwnedRecord& r) {
+                      return r.kind == static_cast<uint32_t>(kind);
+                    }));
+}
+
+/// Serves one EXA and one RTA request from a service over `dir` and lets
+/// its shutdown snapshot them: plan-cache records for both runs, memo
+/// records for the table sets the RTA's star3 DP published. Returns the
+/// snapshot's records.
+std::vector<OwnedRecord> WriteWarmSnapshot(const std::string& dir) {
+  Catalog catalog = MakeTinyCatalog();
+  {
+    OptimizationService service(PersistServiceOptions(dir));
+    EXPECT_EQ(service
+                  .SubmitAndWait(
+                      StarRequest(&catalog, 2, 2, AlgorithmKind::kExa, 1.0))
+                  .status,
+              ResponseStatus::kCompleted);
+    EXPECT_EQ(service
+                  .SubmitAndWait(
+                      StarRequest(&catalog, 3, 3, AlgorithmKind::kRta, 1.5))
+                  .status,
+              ResponseStatus::kCompleted);
+  }
+  std::vector<OwnedRecord> records = ReadRecords(dir + "/moqo.snapshot");
+  EXPECT_GE(CountKind(records, RecordKind::kPlanCacheEntry), 2u);
+  EXPECT_GT(CountKind(records, RecordKind::kMemoEntry), 0u);
+  return records;
+}
+
+TEST(PersistTest, RestoredStateReExportsTheSameRecords) {
+  // Restore then snapshot is a fixed point: a second process that restores
+  // the file and snapshots again writes back every record — kind, key,
+  // hash, alpha bits and payload — unchanged, in whatever order.
+  const std::string dir = FreshDir("reexport");
+  std::vector<OwnedRecord> written = WriteWarmSnapshot(dir);
+
+  ServiceOptions options = PersistServiceOptions(dir);
+  options.persist.snapshot_on_shutdown = false;
+  OptimizationService restored(options);
+  ASSERT_EQ(restored.PersistStats().restored_entries(), written.size());
+  ASSERT_TRUE(restored.SnapshotNow());
+  std::vector<OwnedRecord> reexported = ReadRecords(dir + "/moqo.snapshot");
+
+  std::sort(written.begin(), written.end());
+  std::sort(reexported.begin(), reexported.end());
+  ASSERT_EQ(written.size(), reexported.size());
+  for (size_t i = 0; i < written.size(); ++i) {
+    EXPECT_TRUE(written[i].Fields() == reexported[i].Fields())
+        << "record " << i << " (kind " << written[i].kind << ", hash "
+        << written[i].hash << ") changed across restore + re-export";
+  }
+}
+
+TEST(PersistTest, RestoreSkipsRecordsOfAnUnknownKind) {
+  // A record of a kind this build does not know (a newer writer's) is
+  // skipped on its own: it is neither a checksum skip nor a truncation,
+  // and every known record behind it still restores.
+  const std::string dir = FreshDir("unknown_kind");
+  const std::vector<OwnedRecord> known = WriteWarmSnapshot(dir);
+  ServiceOptions options = PersistServiceOptions(dir);
+  options.persist.snapshot_on_shutdown = false;
+
+  SnapshotWriter writer(options.persist.catalog_epoch, kCostModelVersion);
+  writer.AddRecord(static_cast<RecordKind>(99), "future-key", 99, 1.0,
+                   "future-payload");
+  for (const OwnedRecord& r : known) {
+    writer.AddRecord(static_cast<RecordKind>(r.kind), r.key, r.hash,
+                     std::bit_cast<double>(r.alpha_bits), r.payload);
+  }
+  ASSERT_TRUE(writer.WriteFile(dir + "/moqo.snapshot"));
+
+  OptimizationService service(options);
+  const persist::PersistStatsSnapshot persisted = service.PersistStats();
+  EXPECT_EQ(persisted.restores_loaded, 1u);
+  EXPECT_EQ(persisted.restore_skipped_checksum, 0u);
+  EXPECT_EQ(persisted.restore_truncated, 0u);
+  EXPECT_EQ(persisted.restored_plan_entries,
+            CountKind(known, RecordKind::kPlanCacheEntry));
+  EXPECT_EQ(persisted.restored_memo_entries,
+            CountKind(known, RecordKind::kMemoEntry));
+  EXPECT_EQ(persisted.restored_entries(), known.size());
 }
 
 TEST(PersistTest, RestoreSkipsWholeSnapshotOnEpochMismatch) {
