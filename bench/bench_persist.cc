@@ -11,12 +11,14 @@
 //   restore  a FRESH process boots from that directory and re-drives the
 //            identical workload. Hard gates (exit 1):
 //              - restored_entries > 0 (a silent cold start is a fail);
-//              - the first request is a cache hit with zero optimizer
-//                runs (warmth must be usable immediately, not after
-//                re-optimization);
-//              - restored-warm p50 <= 2x the pre-restart warm p50 (a
-//                restored hit re-selects over a decoded frontier; it must
-//                stay in the same latency class as a RAM hit).
+//              - every request, served once untimed, is a cache hit
+//                and the optimizer has still run zero times (warmth must
+//                be usable immediately, not after re-optimization);
+//              - the timed second pass's p50 <= 2x the pre-restart warm
+//                p50 (a restored hit re-selects over a decoded frontier;
+//                it must stay in the same latency class as a RAM hit).
+//                Both timed passes follow an untimed pass over the same
+//                requests, so both reuse each query's canonical form.
 //   all      both phases in one process (two service instances) — the
 //            local quick check. Default.
 //
@@ -163,14 +165,21 @@ int RunRestorePhase(const Catalog* catalog, const std::string& dir,
     return 1;
   }
 
+  // Serve every request once before timing. The pre-restart warm pass
+  // reuses the canonical forms its cold pass built, while this process's
+  // fresh queries each encode theirs on first use; this pass pays those
+  // encodes, so both timed passes do the same work. Each must already be
+  // a hit on the restored cache, with no optimizer run.
   const std::vector<ServiceRequest> requests = BuildRequests(catalog);
-  const ServiceResponse first = service.SubmitAndWait(requests[0]);
-  if (!first.cache_hit() || OptimizerRuns(service) != 0) {
-    std::printf("ERROR: first post-restart request was not served from "
-                "the restored cache (outcome=%d, optimizer_runs=%llu)\n",
-                static_cast<int>(first.cache),
-                static_cast<unsigned long long>(OptimizerRuns(service)));
-    return 1;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ServiceResponse response = service.SubmitAndWait(requests[i]);
+    if (!response.cache_hit() || OptimizerRuns(service) != 0) {
+      std::printf("ERROR: post-restart request %zu was not served from "
+                  "the restored cache (outcome=%d, optimizer_runs=%llu)\n",
+                  i, static_cast<int>(response.cache),
+                  static_cast<unsigned long long>(OptimizerRuns(service)));
+      return 1;
+    }
   }
   const ServiceRunStats restored = DriveService(&service, requests);
   if (restored.cache_hits != restored.total) {

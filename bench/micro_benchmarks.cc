@@ -1,8 +1,9 @@
 // Micro benchmarks (google-benchmark) for the optimizer's hot paths:
-// dominance checks, Pareto-set pruning, cost-model combination, subset
-// enumeration, and end-to-end optimization of small queries — plus the
-// per-request work of a plan-cache hit: signature computation and
-// extension, and SelectPlan over a cached frontier.
+// dominance checks, Pareto-set pruning, cost-model combination, the
+// pricing of one operand pair's join configs, subset enumeration, and
+// end-to-end optimization of small queries — plus the per-request work
+// of a plan-cache hit: signature computation and extension, and
+// SelectPlan over a cached frontier.
 
 #include <benchmark/benchmark.h>
 
@@ -66,9 +67,12 @@ void BM_ParetoSetPrune(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * plans.size());
 }
+// {6, 107}: six objectives at alpha_i ~= 1.07, the internal precision of a
+// six-table RTA run at alpha = 1.5 (the tpch_cold workload's shape).
 BENCHMARK(BM_ParetoSetPrune)
     ->Args({3, 100})
     ->Args({6, 100})
+    ->Args({6, 107})
     ->Args({9, 100})
     ->Args({9, 115})
     ->Args({9, 150});
@@ -93,6 +97,43 @@ void BM_CostModelCombine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostModelCombine);
+
+// Every join config of one TPC-H (left, right) pair, priced the way the DP
+// prices a pair: the operand terms once, then one CombineJoinCost per
+// applicable config. Six objectives and the tpch_cold operator space
+// (sampling {0.05}, DOP {1, 2}: eight join configs).
+void BM_JoinConfigs(benchmark::State& state) {
+  Catalog catalog = Catalog::TpcH(1.0);
+  Query query = MakeTpcHQuery(&catalog, 3);
+  OperatorRegistry::Options operators;
+  operators.sampling_rates = {0.05};
+  operators.dops = {1, 2};
+  OperatorRegistry registry(operators);
+  CostModel model(&query, &registry,
+                  ObjectiveSet({Objective::kTotalTime, Objective::kIOLoad,
+                                Objective::kCores, Objective::kDiskFootprint,
+                                Objective::kEnergy, Objective::kTupleLoss}));
+  Arena arena;
+  const PlanNode* left =
+      model.MakeScan(registry.scan_configs()[0], 0, &arena);
+  const PlanNode* right =
+      model.MakeScan(registry.scan_configs()[0], 1, &arena);
+  const CostModel::SplitInfo split =
+      model.AnalyzeSplit(left->tables, right->tables);
+  long priced = 0;
+  for (auto _ : state) {
+    const CostModel::JoinOperands operands =
+        model.Operands(*left, *right, split);
+    for (int config : registry.join_configs()) {
+      const OperatorConfig& op = registry.config(config);
+      if (!model.JoinApplicableFast(op, split)) continue;
+      benchmark::DoNotOptimize(model.CombineJoinCost(op, operands));
+      ++priced;
+    }
+  }
+  state.SetItemsProcessed(priced);
+}
+BENCHMARK(BM_JoinConfigs);
 
 void BM_SubsetEnumeration(benchmark::State& state) {
   const TableSet universe = TableSet::Prefix(static_cast<int>(state.range(0)));

@@ -379,7 +379,7 @@ void DPPlanGenerator::ProcessSingletons(const Query& query,
         PlanNode candidate = model_->ScanNode(config, table);
         ++stats_.considered_plans;
         if (set.WouldInsert(candidate.cost, prune)) {
-          set.Prune(arena_->New<PlanNode>(candidate), prune);
+          set.Insert(arena_->New<PlanNode>(candidate), prune);
           ++stats_.inserted_plans;
         }
       }
@@ -423,6 +423,11 @@ bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
       const PlanNode* left = left_plans.at(li);
       for (int ri = 0; ri < right_plans.size(); ++ri) {
         const PlanNode* right = right_plans.at(ri);
+        // One set of operand terms per pair, shared by its join configs;
+        // a candidate is priced on the stack and becomes a node only if
+        // the set keeps it.
+        const CostModel::JoinOperands operands =
+            model_->Operands(*left, *right, split.info);
         for (int config : registry_->join_configs()) {
           if (++since_poll >= kDeadlinePollInterval) {
             since_poll = 0;
@@ -430,11 +435,12 @@ bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
           }
           const OperatorConfig& op = registry_->config(config);
           if (!model_->JoinApplicableFast(op, split.info)) continue;
-          PlanNode candidate =
-              model_->JoinNode(config, left, right, split.info);
+          const CostVector cost = model_->CombineJoinCost(op, operands);
           ++stats->considered_plans;
-          if (set->WouldInsert(candidate.cost, prune)) {
-            set->Prune(arena->New<PlanNode>(candidate), prune);
+          if (set->WouldInsert(cost, prune)) {
+            const PlanNode* kept = arena->New<PlanNode>(
+                model_->JoinNode(config, left, right, operands, cost));
+            set->Insert(kept, prune);
             ++stats->inserted_plans;
           }
         }
@@ -455,15 +461,17 @@ void DPPlanGenerator::ProcessSetQuick(const Query& query, TableSet tables,
     const PlanNode* left = SetFor(split.left).SelectBestWeighted(weights);
     const PlanNode* right = SetFor(split.right).SelectBestWeighted(weights);
     if (left == nullptr || right == nullptr) continue;
+    const CostModel::JoinOperands operands =
+        model_->Operands(*left, *right, split.info);
     for (int config : registry_->join_configs()) {
       const OperatorConfig& op = registry_->config(config);
       if (!model_->JoinApplicableFast(op, split.info)) continue;
-      PlanNode candidate = model_->JoinNode(config, left, right, split.info);
+      const CostVector cost = model_->CombineJoinCost(op, operands);
       ++stats_.considered_plans;
-      const double weighted = weights.WeightedCost(candidate.cost);
+      const double weighted = weights.WeightedCost(cost);
       if (weighted < best_cost) {
         best_cost = weighted;
-        best = candidate;
+        best = model_->JoinNode(config, left, right, operands, cost);
       }
     }
   }

@@ -12,10 +12,110 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The ablation's deletion test (aggressive_delete): Above(r) <=> the new
+/// row <= alpha * r. Also sound against a block maximum: alpha * r <=
+/// alpha * max for every row r of the block.
+class ScaledRow {
+ public:
+  ScaledRow(const double* fixed, int dims, double alpha)
+      : fixed_(fixed), dims_(dims), alpha_(alpha) {}
+  bool Above(const double* row) const {
+    for (int d = 0; d < dims_; ++d) {
+      if (fixed_[d] > row[d] * alpha_) return false;
+    }
+    return true;
+  }
+
+ private:
+  const double* fixed_;
+  int dims_;
+  double alpha_;
+};
+
 }  // namespace
 
+const ParetoSet::ScanBody ParetoSet::kBestScanBody =
+    Avx512Available() ? ScanBody::kAvx512 : ScanBody::kScalar;
+
+template <class Row>
+bool ParetoSet::HasDominator(const Row& threshold, bool use_hot) const {
+  if (use_hot) {
+    for (int h = 0; h < hot_used_; ++h) {
+      if (threshold.Below(&hot_[h * kNumObjectives])) return true;
+    }
+  }
+  // Newest blocks first: consecutive candidates usually come from the same
+  // split and are most often dominated by a recent insertion.
+  const double* costs = costs_.data();
+  for (int b = NumBlocks() - 1; b >= 0; --b) {
+    // A block can contain a dominator only if its component-wise min is
+    // below the threshold in every dimension (+inf mins — dead blocks —
+    // never pass).
+    if (!threshold.Below(&block_min_[static_cast<size_t>(b) * dims_])) {
+      continue;
+    }
+    const int begin = b * kBlockSize;
+    const int end = std::min(begin + kBlockSize, rows());
+    for (int i = end - 1; i >= begin; --i) {
+      // Row test first: most rows fail it, and a tombstone's stale row is
+      // still in bounds.
+      const double* row = costs + static_cast<size_t>(i) * dims_;
+      if (threshold.Below(row) && plans_[i] != nullptr) {
+        if (use_hot) RememberRejecter(row);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+template <class Row>
+void ParetoSet::DeleteDominated(const Row& row) {
+  const double* costs = costs_.data();
+  for (int b = 0; b < NumBlocks(); ++b) {
+    // The new plan can dominate a block member only if row <= block_max
+    // (-inf maxes — dead blocks — never pass).
+    if (!row.Above(&block_max_[static_cast<size_t>(b) * dims_])) continue;
+    const int begin = b * kBlockSize;
+    const int end = std::min(begin + kBlockSize, rows());
+    bool removed_any = false;
+    for (int i = begin; i < end; ++i) {
+      if (row.Above(costs + static_cast<size_t>(i) * dims_) &&
+          plans_[i] != nullptr) {
+        plans_[i] = nullptr;
+        --live_;
+        removed_any = true;
+      }
+    }
+    if (removed_any) RebuildBlock(b);
+  }
+}
+
+#if MOQO_DOMINANCE_AVX512
+// flatten inlines the pass and its kernel calls into this one
+// AVX-512F-compiled loop.
+MOQO_TARGET_AVX512 __attribute__((flatten)) bool
+ParetoSet::HasDominatorAvx512(const double* threshold, int dims,
+                              bool use_hot) const {
+  return HasDominator(Avx512Row(threshold, dims), use_hot);
+}
+
+MOQO_TARGET_AVX512 __attribute__((flatten)) void
+ParetoSet::DeleteDominatedAvx512(const double* row, int dims) {
+  DeleteDominated(Avx512Row(row, dims));
+}
+#endif  // MOQO_DOMINANCE_AVX512
+
+void ParetoSet::RememberRejecter(const double* row) const {
+  double* hot = &hot_[hot_next_ * kNumObjectives];
+  for (int d = 0; d < dims_; ++d) hot[d] = row[d];
+  hot_next_ = (hot_next_ + 1) % kHotSlots;
+  hot_used_ = std::min(hot_used_ + 1, kHotSlots);
+}
+
 bool ParetoSet::WouldInsert(const CostVector& cost,
-                            const PruneOptions& options) const {
+                            const PruneOptions& options,
+                            [[maybe_unused]] ScanBody body) const {
   const int dims = cost.size();
   // stored ⪯_alpha cost  <=>  stored ⪯ alpha*cost; the alpha multiply is
   // hoisted out of the scans by scaling the candidate once into a
@@ -30,44 +130,16 @@ bool ParetoSet::WouldInsert(const CostVector& cost,
   // tombstoned plan is plainly dominated by a live one, so its rejections
   // transfer; with aggressive deletion that implication weakens to alpha^2).
   const bool use_hot = !options.aggressive_delete;
-  if (use_hot) {
-    for (int h = 0; h < hot_used_; ++h) {
-      if (RowLeq(&hot_[h * kNumObjectives], threshold, dims)) return false;
-    }
+#if MOQO_DOMINANCE_AVX512
+  if (body == ScanBody::kAvx512) {
+    return !HasDominatorAvx512(threshold, dims, use_hot);
   }
-  // Newest blocks first: consecutive candidates usually come from the same
-  // split and are most often dominated by a recent insertion.
-  const double* costs = costs_.data();
-  for (int b = NumBlocks() - 1; b >= 0; --b) {
-    // A block can contain a dominator only if its component-wise min is
-    // below the threshold in every dimension (+inf mins — dead blocks —
-    // never pass).
-    if (!RowLeq(&block_min_[static_cast<size_t>(b) * dims_], threshold,
-                dims)) {
-      continue;
-    }
-    const int begin = b * kBlockSize;
-    const int end = std::min(begin + kBlockSize, rows());
-    for (int i = end - 1; i >= begin; --i) {
-      if (plans_[i] != nullptr &&
-          RowLeq(costs + static_cast<size_t>(i) * dims_, threshold, dims)) {
-        if (use_hot) {
-          const double* row = costs + static_cast<size_t>(i) * dims_;
-          double* hot = &hot_[hot_next_ * kNumObjectives];
-          for (int d = 0; d < dims; ++d) hot[d] = row[d];
-          hot_next_ = (hot_next_ + 1) % kHotSlots;
-          hot_used_ = std::min(hot_used_ + 1, kHotSlots);
-        }
-        return false;
-      }
-    }
-  }
-  return true;
+#endif
+  return !HasDominator(ScalarRow(threshold, dims), use_hot);
 }
 
-bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
-  if (!WouldInsert(plan->cost, options)) return false;
-
+void ParetoSet::Insert(const PlanNode* plan, const PruneOptions& options,
+                       [[maybe_unused]] ScanBody body) {
   const CostVector& cost = plan->cost;
   const int dims = cost.size();
   if (dims_ == 0) dims_ = dims;
@@ -77,40 +149,14 @@ bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
   // Deletion: tombstone stored plans the new plan dominates. Plain
   // dominance by default (see header); approximate dominance only in the
   // ablation mode.
-  const bool aggressive = options.aggressive_delete && options.alpha > 1.0;
-  double* costs = costs_.data();
-  for (int b = 0; b < NumBlocks(); ++b) {
-    // The new plan can dominate a block member only if row <= block_max
-    // (-inf maxes — dead blocks — never pass).
-    if (!aggressive &&
-        !RowLeq(row, &block_max_[static_cast<size_t>(b) * dims_], dims)) {
-      continue;
-    }
-    const int begin = b * kBlockSize;
-    const int end = std::min(begin + kBlockSize, rows());
-    bool removed_any = false;
-    for (int i = begin; i < end; ++i) {
-      if (plans_[i] == nullptr) continue;
-      const double* stored = costs + static_cast<size_t>(i) * dims_;
-      bool remove;
-      if (aggressive) {
-        remove = true;
-        for (int d = 0; d < dims; ++d) {
-          if (row[d] > stored[d] * options.alpha) {
-            remove = false;
-            break;
-          }
-        }
-      } else {
-        remove = RowLeq(row, stored, dims);
-      }
-      if (remove) {
-        plans_[i] = nullptr;
-        --live_;
-        removed_any = true;
-      }
-    }
-    if (removed_any) RebuildBlock(b);
+  if (options.aggressive_delete && options.alpha > 1.0) {
+    DeleteDominated(ScaledRow(row, dims, options.alpha));
+#if MOQO_DOMINANCE_AVX512
+  } else if (body == ScanBody::kAvx512) {
+    DeleteDominatedAvx512(row, dims);
+#endif
+  } else {
+    DeleteDominated(ScalarRow(row, dims));
   }
 
   // Compact when tombstones dominate the storage.
@@ -131,6 +177,12 @@ bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
     bmin[d] = std::min(bmin[d], row[d]);
     bmax[d] = std::max(bmax[d], row[d]);
   }
+}
+
+bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options,
+                      ScanBody body) {
+  if (!WouldInsert(plan->cost, options, body)) return false;
+  Insert(plan, options, body);
   return true;
 }
 

@@ -22,11 +22,14 @@
 // struct-of-arrays: one contiguous row-major double matrix of cost
 // components plus a parallel plan-pointer array, so the dominance scans
 // stream over dense doubles without dragging plan pointers through the
-// cache — and so the RowLeq kernel (core/dominance_kernel.h) can compare
-// four components per AVX2 instruction where the CPU supports it. Three
-// further optimizations keep the scans tractable without changing
-// semantics:
+// cache. Four further optimizations keep the scans tractable without
+// changing semantics:
 //
+//  * One scan body per call. Each call picks its body once (ScanBody):
+//    the AVX-512F body holds the candidate's threshold (or the new row) in
+//    registers and tests each stored row with one masked compare; the
+//    scalar body inlines the component loop. Both run the same predicate
+//    (core/dominance_kernel.h), so they keep identical sets.
 //  * Hoisted precision. The alpha multiply of approximate dominance is
 //    applied once per candidate (scaling it into a stack-local threshold
 //    row), not once per stored-plan comparison.
@@ -41,10 +44,14 @@
 //    compaction runs when tombstones exceed half the rows, and the DP
 //    driver Seal()s a set once its table set is fully processed.
 //
+// The DP driver scans each candidate once: WouldInsert on its stack-priced
+// cost, then — only for a kept candidate, now arena-allocated — Insert,
+// which runs just the deletion pass.
+//
 // Thread-safety: none while mutating, but every const member is genuinely
 // read-only except WouldInsert (which touches the mutable hot-rejecter
 // cache). The parallel DP driver therefore shares *sealed* sets across
-// threads freely and calls WouldInsert/Prune only on the one unsealed set
+// threads freely and calls WouldInsert/Insert only on the one unsealed set
 // its task owns.
 
 #ifndef MOQO_CORE_PARETO_SET_H_
@@ -71,14 +78,34 @@ class ParetoSet {
     bool aggressive_delete = false;
   };
 
+  /// The two bodies every dominance scan of a call is compiled in: the
+  /// inlined scalar row test, or one masked AVX-512F compare per row (see
+  /// core/dominance_kernel.h). Both keep identical sets.
+  enum class ScanBody { kScalar, kAvx512 };
+
+  /// kAvx512 iff Avx512Available(), else kScalar; resolved once at
+  /// startup. Every call that names no body runs this one; tests name each
+  /// body in turn, and name kAvx512 only where Avx512Available().
+  static const ScanBody kBestScanBody;
+
   /// Insertion check only: would a plan with cost `cost` survive pruning?
   /// Lets the DP driver cost-evaluate candidates on the stack and
   /// arena-allocate only survivors.
-  bool WouldInsert(const CostVector& cost, const PruneOptions& options) const;
+  bool WouldInsert(const CostVector& cost, const PruneOptions& options,
+                   ScanBody body = kBestScanBody) const;
 
-  /// Attempts to insert `plan`; returns true iff the plan was kept.
+  /// Inserts `plan`, which WouldInsert accepted with the same options, with
+  /// nothing inserted since: tombstones the stored plans it dominates and
+  /// appends it. The kept-candidate half of Prune, without a second scan
+  /// for a dominator.
+  void Insert(const PlanNode* plan, const PruneOptions& options,
+              ScanBody body = kBestScanBody);
+
+  /// Attempts to insert `plan` (WouldInsert, then Insert); returns true
+  /// iff the plan was kept.
   /// Postcondition: no stored live plan strictly dominates another.
-  bool Prune(const PlanNode* plan, const PruneOptions& options);
+  bool Prune(const PlanNode* plan, const PruneOptions& options,
+             ScanBody body = kBestScanBody);
 
   /// Convenience overload with exact pruning.
   bool Prune(const PlanNode* plan) { return Prune(plan, PruneOptions()); }
@@ -143,6 +170,27 @@ class ParetoSet {
   int NumBlocks() const {
     return (rows() + kBlockSize - 1) / kBlockSize;
   }
+
+  /// WouldInsert's scans — hot rows, then block minima and rows, newest
+  /// first — with the kernel `threshold` (Below(r) <=> r <= the
+  /// candidate's threshold). True iff a stored row rejects the candidate;
+  /// that row enters the hot cache when `use_hot`.
+  template <class Row>
+  bool HasDominator(const Row& threshold, bool use_hot) const;
+
+  /// Insert's deletion pass — block maxima, then rows — with the kernel
+  /// `row` (Above(r) <=> the new row dominates r: plainly, or within alpha
+  /// in the ablation): tombstones every live row the new row dominates.
+  template <class Row>
+  void DeleteDominated(const Row& row);
+
+  /// The two passes above compiled for AVX-512F.
+  bool HasDominatorAvx512(const double* threshold, int dims,
+                          bool use_hot) const;
+  void DeleteDominatedAvx512(const double* row, int dims);
+
+  /// Records a rejecting stored row in the hot cache.
+  void RememberRejecter(const double* row) const;
 
   /// Recomputes min/max summaries of block `b` from its live rows.
   void RebuildBlock(int b);

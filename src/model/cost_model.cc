@@ -107,19 +107,52 @@ CostVector CostModel::ScanCost(const OperatorConfig& op, int local_table,
   return cost;
 }
 
+CostModel::JoinOperands CostModel::Operands(const OperandStats& left_stats,
+                                            const CostVector& left_cost,
+                                            const OperandStats& right_stats,
+                                            const CostVector& right_cost,
+                                            double output_rows,
+                                            double output_width) const {
+  JoinOperands in;
+  in.rows_left = std::max(left_stats.rows, 1.0);
+  in.rows_right = std::max(right_stats.rows, 1.0);
+  in.bytes_left = std::max(left_stats.bytes(), 1.0);
+  in.bytes_right = std::max(right_stats.bytes(), 1.0);
+  in.pages_left = left_stats.pages(params_.page_bytes);
+  in.pages_right = right_stats.pages(params_.page_bytes);
+  in.log_left = Log2Ceil(in.rows_left);
+  in.log_right = Log2Ceil(in.rows_right);
+  in.output_rows = output_rows;
+  in.output_width = output_width;
+  for (int o = 0; o < kNumObjectives; ++o) {
+    const int index = dimension_[o];
+    in.left_cost[o] = index >= 0 ? left_cost[index] : 0.0;
+    in.right_cost[o] = index >= 0 ? right_cost[index] : 0.0;
+  }
+  return in;
+}
+
+CostModel::JoinOperands CostModel::Operands(const PlanNode& left,
+                                            const PlanNode& right,
+                                            const SplitInfo& split) const {
+  return Operands(
+      OperandStats{left.cardinality, left.row_width}, left.cost,
+      OperandStats{right.cardinality, right.row_width}, right.cost,
+      std::max(left.cardinality * right.cardinality * split.selectivity,
+               1e-3),
+      estimator_.JoinOutputWidth(left.row_width, right.row_width));
+}
+
 CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
-                                      const OperandStats& left_stats,
-                                      const CostVector& left_cost,
-                                      const OperandStats& right_stats,
-                                      const CostVector& right_cost,
-                                      double output_rows) const {
+                                      const JoinOperands& in) const {
   const CostModelParams& p = params_;
-  const double tL = std::max(left_stats.rows, 1.0);
-  const double tR = std::max(right_stats.rows, 1.0);
-  const double bytesL = std::max(left_stats.bytes(), 1.0);
-  const double bytesR = std::max(right_stats.bytes(), 1.0);
-  const double pagesL = left_stats.pages(p.page_bytes);
-  const double pagesR = right_stats.pages(p.page_bytes);
+  const double tL = in.rows_left;
+  const double tR = in.rows_right;
+  const double bytesL = in.bytes_left;
+  const double bytesR = in.bytes_right;
+  const double pagesL = in.pages_left;
+  const double pagesR = in.pages_right;
+  const double output_rows = in.output_rows;
   const double d = static_cast<double>(op.dop);
 
   // ---- Operator-local terms. All depend only on operand cardinalities /
@@ -135,10 +168,10 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
   bool parallel_children = true;   // Operands generated concurrently?
   double startup_time = 0;  // Filled per operator below.
 
-  const double startup_left_total = Get(left_cost, Objective::kTotalTime);
-  const double startup_right_total = Get(right_cost, Objective::kTotalTime);
-  const double left_startup = Get(left_cost, Objective::kStartupTime);
-  const double right_startup = Get(right_cost, Objective::kStartupTime);
+  const double startup_left_total = in.Left(Objective::kTotalTime);
+  const double startup_right_total = in.Right(Objective::kTotalTime);
+  const double left_startup = in.Left(Objective::kStartupTime);
+  const double right_startup = in.Right(Objective::kStartupTime);
   const double setup = op.dop > 1 ? p.parallel_setup_cost * d : 0.0;
 
   switch (op.type) {
@@ -163,11 +196,11 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
     }
     case OperatorType::kSortMergeJoin: {
       const double sort_cpu_time =
-          2.0 * p.cpu_operator_cost * (tL * Log2Ceil(tL) + tR * Log2Ceil(tR));
+          2.0 * p.cpu_operator_cost * (tL * in.log_left + tR * in.log_right);
       const double merge_cpu_time =
           p.cpu_tuple_cost * (tL + tR) + p.cpu_operator_cost * output_rows;
       cpu_time = sort_cpu_time + merge_cpu_time;
-      cpu_ops = tL * Log2Ceil(tL) + tR * Log2Ceil(tR) + tL + tR + output_rows;
+      cpu_ops = tL * in.log_left + tR * in.log_right + tL + tR + output_rows;
       const bool spillL = bytesL > p.work_mem_bytes;
       const bool spillR = bytesR > p.work_mem_bytes;
       if (spillL) {
@@ -241,17 +274,17 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
   Set(&cost, Objective::kStartupTime, startup_time);
 
   Set(&cost, Objective::kIOLoad,
-      Get(left_cost, Objective::kIOLoad) +
-          inner_rescans * Get(right_cost, Objective::kIOLoad) + io_pages);
+      in.Left(Objective::kIOLoad) +
+          inner_rescans * in.Right(Objective::kIOLoad) + io_pages);
 
   Set(&cost, Objective::kCPULoad,
-      Get(left_cost, Objective::kCPULoad) +
-          inner_rescans * Get(right_cost, Objective::kCPULoad) +
+      in.Left(Objective::kCPULoad) +
+          inner_rescans * in.Right(Objective::kCPULoad) +
           cpu_ops * (1.0 + p.parallel_overhead * (d - 1.0)));
 
   {
-    const double left_cores = Get(left_cost, Objective::kCores);
-    const double right_cores = Get(right_cost, Objective::kCores);
+    const double left_cores = in.Left(Objective::kCores);
+    const double right_cores = in.Right(Objective::kCores);
     const double children = parallel_children
                                 ? left_cores + right_cores
                                 : std::max(left_cores, right_cores);
@@ -259,12 +292,12 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
   }
 
   Set(&cost, Objective::kDiskFootprint,
-      std::max({Get(left_cost, Objective::kDiskFootprint),
-                Get(right_cost, Objective::kDiskFootprint), disk}));
+      std::max({in.Left(Objective::kDiskFootprint),
+                in.Right(Objective::kDiskFootprint), disk}));
 
   Set(&cost, Objective::kBufferFootprint,
-      std::max(Get(left_cost, Objective::kBufferFootprint),
-               Get(right_cost, Objective::kBufferFootprint)) +
+      std::max(in.Left(Objective::kBufferFootprint),
+               in.Right(Objective::kBufferFootprint)) +
           buffer);
 
   {
@@ -272,13 +305,13 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
         (p.energy_per_cpu * cpu_time + p.energy_per_io * io_time) *
         (1.0 + p.energy_parallel_penalty * (d - 1.0));
     Set(&cost, Objective::kEnergy,
-        Get(left_cost, Objective::kEnergy) +
-            inner_rescans * Get(right_cost, Objective::kEnergy) + own_energy);
+        in.Left(Objective::kEnergy) +
+            inner_rescans * in.Right(Objective::kEnergy) + own_energy);
   }
 
   {
-    const double a = Get(left_cost, Objective::kTupleLoss);
-    const double b = Get(right_cost, Objective::kTupleLoss);
+    const double a = in.Left(Objective::kTupleLoss);
+    const double b = in.Right(Objective::kTupleLoss);
     Set(&cost, Objective::kTupleLoss,
         std::clamp(a + b - a * b, 0.0, 1.0));  // 1-(1-a)(1-b)
   }
@@ -328,23 +361,26 @@ CostModel::SplitInfo CostModel::AnalyzeSplit(TableSet left_set,
 
 PlanNode CostModel::JoinNode(int config_id, const PlanNode* left,
                              const PlanNode* right,
-                             const SplitInfo& split) const {
-  const OperatorConfig& op = registry_->config(config_id);
+                             const JoinOperands& operands,
+                             const CostVector& cost) const {
   PlanNode node;
   node.op_config = config_id;
   node.table = -1;
   node.left = left;
   node.right = right;
   node.tables = left->tables.Union(right->tables);
-  node.cardinality = std::max(
-      left->cardinality * right->cardinality * split.selectivity, 1e-3);
-  node.row_width =
-      estimator_.JoinOutputWidth(left->row_width, right->row_width);
-  const OperandStats left_stats{left->cardinality, left->row_width};
-  const OperandStats right_stats{right->cardinality, right->row_width};
-  node.cost = CombineJoinCost(op, left_stats, left->cost, right_stats,
-                              right->cost, node.cardinality);
+  node.cardinality = operands.output_rows;
+  node.row_width = operands.output_width;
+  node.cost = cost;
   return node;
+}
+
+PlanNode CostModel::JoinNode(int config_id, const PlanNode* left,
+                             const PlanNode* right,
+                             const SplitInfo& split) const {
+  const JoinOperands operands = Operands(*left, *right, split);
+  return JoinNode(config_id, left, right, operands,
+                  CombineJoinCost(registry_->config(config_id), operands));
 }
 
 PlanNode CostModel::JoinNode(int config_id, const PlanNode* left,

@@ -17,6 +17,13 @@
 // tests/model/pono_test.cc verifies the principle of near-optimality
 // (Definition 7) for every objective x operator combination.
 //
+// CombineJoinCost is the one body of the join-cost formulas. Its inputs
+// split in two: the operator config, and JoinOperands — everything it
+// reads about the (left, right) operand pair. The DP builds JoinOperands
+// once per pair and prices the pair's join configs (~8) from it, and
+// builds a PlanNode only for a candidate it keeps; the JoinNode and
+// MakeJoin overloads are thin wrappers over the same two steps.
+//
 // The absolute constants (below) are synthetic but Postgres-flavoured;
 // DESIGN.md's substitution table explains why only the formula structure,
 // not the constants, matters for reproducing the paper.
@@ -126,19 +133,6 @@ class CostModel {
     return arena->New<PlanNode>(JoinNode(config_id, left, right));
   }
 
-  /// Core recursive step, exposed for property tests: combines child cost
-  /// vectors under fixed operand statistics. MakeJoin delegates here.
-  CostVector CombineJoinCost(const OperatorConfig& op,
-                             const OperandStats& left_stats,
-                             const CostVector& left_cost,
-                             const OperandStats& right_stats,
-                             const CostVector& right_cost,
-                             double output_rows) const;
-
-  /// Scan cost vector for the given table/config (also used by tests).
-  CostVector ScanCost(const OperatorConfig& op, int local_table,
-                      double output_rows) const;
-
   /// Precomputed, plan-independent facts about one split (q1, q2): the
   /// product of applicable join-predicate selectivities and whether an
   /// index-nested-loop join can probe the inner side. Computed once per
@@ -152,10 +146,67 @@ class CostModel {
   /// Analyzes the split (left_set, right_set); right is the inner side.
   SplitInfo AnalyzeSplit(TableSet left_set, TableSet right_set) const;
 
+  /// Everything CombineJoinCost reads about one (left, right) operand
+  /// pair, whatever the join config: clamped cardinalities, bytes and
+  /// pages, Log2Ceil of both sides, the output rows and width, and the
+  /// child cost components indexed by Objective (0 for inactive ones).
+  struct JoinOperands {
+    double rows_left = 0;    ///< max(left rows, 1).
+    double rows_right = 0;   ///< max(right rows, 1).
+    double bytes_left = 0;   ///< max(left bytes, 1).
+    double bytes_right = 0;  ///< max(right bytes, 1).
+    double pages_left = 0;
+    double pages_right = 0;
+    double log_left = 0;     ///< Log2Ceil(rows_left).
+    double log_right = 0;    ///< Log2Ceil(rows_right).
+    double output_rows = 0;
+    double output_width = 0;
+    double left_cost[kNumObjectives] = {};
+    double right_cost[kNumObjectives] = {};
+
+    double Left(Objective o) const { return left_cost[static_cast<int>(o)]; }
+    double Right(Objective o) const {
+      return right_cost[static_cast<int>(o)];
+    }
+  };
+
+  /// The operand terms of joining plans `left` and `right` across a split
+  /// described by `split` (see AnalyzeSplit).
+  JoinOperands Operands(const PlanNode& left, const PlanNode& right,
+                        const SplitInfo& split) const;
+
+  /// Core recursive step: the cost of join config `op` over `operands`.
+  /// The only body of the join-cost formulas.
+  CostVector CombineJoinCost(const OperatorConfig& op,
+                             const JoinOperands& operands) const;
+
+  /// The same step from child statistics and costs, exposed for property
+  /// tests. (The output width enters no cost term.)
+  CostVector CombineJoinCost(const OperatorConfig& op,
+                             const OperandStats& left_stats,
+                             const CostVector& left_cost,
+                             const OperandStats& right_stats,
+                             const CostVector& right_cost,
+                             double output_rows) const {
+    return CombineJoinCost(op, Operands(left_stats, left_cost, right_stats,
+                                        right_cost, output_rows, 0.0));
+  }
+
+  /// Scan cost vector for the given table/config (also used by tests).
+  CostVector ScanCost(const OperatorConfig& op, int local_table,
+                      double output_rows) const;
+
   /// Fast-path join construction using a precomputed SplitInfo. Both
   /// overloads produce identical nodes; JoinNode recomputes the SplitInfo.
   PlanNode JoinNode(int config_id, const PlanNode* left,
                     const PlanNode* right, const SplitInfo& split) const;
+
+  /// The join node of `left` and `right` under config `config_id`, whose
+  /// cost CombineJoinCost already priced from `operands`
+  /// (= Operands(*left, *right, split)). Every JoinNode overload ends here.
+  PlanNode JoinNode(int config_id, const PlanNode* left,
+                    const PlanNode* right, const JoinOperands& operands,
+                    const CostVector& cost) const;
 
   /// Fast applicability check against a precomputed SplitInfo.
   bool JoinApplicableFast(const OperatorConfig& op,
@@ -164,12 +215,15 @@ class CostModel {
   }
 
  private:
-  /// Returns the value of objective `objective` inside `cost`, or 0 if the
-  /// objective is not active. Helper for cross-dimension formulas.
-  double Get(const CostVector& cost, Objective objective) const {
-    const int index = dimension_[static_cast<int>(objective)];
-    return index >= 0 ? cost[index] : 0.0;
-  }
+  /// The operand terms of children with statistics `left_stats` /
+  /// `right_stats` and costs `left_cost` / `right_cost`, joined into
+  /// `output_rows` rows of width `output_width`.
+  JoinOperands Operands(const OperandStats& left_stats,
+                        const CostVector& left_cost,
+                        const OperandStats& right_stats,
+                        const CostVector& right_cost, double output_rows,
+                        double output_width) const;
+
   /// Sets dimension for `objective` if active.
   void Set(CostVector* cost, Objective objective, double value) const {
     const int index = dimension_[static_cast<int>(objective)];

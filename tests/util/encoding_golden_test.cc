@@ -8,6 +8,12 @@
 // they moved onto the shared codec (util/byte_codec.h) and must never
 // change: a diff here is a wire, disk or cache-key format change, which
 // breaks deployed clients, restored snapshots and cache hit rates.
+//
+// The last block pins optimizer output itself: the PlanSetCodec bytes of
+// four TPC-H frontiers (by length and FNV-1a) and the candidates each run
+// costed. A diff there means the DP, the cost model or the dominance scans
+// changed what the optimizer returns, so cached and persisted frontiers of
+// an older build no longer match a fresh run.
 
 #include <unistd.h>
 
@@ -23,9 +29,11 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "core/exa.h"
 #include "core/optimizer.h"
 #include "core/pareto_set.h"
 #include "core/plan_set.h"
+#include "core/rta.h"
 #include "memo/subplan_key.h"
 #include "net/wire.h"
 #include "persist/frontier_codec.h"
@@ -34,6 +42,7 @@
 #include "query/tpch_queries.h"
 #include "service/signature.h"
 #include "util/arena.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace {
@@ -412,6 +421,68 @@ TEST(EncodingGoldenTest, TpchSubplanSignatures) {
   EXPECT_EQ(all.hash, 2228825081787535ull);
   // The member count leads the key.
   EXPECT_EQ(Hex(all.key.substr(0, 8)), "0600000000000000");
+}
+
+// ---- Optimizer output. ---------------------------------------------------
+
+/// What one optimizer run is pinned by: the frontier's plan count, the
+/// length and FNV-1a of its PlanSetCodec block, and the candidates the DP
+/// costed to get there.
+struct PinnedFrontier {
+  int plans;
+  size_t bytes;
+  uint64_t hash;
+  long considered;
+};
+
+PinnedFrontier RunPinned(OptimizerBase* optimizer, const Query& query,
+                         std::vector<Objective> objectives) {
+  MOQOProblem problem;
+  problem.query = &query;
+  problem.objectives = ObjectiveSet(std::move(objectives));
+  problem.weights = WeightVector::Uniform(problem.objectives.size());
+  const OptimizerResult result = optimizer->Optimize(problem);
+  EXPECT_FALSE(result.metrics.timed_out);
+  std::string block;
+  persist::PlanSetCodec::Append(*result.plan_set, &block);
+  return {result.plan_set->size(), block.size(),
+          Fnv1a(block.data(), block.size(), kFnv1aOffsetBasis),
+          result.metrics.considered_plans};
+}
+
+void ExpectPinned(const PinnedFrontier& got, const PinnedFrontier& want) {
+  EXPECT_EQ(got.plans, want.plans);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.hash, want.hash);
+  EXPECT_EQ(got.considered, want.considered);
+}
+
+TEST(EncodingGoldenTest, TpchOptimizerFrontiers) {
+  const Catalog catalog = Catalog::TpcH(1.0);
+  OptimizerOptions options;
+  options.operators.sampling_rates = {0.05};
+  options.operators.dops = {1, 2};
+
+  ExactMOQO exa(options);
+  ExpectPinned(RunPinned(&exa, MakeTpcHQuery(&catalog, 3),
+                         {Objective::kTotalTime, Objective::kIOLoad,
+                          Objective::kDiskFootprint}),
+               {5, 860u, 13235906175700144862ull, 122});
+
+  options.alpha = 1.5;
+  RTAOptimizer rta(options);
+  const std::vector<Objective> six = {
+      Objective::kIOLoad,        Objective::kCores,
+      Objective::kDiskFootprint, Objective::kBufferFootprint,
+      Objective::kEnergy,        Objective::kTupleLoss};
+  ExpectPinned(RunPinned(&rta, MakeTpcHQuery(&catalog, 5), six),
+               {63, 16052u, 13904128662277777423ull, 67964});
+  ExpectPinned(RunPinned(&rta, MakeTpcHQuery(&catalog, 8), six),
+               {175, 50652u, 8295459365316385554ull, 239908});
+  ExpectPinned(RunPinned(&rta, MakeTpcHQuery(&catalog, 2),
+                         std::vector<Objective>(kAllObjectives.begin(),
+                                                kAllObjectives.end())),
+               {615, 144532u, 12398799925385972966ull, 77768});
 }
 
 }  // namespace
