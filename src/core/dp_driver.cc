@@ -291,16 +291,10 @@ void DPPlanGenerator::ProcessLevelParallel(const Query& query,
     if (s.last_finish_us < 0) continue;
     const int64_t wait_us = barrier_us - s.last_finish_us;
     stats_.barrier_wait_us += wait_us;
-    if (options.tracer != nullptr && options.tracer->enabled()) {
-      TraceEvent event;
-      event.category = "dp";
-      event.name = "dp.barrier_wait";
-      event.id = options.trace_id;
-      event.start_us = options.tracer->NowUs() - wait_us;
-      event.dur_us = wait_us;
-      event.arg1_name = "wait_us";
-      event.arg1 = wait_us;
-      options.tracer->Record(event);
+    if (options.tracer != nullptr) {
+      options.tracer->RecordEndingNow("dp", "dp.barrier_wait",
+                                      options.trace_id, wait_us, "wait_us",
+                                      wait_us);
     }
   }
   if (expired.load(std::memory_order_relaxed)) stats_.timed_out = true;

@@ -1,7 +1,9 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -89,14 +91,42 @@ CellStats Aggregate(const std::vector<RunOutcome>& outcomes,
   return stats;
 }
 
+namespace {
+
+/// A set but malformed knob would otherwise run a silently wrong workload
+/// (atoi read "abc" as 0): report it and stop.
+[[noreturn]] void ExitOnMalformedEnv(const char* name, const char* value) {
+  std::fprintf(stderr, "%s=\"%s\" is not a valid number\n", name, value);
+  std::exit(2);
+}
+
+}  // namespace
+
 int EnvInt(const char* name, int default_value) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : default_value;
+  if (value == nullptr) return default_value;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE ||
+      parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    ExitOnMalformedEnv(name, value);
+  }
+  return static_cast<int>(parsed);
 }
 
 double EnvDouble(const char* name, double default_value) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::atof(value) : default_value;
+  if (value == nullptr) return default_value;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(parsed)) {
+    ExitOnMalformedEnv(name, value);
+  }
+  return parsed;
 }
 
 }  // namespace moqo

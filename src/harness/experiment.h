@@ -56,7 +56,9 @@ std::vector<double> BestWeightedPerCase(
     const std::vector<std::vector<RunOutcome>>& outcomes_by_algorithm);
 
 /// Reads integer/double configuration from the environment with defaults
-/// (MOQO_CASES, MOQO_TIMEOUT_MS, ... — see DESIGN.md deviation ledger).
+/// (MOQO_CASES, MOQO_TIMEOUT_MS, ... — see DESIGN.md deviation ledger). A
+/// set value that is not wholly a number in range (finite, for doubles)
+/// prints the variable and its value and exits with status 2.
 int EnvInt(const char* name, int default_value);
 double EnvDouble(const char* name, double default_value);
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 
 #include "cost/objective.h"
@@ -31,24 +32,6 @@ int64_t SteadyNowUs() {
 }
 
 }  // namespace
-
-/// Lock-free wire-path counters. Shared with the metric samplers
-/// registered on the service, which may outlive the server.
-struct NetServer::Counters {
-  static constexpr auto kRelaxed = std::memory_order_relaxed;
-
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_active{0};
-  std::atomic<uint64_t> sessions_opened{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> frames_in{0};
-  std::atomic<uint64_t> pushes_sent{0};
-  std::atomic<uint64_t> pushes_dropped{0};
-  std::atomic<uint64_t> push_queue_depth{0};
-  std::atomic<uint64_t> protocol_errors{0};
-  std::atomic<uint64_t> connections_reaped{0};
-};
 
 /// One TCP connection and the session bound to it. The loop thread owns
 /// everything except the outbox, which session callbacks append to under
@@ -85,9 +68,7 @@ struct NetServer::Connection {
 };
 
 NetServer::NetServer(OptimizationService* service, NetOptions options)
-    : service_(service),
-      options_(std::move(options)),
-      counters_(std::make_shared<Counters>()) {}
+    : service_(service), options_(std::move(options)) {}
 
 NetServer::~NetServer() { Stop(); }
 
@@ -153,90 +134,50 @@ void NetServer::Stop() {
   started_ = false;
 }
 
-NetStatsSnapshot NetServer::Stats() const {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  NetStatsSnapshot s;
-  s.connections_accepted = counters_->connections_accepted.load(kRelaxed);
-  s.connections_active = counters_->connections_active.load(kRelaxed);
-  s.sessions_opened = counters_->sessions_opened.load(kRelaxed);
-  s.bytes_in = counters_->bytes_in.load(kRelaxed);
-  s.bytes_out = counters_->bytes_out.load(kRelaxed);
-  s.frames_in = counters_->frames_in.load(kRelaxed);
-  s.pushes_sent = counters_->pushes_sent.load(kRelaxed);
-  s.pushes_dropped = counters_->pushes_dropped.load(kRelaxed);
-  s.push_queue_depth = counters_->push_queue_depth.load(kRelaxed);
-  s.protocol_errors = counters_->protocol_errors.load(kRelaxed);
-  s.connections_reaped = counters_->connections_reaped.load(kRelaxed);
-  return s;
-}
-
 void NetServer::RegisterMetrics() {
   if (metrics_registered_) return;
   metrics_registered_ = true;
   MetricsRegistry* registry = service_->metrics_registry();
-  // Samplers capture the counters by shared_ptr: a scrape after this
-  // server is destroyed still reads the final values.
-  auto counters = counters_;
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  registry->AddCounter(
-      "moqo_net_connections_total", "Connections accepted by the front end",
-      [counters] {
-        return static_cast<double>(counters->connections_accepted.load(kRelaxed));
-      });
-  registry->AddGauge(
-      "moqo_net_connections_active", "Currently open connections",
-      [counters] {
-        return static_cast<double>(counters->connections_active.load(kRelaxed));
-      });
-  registry->AddCounter(
-      "moqo_net_sessions_total", "Frontier sessions opened over the wire",
-      [counters] {
-        return static_cast<double>(counters->sessions_opened.load(kRelaxed));
-      });
-  registry->AddCounter(
-      "moqo_net_bytes_total", "Bytes received by the front end",
-      {{"direction", "in"}}, [counters] {
-        return static_cast<double>(counters->bytes_in.load(kRelaxed));
-      });
-  registry->AddCounter(
-      "moqo_net_bytes_total", "Bytes written by the front end",
-      {{"direction", "out"}}, [counters] {
-        return static_cast<double>(counters->bytes_out.load(kRelaxed));
-      });
-  registry->AddCounter(
-      "moqo_net_frames_in_total", "Complete frames decoded from clients",
-      [counters] {
-        return static_cast<double>(counters->frames_in.load(kRelaxed));
-      });
-  registry->AddCounter(
-      "moqo_net_pushes_total", "Frontier updates written to clients",
-      [counters] {
-        return static_cast<double>(counters->pushes_sent.load(kRelaxed));
-      });
+  // The samplers share the block: a scrape after this server is destroyed
+  // still reads the final values.
+  using S = NetStatsSnapshot;
+  registry->AddCounter("moqo_net_connections_total",
+                       "Connections accepted by the front end",
+                       CounterSampler(stats_, &S::connections_accepted));
+  registry->AddGauge("moqo_net_connections_active",
+                     "Currently open connections",
+                     CounterSampler(stats_, &S::connections_active));
+  registry->AddCounter("moqo_net_sessions_total",
+                       "Frontier sessions opened over the wire",
+                       CounterSampler(stats_, &S::sessions_opened));
+  registry->AddCounter("moqo_net_bytes_total",
+                       "Bytes received by the front end",
+                       {{"direction", "in"}},
+                       CounterSampler(stats_, &S::bytes_in));
+  registry->AddCounter("moqo_net_bytes_total", "Bytes written by the front end",
+                       {{"direction", "out"}},
+                       CounterSampler(stats_, &S::bytes_out));
+  registry->AddCounter("moqo_net_frames_in_total",
+                       "Complete frames decoded from clients",
+                       CounterSampler(stats_, &S::frames_in));
+  registry->AddCounter("moqo_net_pushes_total",
+                       "Frontier updates written to clients",
+                       CounterSampler(stats_, &S::pushes_sent));
   registry->AddCounter(
       "moqo_net_pushes_dropped_total",
       "Frontier updates superseded by newest-wins backpressure",
-      [counters] {
-        return static_cast<double>(counters->pushes_dropped.load(kRelaxed));
-      });
-  registry->AddGauge(
-      "moqo_net_push_queue_depth", "Frames queued across all connections",
-      [counters] {
-        return static_cast<double>(counters->push_queue_depth.load(kRelaxed));
-      });
+      CounterSampler(stats_, &S::pushes_dropped));
+  registry->AddGauge("moqo_net_push_queue_depth",
+                     "Frames queued across all connections",
+                     CounterSampler(stats_, &S::push_queue_depth));
   registry->AddCounter(
       "moqo_net_protocol_errors_total",
       "Connections failed on malformed or out-of-order frames",
-      [counters] {
-        return static_cast<double>(counters->protocol_errors.load(kRelaxed));
-      });
+      CounterSampler(stats_, &S::protocol_errors));
   registry->AddCounter(
       "moqo_net_connections_reaped_total",
       "Connections closed by the handshake/idle deadline sweep",
-      [counters] {
-        return static_cast<double>(
-            counters->connections_reaped.load(kRelaxed));
-      });
+      CounterSampler(stats_, &S::connections_reaped));
 }
 
 void NetServer::Wake() {
@@ -279,7 +220,7 @@ void NetServer::ReapExpiredConnections() {
   // Close outside the iteration: SendErrorAndClose erases from
   // connections_.
   for (const auto& conn : expired) {
-    counters_->connections_reaped.fetch_add(1, Counters::kRelaxed);
+    stats_->connections_reaped.Add();
     SendErrorAndClose(conn, ErrorCode::kTimeout,
                       conn->saw_frame ? "idle timeout" : "handshake timeout");
   }
@@ -376,8 +317,8 @@ void NetServer::HandleAccept() {
       continue;
     }
     connections_.emplace(fd, std::move(conn));
-    counters_->connections_accepted.fetch_add(1, Counters::kRelaxed);
-    counters_->connections_active.fetch_add(1, Counters::kRelaxed);
+    stats_->connections_accepted.Add();
+    stats_->connections_active.Add();
   }
 }
 
@@ -394,8 +335,7 @@ bool NetServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
       if (errno == EINTR) continue;
       return false;
     }
-    counters_->bytes_in.fetch_add(static_cast<uint64_t>(n),
-                                  Counters::kRelaxed);
+    stats_->bytes_in.Add(static_cast<uint64_t>(n));
     conn->last_activity_us.store(SteadyNowUs(), std::memory_order_relaxed);
     conn->decoder.Feed(buf, static_cast<size_t>(n));
     MsgType type;
@@ -411,7 +351,7 @@ bool NetServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
                            : "bad frame header");
         return false;
       }
-      counters_->frames_in.fetch_add(1, Counters::kRelaxed);
+      stats_->frames_in.Add();
       conn->saw_frame = true;  // Handshake deadline satisfied.
       if (!HandleFrame(conn, type, payload)) return false;
     }
@@ -465,6 +405,14 @@ bool NetServer::HandleOpenFrontier(const std::shared_ptr<Connection>& conn,
     FailConnection(conn, ErrorCode::kProtocol, "invalid problem spec");
     return false;
   }
+  // The ladder is built on this (the event loop) thread, and a NaN alpha
+  // would publish and cache NaN rungs: bound the knobs at the wire.
+  if (!std::isfinite(msg.alpha) || !std::isfinite(msg.alpha_start) ||
+      !std::isfinite(msg.alpha_target) || msg.max_steps < 1 ||
+      msg.max_steps > kMaxLadderSteps) {
+    FailConnection(conn, ErrorCode::kProtocol, "invalid alpha ladder");
+    return false;
+  }
   std::vector<Objective> objectives;
   objectives.reserve(msg.objectives.size());
   for (uint8_t value : msg.objectives) {
@@ -500,7 +448,7 @@ bool NetServer::HandleOpenFrontier(const std::shared_ptr<Connection>& conn,
   std::shared_ptr<FrontierSession> session =
       service_->OpenFrontier(std::move(spec), session_options);
   conn->session = session;
-  counters_->sessions_opened.fetch_add(1, Counters::kRelaxed);
+  stats_->sessions_opened.Add();
 
   // Both callbacks hold the connection alive; CloseConnection removes
   // them (RemoveCallback blocks out in-flight deliveries) before the
@@ -524,7 +472,7 @@ bool NetServer::HandleOpenFrontier(const std::shared_ptr<Connection>& conn,
           push_span.AddArg("plans", update.num_plans());
           Enqueue(conn, EncodeFrontierUpdate(update), /*is_frontier=*/true);
         } catch (...) {
-          counters_->pushes_dropped.fetch_add(1, Counters::kRelaxed);
+          stats_->pushes_dropped.Add();
         }
       });
   conn->done_id = session->OnDone([this, conn, session] {
@@ -596,8 +544,8 @@ void NetServer::Enqueue(const std::shared_ptr<Connection>& conn,
     if (conn->closed.load(std::memory_order_relaxed)) return;
     const size_t dropped =
         conn->outbox.Push(std::move(frame), is_frontier, conn->write_offset);
-    counters_->pushes_dropped.fetch_add(dropped, Counters::kRelaxed);
-    counters_->push_queue_depth.fetch_add(1 - dropped, Counters::kRelaxed);
+    stats_->pushes_dropped.Add(dropped);
+    stats_->push_queue_depth.Add(1 - dropped);
     // Flush registration stays under outbox_mu: CloseConnection flips
     // closed under this same mutex, so the registration is strictly
     // ordered against teardown — a frame either never enters a closing
@@ -623,17 +571,16 @@ bool NetServer::FlushOutbox(const std::shared_ptr<Connection>& conn) {
       if (errno == EINTR) continue;
       return false;
     }
-    counters_->bytes_out.fetch_add(static_cast<uint64_t>(n),
-                                   Counters::kRelaxed);
+    stats_->bytes_out.Add(static_cast<uint64_t>(n));
     conn->last_activity_us.store(SteadyNowUs(), std::memory_order_relaxed);
     conn->write_offset += static_cast<size_t>(n);
     if (conn->write_offset == head.bytes.size()) {
       if (head.is_frontier) {
-        counters_->pushes_sent.fetch_add(1, Counters::kRelaxed);
+        stats_->pushes_sent.Add();
       }
       conn->outbox.pop_front();
       conn->write_offset = 0;
-      counters_->push_queue_depth.fetch_sub(1, Counters::kRelaxed);
+      stats_->push_queue_depth.Sub();
     }
   }
   return true;
@@ -641,7 +588,7 @@ bool NetServer::FlushOutbox(const std::shared_ptr<Connection>& conn) {
 
 void NetServer::FailConnection(const std::shared_ptr<Connection>& conn,
                                ErrorCode code, const std::string& message) {
-  counters_->protocol_errors.fetch_add(1, Counters::kRelaxed);
+  stats_->protocol_errors.Add();
   SendErrorAndClose(conn, code, message);
 }
 
@@ -661,8 +608,7 @@ void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
     // registration can outlive the connection with its frame unaccounted.
     MutexLock lock(conn->outbox_mu);
     if (conn->closed.exchange(true)) return;
-    counters_->push_queue_depth.fetch_sub(conn->outbox.Clear(),
-                                          Counters::kRelaxed);
+    stats_->push_queue_depth.Sub(conn->outbox.Clear());
     conn->write_offset = 0;
   }
   if (conn->session != nullptr) {
@@ -677,7 +623,7 @@ void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
   if (epoll_fd_ >= 0) epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   close(conn->fd);
   connections_.erase(conn->fd);
-  counters_->connections_active.fetch_sub(1, Counters::kRelaxed);
+  stats_->connections_active.Sub();
 }
 
 }  // namespace net

@@ -53,6 +53,7 @@
 
 #include "net/push_queue.h"
 #include "net/wire.h"
+#include "obs/counter.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -92,21 +93,23 @@ struct NetOptions {
   int64_t idle_timeout_ms = -1;
 };
 
-/// Plain-value snapshot of the wire-path counters.
+/// The wire-path counters. The server increments one shared block in
+/// place from the loop thread and session callbacks; Stats() returns a
+/// copy, and the moqo_net_* samplers share the block.
 struct NetStatsSnapshot {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;  ///< Gauge.
-  uint64_t sessions_opened = 0;     ///< OPEN_FRONTIER frames served.
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t frames_in = 0;
-  uint64_t pushes_sent = 0;     ///< FRONTIER_UPDATE frames written.
-  uint64_t pushes_dropped = 0;  ///< Updates superseded by newest-wins.
-  uint64_t push_queue_depth = 0;  ///< Gauge: queued frames, all conns.
-  uint64_t protocol_errors = 0;
+  Counter connections_accepted;
+  Counter connections_active;  ///< Gauge.
+  Counter sessions_opened;     ///< OPEN_FRONTIER frames served.
+  Counter bytes_in;
+  Counter bytes_out;
+  Counter frames_in;
+  Counter pushes_sent;       ///< FRONTIER_UPDATE frames written.
+  Counter pushes_dropped;    ///< Updates superseded by newest-wins.
+  Counter push_queue_depth;  ///< Gauge: queued frames, all conns.
+  Counter protocol_errors;
   /// Connections closed by the handshake/idle deadline sweep (distinct
   /// from protocol_errors: the peer spoke no ill, it just went quiet).
-  uint64_t connections_reaped = 0;
+  Counter connections_reaped;
 };
 
 class NetServer {
@@ -132,13 +135,9 @@ class NetServer {
   /// The bound port (resolves port 0), valid after a successful Start().
   uint16_t port() const { return port_; }
 
-  NetStatsSnapshot Stats() const;
+  NetStatsSnapshot Stats() const { return *stats_; }
 
  private:
-  /// Shared between the loop thread, session callbacks, and the metric
-  /// samplers registered on the service (which can outlive the server —
-  /// hence shared_ptr).
-  struct Counters;
   struct Connection;
 
   void LoopMain();
@@ -178,7 +177,10 @@ class NetServer {
 
   OptimizationService* service_;
   NetOptions options_;
-  std::shared_ptr<Counters> counters_;
+  /// Shared with the metric samplers registered on the service, which can
+  /// outlive the server.
+  std::shared_ptr<NetStatsSnapshot> stats_ =
+      std::make_shared<NetStatsSnapshot>();
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

@@ -6,11 +6,11 @@
 // Producers register *callbacks*, not cells: the registry stores
 // {name, help, type, labels, sampler} and evaluates the samplers at
 // RenderPrometheus() time, so registration adds zero cost to the request
-// path — all the live counters already exist in ServiceStatsRegistry /
-// SubplanMemo::GetStats() / ThreadPool, and the registry just projects
-// them into the exposition format. Metrics sharing a name (e.g. one
-// counter per algorithm label) are grouped under a single # HELP/# TYPE
-// header, as the format requires.
+// path — the live statistics already exist as Counter blocks
+// (obs/counter.h), caches and pools, and the registry just projects them
+// into the exposition format; CounterSampler reads one Counter field.
+// Metrics sharing a name (e.g. one counter per algorithm label) are
+// grouped under a single # HELP/# TYPE header, as the format requires.
 //
 // Histograms render as the standard cumulative `_bucket{le="..."}` series
 // plus `_sum` and `_count`, with a fixed le-bound set (sub-ms to seconds)
@@ -24,9 +24,20 @@
 #include <utility>
 #include <vector>
 
+#include "obs/counter.h"
 #include "obs/histogram.h"
 
 namespace moqo {
+
+/// A sampler reading `field` of the Counter block `block` points to. Pass
+/// a shared_ptr when the block's owner may go before the registry: the
+/// sampler then shares the block, and a later scrape reads final values.
+template <typename BlockPtr, typename Block>
+std::function<double()> CounterSampler(BlockPtr block, Counter Block::*field) {
+  return [block = std::move(block), field] {
+    return static_cast<double>(((*block).*field).value());
+  };
+}
 
 class MetricsRegistry {
  public:

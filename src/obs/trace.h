@@ -96,6 +96,24 @@ class Tracer {
   /// normally go through TraceSpan, which applies the enabled() gate.
   void Record(const TraceEvent& event);
 
+  /// Records a span that ends now and lasted `dur_us`, a duration the
+  /// caller measured itself (a wait, an open-to-publish latency). No-op
+  /// while disabled. `arg_name`, if set, must be a literal.
+  void RecordEndingNow(const char* category, const char* name, uint64_t id,
+                       int64_t dur_us, const char* arg_name = nullptr,
+                       int64_t arg = 0) {
+    if (!enabled()) return;
+    TraceEvent event;
+    event.category = category;
+    event.name = name;
+    event.id = id;
+    event.start_us = NowUs() - dur_us;
+    event.dur_us = dur_us;
+    event.arg1_name = arg_name;
+    event.arg1 = arg;
+    Record(event);
+  }
+
   /// Chrome trace-event JSON over every thread's retained events
   /// ({"traceEvents":[...], "displayTimeUnit":"ms"}). Safe to call while
   /// other threads record (they keep appending; the export is a consistent

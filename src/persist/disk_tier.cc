@@ -15,8 +15,6 @@ namespace persist {
 
 namespace {
 
-constexpr auto kRelaxed = std::memory_order_relaxed;
-
 size_t RecordBytes(size_t key_len, size_t payload_len) {
   return kRecordHeaderBytes + key_len + payload_len;
 }
@@ -68,9 +66,9 @@ DiskTier::Shard& DiskTier::ShardFor(uint64_t key_hash) {
 }
 
 void DiskTier::ResetShard(Shard* shard) {
-  counters_->dropped.fetch_add(shard->index.size(), kRelaxed);
-  counters_->entries.fetch_sub(shard->index.size(), kRelaxed);
-  counters_->bytes.fetch_sub(shard->live_bytes, kRelaxed);
+  stats_->dropped.Add(shard->index.size());
+  stats_->entries.Sub(shard->index.size());
+  stats_->bytes.Sub(shard->live_bytes);
   shard->index.clear();
   shard->live_bytes = 0;
   shard->append_offset = 0;
@@ -126,9 +124,9 @@ bool DiskTier::Put(RecordKind kind, uint64_t key_hash, std::string_view key,
   shard.index.emplace(key_hash, entry);
   shard.append_offset += record_bytes;
   shard.live_bytes += record_bytes;
-  counters_->demotions.fetch_add(1, kRelaxed);
-  counters_->entries.fetch_add(1, kRelaxed);
-  counters_->bytes.fetch_add(record_bytes, kRelaxed);
+  stats_->demotions.Add();
+  stats_->entries.Add();
+  stats_->bytes.Add(record_bytes);
   return true;
 }
 
@@ -136,7 +134,7 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
                     std::string* payload_out, double* alpha_out) {
   if (!ok_) return false;
   if (MOQO_FAILPOINT_HIT("persist.tier.read")) {
-    counters_->misses.fetch_add(1, kRelaxed);
+    stats_->misses.Add();
     return false;
   }
   Shard& shard = ShardFor(key_hash);
@@ -169,9 +167,9 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
         !reader.exhausted() || view.key_hash != key_hash ||
         view.achieved_alpha != entry.alpha;
     if (corrupt) {
-      counters_->corrupt.fetch_add(1, kRelaxed);
-      counters_->entries.fetch_sub(1, kRelaxed);
-      counters_->bytes.fetch_sub(record_bytes, kRelaxed);
+      stats_->corrupt.Add();
+      stats_->entries.Sub();
+      stats_->bytes.Sub(record_bytes);
       shard.live_bytes -= record_bytes;
       it = shard.index.erase(it);
       continue;
@@ -186,25 +184,13 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
     if (alpha_out != nullptr) *alpha_out = entry.alpha;
     shard.live_bytes -= record_bytes;
     shard.index.erase(it);
-    counters_->promotions.fetch_add(1, kRelaxed);
-    counters_->entries.fetch_sub(1, kRelaxed);
-    counters_->bytes.fetch_sub(record_bytes, kRelaxed);
+    stats_->promotions.Add();
+    stats_->entries.Sub();
+    stats_->bytes.Sub(record_bytes);
     return true;
   }
-  counters_->misses.fetch_add(1, kRelaxed);
+  stats_->misses.Add();
   return false;
-}
-
-DiskTier::Stats DiskTier::GetStats() const {
-  Stats stats;
-  stats.demotions = counters_->demotions.load(kRelaxed);
-  stats.promotions = counters_->promotions.load(kRelaxed);
-  stats.misses = counters_->misses.load(kRelaxed);
-  stats.dropped = counters_->dropped.load(kRelaxed);
-  stats.corrupt = counters_->corrupt.load(kRelaxed);
-  stats.entries = counters_->entries.load(kRelaxed);
-  stats.bytes = counters_->bytes.load(kRelaxed);
-  return stats;
 }
 
 }  // namespace persist

@@ -29,7 +29,6 @@
 #ifndef MOQO_PERSIST_DISK_TIER_H_
 #define MOQO_PERSIST_DISK_TIER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/counter.h"
 #include "persist/format.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -53,27 +53,17 @@ class DiskTier {
     int shards = 4;  ///< Independently locked; rounded up to a power of 2.
   };
 
-  /// Monotonic counters + occupancy gauges. Held via shared_ptr so metric
-  /// samplers registered with the service outlive the tier (the
-  /// moqo_net_* teardown-safety pattern).
-  struct Counters {
-    std::atomic<uint64_t> demotions{0};   ///< Records appended.
-    std::atomic<uint64_t> promotions{0};  ///< Records read back + removed.
-    std::atomic<uint64_t> misses{0};      ///< Probes finding nothing.
-    std::atomic<uint64_t> dropped{0};     ///< Entries lost to shard resets.
-    std::atomic<uint64_t> corrupt{0};     ///< Checksum/shape failures.
-    std::atomic<uint64_t> entries{0};     ///< Live index entries.
-    std::atomic<uint64_t> bytes{0};       ///< Live on-disk record bytes.
-  };
-
+  /// Monotonic counters + occupancy gauges, incremented in place and
+  /// held via shared_ptr so metric samplers registered with the service
+  /// outlive the tier (the moqo_net_* teardown-safety pattern).
   struct Stats {
-    uint64_t demotions = 0;
-    uint64_t promotions = 0;
-    uint64_t misses = 0;
-    uint64_t dropped = 0;
-    uint64_t corrupt = 0;
-    size_t entries = 0;
-    size_t bytes = 0;
+    Counter demotions;   ///< Records appended.
+    Counter promotions;  ///< Records read back + removed.
+    Counter misses;      ///< Probes finding nothing.
+    Counter dropped;     ///< Entries lost to shard resets.
+    Counter corrupt;     ///< Checksum/shape failures.
+    Counter entries;     ///< Live index entries.
+    Counter bytes;       ///< Live on-disk record bytes.
   };
 
   explicit DiskTier(const Options& options);
@@ -100,8 +90,8 @@ class DiskTier {
   bool Take(uint64_t key_hash, std::string_view key, double max_alpha,
             std::string* payload_out, double* alpha_out);
 
-  Stats GetStats() const;
-  std::shared_ptr<const Counters> counters() const { return counters_; }
+  Stats GetStats() const { return *stats_; }
+  std::shared_ptr<const Stats> shared_stats() const { return stats_; }
 
  private:
   /// The compact resident footprint of one demoted entry.
@@ -130,7 +120,7 @@ class DiskTier {
   uint64_t shard_mask_ = 0;
   size_t shard_capacity_bytes_ = 0;
   bool ok_ = false;
-  std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();
+  std::shared_ptr<Stats> stats_ = std::make_shared<Stats>();
 };
 
 }  // namespace persist

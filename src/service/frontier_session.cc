@@ -223,16 +223,11 @@ bool FrontierSession::Publish(double alpha,
     if (stats_registry_ != nullptr) {
       stats_registry_->RecordFirstFrontier(first_ms);
     }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      TraceEvent event;
-      event.category = "session";
-      event.name = "session.first_frontier";
-      event.id = trace_id_;
-      event.dur_us = static_cast<int64_t>(first_ms * 1000.0);
-      event.start_us = tracer_->NowUs() - event.dur_us;
-      event.arg1_name = "from_cache";
-      event.arg1 = from_cache ? 1 : 0;
-      tracer_->Record(event);
+    if (tracer_ != nullptr) {
+      tracer_->RecordEndingNow("session", "session.first_frontier",
+                               trace_id_,
+                               static_cast<int64_t>(first_ms * 1000.0),
+                               "from_cache", from_cache ? 1 : 0);
     }
   }
   cv_.NotifyAll();

@@ -71,17 +71,22 @@ class OptimizationService;
 class ServiceStatsRegistry;
 class Tracer;
 
+/// Cap on SessionOptions::max_steps. The opening thread builds the whole
+/// ladder — for a wire session, the server's event loop — so its length
+/// is bounded; the wire rejects a larger request outright.
+inline constexpr int kMaxLadderSteps = 64;
+
 /// Knobs of one refinement session.
 struct SessionOptions {
-  /// First (coarsest) rung of the alpha ladder. Values <= the target
-  /// collapse the ladder to a single rung at the target — that is how
-  /// Submit becomes a one-step session.
+  /// First (coarsest) rung of the alpha ladder. Values <= the target, and
+  /// non-finite values, collapse the ladder to a single rung at the
+  /// target — that is how Submit becomes a one-step session.
   double alpha_start = 4.0;
   /// Final precision; <= 0 derives it from the spec's alpha override or
   /// the policy default.
   double alpha_target = -1;
   /// Maximum ladder rungs from alpha_start down to alpha_target
-  /// (geometric in log space; >= 1).
+  /// (geometric in log space; clamped to [1, kMaxLadderSteps]).
   int max_steps = 4;
   /// Per-rung wall budget in ms; < 0 = none. A rung that exceeds it ends
   /// the ladder — the session keeps the guarantees it already published.

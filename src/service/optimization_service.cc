@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -55,14 +56,18 @@ double AchievedAlpha(AlgorithmKind algorithm, double alpha) {
 }
 
 /// The session's precision schedule: geometric in log-alpha from `start`
-/// down to `target` in at most `max_steps` rungs, strictly decreasing,
-/// ending bit-exactly at the target. start <= target collapses to the
-/// single-rung {target} ladder (Submit's one-step sessions).
+/// down to `target` in at most `max_steps` (<= kMaxLadderSteps) rungs,
+/// strictly decreasing, ending bit-exactly at the target. A start <= the
+/// target (Submit's one-step sessions) or a non-finite one collapses to
+/// the single-rung {target} ladder: an infinite or NaN start would only
+/// yield NaN rungs.
 std::vector<double> MakeAlphaLadder(double start, double target,
                                     int max_steps) {
   if (target < 1.0) target = 1.0;
-  if (max_steps < 1) max_steps = 1;
-  if (start <= target || max_steps == 1) return {target};
+  max_steps = std::clamp(max_steps, 1, kMaxLadderSteps);
+  if (!std::isfinite(start) || start <= target || max_steps == 1) {
+    return {target};
+  }
   std::vector<double> ladder;
   ladder.reserve(max_steps);
   const double log_start = std::log(start);
@@ -212,7 +217,7 @@ void OptimizationService::WatchdogMain() {
       // rung is cancelled through the session's token (the DP unwinds at
       // its next deadline poll); if it is wedged beyond even that, its
       // eventual output is dropped by the done_/finished_ guards.
-      stats_.RecordWatchdogFire();
+      stats_.counters.watchdog_fires.Add();
       session->cancel_flag_.store(true, std::memory_order_relaxed);
       FinishSession(session, nullptr, /*degraded=*/true, /*failed=*/false);
     }
@@ -302,7 +307,7 @@ std::shared_ptr<const CachedFrontier> OptimizationService::MakeCacheEntry(
 
 std::shared_ptr<FrontierSession> OptimizationService::OpenFrontier(
     ProblemSpec spec, SessionOptions options) {
-  stats_.RecordSessionOpened();
+  stats_.counters.sessions_opened.Add();
   OpenInfo info;
   return OpenSession(std::move(spec), options, /*preference=*/nullptr, &info);
 }
@@ -324,7 +329,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
                       session->trace_id_);
 
   if (session->spec_.query == nullptr) {
-    stats_.RecordInternalError();
+    stats_.counters.internal_errors.Add();
     info->rejected = true;
     {
       MutexLock lock(session->mu_);
@@ -371,7 +376,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   // whole output depends on the preference need Submit's, which their
   // cache key (and so their session key) encodes.
   if (preference == nullptr && IsPreferenceDependent(decision.algorithm)) {
-    stats_.RecordInternalError();
+    stats_.counters.internal_errors.Add();
     info->rejected = true;
     {
       MutexLock lock(session->mu_);
@@ -463,7 +468,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     const size_t prior = inflight_.fetch_add(1, std::memory_order_acq_rel);
     if (prior < options_.max_inflight) return true;
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    stats_.RecordAdmissionRejected();
+    stats_.counters.admissions_rejected.Add();
     info->rejected = true;
     {
       MutexLock lock(session->mu_);
@@ -491,7 +496,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     if (it != sessions_by_key_.end() && !it->second->CancelRequested()) {
       if (preference != nullptr && !try_admit()) return session;
       it->second->Attach();
-      stats_.RecordSessionCoalesced();
+      stats_.counters.sessions_coalesced.Add();
       info->joined = true;
       info->outcome = CacheOutcome::kCoalescedHit;
       return it->second;
@@ -556,11 +561,11 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
 
   // Stage 6: hand the first rung to the worker pool (each later rung
   // reschedules itself — no worker is held across rungs).
-  stats_.RecordSessionStarted();
+  stats_.counters.sessions_active.Add();
   if (!pool_.Submit([this, session] { RunSessionRung(session, 0); })) {
     // Shutdown raced the open; the session completes with whatever the
     // prelude published.
-    stats_.RecordAdmissionRejected();
+    stats_.counters.admissions_rejected.Add();
     info->rejected = true;
     {
       // The session may already be registered and shared with joiners
@@ -611,7 +616,7 @@ void OptimizationService::ScheduleSessionRung(
                             static_cast<double>(options_.max_inflight)),
         2);
     if (inflight_.load(std::memory_order_acquire) >= watermark) {
-      stats_.RecordRefinementShed();
+      stats_.counters.refinement_sheds.Add();
       {
         MutexLock lock(session->mu_);
         session->shed_ = true;
@@ -713,7 +718,7 @@ void OptimizationService::RunSessionRung(
       // guarantees and the ladder just ends; with nothing completed the
       // session ends degraded, holding the quick-mode result for
       // Submit. Never cached.
-      stats_.RecordDeadlineTimeout();
+      stats_.counters.deadline_timeouts.Add();
       stats_.RecordLatency(decision.algorithm, run_watch.ElapsedMillis());
       bool any_completed;
       {
@@ -730,7 +735,7 @@ void OptimizationService::RunSessionRung(
       completed_rung = true;
     }
   } catch (...) {
-    stats_.RecordInternalError();
+    stats_.counters.internal_errors.Add();
     // Degrade, don't die (PR 8): whatever killed the rung (allocation
     // failure, injected fault), the session must still reach a terminal
     // state with a usable answer. An earlier completed rung already
@@ -823,7 +828,7 @@ void OptimizationService::FinishSession(
   if (session->holds_slot_) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  stats_.RecordSessionFinished();
+  stats_.counters.sessions_active.Sub();
   if (!failed) {
     // Slow-query log: one entry per ladder that actually ran (born-done
     // cache hits never reach FinishSession and are never slow).
@@ -859,7 +864,7 @@ struct OptimizationService::PendingSubmit {
 
 std::future<ServiceResponse> OptimizationService::Submit(
     ServiceRequest request) {
-  stats_.RecordRequest();
+  stats_.counters.requests_total.Add();
   auto call = std::make_shared<PendingSubmit>();
   call->spec = std::move(request.spec);
   call->preference = std::move(request.preference);
@@ -923,15 +928,9 @@ void OptimizationService::CompleteOneStep(
   if (info.rejected) {
     response.status = ResponseStatus::kRejected;
   } else if (info.joined) {
-    if (tracer_.enabled()) {
-      TraceEvent event;
-      event.category = "service";
-      event.name = "coalesce.wait";
-      event.id = session.trace_id_;
-      event.dur_us = static_cast<int64_t>(since_open.ElapsedMillis() * 1000.0);
-      event.start_us = tracer_.NowUs() - event.dur_us;
-      tracer_.Record(event);
-    }
+    tracer_.RecordEndingNow(
+        "service", "coalesce.wait", session.trace_id_,
+        static_cast<int64_t>(since_open.ElapsedMillis() * 1000.0));
     inflight_.fetch_sub(1, std::memory_order_acq_rel);  // Joiner slot.
     if (!reached || failed || result == nullptr) {
       // The shared run degraded or failed, and its quick-mode plan depends
@@ -950,8 +949,8 @@ void OptimizationService::CompleteOneStep(
     response.alpha = session.BestAlpha();
     response.result = ReselectResult(result, info.preference.weights,
                                      info.preference.bounds);
-    stats_.RecordCoalescedHit();
-    stats_.RecordCompleted();
+    stats_.counters.coalesced_hits.Add();
+    stats_.counters.completed.Add();
   } else if (info.outcome != CacheOutcome::kMiss) {
     response.status = ResponseStatus::kCompleted;
     response.cache = info.outcome;
@@ -967,16 +966,16 @@ void OptimizationService::CompleteOneStep(
                                            info.preference.bounds);
     switch (info.outcome) {
       case CacheOutcome::kExactHit:
-        stats_.RecordExactHit();
+        stats_.counters.exact_hits.Add();
         break;
       case CacheOutcome::kFrontierHit:
-        stats_.RecordFrontierHit();
+        stats_.counters.frontier_hits.Add();
         break;
       default:
-        stats_.RecordTierHit();
+        stats_.counters.tier_hits.Add();
         break;
     }
-    stats_.RecordCompleted();
+    stats_.counters.completed.Add();
   } else if (failed || result == nullptr) {
     response.status = ResponseStatus::kRejected;
   } else {
@@ -987,7 +986,7 @@ void OptimizationService::CompleteOneStep(
       response.alpha = session.BestAlpha();
     }
     response.result = std::move(result);
-    stats_.RecordCompleted();
+    stats_.counters.completed.Add();
   }
   response.service_ms = call->since_submit.ElapsedMillis();
   call->promise.set_value(std::move(response));
@@ -1025,38 +1024,35 @@ ServiceStatsSnapshot OptimizationService::Stats() const {
 }
 
 void OptimizationService::RegisterMetrics() {
-  const auto stat = [this](uint64_t ServiceStatsSnapshot::*field) {
-    return [this, field]() -> double {
-      return static_cast<double>(stats_.Snapshot().*field);
-    };
-  };
+  using C = ServiceCounters;
+  const ServiceCounters* counters = &stats_.counters;
   metrics_.AddCounter("moqo_requests_total", "One-shot requests submitted",
-                      stat(&ServiceStatsSnapshot::requests_total));
+                      CounterSampler(counters, &C::requests_total));
   metrics_.AddCounter("moqo_completed_total", "Requests answered with a plan",
-                      stat(&ServiceStatsSnapshot::completed));
+                      CounterSampler(counters, &C::completed));
   metrics_.AddCounter("moqo_rejected_total",
                       "Requests shed by admission control",
-                      stat(&ServiceStatsSnapshot::admissions_rejected));
+                      CounterSampler(counters, &C::admissions_rejected));
   metrics_.AddCounter("moqo_internal_errors_total",
                       "Invalid requests and optimizer failures",
-                      stat(&ServiceStatsSnapshot::internal_errors));
+                      CounterSampler(counters, &C::internal_errors));
   metrics_.AddCounter("moqo_deadline_timeouts_total",
                       "Requests degraded to quick mode",
-                      stat(&ServiceStatsSnapshot::deadline_timeouts));
+                      CounterSampler(counters, &C::deadline_timeouts));
   metrics_.AddCounter("moqo_sessions_opened_total",
                       "Anytime frontier sessions opened",
-                      stat(&ServiceStatsSnapshot::sessions_opened));
+                      CounterSampler(counters, &C::sessions_opened));
   metrics_.AddCounter("moqo_refinement_steps_total",
                       "Completed ladder rungs across all sessions",
-                      stat(&ServiceStatsSnapshot::refinement_steps));
+                      CounterSampler(counters, &C::refinement_steps));
   metrics_.AddCounter("moqo_refinement_sheds_total",
                       "Refinement ladders shed by overload priority",
-                      stat(&ServiceStatsSnapshot::refinement_sheds));
+                      CounterSampler(counters, &C::refinement_sheds));
   metrics_.AddCounter("moqo_watchdog_fires_total",
                       "Sessions force-finished by the rung watchdog",
-                      stat(&ServiceStatsSnapshot::watchdog_fires));
+                      CounterSampler(counters, &C::watchdog_fires));
   metrics_.AddGauge("moqo_sessions_active", "Refinement ladders running now",
-                    stat(&ServiceStatsSnapshot::sessions_active));
+                    CounterSampler(counters, &C::sessions_active));
   metrics_.AddGauge("moqo_inflight", "Requests queued or running", [this] {
     return static_cast<double>(InFlight());
   });
@@ -1139,7 +1135,7 @@ void OptimizationService::RegisterMetrics() {
                     });
   metrics_.AddCounter("moqo_tier_hits_total",
                       "Requests served from the RAM→disk tier",
-                      stat(&ServiceStatsSnapshot::tier_hits));
+                      CounterSampler(counters, &C::tier_hits));
   RegisterPersistMetrics();
 }
 
@@ -1150,20 +1146,17 @@ std::string OptimizationService::SnapshotPath() const {
 bool OptimizationService::SnapshotNow() {
   if (options_.persist.directory.empty()) return false;
   MutexLock lock(snapshot_mu_);
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   persist::SnapshotWriter writer(options_.persist.catalog_epoch,
                                  kCostModelVersion);
   cache_.ExportTo(&writer);
   if (subplan_memo_ != nullptr) subplan_memo_->ExportTo(&writer);
   const bool ok = writer.WriteFile(SnapshotPath());
   if (ok) {
-    persist_counters_->snapshots_written.fetch_add(1, kRelaxed);
-    persist_counters_->snapshot_records.fetch_add(writer.record_count(),
-                                                  kRelaxed);
-    persist_counters_->snapshot_bytes.fetch_add(writer.encoded_bytes(),
-                                                kRelaxed);
+    persist_stats_->snapshots_written.Add();
+    persist_stats_->snapshot_records.Add(writer.record_count());
+    persist_stats_->snapshot_bytes.Add(writer.encoded_bytes());
   } else {
-    persist_counters_->snapshot_failures.fetch_add(1, kRelaxed);
+    persist_stats_->snapshot_failures.Add();
   }
   return ok;
 }
@@ -1171,40 +1164,37 @@ bool OptimizationService::SnapshotNow() {
 size_t OptimizationService::RestoreNow() {
   if (options_.persist.directory.empty()) return 0;
   MutexLock lock(snapshot_mu_);
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  persist::PersistCounters& counters = *persist_counters_;
-  counters.restores_attempted.fetch_add(1, kRelaxed);
+  persist::PersistStatsSnapshot& stats = *persist_stats_;
+  stats.restores_attempted.Add();
   size_t restored = 0;
   uint64_t restored_bytes = 0;
   const persist::SnapshotReadResult result = persist::ReadSnapshot(
       SnapshotPath(),
-      [this, &counters, kRelaxed](const persist::SnapshotHeader& header) {
+      [this, &stats](const persist::SnapshotHeader& header) {
         // The two semantic gates of the validation matrix. Stale cost
         // models make every stored cost wrong; a different catalog epoch
         // makes every content-derived key unreachable — either way the
         // snapshot is dead weight and restoring it would only pollute
         // the caches.
         if (header.cost_model_version != kCostModelVersion) {
-          counters.restore_skipped_version.fetch_add(header.record_count,
-                                                     kRelaxed);
+          stats.restore_skipped_version.Add(header.record_count);
           return false;
         }
         if (header.catalog_epoch != options_.persist.catalog_epoch) {
-          counters.restore_skipped_epoch.fetch_add(header.record_count,
-                                                   kRelaxed);
+          stats.restore_skipped_epoch.Add(header.record_count);
           return false;
         }
         return true;
       },
-      [this, &counters, &restored, &restored_bytes,
-       kRelaxed](const persist::SnapshotRecordView& record) {
+      [this, &stats, &restored,
+       &restored_bytes](const persist::SnapshotRecordView& record) {
         // Each cache restores only its own kind; a record no cache claims
         // (a future kind, or memo records with the memo off) is skipped.
         if (cache_.Restore(record)) {
-          counters.restored_plan_entries.fetch_add(1, kRelaxed);
+          stats.restored_plan_entries.Add();
         } else if (subplan_memo_ != nullptr &&
                    subplan_memo_->Restore(record)) {
-          counters.restored_memo_entries.fetch_add(1, kRelaxed);
+          stats.restored_memo_entries.Add();
         } else {
           return;
         }
@@ -1212,124 +1202,84 @@ size_t OptimizationService::RestoreNow() {
         restored_bytes += record.payload.size();
       });
   if (result.loaded) {
-    counters.restores_loaded.fetch_add(1, kRelaxed);
+    stats.restores_loaded.Add();
     if (result.header.format_version != persist::kFormatVersion) {
-      counters.restore_skipped_version.fetch_add(result.header.record_count,
-                                                 kRelaxed);
+      stats.restore_skipped_version.Add(result.header.record_count);
     }
   }
-  counters.restore_skipped_checksum.fetch_add(result.skipped_checksum,
-                                              kRelaxed);
-  counters.restore_truncated.fetch_add(result.truncated, kRelaxed);
-  counters.restore_bytes.fetch_add(restored_bytes, kRelaxed);
+  stats.restore_skipped_checksum.Add(result.skipped_checksum);
+  stats.restore_truncated.Add(result.truncated);
+  stats.restore_bytes.Add(restored_bytes);
   return restored;
 }
 
-persist::PersistStatsSnapshot OptimizationService::PersistStats() const {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  const persist::PersistCounters& c = *persist_counters_;
-  persist::PersistStatsSnapshot s;
-  s.snapshots_written = c.snapshots_written.load(kRelaxed);
-  s.snapshot_failures = c.snapshot_failures.load(kRelaxed);
-  s.snapshot_records = c.snapshot_records.load(kRelaxed);
-  s.snapshot_bytes = c.snapshot_bytes.load(kRelaxed);
-  s.restores_attempted = c.restores_attempted.load(kRelaxed);
-  s.restores_loaded = c.restores_loaded.load(kRelaxed);
-  s.restored_plan_entries = c.restored_plan_entries.load(kRelaxed);
-  s.restored_memo_entries = c.restored_memo_entries.load(kRelaxed);
-  s.restore_bytes = c.restore_bytes.load(kRelaxed);
-  s.restore_skipped_epoch = c.restore_skipped_epoch.load(kRelaxed);
-  s.restore_skipped_version = c.restore_skipped_version.load(kRelaxed);
-  s.restore_skipped_checksum = c.restore_skipped_checksum.load(kRelaxed);
-  s.restore_truncated = c.restore_truncated.load(kRelaxed);
-  return s;
-}
-
 void OptimizationService::RegisterPersistMetrics() {
-  // Samplers capture the shared counter blocks by value (shared_ptr), so
-  // a scrape racing service teardown reads frozen counters, never freed
-  // memory — the moqo_net_* pattern.
-  const auto persist_stat =
-      [counters = persist_counters_](
-          std::atomic<uint64_t> persist::PersistCounters::*field) {
-        return [counters, field]() -> double {
-          return static_cast<double>(((*counters).*field).load(std::memory_order_relaxed));
-        };
-      };
+  // Samplers share the counter blocks (service + tiers), so a scrape
+  // racing service teardown reads frozen counters, never freed memory —
+  // the moqo_net_* pattern.
+  using P = persist::PersistStatsSnapshot;
+  const auto& counters = persist_stats_;
   metrics_.AddCounter("moqo_persist_snapshots_total",
                       "Warm-state snapshots written",
-                      persist_stat(&persist::PersistCounters::snapshots_written));
-  metrics_.AddCounter(
-      "moqo_persist_snapshot_failures_total",
-      "Snapshot writes that failed (I/O or injected fault)",
-      persist_stat(&persist::PersistCounters::snapshot_failures));
+                      CounterSampler(counters, &P::snapshots_written));
+  metrics_.AddCounter("moqo_persist_snapshot_failures_total",
+                      "Snapshot writes that failed (I/O or injected fault)",
+                      CounterSampler(counters, &P::snapshot_failures));
   metrics_.AddCounter("moqo_persist_snapshot_records_total",
                       "Records written across all snapshots",
-                      persist_stat(&persist::PersistCounters::snapshot_records));
+                      CounterSampler(counters, &P::snapshot_records));
   metrics_.AddCounter("moqo_persist_snapshot_bytes_total",
                       "Encoded snapshot bytes written",
-                      persist_stat(&persist::PersistCounters::snapshot_bytes));
+                      CounterSampler(counters, &P::snapshot_bytes));
   metrics_.AddCounter("moqo_persist_restores_total",
                       "Restore attempts (header validated or not)",
-                      persist_stat(&persist::PersistCounters::restores_attempted));
-  metrics_.AddCounter(
-      "moqo_persist_restored_entries_total",
-      "Entries restored from snapshots", {{"cache", "plan"}},
-      persist_stat(&persist::PersistCounters::restored_plan_entries));
-  metrics_.AddCounter(
-      "moqo_persist_restored_entries_total",
-      "Entries restored from snapshots", {{"cache", "memo"}},
-      persist_stat(&persist::PersistCounters::restored_memo_entries));
-  metrics_.AddCounter(
-      "moqo_persist_restore_bytes_total", "Payload bytes restored",
-      persist_stat(&persist::PersistCounters::restore_bytes));
-  metrics_.AddCounter(
-      "moqo_persist_restore_skipped_total",
-      "Snapshot records skipped on restore", {{"reason", "epoch"}},
-      persist_stat(&persist::PersistCounters::restore_skipped_epoch));
-  metrics_.AddCounter(
-      "moqo_persist_restore_skipped_total",
-      "Snapshot records skipped on restore", {{"reason", "version"}},
-      persist_stat(&persist::PersistCounters::restore_skipped_version));
-  metrics_.AddCounter(
-      "moqo_persist_restore_skipped_total",
-      "Snapshot records skipped on restore", {{"reason", "checksum"}},
-      persist_stat(&persist::PersistCounters::restore_skipped_checksum));
-  metrics_.AddCounter(
-      "moqo_persist_restore_truncated_total",
-      "Snapshot records lost to a torn or short tail",
-      persist_stat(&persist::PersistCounters::restore_truncated));
+                      CounterSampler(counters, &P::restores_attempted));
+  metrics_.AddCounter("moqo_persist_restored_entries_total",
+                      "Entries restored from snapshots", {{"cache", "plan"}},
+                      CounterSampler(counters, &P::restored_plan_entries));
+  metrics_.AddCounter("moqo_persist_restored_entries_total",
+                      "Entries restored from snapshots", {{"cache", "memo"}},
+                      CounterSampler(counters, &P::restored_memo_entries));
+  metrics_.AddCounter("moqo_persist_restore_bytes_total",
+                      "Payload bytes restored",
+                      CounterSampler(counters, &P::restore_bytes));
+  metrics_.AddCounter("moqo_persist_restore_skipped_total",
+                      "Snapshot records skipped on restore",
+                      {{"reason", "epoch"}},
+                      CounterSampler(counters, &P::restore_skipped_epoch));
+  metrics_.AddCounter("moqo_persist_restore_skipped_total",
+                      "Snapshot records skipped on restore",
+                      {{"reason", "version"}},
+                      CounterSampler(counters, &P::restore_skipped_version));
+  metrics_.AddCounter("moqo_persist_restore_skipped_total",
+                      "Snapshot records skipped on restore",
+                      {{"reason", "checksum"}},
+                      CounterSampler(counters, &P::restore_skipped_checksum));
+  metrics_.AddCounter("moqo_persist_restore_truncated_total",
+                      "Snapshot records lost to a torn or short tail",
+                      CounterSampler(counters, &P::restore_truncated));
 
   const auto tier_metrics = [this](
                                 const std::shared_ptr<persist::DiskTier>& tier,
                                 const char* cache_label) {
     if (tier == nullptr) return;
-    const auto tier_stat =
-        [counters = tier->counters()](
-            std::atomic<uint64_t> persist::DiskTier::Counters::*field) {
-          return [counters, field]() -> double {
-            return static_cast<double>(((*counters).*field).load(std::memory_order_relaxed));
-          };
-        };
+    using T = persist::DiskTier::Stats;
+    const std::shared_ptr<const T> stats = tier->shared_stats();
+    const MetricsRegistry::Labels labels = {{"cache", cache_label}};
     metrics_.AddCounter("moqo_persist_tier_demotions_total",
-                        "Evicted entries demoted to the disk tier",
-                        {{"cache", cache_label}},
-                        tier_stat(&persist::DiskTier::Counters::demotions));
+                        "Evicted entries demoted to the disk tier", labels,
+                        CounterSampler(stats, &T::demotions));
     metrics_.AddCounter("moqo_persist_tier_promotions_total",
-                        "Tier hits promoted back to RAM",
-                        {{"cache", cache_label}},
-                        tier_stat(&persist::DiskTier::Counters::promotions));
+                        "Tier hits promoted back to RAM", labels,
+                        CounterSampler(stats, &T::promotions));
     metrics_.AddCounter("moqo_persist_tier_dropped_total",
-                        "Tier entries lost to shard resets",
-                        {{"cache", cache_label}},
-                        tier_stat(&persist::DiskTier::Counters::dropped));
-    metrics_.AddGauge("moqo_persist_tier_entries",
-                      "Live tier index entries", {{"cache", cache_label}},
-                      tier_stat(&persist::DiskTier::Counters::entries));
+                        "Tier entries lost to shard resets", labels,
+                        CounterSampler(stats, &T::dropped));
+    metrics_.AddGauge("moqo_persist_tier_entries", "Live tier index entries",
+                      labels, CounterSampler(stats, &T::entries));
     metrics_.AddGauge("moqo_persist_tier_bytes",
-                      "Live tier on-disk record bytes",
-                      {{"cache", cache_label}},
-                      tier_stat(&persist::DiskTier::Counters::bytes));
+                      "Live tier on-disk record bytes", labels,
+                      CounterSampler(stats, &T::bytes));
   };
   tier_metrics(cache_tier_, "plan");
   tier_metrics(memo_tier_, "memo");

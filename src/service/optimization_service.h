@@ -274,7 +274,9 @@ class OptimizationService {
 
   /// Snapshot and restore counters; all-zero when persistence is
   /// disabled. Tier traffic is in the moqo_persist_tier_* metrics.
-  persist::PersistStatsSnapshot PersistStats() const;
+  persist::PersistStatsSnapshot PersistStats() const {
+    return *persist_stats_;
+  }
 
  private:
   struct PendingSubmit;  // One Submit() call until its future resolves.
@@ -412,8 +414,8 @@ class OptimizationService {
   /// order; counters are shared with metric samplers (teardown-safe).
   std::shared_ptr<persist::DiskTier> cache_tier_;
   std::shared_ptr<persist::DiskTier> memo_tier_;
-  std::shared_ptr<persist::PersistCounters> persist_counters_ =
-      std::make_shared<persist::PersistCounters>();
+  std::shared_ptr<persist::PersistStatsSnapshot> persist_stats_ =
+      std::make_shared<persist::PersistStatsSnapshot>();
   Mutex snapshot_mu_;  ///< Serializes SnapshotNow/RestoreNow.
 
   /// Live refinement sessions by exact session key (spec + ladder + step

@@ -18,21 +18,7 @@ void AppendQuantiles(std::ostringstream* out, const HistogramSnapshot& h) {
 
 ServiceStatsSnapshot ServiceStatsRegistry::Snapshot() const {
   ServiceStatsSnapshot snapshot;
-  snapshot.requests_total = requests_total_.load(kRelaxed);
-  snapshot.exact_hits = exact_hits_.load(kRelaxed);
-  snapshot.frontier_hits = frontier_hits_.load(kRelaxed);
-  snapshot.coalesced_hits = coalesced_hits_.load(kRelaxed);
-  snapshot.tier_hits = tier_hits_.load(kRelaxed);
-  snapshot.admissions_rejected = admissions_rejected_.load(kRelaxed);
-  snapshot.internal_errors = internal_errors_.load(kRelaxed);
-  snapshot.deadline_timeouts = deadline_timeouts_.load(kRelaxed);
-  snapshot.completed = completed_.load(kRelaxed);
-  snapshot.sessions_opened = sessions_opened_.load(kRelaxed);
-  snapshot.sessions_coalesced = sessions_coalesced_.load(kRelaxed);
-  snapshot.sessions_active = sessions_active_.load(kRelaxed);
-  snapshot.refinement_steps = refinement_steps_.load(kRelaxed);
-  snapshot.refinement_sheds = refinement_sheds_.load(kRelaxed);
-  snapshot.watchdog_fires = watchdog_fires_.load(kRelaxed);
+  static_cast<ServiceCounters&>(snapshot) = counters;
   snapshot.step_latency = step_latency_.Snapshot();
   snapshot.first_frontier_latency = first_frontier_.Snapshot();
   for (int i = 0; i < kNumAlgorithms; ++i) {

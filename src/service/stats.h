@@ -2,53 +2,82 @@
 //
 // ServiceStatsRegistry: counters and per-algorithm latency histograms of
 // the optimization service, consumed by the bench harness and exposed for
-// monitoring. Counters are lock-free atomics; latencies go into
-// log-bucketed concurrent histograms (obs/histogram.h), so the snapshot
-// reports p50/p95/p99 — the count/total/max LatencyStats aggregate this
-// registry used through PR 5 is gone (PR 6). First-frontier latency (time
-// from session open to the first published frontier) is a first-class
-// histogram here: it is the anytime API's headline metric and the network
-// front end's acceptance gauge (ROADMAP).
+// monitoring. Counters are one ServiceCounters block of relaxed Counter
+// cells (obs/counter.h), incremented in place and copied whole into each
+// snapshot; latencies go into log-bucketed concurrent histograms
+// (obs/histogram.h), so the snapshot reports p50/p95/p99. First-frontier
+// latency (time from session open to the first published frontier) is a
+// first-class histogram here: it is the anytime API's headline metric and
+// the network front end's acceptance gauge (ROADMAP).
 
 #ifndef MOQO_SERVICE_STATS_H_
 #define MOQO_SERVICE_STATS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/algorithm.h"
+#include "obs/counter.h"
 #include "obs/histogram.h"
 #include "obs/slow_query_log.h"
 
 namespace moqo {
 
-/// Plain-value snapshot of the registry, safe to copy around.
-struct ServiceStatsSnapshot {
-  uint64_t requests_total = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
+/// The service's own counters (and its one gauge, sessions_active), each
+/// declared once: the registry increments them in place and every
+/// ServiceStatsSnapshot carries a copy.
+struct ServiceCounters {
+  Counter requests_total;
   /// Cache hits whose preference matched the cached selection verbatim.
-  uint64_t exact_hits = 0;
+  Counter exact_hits;
   /// Cache hits resolved by SelectPlan over the shared PlanSet (the
   /// preference — weights/bounds — differed from the cached one).
-  uint64_t frontier_hits = 0;
+  Counter frontier_hits;
   /// Requests that waited on an identical in-flight session instead of
   /// optimizing again, then selected from its frontier.
-  uint64_t coalesced_hits = 0;
+  Counter coalesced_hits;
   /// Cache hits served from the RAM→disk tier (the entry had been evicted
   /// from RAM, demoted to a segment file, and was promoted back by this
   /// probe). Labeled by provenance: a tier hit counts here — not in
   /// exact/frontier hits — whatever the preference match.
-  uint64_t tier_hits = 0;
-  uint64_t admissions_rejected = 0;
-  uint64_t deadline_timeouts = 0;  ///< Requests degraded to quick mode.
+  Counter tier_hits;
+  Counter admissions_rejected;
+  Counter deadline_timeouts;  ///< Requests degraded to quick mode.
   /// Invalid requests (null query) and optimizer failures (e.g. OOM) —
   /// distinct from load shedding.
-  uint64_t internal_errors = 0;
-  uint64_t completed = 0;
+  Counter internal_errors;
+  Counter completed;
+  /// Anytime-session counters (PR 5). `sessions_opened` counts public
+  /// OpenFrontier calls (Submit's internal one-step sessions count as
+  /// requests, not sessions); `sessions_coalesced` counts opens
+  /// (including Submit calls) that attached to an already running
+  /// identical session instead of starting their own.
+  Counter sessions_opened;
+  Counter sessions_coalesced;
+  /// Refinement ladders currently running (gauge; each holds one
+  /// admission slot).
+  Counter sessions_active;
+  /// Completed ladder rungs across all sessions (includes Submit's
+  /// one-step rungs).
+  Counter refinement_steps;
+  /// Ladders ended early by priority admission under overload (PR 7):
+  /// the session kept everything it had published, but its remaining
+  /// refinement rungs were shed so first-frontier work never queues
+  /// behind background refinement. Distinct from admissions_rejected —
+  /// a shed caller still got an answer.
+  Counter refinement_sheds;
+  /// Sessions force-finished DONE{degraded} by the rung watchdog because
+  /// a rung exceeded step_deadline_ms * watchdog_factor (PR 8).
+  Counter watchdog_fires;
+};
+
+/// Plain-value snapshot of the service, safe to copy around: its own
+/// counters plus fields sampled from the components that own them.
+struct ServiceStatsSnapshot : ServiceCounters {
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   /// Resident cache footprint (sampled from the PlanCache at snapshot
   /// time): entry count, accounted bytes, and the summed frontier sizes of
@@ -68,28 +97,6 @@ struct ServiceStatsSnapshot {
   uint64_t memo_invalidations = 0;
   size_t memo_entries = 0;
   size_t memo_bytes = 0;
-  /// Anytime-session counters (PR 5). `sessions_opened` counts public
-  /// OpenFrontier calls (Submit's internal one-step sessions count as
-  /// requests, not sessions); `sessions_coalesced` counts opens
-  /// (including Submit calls) that attached to an already running
-  /// identical session instead of starting their own.
-  uint64_t sessions_opened = 0;
-  uint64_t sessions_coalesced = 0;
-  /// Refinement ladders currently running (gauge; each holds one
-  /// admission slot).
-  uint64_t sessions_active = 0;
-  /// Completed ladder rungs across all sessions (includes Submit's
-  /// one-step rungs).
-  uint64_t refinement_steps = 0;
-  /// Ladders ended early by priority admission under overload (PR 7):
-  /// the session kept everything it had published, but its remaining
-  /// refinement rungs were shed so first-frontier work never queues
-  /// behind background refinement. Distinct from admissions_rejected —
-  /// a shed caller still got an answer.
-  uint64_t refinement_sheds = 0;
-  /// Sessions force-finished DONE{degraded} by the rung watchdog because
-  /// a rung exceeded step_deadline_ms * watchdog_factor (PR 8).
-  uint64_t watchdog_fires = 0;
   /// Optimize-pool state sampled at snapshot time: tasks waiting for a
   /// worker and the queue-wait distribution they experienced.
   size_t pool_queue_depth = 0;
@@ -130,29 +137,12 @@ class ServiceStatsRegistry {
  public:
   static constexpr int kNumAlgorithms = kNumAlgorithmKinds;
 
-  void RecordRequest() { requests_total_.fetch_add(1, kRelaxed); }
-  void RecordAdmissionRejected() {
-    admissions_rejected_.fetch_add(1, kRelaxed);
-  }
-  void RecordInternalError() { internal_errors_.fetch_add(1, kRelaxed); }
-  void RecordDeadlineTimeout() { deadline_timeouts_.fetch_add(1, kRelaxed); }
-  void RecordCompleted() { completed_.fetch_add(1, kRelaxed); }
-  void RecordExactHit() { exact_hits_.fetch_add(1, kRelaxed); }
-  void RecordFrontierHit() { frontier_hits_.fetch_add(1, kRelaxed); }
-  void RecordCoalescedHit() { coalesced_hits_.fetch_add(1, kRelaxed); }
-  void RecordTierHit() { tier_hits_.fetch_add(1, kRelaxed); }
-  void RecordSessionOpened() { sessions_opened_.fetch_add(1, kRelaxed); }
-  void RecordSessionCoalesced() {
-    sessions_coalesced_.fetch_add(1, kRelaxed);
-  }
-  void RecordSessionStarted() { sessions_active_.fetch_add(1, kRelaxed); }
-  void RecordSessionFinished() { sessions_active_.fetch_sub(1, kRelaxed); }
-  void RecordRefinementShed() { refinement_sheds_.fetch_add(1, kRelaxed); }
-  void RecordWatchdogFire() { watchdog_fires_.fetch_add(1, kRelaxed); }
+  /// Incremented in place; Snapshot() and the metric samplers read it.
+  ServiceCounters counters;
 
   /// Records one completed refinement step (ladder rung) and its latency.
   void RecordRefinementStep(double ms) {
-    refinement_steps_.fetch_add(1, kRelaxed);
+    counters.refinement_steps.Add();
     step_latency_.Record(ms);
   }
 
@@ -171,24 +161,6 @@ class ServiceStatsRegistry {
   ServiceStatsSnapshot Snapshot() const;
 
  private:
-  static constexpr auto kRelaxed = std::memory_order_relaxed;
-
-  std::atomic<uint64_t> requests_total_{0};
-  std::atomic<uint64_t> exact_hits_{0};
-  std::atomic<uint64_t> frontier_hits_{0};
-  std::atomic<uint64_t> coalesced_hits_{0};
-  std::atomic<uint64_t> tier_hits_{0};
-  std::atomic<uint64_t> admissions_rejected_{0};
-  std::atomic<uint64_t> internal_errors_{0};
-  std::atomic<uint64_t> deadline_timeouts_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> sessions_opened_{0};
-  std::atomic<uint64_t> sessions_coalesced_{0};
-  std::atomic<uint64_t> sessions_active_{0};
-  std::atomic<uint64_t> refinement_steps_{0};
-  std::atomic<uint64_t> refinement_sheds_{0};
-  std::atomic<uint64_t> watchdog_fires_{0};
-
   std::array<LatencyHistogram, kNumAlgorithms> latency_;
   LatencyHistogram step_latency_;
   LatencyHistogram first_frontier_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "harness/experiment.h"
@@ -158,6 +159,32 @@ TEST(TablePrinterTest, AlignsColumns) {
 TEST(EnvTest, DefaultsWhenUnset) {
   EXPECT_EQ(EnvInt("MOQO_SURELY_UNSET_VAR", 7), 7);
   EXPECT_DOUBLE_EQ(EnvDouble("MOQO_SURELY_UNSET_VAR", 2.5), 2.5);
+}
+
+TEST(EnvTest, ParsesWholeValues) {
+  ::setenv("MOQO_TEST_ENV_VALUE", "-12", 1);
+  EXPECT_EQ(EnvInt("MOQO_TEST_ENV_VALUE", 7), -12);
+  ::setenv("MOQO_TEST_ENV_VALUE", "0.25", 1);
+  EXPECT_DOUBLE_EQ(EnvDouble("MOQO_TEST_ENV_VALUE", 2.5), 0.25);
+  ::unsetenv("MOQO_TEST_ENV_VALUE");
+}
+
+TEST(EnvTest, MalformedValuesExitWithStatusTwo) {
+  // Each used to parse as 0 (or a prefix) and run a silently wrong
+  // workload; now the variable and its value are reported instead.
+  for (const char* value : {"abc", "", "12abc", "99999999999"}) {
+    ::setenv("MOQO_TEST_ENV_VALUE", value, 1);
+    EXPECT_EXIT(EnvInt("MOQO_TEST_ENV_VALUE", 7),
+                ::testing::ExitedWithCode(2), "MOQO_TEST_ENV_VALUE")
+        << value;
+  }
+  for (const char* value : {"abc", "", "0.5x", "1e999"}) {
+    ::setenv("MOQO_TEST_ENV_VALUE", value, 1);
+    EXPECT_EXIT(EnvDouble("MOQO_TEST_ENV_VALUE", 2.5),
+                ::testing::ExitedWithCode(2), "MOQO_TEST_ENV_VALUE")
+        << value;
+  }
+  ::unsetenv("MOQO_TEST_ENV_VALUE");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -294,6 +295,37 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorThenClose) {
   EXPECT_GE(harness.server->Stats().protocol_errors, 3u);
 }
 
+TEST(NetServerTest, OutOfRangeLadderKnobsGetProtocolErrorAndNoSession) {
+  Harness harness(FreshRunOptions(1));
+  ASSERT_TRUE(harness.server->Start());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Each knob just past its bound; the step cap is 64.
+  const std::vector<std::function<void(OpenFrontierMsg*)>> out_of_range = {
+      [](OpenFrontierMsg* open) { open->max_steps = 65; },
+      [](OpenFrontierMsg* open) { open->max_steps = 0; },
+      [&](OpenFrontierMsg* open) { open->alpha_start = nan; },
+      [&](OpenFrontierMsg* open) { open->alpha_start = inf; },
+      [&](OpenFrontierMsg* open) { open->alpha_target = nan; },
+      [&](OpenFrontierMsg* open) { open->alpha = inf; },
+  };
+  for (size_t i = 0; i < out_of_range.size(); ++i) {
+    OpenFrontierMsg open = StarOpen("star3", 3);
+    out_of_range[i](&open);
+    BlockingNetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()));
+    ASSERT_TRUE(client.SendOpen(open));
+    BlockingNetClient::Event event;
+    ASSERT_TRUE(client.NextEvent(&event, kEventTimeoutMs)) << i;
+    ASSERT_EQ(event.type, MsgType::kError) << i;
+    EXPECT_EQ(event.error.code, static_cast<uint8_t>(ErrorCode::kProtocol))
+        << i;
+    EXPECT_FALSE(client.NextEvent(&event, kEventTimeoutMs)) << i;  // EOF.
+  }
+  EXPECT_EQ(harness.server->Stats().sessions_opened, 0u);
+  EXPECT_EQ(harness.service->Stats().sessions_opened, 0u);
+}
+
 TEST(NetServerTest, ConnectionChurnWithConcurrentCancels) {
   ServiceOptions options = FreshRunOptions(2);
   Harness harness(options);
@@ -342,8 +374,14 @@ TEST(NetServerTest, ConnectionChurnWithConcurrentCancels) {
   for (std::thread& thread : clients) thread.join();
 
   EXPECT_EQ(failures.load(), 0);
+  // A client that disconnected at once may still sit in the listen
+  // backlog: wait for every accept, not just for no open connection.
   EXPECT_TRUE(WaitFor(
-      [&] { return harness.server->Stats().connections_active == 0; },
+      [&] {
+        const net::NetStatsSnapshot stats = harness.server->Stats();
+        return stats.connections_accepted == kThreads * kPerThread &&
+               stats.connections_active == 0;
+      },
       10000));
   const net::NetStatsSnapshot stats = harness.server->Stats();
   EXPECT_EQ(stats.connections_accepted,

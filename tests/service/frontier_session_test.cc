@@ -339,6 +339,29 @@ TEST(FrontierSessionTest, SessionBornDoneFromTighterCachedEntry) {
   EXPECT_EQ(OptimizerRuns(service), 1u);
 }
 
+TEST(FrontierSessionTest, NanAlphaStartRunsOneRungThatLaterRequestsHit) {
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(2));
+
+  SessionOptions options;
+  options.alpha_start = std::numeric_limits<double>::quiet_NaN();
+  options.max_steps = 3;
+  const ProblemSpec spec = RtaStarSpec(&catalog, 3, 3, 1.25);
+  auto session = service.OpenFrontier(spec, options);
+  ASSERT_TRUE(session->AwaitTarget());
+  // A non-finite start is a single rung at the target: no NaN rung is
+  // published or cached under an alpha tag no lookup can match.
+  for (const RefinedFrontier& refined : session->History()) {
+    EXPECT_FALSE(std::isnan(refined.alpha)) << refined.step;
+  }
+  session->Cancel();
+
+  ServiceRequest request;
+  request.spec = spec;
+  request.preference.weights = WeightVector::Uniform(3);
+  EXPECT_EQ(service.SubmitAndWait(request).cache, CacheOutcome::kExactHit);
+}
+
 TEST(FrontierSessionTest, TighterCacheEntryServesLooserOneShotRequest) {
   Catalog catalog = MakeTinyCatalog();
   OptimizationService service(SmallServiceOptions(1));
