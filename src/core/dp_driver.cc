@@ -97,7 +97,14 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         signatures[i] = key_context_->SignatureFor(level[i]);
         const std::shared_ptr<const PlanSet> entry =
             shared_memo->Lookup(signatures[i]);
-        if (entry != nullptr) {
+        // An entry's plans must join exactly the set's dense ranks
+        // 0..k-1, the space MaterializeFromMemo maps back to local
+        // indices. The DP's own publishes always do; a restored or
+        // promoted entry was only checked for internal consistency at
+        // decode, so one over other ranks is a miss: the set is rebuilt
+        // and its publish replaces the entry.
+        if (entry != nullptr && !entry->empty() &&
+            entry->plan(0)->tables == TableSet::Prefix(k)) {
           MaterializeFromMemo(level[i], *entry);
           from_memo[i] = 1;
           ++stats_.memo_hits;

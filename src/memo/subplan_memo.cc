@@ -49,7 +49,7 @@ bool SubplanMemo::Admits(const ParetoSet& frontier, double alpha) {
   if (frontier.empty()) return false;
   const size_t plans = static_cast<size_t>(frontier.size());
   if (options_.max_entry_plans != 0 && plans > options_.max_entry_plans) {
-    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+    stats_.admission_rejects.Add();
     return false;
   }
   // Epsilon compactness: reject if any plan is (1+eps)-dominated by an
@@ -66,7 +66,7 @@ bool SubplanMemo::Admits(const ParetoSet& frontier, double alpha) {
       const CostVector cost = frontier.cost_at(i);
       for (int k = 0; k < i; ++k) {
         if (ApproxDominates(frontier.cost_at(k), cost, factor)) {
-          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+          stats_.admission_rejects.Add();
           return false;
         }
       }
@@ -81,13 +81,13 @@ void SubplanMemo::ObserveCatalog(const void* catalog, uint64_t epoch) {
   if (first_sighting || it->second == epoch) return;
   it->second = epoch;
   lru_.Clear();
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
+  stats_.invalidations.Add();
 }
 
 SubplanMemo::Stats SubplanMemo::GetStats() const {
-  return Stats{lru_.GetStats(),
-               admission_rejects_.load(std::memory_order_relaxed),
-               invalidations_.load(std::memory_order_relaxed)};
+  Stats stats = stats_;
+  static_cast<persist::TieredStats&>(stats) = lru_.GetStats();
+  return stats;
 }
 
 }  // namespace moqo

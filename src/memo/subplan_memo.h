@@ -37,7 +37,6 @@
 #ifndef MOQO_MEMO_SUBPLAN_MEMO_H_
 #define MOQO_MEMO_SUBPLAN_MEMO_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -47,6 +46,7 @@
 
 #include "core/plan_set.h"
 #include "memo/subplan_key.h"
+#include "obs/counter.h"
 #include "persist/tiered_lru.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -98,9 +98,9 @@ class SubplanMemo {
 
   struct Stats : persist::TieredStats {
     /// Publishes refused by admission (epsilon density / entry size).
-    uint64_t admission_rejects = 0;
+    Counter admission_rejects;
     /// Epoch changes that flushed the memo.
-    uint64_t invalidations = 0;
+    Counter invalidations;
   };
 
   SubplanMemo();  ///< Default Options.
@@ -177,8 +177,9 @@ class SubplanMemo {
   std::unordered_map<const void*, uint64_t> catalog_epochs_
       MOQO_GUARDED_BY(epoch_mu_);
 
-  std::atomic<uint64_t> admission_rejects_{0};
-  std::atomic<uint64_t> invalidations_{0};
+  /// The memo's own cells; GetStats() overlays the TieredStats part from
+  /// lru_.
+  Stats stats_;
 };
 
 }  // namespace moqo

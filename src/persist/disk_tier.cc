@@ -58,8 +58,9 @@ DiskTier::~DiskTier() {
 }
 
 DiskTier::Shard& DiskTier::ShardFor(uint64_t key_hash) {
-  // Same decorrelating mix as ShardedLru: shard choice must not echo the
-  // in-RAM cache's sharding or the index bucket choice.
+  // The multiply-and-fold mix of TieredLru's shard routing: every shard
+  // stays reachable, and shard choice stays decorrelated from the index's
+  // bucket choice.
   uint64_t mixed = key_hash * 0x9E3779B97F4A7C15ull;
   mixed ^= mixed >> 32;
   return *shards_[mixed & shard_mask_];

@@ -128,6 +128,23 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
     }
     // Scans have no children, joins have both — anything else is corrupt.
     if ((left == kNoChild) != (right == kNoChild)) return nullptr;
+    // The table fields must agree with that shape: a scan reads one
+    // in-range table, a join covers exactly its disjoint children. The
+    // memo hit path indexes a rank map by them, so a checksum-valid record
+    // that lies here must not decode.
+    if (left == kNoChild) {
+      if (table < 0 || table >= TableSet::kMaxTables ||
+          tables_mask != TableSet::Singleton(table).mask()) {
+        return nullptr;
+      }
+    } else {
+      const TableSet outer = nodes[left]->tables;
+      const TableSet inner = nodes[right]->tables;
+      if (table != -1 || outer.Intersects(inner) ||
+          tables_mask != outer.Union(inner).mask()) {
+        return nullptr;
+      }
+    }
     CostVector cost(static_cast<int>(dims));
     for (uint32_t d = 0; d < dims; ++d) {
       double v;
@@ -145,8 +162,10 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
     node->row_width = row_width;
     nodes.push_back(node);
   }
+  // A frontier's plans all join the same table set.
   result->plans_.reserve(num_plans);
   for (uint32_t i = 0; i < num_plans; ++i) {
+    if (nodes[roots[i]]->tables != nodes[roots[0]]->tables) return nullptr;
     result->plans_.push_back(nodes[roots[i]]);
   }
   if (consumed != nullptr) *consumed = size - reader.remaining();

@@ -56,9 +56,12 @@ class PlanSetCodec {
   /// Decodes one block from the front of [data, data+size). On success
   /// returns the materialized set and writes the block's byte length to
   /// `consumed` (trailing bytes are the caller's — payloads may carry a
-  /// preference block first). Malformed input (truncation, out-of-range
-  /// indices, impossible sizes) returns nullptr; never throws, never reads
-  /// out of bounds.
+  /// preference block first). Malformed input returns nullptr: truncation,
+  /// out-of-range indices, impossible sizes, a node whose table fields
+  /// contradict its shape (a scan's `tables` must be {table} with table in
+  /// [0, TableSet::kMaxTables); a join's `table` must be -1 and its
+  /// `tables` the union of its disjoint children's), or roots over
+  /// different table sets. Never throws, never reads out of bounds.
   static std::shared_ptr<const PlanSet> Decode(const void* data, size_t size,
                                                size_t* consumed);
 };

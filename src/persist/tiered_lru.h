@@ -5,15 +5,15 @@
 // SubplanMemo (memo/subplan_memo.h).
 //
 // Both keep immutable shared frontiers under CanonicalKeys and want the
-// same behaviour around them: the sharded, byte-budgeted LRU
-// (util/sharded_lru.h) with the relaxed alpha identity (an entry serves
-// every lookup whose required alpha is at least the entry's tag) and
-// equal-or-tighter replacement (a re-insert replaces the stored value
-// only if it is at least as tight, so refinement never downgrades an
-// entry); the optional RAM→disk DiskTier, demoting evicted entries and
-// promoting them back on a RAM miss; and snapshot export and restore.
-// This template is the only code that does any of that. A value type
-// supplies just a codec of static functions:
+// same behaviour around them: N independently locked shards, each an LRU
+// list with its own slice of the entry cap and byte budget; the relaxed
+// alpha identity (an entry serves every lookup whose required alpha is at
+// least the entry's tag) and equal-or-tighter replacement (a re-insert
+// replaces the stored value only if it is at least as tight, so refinement
+// never downgrades an entry); the optional RAM→disk DiskTier, demoting
+// evicted entries and promoting them back on a RAM miss; and snapshot
+// export and restore. This template is the only code that does any of
+// that. A value type supplies just a codec of static functions:
 //
 //   static constexpr RecordKind kKind;      // its snapshot/tier record kind
 //   static double Alpha(const Value&);      // alpha tag; inline, because the
@@ -31,43 +31,53 @@
 // memo codec tags every entry alpha 0: any lookup admits it and any
 // re-insert replaces it — plain keyed identity falls out as a special
 // case. An entry is accounted at key.capacity() + sizeof(CanonicalKey) +
-// four pointers of index/list bookkeeping + the codec's Footprint.
+// four pointers of index/list bookkeeping + the codec's Footprint. Keys
+// are stored exactly once, as map keys; the LRU list points at them
+// (unordered_map never moves its nodes).
 
 #ifndef MOQO_PERSIST_TIERED_LRU_H_
 #define MOQO_PERSIST_TIERED_LRU_H_
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <list>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "obs/counter.h"
 #include "persist/disk_tier.h"
 #include "persist/format.h"
 #include "persist/snapshot.h"
 #include "util/byte_codec.h"
-#include "util/sharded_lru.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace moqo {
 namespace persist {
 
-/// Counter snapshot of one TieredLru.
+/// Statistics of one TieredLru. The event counters are the cache's own
+/// cells; GetStats() copies them and sums the resident fields from the
+/// shards.
 struct TieredStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
+  Counter hits;
+  Counter misses;
+  Counter insertions;
+  Counter evictions;
+  /// Lookups that missed RAM but were served (and promoted back) from the
+  /// attached disk tier. Counted inside `hits` as well — a tier hit is
+  /// reclassified from the miss it first recorded.
+  Counter tier_hits;
   size_t entries = 0;
   /// Accounted bytes of all resident entries.
   size_t bytes = 0;
   /// Sum of resident entries' frontier sizes; bytes / entries and
   /// frontier_plans / entries are the per-entry means.
   size_t frontier_plans = 0;
-  /// Lookups that missed RAM but were served (and promoted back) from the
-  /// attached disk tier. Counted inside `hits` as well — a tier hit is
-  /// reclassified from the miss it first recorded.
-  uint64_t tier_hits = 0;
 
   double HitRate() const {
     const uint64_t lookups = hits + misses;
@@ -78,53 +88,82 @@ struct TieredStats {
 template <typename Value, typename Codec>
 class TieredLru {
  public:
-  using Options =
-      typename ShardedLru<CanonicalKey, std::shared_ptr<const Value>>::Options;
+  struct Options {
+    /// Total entries across all shards (secondary limit when a byte budget
+    /// is set; every shard keeps at least one slot).
+    size_t capacity = 1024;
+    /// Byte budget across all shards; 0 = unlimited (entry-count eviction
+    /// only). The primary limit when set.
+    size_t capacity_bytes = 0;
+    /// Independently locked shards; rounded up to a power of two.
+    int shards = 8;
+  };
   using Stats = TieredStats;
 
   /// Accepts any alpha tag (plain keyed lookup).
   static constexpr double kAnyAlpha = std::numeric_limits<double>::infinity();
 
   TieredLru() : TieredLru(Options{}) {}
-  explicit TieredLru(const Options& options) : lru_(options) {}
+  explicit TieredLru(const Options& options)
+      : shard_mask_(std::bit_ceil(static_cast<size_t>(
+                        options.shards < 1 ? 1 : options.shards)) -
+                    1),
+        // Every shard gets at least one slot so a tiny capacity still
+        // caches.
+        shard_capacity_(
+            std::max<size_t>(1, (options.capacity + shard_mask_) /
+                                    (shard_mask_ + 1))),
+        shard_capacity_bytes_((options.capacity_bytes + shard_mask_) /
+                              (shard_mask_ + 1)) {
+    shards_.reserve(shard_mask_ + 1);
+    for (size_t i = 0; i <= shard_mask_; ++i) {
+      shards_.push_back(std::make_unique<Shard>());
+    }
+  }
 
   TieredLru(const TieredLru&) = delete;
   TieredLru& operator=(const TieredLru&) = delete;
 
   /// Returns the value stored for `key` (promoting it to most recently
   /// used) if its alpha tag is <= `max_alpha`, nullptr otherwise. A
-  /// present-but-too-loose entry counts as (and behaves like) a miss; the
-  /// caller's tighter run then upgrades it via Insert. `record_stats` =
-  /// false skips the hit/miss counters — the service's coalescing re-probe
-  /// uses it so each request records exactly one lookup. With a tier
-  /// attached, a RAM miss probes the tier under the same alpha gate; a
-  /// tier hit is re-inserted into RAM (it may evict, and so demote, colder
-  /// entries), reclassifies the recorded miss as a hit (only when
-  /// `record_stats` — an uncounted probe stays uncounted), and sets
-  /// `*from_tier`.
+  /// present-but-too-loose entry counts as (and behaves like) a miss and
+  /// is not promoted; the caller's tighter run then upgrades it via
+  /// Insert. `record_stats` = false skips the hit/miss counters — the
+  /// service's coalescing re-probe uses it so each request records exactly
+  /// one lookup. With a tier attached, a RAM miss probes the tier under
+  /// the same alpha gate; a tier hit is re-inserted into RAM (it may
+  /// evict, and so demote, colder entries), reclassifies the recorded miss
+  /// as a hit (only when `record_stats` — an uncounted probe stays
+  /// uncounted), and sets `*from_tier`.
   std::shared_ptr<const Value> Lookup(const CanonicalKey& key,
                                       double max_alpha = kAnyAlpha,
                                       bool record_stats = true,
                                       bool* from_tier = nullptr) {
     if (from_tier != nullptr) *from_tier = false;
-    std::shared_ptr<const Value> value = lru_.LookupIf(
-        key,
-        [max_alpha](const std::shared_ptr<const Value>& entry) {
-          return entry != nullptr && Codec::Alpha(*entry) <= max_alpha;
-        },
-        record_stats);
-    if (value != nullptr || tier_ == nullptr) return value;
+    {
+      Shard& shard = ShardFor(key);
+      MutexLock lock(shard.mu);
+      auto it = shard.index.find(key);
+      if (it != shard.index.end() &&
+          Codec::Alpha(*it->second.value) <= max_alpha) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+        if (record_stats) stats_.hits.Add();
+        return it->second.value;
+      }
+    }
+    if (record_stats) stats_.misses.Add();
+    if (tier_ == nullptr) return nullptr;
 
     std::string payload;
     double alpha = 0;
     if (!tier_->Take(key.hash, key.key, max_alpha, &payload, &alpha)) {
       return nullptr;
     }
-    value = Codec::Decode(payload, alpha);
+    std::shared_ptr<const Value> value = Codec::Decode(payload, alpha);
     if (value == nullptr) return nullptr;
     Insert(key, value);
-    tier_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (record_stats) lru_.ReclassifyMissAsHit();
+    stats_.tier_hits.Add();
+    if (record_stats) ReclassifyMissAsHit();
     if (from_tier != nullptr) *from_tier = true;
     return value;
   }
@@ -133,60 +172,88 @@ class TieredLru {
   /// its uncounted coalescing re-probe finds an entry inserted after the
   /// request's first (miss-counted) lookup, so that request's net
   /// contribution is one hit — preserving hits + misses == lookups.
-  void ReclassifyMissAsHit() { lru_.ReclassifyMissAsHit(); }
+  void ReclassifyMissAsHit() {
+    stats_.misses.Sub();
+    stats_.hits.Add();
+  }
 
   /// Inserts `value` for `key`, evicting least-recently-used entries of
-  /// the target shard until it fits. An existing entry is replaced only if
-  /// `value` is at least as tight (alpha tag <=); a looser re-insert just
-  /// refreshes recency. Null values and inserts dropped by the codec's
-  /// failpoint store nothing: the cache is an accelerator, so a lost
-  /// insert only costs a future miss.
+  /// the target shard until it fits both limits; an entry larger than the
+  /// whole shard budget empties the shard and is stored anyway. An
+  /// existing entry is replaced only if `value` is at least as tight
+  /// (alpha tag <=); a looser re-insert just refreshes recency. A grown
+  /// replacement sheds colder entries, never itself. Null values and
+  /// inserts dropped by the codec's failpoint store nothing: the cache is
+  /// an accelerator, so a lost insert only costs a future miss.
   void Insert(const CanonicalKey& key, std::shared_ptr<const Value> value) {
     if (value == nullptr || Codec::DropInsert()) return;
-    const double alpha = Codec::Alpha(*value);
     const size_t bytes = key.key.capacity() + sizeof(CanonicalKey) +
                          sizeof(void*) * 4 + Codec::Footprint(*value);
     const size_t plans = Codec::Plans(*value);
-    lru_.InsertIf(key, std::move(value), bytes, plans,
-                  [alpha](const std::shared_ptr<const Value>& existing) {
-                    return existing == nullptr ||
-                           alpha <= Codec::Alpha(*existing);
-                  });
+    // Victims leave the shard under its lock and are demoted only after it
+    // is released, so encode + append I/O never blocks the shard's readers.
+    std::vector<typename Index::node_type> victims;
+    {
+      Shard& shard = ShardFor(key);
+      MutexLock lock(shard.mu);
+      auto it = shard.index.find(key);
+      if (it != shard.index.end()) {
+        Entry& entry = it->second;
+        shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_pos);
+        if (!(Codec::Alpha(*value) <= Codec::Alpha(*entry.value))) return;
+        shard.bytes = shard.bytes - entry.bytes + bytes;
+        shard.plans = shard.plans - entry.plans + plans;
+        entry.value = std::move(value);
+        entry.bytes = bytes;
+        entry.plans = plans;
+        while (shard_capacity_bytes_ != 0 &&
+               shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
+          EvictColdest(&shard, &victims);
+        }
+      } else {
+        while (!shard.lru.empty() &&
+               (shard.lru.size() >= shard_capacity_ ||
+                (shard_capacity_bytes_ != 0 &&
+                 shard.bytes + bytes > shard_capacity_bytes_))) {
+          EvictColdest(&shard, &victims);
+        }
+        it = shard.index.emplace(key, Entry{std::move(value), {}, bytes, plans})
+                 .first;
+        shard.lru.push_front(&it->first);
+        it->second.lru_pos = shard.lru.begin();
+        shard.bytes += bytes;
+        shard.plans += plans;
+        stats_.insertions.Add();
+      }
+    }
+    for (const auto& victim : victims) {
+      const Value& value = *victim.mapped().value;
+      std::string payload;
+      if (!Codec::Encode(value, &payload)) continue;
+      tier_->Put(Codec::kKind, victim.key().hash, victim.key().key,
+                 Codec::Alpha(value), payload);
+    }
   }
 
   /// Attaches the RAM→disk tier: evicted entries are encoded and appended
   /// to `tier`, RAM misses probe it. Call before concurrent use; nullptr
-  /// detaches. The demotion runs outside every shard lock (ShardedLru's
-  /// eviction-hook contract), so encode + append I/O never blocks readers.
-  void AttachTier(std::shared_ptr<DiskTier> tier) {
-    tier_ = std::move(tier);
-    if (tier_ == nullptr) {
-      lru_.SetEvictionHook(nullptr);
-      return;
-    }
-    lru_.SetEvictionHook(
-        [tier = tier_](const CanonicalKey& key,
-                       const std::shared_ptr<const Value>& value,
-                       size_t /*bytes*/) {
-          std::string payload;
-          if (value == nullptr || !Codec::Encode(*value, &payload)) return;
-          tier->Put(Codec::kKind, key.hash, key.key, Codec::Alpha(*value),
-                    payload);
-        });
-  }
+  /// detaches.
+  void AttachTier(std::shared_ptr<DiskTier> tier) { tier_ = std::move(tier); }
 
-  /// Adds one record per resident, persistable entry to `writer`. Holds one
-  /// shard lock at a time and never re-enters the cache, so a snapshot
-  /// does not drain or block it.
+  /// Adds one record per resident, persistable entry to `writer`, shard by
+  /// shard, most recently used first within a shard. Holds one shard lock
+  /// at a time, so a snapshot does not drain or block the cache.
   void ExportTo(SnapshotWriter* writer) const {
-    lru_.ForEach([writer](const CanonicalKey& key,
-                          const std::shared_ptr<const Value>& value,
-                          size_t /*bytes*/) {
-      std::string payload;
-      if (value == nullptr || !Codec::Encode(*value, &payload)) return;
-      writer->AddRecord(Codec::kKind, key.key, key.hash, Codec::Alpha(*value),
-                        payload);
-    });
+    for (const auto& shard : shards_) {
+      MutexLock lock(shard->mu);
+      for (const CanonicalKey* key : shard->lru) {
+        const Value& value = *shard->index.find(*key)->second.value;
+        std::string payload;
+        if (!Codec::Encode(value, &payload)) continue;
+        writer->AddRecord(Codec::kKind, key->key, key->hash,
+                          Codec::Alpha(value), payload);
+      }
+    }
   }
 
   /// Inserts the entry `record` carries. False — nothing inserted — when
@@ -202,27 +269,95 @@ class TieredLru {
   }
 
   Stats GetStats() const {
-    const auto counters = lru_.GetCounters();
-    Stats stats;
-    stats.hits = counters.hits;
-    stats.misses = counters.misses;
-    stats.insertions = counters.insertions;
-    stats.evictions = counters.evictions;
-    stats.entries = counters.entries;
-    stats.bytes = counters.bytes;
-    stats.frontier_plans = counters.weight;
-    stats.tier_hits = tier_hits_.load(std::memory_order_relaxed);
+    Stats stats = stats_;
+    for (const auto& shard : shards_) {
+      MutexLock lock(shard->mu);
+      stats.entries += shard->lru.size();
+      stats.bytes += shard->bytes;
+      stats.frontier_plans += shard->plans;
+    }
     return stats;
   }
 
-  size_t size() const { return lru_.size(); }
-  void Clear() { lru_.Clear(); }
-  int num_shards() const { return lru_.num_shards(); }
+  size_t size() const {
+    size_t total = 0;
+    for (const auto& shard : shards_) {
+      MutexLock lock(shard->mu);
+      total += shard->lru.size();
+    }
+    return total;
+  }
+
+  /// Drops every entry without demoting any: Clear() is invalidation (the
+  /// memo's epoch flush), and flushed entries are stale by definition.
+  void Clear() {
+    for (const auto& shard : shards_) {
+      MutexLock lock(shard->mu);
+      shard->lru.clear();
+      shard->index.clear();
+      shard->bytes = 0;
+      shard->plans = 0;
+    }
+  }
+
+  int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  ShardedLru<CanonicalKey, std::shared_ptr<const Value>> lru_;
+  using LruList = std::list<const CanonicalKey*>;
+
+  struct Entry {
+    std::shared_ptr<const Value> value;  ///< Never null.
+    typename LruList::iterator lru_pos;
+    size_t bytes = 0;
+    size_t plans = 0;
+  };
+
+  /// Hashes through the key's precomputed member.
+  struct KeyHash {
+    size_t operator()(const CanonicalKey& key) const noexcept {
+      return static_cast<size_t>(key.hash);
+    }
+  };
+
+  using Index = std::unordered_map<CanonicalKey, Entry, KeyHash>;
+
+  struct Shard {
+    Mutex mu;
+    LruList lru MOQO_GUARDED_BY(mu);  ///< Front = most recently used.
+    Index index MOQO_GUARDED_BY(mu);
+    size_t bytes MOQO_GUARDED_BY(mu) = 0;
+    size_t plans MOQO_GUARDED_BY(mu) = 0;
+  };
+
+  /// Evicts the shard's least recently used entry (lru non-empty), moving
+  /// it into `victims` when a tier will take it.
+  void EvictColdest(Shard* shard,
+                    std::vector<typename Index::node_type>* victims)
+      MOQO_REQUIRES(shard->mu) {
+    auto node = shard->index.extract(*shard->lru.back());
+    shard->lru.pop_back();
+    shard->bytes -= node.mapped().bytes;
+    shard->plans -= node.mapped().plans;
+    stats_.evictions.Add();
+    if (tier_ != nullptr) victims->push_back(std::move(node));
+  }
+
+  Shard& ShardFor(const CanonicalKey& key) {
+    // Multiply then fold the high bits down so every shard is reachable
+    // regardless of shard count, and shard choice stays decorrelated from
+    // the hash-table bucket choice inside the shard.
+    uint64_t mixed = key.hash * 0x9E3779B97F4A7C15ull;
+    mixed ^= mixed >> 32;
+    return *shards_[mixed & shard_mask_];
+  }
+
+  const size_t shard_mask_;
+  /// Per-shard limits: the Options totals split evenly, rounded up.
+  const size_t shard_capacity_;
+  const size_t shard_capacity_bytes_;  ///< 0 = no byte limit.
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::shared_ptr<DiskTier> tier_;
-  std::atomic<uint64_t> tier_hits_{0};
+  Stats stats_;  ///< Event counters; the resident fields stay zero.
 };
 
 }  // namespace persist

@@ -328,7 +328,11 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   TraceSpan open_span(&tracer_, "service", "request.open",
                       session->trace_id_);
 
-  if (session->spec_.query == nullptr) {
+  // Invalid specs: no query, or a non-finite alpha (RTA cache keys are
+  // alpha-free, so a NaN tag would poison its key's entry for good — no
+  // lookup would admit it and no insert would replace it).
+  if (session->spec_.query == nullptr ||
+      (session->spec_.alpha && !std::isfinite(*session->spec_.alpha))) {
     stats_.counters.internal_errors.Add();
     info->rejected = true;
     {

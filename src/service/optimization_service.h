@@ -200,9 +200,9 @@ class OptimizationService {
   /// already holds a first frontier when the cache can seed one or
   /// options.quick_first is set. Identical (spec, ladder) opens coalesce
   /// onto one running session — each caller still owns one Cancel().
-  /// Never returns null: invalid specs (null query, preference-dependent
-  /// algorithm override) and admission rejections yield a session that is
-  /// born Done() with no frontier.
+  /// Never returns null: invalid specs (null query, non-finite alpha,
+  /// preference-dependent algorithm override) and admission rejections
+  /// yield a session that is born Done() with no frontier.
   std::shared_ptr<FrontierSession> OpenFrontier(ProblemSpec spec,
                                                 SessionOptions options = {});
 

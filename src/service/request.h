@@ -39,6 +39,7 @@ struct ProblemSpec {
   /// cannot back an OpenFrontier session, which is preference-free by
   /// design; Submit runs them).
   std::optional<AlgorithmKind> algorithm;
+  /// Must be finite; a NaN or infinite alpha makes the spec invalid.
   std::optional<double> alpha;
   /// Override for the policy's intra-query DP parallelism (1 = force
   /// serial). Never part of the cache key: the frontier is identical for
@@ -75,8 +76,9 @@ enum class ResponseStatus : uint8_t {
   /// the Section 5.1 quick-mode plan (valid, but no approximation
   /// guarantee).
   kCompletedQuick,
-  /// Shed by admission control, submitted after shutdown, or failed with
-  /// an internal optimizer error (e.g. out of memory); no result.
+  /// Invalid spec, shed by admission control, submitted after shutdown,
+  /// or failed with an internal optimizer error (e.g. out of memory); no
+  /// result.
   kRejected,
 };
 

@@ -7,7 +7,11 @@
 // off, cold and warm, serial and parallel, exact and approximate. The
 // concurrency tests run under TSan in CI.
 
+#include <unistd.h>
+
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "core/dp_driver.h"
 #include "memo/subplan_key.h"
 #include "memo/subplan_memo.h"
+#include "persist/disk_tier.h"
 #include "query/query.h"
 #include "testing/test_helpers.h"
 #include "util/thread_pool.h"
@@ -392,6 +397,32 @@ TEST_F(SubplanMemoDpTest, EpochChangeFlushesOnce) {
   RunDp(query, &memo, &refill_stats);
   EXPECT_EQ(refill_stats.memo_hits, 0);
   EXPECT_GT(refill_stats.memo_publishes, 0);
+}
+
+TEST_F(SubplanMemoDpTest, EpochFlushDemotesNothing) {
+  // A flush is invalidation, not cache pressure: the flushed entries are
+  // stale by definition and must never reach the disk tier.
+  const std::string dir = ::testing::TempDir() + "moqo_memo_flush_" +
+                          std::to_string(::getpid());
+  const std::string cmd = "rm -rf " + dir + " && mkdir -p " + dir;
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  persist::DiskTier::Options tier_options;
+  tier_options.directory = dir;
+  tier_options.capacity_bytes = size_t{1} << 20;
+  auto tier = std::make_shared<persist::DiskTier>(tier_options);
+  SubplanMemo memo;
+  memo.AttachTier(tier);
+  memo.ObserveCatalog(&catalog_, 1);
+  DPStats stats;
+  RunDp(MakeChainQuery(&catalog_, 0, 4), &memo, &stats);
+  ASSERT_GT(memo.size(), 0u);
+  ASSERT_EQ(tier->GetStats().demotions, 0u);  // Nothing evicted yet.
+
+  memo.ObserveCatalog(&catalog_, 2);
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.GetStats().invalidations, 1u);
+  EXPECT_EQ(tier->GetStats().demotions, 0u);
+  EXPECT_EQ(tier->GetStats().entries, 0u);
 }
 
 TEST_F(SubplanMemoDpTest, ConcurrentDpRunsShareMemoSafely) {

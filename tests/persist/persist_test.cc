@@ -30,6 +30,7 @@
 #include "persist/frontier_codec.h"
 #include "persist/plan_set_codec.h"
 #include "persist/snapshot.h"
+#include "query/tpch_queries.h"
 #include "rt/failpoint.h"
 #include "service/optimization_service.h"
 #include "testing/test_helpers.h"
@@ -190,6 +191,95 @@ TEST(PersistTest, PlanSetCodecRejectsCorruptStructure) {
   std::memcpy(corrupt.data() + 8, &huge, sizeof(huge));  // dims.
   EXPECT_EQ(PlanSetCodec::Decode(corrupt.data(), corrupt.size(), nullptr),
             nullptr);
+}
+
+/// The block of a one-plan frontier joining scans of tables 0 and 1, after
+/// `edit` has rewritten the nodes: the encoder writes whatever fields it
+/// is given.
+std::string EncodedJoin(void (*edit)(PlanNode* outer, PlanNode* inner,
+                                     PlanNode* join)) {
+  Arena arena;
+  PlanNode* outer = arena.New<PlanNode>();
+  outer->table = 0;
+  outer->tables = TableSet(0b01);
+  outer->cost = CostVector(2);
+  PlanNode* inner = arena.New<PlanNode>();
+  inner->table = 1;
+  inner->tables = TableSet(0b10);
+  inner->cost = CostVector(2);
+  PlanNode* join = arena.New<PlanNode>();
+  join->left = outer;
+  join->right = inner;
+  join->tables = TableSet(0b11);
+  join->cost = CostVector(2);
+  edit(outer, inner, join);
+  ParetoSet set;
+  set.Prune(join);
+  set.Seal();
+  std::string block;
+  PlanSetCodec::Append(*PlanSet::FromParetoSet(set), &block);
+  return block;
+}
+
+TEST(PersistTest, PlanSetCodecRejectsNodesThatContradictTheirShape) {
+  // A checksum only proves the bytes are the writer's. Decode also refuses
+  // a node whose table fields contradict its shape: the memo hit path
+  // indexes a rank map by them.
+  const auto decode = [](const std::string& block) {
+    return PlanSetCodec::Decode(block.data(), block.size(), nullptr);
+  };
+  ASSERT_NE(decode(EncodedJoin([](PlanNode*, PlanNode*, PlanNode*) {})),
+            nullptr);
+
+  struct Shape {
+    const char* name;
+    void (*edit)(PlanNode* outer, PlanNode* inner, PlanNode* join);
+  };
+  const Shape shapes[] = {
+      {"scan of a negative table",
+       [](PlanNode* outer, PlanNode*, PlanNode*) { outer->table = -1; }},
+      {"scan of table kMaxTables",
+       [](PlanNode* outer, PlanNode*, PlanNode*) {
+         outer->table = TableSet::kMaxTables;
+       }},
+      {"scan whose tables are not {table}",
+       [](PlanNode* outer, PlanNode*, PlanNode*) {
+         outer->tables = TableSet(0b101);
+       }},
+      {"join with a table",
+       [](PlanNode*, PlanNode*, PlanNode* join) { join->table = 1; }},
+      {"join whose tables are not its children's union",
+       [](PlanNode*, PlanNode*, PlanNode* join) {
+         join->tables = TableSet(0b111);
+       }},
+      {"join of overlapping children",
+       [](PlanNode*, PlanNode* inner, PlanNode* join) {
+         inner->table = 0;
+         inner->tables = TableSet(0b01);
+         join->tables = TableSet(0b01);
+       }},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    EXPECT_EQ(decode(EncodedJoin(shape.edit)), nullptr);
+  }
+
+  // Roots over different table sets: two scans as one frontier.
+  Arena arena;
+  ParetoSet set;
+  for (int table = 0; table < 2; ++table) {
+    PlanNode* scan = arena.New<PlanNode>();
+    scan->table = table;
+    scan->tables = TableSet::Singleton(table);
+    scan->cost = CostVector(2);
+    scan->cost[table] = 1.0;
+    set.Prune(scan);
+  }
+  set.Seal();
+  ASSERT_EQ(set.size(), 2);
+  std::string block;
+  PlanSetCodec::Append(*PlanSet::FromParetoSet(set), &block);
+  EXPECT_EQ(decode(block), nullptr);
 }
 
 TEST(PersistTest, FrontierPayloadRoundTripRebuildsSelection) {
@@ -575,6 +665,79 @@ TEST(PersistTest, RestoreSkipsRecordsOfAnUnknownKind) {
   EXPECT_EQ(persisted.restored_memo_entries,
             CountKind(known, RecordKind::kMemoEntry));
   EXPECT_EQ(persisted.restored_entries(), known.size());
+}
+
+TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
+  // A checksum-valid memo record under TPC-H Q3's real three-table key
+  // whose one plan scans rank 40. Each node agrees with its shape, so the
+  // record decodes and restores; but its root joins {40}, not the set's
+  // ranks {0, 1, 2}, and materializing it would index the set's rank map
+  // at 40. The memo hit path must take it as a miss: the DP rebuilds the
+  // set, its publish replaces the entry, and the frontier equals a
+  // memo-off service's bit for bit.
+  const std::string dir = FreshDir("other_ranks");
+  const Catalog tpch = Catalog::TpcH(0.01);
+  ServiceRequest request;
+  request.spec.query = std::make_shared<Query>(MakeTpcHQuery(&tpch, 3));
+  request.spec.objectives = FirstObjectives(3);
+  request.spec.algorithm = AlgorithmKind::kExa;
+  request.preference.weights = WeightVector::Uniform(3);
+
+  // A warm run publishes Q3's one three-table set (admission is off: the
+  // exact frontier is denser than the cache epsilon admits); its record
+  // carries the real signature.
+  ServiceOptions options = PersistServiceOptions(dir);
+  options.subplan_memo.admission_epsilon = 0;
+  {
+    OptimizationService service(options);
+    ASSERT_EQ(service.SubmitAndWait(request).status,
+              ResponseStatus::kCompleted);
+  }
+  std::vector<OwnedRecord> memo_records;
+  for (const OwnedRecord& record : ReadRecords(dir + "/moqo.snapshot")) {
+    if (record.kind == static_cast<uint32_t>(RecordKind::kMemoEntry)) {
+      memo_records.push_back(record);
+    }
+  }
+  ASSERT_EQ(memo_records.size(), 1u);
+  const OwnedRecord& real = memo_records[0];
+
+  Arena arena;
+  PlanNode* scan = arena.New<PlanNode>();
+  scan->table = 40;
+  scan->tables = TableSet::Singleton(40);
+  scan->cost = CostVector(3);
+  ParetoSet set;
+  set.Prune(scan);
+  set.Seal();
+  std::string payload;
+  PlanSetCodec::Append(*PlanSet::FromParetoSet(set), &payload);
+  options.persist.snapshot_on_shutdown = false;
+  SnapshotWriter writer(options.persist.catalog_epoch, kCostModelVersion);
+  writer.AddRecord(RecordKind::kMemoEntry, real.key, real.hash, 0.0, payload);
+  ASSERT_TRUE(writer.WriteFile(dir + "/moqo.snapshot"));
+
+  OptimizationService restored(options);
+  ASSERT_EQ(restored.PersistStats().restored_memo_entries, 1u);
+  const ServiceResponse response = restored.SubmitAndWait(request);
+  ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+
+  ServiceOptions memo_off;
+  memo_off.num_workers = 2;
+  memo_off.operators = SmallOperatorSpace();
+  memo_off.enable_subplan_memo = false;
+  OptimizationService reference(memo_off);
+  const ServiceResponse expected = reference.SubmitAndWait(request);
+  ASSERT_EQ(expected.status, ResponseStatus::kCompleted);
+  ExpectBitIdentical(*expected.plan_set(), *response.plan_set());
+
+  SubplanSignature signature;
+  signature.key = real.key;
+  signature.hash = real.hash;
+  const std::shared_ptr<const PlanSet> entry =
+      restored.subplan_memo()->Lookup(signature);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->plan(0)->tables, TableSet::Prefix(3));
 }
 
 TEST(PersistTest, RestoreSkipsWholeSnapshotOnEpochMismatch) {

@@ -4,19 +4,26 @@
 // tier wired behind PlanCache and SubplanMemo — demotion on eviction,
 // promotion on a RAM miss (surfacing as a tier hit), the relaxed-alpha
 // gate on disk probes, and the stats-accounting regressions around
-// ReclassifyMissAsHit.
+// ReclassifyMissAsHit. Last, the ShardedLruTest cases pin TieredLru's own
+// shard mechanics through a minimal codec.
 
 #include "persist/disk_tier.h"
 
 #include <unistd.h>
 
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +31,7 @@
 #include "core/plan_set.h"
 #include "memo/subplan_memo.h"
 #include "persist/format.h"
+#include "persist/tiered_lru.h"
 #include "service/plan_cache.h"
 #include "util/arena.h"
 #include "util/byte_codec.h"
@@ -408,6 +416,246 @@ TEST(TieredLruTest, ConcurrentDemotePromoteHammer) {
             uint64_t{kThreads} * (kOps - (kOps + 2) / 3));
   // Every successful tier read surfaced as exactly one tier hit.
   EXPECT_EQ(cache_stats.tier_hits, stats.promotions);
+}
+
+// ---- ShardedLru: the shard mechanics of TieredLru itself. ---------------
+//
+// These drive the template directly through a minimal int-valued codec,
+// so LRU order, the counters, the byte budget, the grown refresh, shard
+// rounding, the order evicted entries reach the tier in and Clear()
+// demoting nothing hold for any value type, not just the two real codecs
+// PlanCacheTest and SubplanMemoDpTest use. The attached tier is where
+// evictions go: each victim is handed to DiskTier::Put once the shard lock
+// is released.
+
+/// An int with the accounted footprint and plan count the codec reports.
+struct IntEntry {
+  int value = 0;
+  size_t footprint = 0;
+  size_t plans = 0;
+};
+
+struct IntEntryCodec {
+  static constexpr RecordKind kKind = RecordKind::kPlanCacheEntry;
+  static double Alpha(const IntEntry&) { return 0; }
+  static size_t Plans(const IntEntry& entry) { return entry.plans; }
+  static size_t Footprint(const IntEntry& entry) { return entry.footprint; }
+  static bool Encode(const IntEntry& entry, std::string* out) {
+    out->append(std::to_string(entry.value));
+    return true;
+  }
+  static std::shared_ptr<const IntEntry> Decode(std::string_view payload,
+                                                double) {
+    auto entry = std::make_shared<IntEntry>();
+    const auto [end, error] = std::from_chars(
+        payload.data(), payload.data() + payload.size(), entry->value);
+    if (error != std::errc() || end != payload.data() + payload.size()) {
+      return nullptr;
+    }
+    return entry;
+  }
+  static bool DropInsert() { return false; }
+};
+
+using Lru = persist::TieredLru<IntEntry, IntEntryCodec>;
+
+CanonicalKey Key(const std::string& text) {
+  return CanonicalKey{text, Fnv1a(text.data(), text.size(), kFnv1aOffsetBasis)};
+}
+
+std::shared_ptr<const IntEntry> Value(int value, size_t footprint,
+                                      size_t plans = 0) {
+  return std::make_shared<IntEntry>(IntEntry{value, footprint, plans});
+}
+
+/// The bytes an entry is accounted at: the key's buffer, the key itself,
+/// four pointers of index/list bookkeeping and the codec's footprint.
+size_t EntryBytes(const std::string& key, size_t footprint) {
+  return Key(key).key.capacity() + sizeof(CanonicalKey) +
+         sizeof(void*) * 4 + footprint;
+}
+
+Lru::Options SingleShard(size_t capacity, size_t capacity_bytes = 0) {
+  Lru::Options options;
+  options.capacity = capacity;
+  options.capacity_bytes = capacity_bytes;
+  options.shards = 1;
+  return options;
+}
+
+/// (key, payload) of each record in the one-shard tier's segment, in
+/// append order: the order entries were evicted into the tier in.
+std::vector<std::pair<std::string, std::string>> Demoted(
+    const std::string& dir) {
+  std::ifstream in(dir + "/test_tier.shard0.seg", std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ByteReader reader(bytes.data(), bytes.size());
+  std::vector<std::pair<std::string, std::string>> records;
+  persist::RecordView record;
+  while (reader.remaining() > 0 &&
+         persist::ReadRecord(&reader, &record) ==
+             persist::ReadRecordStatus::kOk) {
+    records.emplace_back(record.key, record.payload);
+  }
+  return records;
+}
+
+TEST(ShardedLruTest, LruEvictionOrderAndCounters) {
+  Lru lru(SingleShard(2));
+  lru.Insert(Key("a"), Value(1, 10, 1));
+  lru.Insert(Key("b"), Value(2, 10, 1));
+  ASSERT_NE(lru.Lookup(Key("a")), nullptr);  // a most recent.
+  lru.Insert(Key("c"), Value(3, 10, 1));     // Evicts b.
+
+  EXPECT_NE(lru.Lookup(Key("a")), nullptr);
+  EXPECT_EQ(lru.Lookup(Key("b")), nullptr);
+  EXPECT_NE(lru.Lookup(Key("c")), nullptr);
+  const Lru::Stats stats = lru.GetStats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.insertions, 3u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, EntryBytes("a", 10) + EntryBytes("c", 10));
+  EXPECT_EQ(stats.frontier_plans, 2u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(ShardedLruTest, ByteBudgetIsPrimaryLimit) {
+  const size_t unit = EntryBytes("a", 10);
+  Lru lru(SingleShard(/*capacity=*/100, /*capacity_bytes=*/2 * unit + 5));
+  lru.Insert(Key("a"), Value(1, 10));
+  lru.Insert(Key("b"), Value(2, 10));
+  EXPECT_EQ(lru.GetStats().evictions, 0u);
+  lru.Insert(Key("c"), Value(3, 10));  // 3 units > budget: evicts LRU (a).
+  EXPECT_EQ(lru.Lookup(Key("a")), nullptr);
+  EXPECT_NE(lru.Lookup(Key("b")), nullptr);
+  EXPECT_LE(lru.GetStats().bytes, 2 * unit + 5);
+
+  // An entry larger than the whole budget empties the shard but is
+  // stored anyway.
+  lru.Insert(Key("big"), Value(4, 3 * unit));
+  EXPECT_NE(lru.Lookup(Key("big")), nullptr);
+  EXPECT_EQ(lru.GetStats().entries, 1u);
+}
+
+TEST(ShardedLruTest, GrownRefreshShedsColdEntriesButKeepsItself) {
+  const size_t unit = EntryBytes("a", 10);
+  Lru lru(SingleShard(/*capacity=*/100, /*capacity_bytes=*/2 * unit + 5));
+  lru.Insert(Key("a"), Value(1, 10));
+  lru.Insert(Key("b"), Value(2, 10));
+  // Refreshing b to two units busts the budget: a is shed, b survives.
+  lru.Insert(Key("b"), Value(3, 10 + unit));
+  EXPECT_EQ(lru.Lookup(Key("a")), nullptr);
+  auto hit = lru.Lookup(Key("b"));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->value, 3);
+  EXPECT_EQ(lru.GetStats().bytes, 2 * unit);
+}
+
+TEST(ShardedLruTest, ShardCountRoundsToPowerOfTwo) {
+  Lru::Options options;
+  options.shards = 5;
+  Lru lru(options);
+  EXPECT_EQ(lru.num_shards(), 8);
+}
+
+TEST(ShardedLruTest, ReclassifyMissAsHitBalancesCounters) {
+  Lru lru(SingleShard(4));
+  EXPECT_EQ(lru.Lookup(Key("a")), nullptr);  // Miss.
+  lru.Insert(Key("a"), Value(1, 1));
+  // The race-closing re-probe pattern: uncounted lookup, then flip the
+  // recorded miss.
+  EXPECT_NE(lru.Lookup(Key("a"), Lru::kAnyAlpha, /*record_stats=*/false),
+            nullptr);
+  lru.ReclassifyMissAsHit();
+  const Lru::Stats stats = lru.GetStats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(ShardedLruTest, EvictionHookSeesVictimsColdestFirst) {
+  const std::string dir = FreshDir("lru_coldest");
+  Lru lru(SingleShard(3));
+  lru.AttachTier(std::make_shared<DiskTier>(TierOptions(dir)));
+
+  lru.Insert(Key("a"), Value(1, 11));
+  lru.Insert(Key("b"), Value(2, 12));
+  lru.Insert(Key("c"), Value(3, 13));
+  ASSERT_NE(lru.Lookup(Key("a")), nullptr);  // Recency now a > c > b.
+  EXPECT_TRUE(Demoted(dir).empty());         // No eviction yet.
+
+  // Two inserts over the entry cap evict b then c; the tier must receive
+  // them coldest first, each with its own value.
+  lru.Insert(Key("d"), Value(4, 30));  // Over capacity: evicts b.
+  lru.Insert(Key("e"), Value(5, 30));  // Evicts c.
+  EXPECT_EQ(Demoted(dir), (std::vector<std::pair<std::string, std::string>>{
+                              {"b", "2"}, {"c", "3"}}));
+}
+
+TEST(ShardedLruTest, EvictionHookByteSqueezeDeliversAllVictimsInOrder) {
+  // A single oversized insert that evicts several entries at once must
+  // hand every victim to the tier, still coldest first.
+  const std::string dir = FreshDir("lru_squeeze");
+  const size_t unit = EntryBytes("a", 10);
+  Lru lru(SingleShard(/*capacity=*/100, /*capacity_bytes=*/3 * unit));
+  lru.AttachTier(std::make_shared<DiskTier>(TierOptions(dir)));
+  lru.Insert(Key("a"), Value(1, 10));
+  lru.Insert(Key("b"), Value(2, 10));
+  lru.Insert(Key("c"), Value(3, 10));
+  lru.Insert(Key("big"), Value(4, 10 + 2 * unit));  // Evicts a, b, c.
+  EXPECT_EQ(Demoted(dir), (std::vector<std::pair<std::string, std::string>>{
+                              {"a", "1"}, {"b", "2"}, {"c", "3"}}));
+  EXPECT_EQ(lru.GetStats().entries, 1u);
+  EXPECT_EQ(lru.GetStats().evictions, 3u);
+}
+
+TEST(ShardedLruTest, ClearDoesNotFireEvictionHook) {
+  // Clear() is invalidation (epoch flush), not cache pressure: flushed
+  // entries are stale by definition and must never reach the tier.
+  const std::string dir = FreshDir("lru_clear");
+  Lru lru(SingleShard(4));
+  lru.AttachTier(std::make_shared<DiskTier>(TierOptions(dir)));
+  lru.Insert(Key("a"), Value(1, 1));
+  lru.Insert(Key("b"), Value(2, 1));
+  lru.Clear();
+  EXPECT_TRUE(Demoted(dir).empty());
+  EXPECT_EQ(lru.GetStats().entries, 0u);
+  EXPECT_EQ(lru.GetStats().evictions, 0u);
+}
+
+TEST(ShardedLruTest, ConcurrentMixedTraffic) {
+  Lru::Options options;
+  options.capacity = 64;
+  options.shards = 8;
+  Lru lru(options);
+
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&lru, t] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::string key = "key" + std::to_string((t * 7 + i) % 100);
+        if (i % 3 == 0) {
+          lru.Insert(Key(key), Value(i, 8, 1));
+        } else {
+          auto hit = lru.Lookup(Key(key));
+          if (hit != nullptr) {
+            volatile int v = hit->value;  // TSan: unsynchronized access check.
+            (void)v;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const int lookups_per_thread = kOpsPerThread - (kOpsPerThread + 2) / 3;
+  const Lru::Stats stats = lru.GetStats();
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<uint64_t>(kThreads) * lookups_per_thread);
+  EXPECT_LE(stats.entries, 64u + 8u);  // Capacity rounding headroom.
 }
 
 }  // namespace

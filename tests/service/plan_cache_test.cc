@@ -2,6 +2,12 @@
 
 #include "service/plan_cache.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -10,6 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "core/plan_set.h"
+#include "model/cost_model.h"
+#include "persist/disk_tier.h"
+#include "persist/format.h"
+#include "persist/snapshot.h"
 #include "util/arena.h"
 #include "util/byte_codec.h"
 
@@ -276,6 +286,213 @@ TEST(PlanCacheTest, RefinementUpgradesEntryButNeverDowngrades) {
   EXPECT_EQ(hit->achieved_alpha, 2.0);
   EXPECT_EQ(hit->result->weighted_cost, 2.0);
   EXPECT_EQ(cache.GetStats().entries, 1u);
+}
+
+TEST(PlanCacheTest, TooLooseEntryIsAMissAndIsNotPromoted) {
+  PlanCache::Options options;
+  options.capacity = 2;
+  options.shards = 1;
+  PlanCache cache(options);
+  cache.Insert(Sig("a"), AlphaResult(1.5, 1.0));
+  cache.Insert(Sig("b"), AlphaResult(1.0, 2.0));  // Recency b > a.
+
+  // A probe needing 1.2 refuses a: a miss that must not refresh a's
+  // recency, so a stays the next eviction victim.
+  EXPECT_EQ(cache.Lookup(Sig("a"), 1.2), nullptr);
+  cache.Insert(Sig("c"), AlphaResult(1.0, 3.0));
+  EXPECT_EQ(cache.Lookup(Sig("a")), nullptr);  // Evicted despite the probe.
+  EXPECT_NE(cache.Lookup(Sig("b")), nullptr);
+
+  const PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, 2u);  // The refused probe + the post-evict miss.
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(PlanCacheTest, LooserReinsertKeepsTighterValueButRefreshesRecency) {
+  PlanCache::Options options;
+  options.capacity = 2;
+  options.shards = 1;
+  PlanCache cache(options);
+  cache.Insert(Sig("a"), AlphaResult(1.0, 1.0));
+  cache.Insert(Sig("b"), AlphaResult(1.0, 2.0));  // Recency b > a.
+  const PlanCache::Stats before = cache.GetStats();
+
+  // A looser, larger value under a: refused, so the stored value and its
+  // accounting stay — but a is touched and b becomes the LRU entry.
+  auto looser = std::make_shared<CachedFrontier>(*SizedResult(5));
+  looser->achieved_alpha = 2.0;
+  cache.Insert(Sig("a"), looser);
+  const PlanCache::Stats after = cache.GetStats();
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(after.frontier_plans, before.frontier_plans);
+  EXPECT_EQ(after.insertions, before.insertions);
+
+  cache.Insert(Sig("c"), AlphaResult(1.0, 3.0));  // Evicts b, not a.
+  EXPECT_EQ(cache.Lookup(Sig("b")), nullptr);
+  auto hit = cache.Lookup(Sig("a"));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->achieved_alpha, 1.0);
+  EXPECT_EQ(hit->result->weighted_cost, 1.0);
+}
+
+TEST(PlanCacheTest, ReclassifyMissAsHitKeepsHitsPlusMissesEqualToLookups) {
+  // The coalescing race the service closes: a counted miss, an insert by
+  // another request, an uncounted re-probe that hits, then the recorded
+  // miss flipped — one lookup, one hit.
+  PlanCache cache;
+  EXPECT_EQ(cache.Lookup(Sig("a")), nullptr);
+  cache.Insert(Sig("a"), Result(1.0));
+  EXPECT_NE(cache.Lookup(Sig("a"), PlanCache::kAnyAlpha,
+                         /*record_stats=*/false),
+            nullptr);
+  cache.ReclassifyMissAsHit();
+  const PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+// ---- Demotion to an attached disk tier. --------------------------------
+
+/// Fresh per-test scratch directory for tier segment files.
+std::string FreshDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "moqo_plan_cache_" + tag +
+                          "_" + std::to_string(::getpid());
+  const std::string cmd = "rm -rf " + dir + " && mkdir -p " + dir;
+  EXPECT_EQ(std::system(cmd.c_str()), 0);
+  return dir;
+}
+
+/// A one-shard tier over `dir`, wide enough never to drop a record.
+std::shared_ptr<persist::DiskTier> OneShardTier(const std::string& dir) {
+  persist::DiskTier::Options options;
+  options.directory = dir;
+  options.name = "tier";
+  options.capacity_bytes = size_t{1} << 20;
+  options.shards = 1;
+  return std::make_shared<persist::DiskTier>(options);
+}
+
+/// Keys of the records in the tier's one segment, in append order: the
+/// order entries were demoted in.
+std::vector<std::string> DemotedKeys(const std::string& dir) {
+  std::ifstream in(dir + "/tier.shard0.seg", std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ByteReader reader(bytes.data(), bytes.size());
+  std::vector<std::string> keys;
+  persist::RecordView record;
+  while (reader.remaining() > 0 &&
+         persist::ReadRecord(&reader, &record) ==
+             persist::ReadRecordStatus::kOk) {
+    keys.emplace_back(record.key);
+  }
+  return keys;
+}
+
+/// A persistable entry: a frontier of `plans` scans of table 0 (a tier
+/// only takes entries whose frontier encodes and decodes).
+std::shared_ptr<const CachedFrontier> TierEntry(int plans) {
+  Arena arena;
+  ParetoSet set;
+  for (int i = 0; i < plans; ++i) {
+    PlanNode* scan = arena.New<PlanNode>();
+    scan->table = 0;
+    scan->tables = TableSet::Singleton(0);
+    scan->cost = CostVector(2);
+    scan->cost[0] = 1.0 + i;
+    scan->cost[1] = 1000.0 - i;
+    set.Prune(scan);
+  }
+  set.Seal();
+  auto result = std::make_shared<OptimizerResult>();
+  result->plan_set = PlanSet::FromParetoSet(set);
+  auto cached = std::make_shared<CachedFrontier>();
+  cached->result = std::move(result);
+  cached->weights = WeightVector::Uniform(2);
+  return cached;
+}
+
+TEST(PlanCacheTest, DemotionsReachTheTierColdestFirst) {
+  const std::string dir = FreshDir("coldest");
+  const size_t unit = MeasuredEntryBytes(Sig("a"), TierEntry(1));
+  const std::shared_ptr<const CachedFrontier> big = TierEntry(400);
+  PlanCache::Options options;
+  options.capacity = 3;
+  options.capacity_bytes = 3 * unit + unit / 2;
+  options.shards = 1;
+  ASSERT_GT(MeasuredEntryBytes(Sig("big"), big), options.capacity_bytes);
+  PlanCache cache(options);
+  cache.AttachTier(OneShardTier(dir));
+
+  cache.Insert(Sig("a"), TierEntry(1));
+  cache.Insert(Sig("b"), TierEntry(1));
+  cache.Insert(Sig("c"), TierEntry(1));
+  ASSERT_NE(cache.Lookup(Sig("a")), nullptr);  // Recency a > c > b.
+  EXPECT_TRUE(DemotedKeys(dir).empty());
+  cache.Insert(Sig("d"), TierEntry(1));  // Entry cap: demotes b.
+  cache.Insert(Sig("e"), TierEntry(1));  // Demotes c.
+  EXPECT_EQ(DemotedKeys(dir), (std::vector<std::string>{"b", "c"}));
+
+  // One byte squeeze evicts every resident entry at once (the oversized
+  // entry is stored alone); each victim reaches the tier, coldest first.
+  cache.Insert(Sig("big"), big);
+  EXPECT_EQ(DemotedKeys(dir),
+            (std::vector<std::string>{"b", "c", "a", "d", "e"}));
+  EXPECT_EQ(cache.GetStats().entries, 1u);
+  EXPECT_EQ(cache.GetStats().evictions, 5u);
+}
+
+TEST(PlanCacheTest, PromotionThatEvictsAlsoDemotes) {
+  // A tier hit re-inserts the entry, which may evict: that victim is
+  // demoted like any other — after the shard lock is released, since the
+  // promotion runs inside Lookup.
+  const std::string dir = FreshDir("promote");
+  PlanCache::Options options;
+  options.capacity = 1;
+  options.shards = 1;
+  PlanCache cache(options);
+  cache.AttachTier(OneShardTier(dir));
+  cache.Insert(Sig("a"), TierEntry(1));
+  cache.Insert(Sig("b"), TierEntry(2));  // Demotes a.
+
+  bool from_tier = false;
+  auto hit = cache.Lookup(Sig("a"), PlanCache::kAnyAlpha, true, &from_tier);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(from_tier);
+  EXPECT_EQ(DemotedKeys(dir), (std::vector<std::string>{"a", "b"}));
+
+  // The victim is itself promotable, and promoting it demotes a again.
+  hit = cache.Lookup(Sig("b"), PlanCache::kAnyAlpha, true, &from_tier);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(from_tier);
+  EXPECT_EQ(hit->result->plan_set->size(), 2);
+  EXPECT_EQ(DemotedKeys(dir), (std::vector<std::string>{"a", "b", "a"}));
+  EXPECT_EQ(cache.GetStats().tier_hits, 2u);
+}
+
+TEST(PlanCacheTest, ExportToExportsEveryResidentEntry) {
+  const std::string dir = FreshDir("export");
+  PlanCache cache;  // Eight shards: the export walks all of them.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 12; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    cache.Insert(Sig(keys.back()), TierEntry(1 + i % 3));
+  }
+  cache.Insert(Sig("no-frontier"), Result(1.0));  // Nothing to persist.
+
+  persist::SnapshotWriter writer(/*catalog_epoch=*/0, kCostModelVersion);
+  cache.ExportTo(&writer);
+  ASSERT_TRUE(writer.WriteFile(dir + "/snap"));
+  std::vector<std::string> exported;
+  persist::ReadSnapshot(dir + "/snap", nullptr,
+                        [&exported](const persist::SnapshotRecordView& r) {
+                          EXPECT_EQ(r.kind,
+                                    persist::RecordKind::kPlanCacheEntry);
+                          exported.emplace_back(r.key);
+                        });
+  std::sort(keys.begin(), keys.end());
+  std::sort(exported.begin(), exported.end());
+  EXPECT_EQ(exported, keys);
 }
 
 TEST(PlanCacheTest, ConcurrentMixedTraffic) {

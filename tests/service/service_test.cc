@@ -759,12 +759,19 @@ TEST(ServiceTest, AdmissionControlShedsLoadBeyondMaxInflight) {
   options.max_inflight = 1;
   OptimizationService service(options);
 
-  // Occupy the single worker long enough to observe rejections: EXA on the
-  // full star with all nine objectives, bounded by a deadline so the test
-  // finishes fast either way.
-  ServiceRequest heavy = StarRequest(&catalog, 3, 9);
+  // Occupy the single worker long enough to observe rejections: an exact
+  // nine-objective run over TPC-H Q8's eight tables cannot finish inside
+  // its deadline, so it stays in flight for the whole deadline however
+  // the submitting thread is scheduled. (The full tiny star finishes in
+  // about 2 ms, which a preempted submitter can miss.)
+  Catalog tpch = Catalog::TpcH(0.01);
+  ServiceRequest heavy;
+  heavy.spec.query = std::make_shared<Query>(MakeTpcHQuery(&tpch, 8));
+  heavy.spec.objectives = FirstObjectives(kNumObjectives);
   heavy.spec.algorithm = AlgorithmKind::kExa;
-  heavy.preference.deadline_ms = 2000;
+  heavy.spec.parallelism = 1;
+  heavy.preference.weights = WeightVector::Uniform(kNumObjectives);
+  heavy.preference.deadline_ms = 300;
   std::future<ServiceResponse> heavy_future = service.Submit(heavy);
 
   // Admission counts queued + running, so these reject synchronously while
@@ -894,6 +901,36 @@ TEST(ServiceTest, NullQueryIsRejectedNotCrashed) {
   EXPECT_EQ(response.result, nullptr);
   EXPECT_EQ(response.plan_set(), nullptr);
   EXPECT_EQ(service.Stats().internal_errors, 1u);
+}
+
+TEST(ServiceTest, NonFiniteAlphaIsRejectedAndLeavesTheCacheServing) {
+  // RTA cache keys are alpha-free: a run at alpha NaN would insert a
+  // NaN-tagged entry under the key every default request probes — one no
+  // lookup admits and no insert replaces.
+  Catalog tpch = Catalog::TpcH(0.01);
+  OptimizationService service(SmallServiceOptions(1));
+  ServiceRequest request;
+  request.spec.query = std::make_shared<Query>(MakeTpcHQuery(&tpch, 5));
+  request.spec.objectives = FirstObjectives(6);
+  request.preference.weights = WeightVector::Uniform(6);
+
+  for (double alpha : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    ServiceRequest invalid = request;
+    invalid.spec.alpha = alpha;
+    const ServiceResponse response = service.SubmitAndWait(invalid);
+    EXPECT_EQ(response.status, ResponseStatus::kRejected);
+    EXPECT_EQ(response.result, nullptr);
+  }
+  EXPECT_EQ(service.Stats().internal_errors, 2u);
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.SubmitAndWait(request).status,
+              ResponseStatus::kCompleted);
+  }
+  const PlanCache::Stats cache = service.CacheStats();
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 2u);
 }
 
 TEST(ServiceTest, WorkloadDriverEndToEnd) {
