@@ -6,11 +6,13 @@
 // chains have O(n) sets per level, stars and cycles exponential middles).
 //
 // For every shape and thread count the bench runs the *same* DP — the
-// frontier must be byte-for-byte identical to the 1-thread run (exact
-// pruning is order-independent per table set; the bench fails hard on any
-// mismatch) — and reports per-thread-count latency percentiles, considered
-// plans per second, and speedup vs 1 thread, both human-readable and as a
-// machine-readable BENCH_parallel_dp.json artifact.
+// frontier and the considered-plan count must be identical to the 1-thread
+// run (the bench fails hard on any mismatch; at MOQO_ALPHA > 1 a wrong
+// commit order in the one-set levels' rounds would change which plans
+// survive) — and reports per-thread-count latency percentiles, considered
+// plans per second, speedup vs 1 thread, and the levels and rounds that
+// ran on several slots, both human-readable and as a machine-readable
+// BENCH_parallel_dp.json artifact.
 //
 // Env knobs (bench_config.h conventions):
 //   MOQO_OBJECTIVES  cost dimensions                    (default 3)
@@ -79,6 +81,8 @@ struct ConfigResult {
   std::vector<double> ms;
   std::vector<CostVector> frontier;
   long considered = 0;
+  int parallel_levels = 0;
+  int rounds = 0;
   bool frontier_identical = true;
 };
 
@@ -131,8 +135,9 @@ int Run() {
     CostModel model(&query, &registry, objective_set);
 
     std::printf("-- %s, %d relations --\n", shape.c_str(), tables);
-    std::printf("%8s %10s %10s %10s %14s %9s\n", "threads", "p50_ms",
-                "p99_ms", "mean_ms", "considered/s", "speedup");
+    std::printf("%8s %10s %10s %10s %14s %9s %7s %7s\n", "threads",
+                "p50_ms", "p99_ms", "mean_ms", "considered/s", "speedup",
+                "levels", "rounds");
 
     std::vector<ConfigResult> results;
     for (int threads = 1; threads <= max_threads; threads *= 2) {
@@ -153,6 +158,8 @@ int Run() {
         if (rep == 0) {
           result.frontier = final_set.Frontier();
           result.considered = generator.stats().considered_plans;
+          result.parallel_levels = generator.stats().parallel_levels;
+          result.rounds = generator.stats().parallel_rounds;
         }
       }
       if (!results.empty()) {
@@ -195,8 +202,9 @@ int Run() {
         swept_4_threads = true;
         best_speedup_at4 = std::max(best_speedup_at4, speedup);
       }
-      std::printf("%8d %10.2f %10.2f %10.2f %14.0f %8.2fx\n",
-                  result.threads, p50, p99, mean, per_s, speedup);
+      std::printf("%8d %10.2f %10.2f %10.2f %14.0f %8.2fx %7d %7d\n",
+                  result.threads, p50, p99, mean, per_s, speedup,
+                  result.parallel_levels, result.rounds);
       bench::Json run = bench::Json::Object();
       run.Set("threads", result.threads)
           .Set("p50_ms", p50)
@@ -204,6 +212,8 @@ int Run() {
           .Set("mean_ms", mean)
           .Set("considered_per_s", per_s)
           .Set("speedup_vs_1_thread", speedup)
+          .Set("parallel_levels", result.parallel_levels)
+          .Set("rounds", result.rounds)
           .Set("frontier_identical", result.frontier_identical);
       runs_json.Push(std::move(run));
     }

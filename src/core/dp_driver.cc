@@ -17,6 +17,42 @@ namespace {
 // steady-state cost of timeout support is one branch per candidate.
 constexpr long kDeadlinePollInterval = 4096;
 
+// The fan-out gate: a level runs on several slots only when its memo-miss
+// sets' summed SplitWorkProxy pairs reach this. A pair costs about 0.45 us
+// to price and check (TPC-H, six objectives, bench operator space, 4-vCPU
+// AVX-512F host), so the smallest level that fans out holds about 1 ms of
+// work. Over all 84 six-of-nine objective subsets at alpha 1.5, the
+// largest level of a three- or four-table TPC-H query has 1,892 pairs, so
+// those stay serial; Q2 (five tables) fans out on 22 subsets, Q5/Q7/Q9 on
+// 56-79, Q8 on 83. In interleaved runs on that host (Q3, Q10, Q2, Q5,
+// Q7, Q9 and Q8, three objective subsets each, four slots), gates of
+// 1,024, 2,048, 4,096 and 8,192 pairs ran 1.18x, 1.12x, 1.09x and 0.87x
+// as fast as fanning out every level with several sets; 2,048 is the
+// smallest that keeps every four-table spec serial.
+constexpr uint64_t kMinFanOutPairs = 2048;
+
+// Rounds: the first round covers this many pairs, each later one twice the
+// one before, so a set's early rounds, where most of its plans are kept,
+// stay small. Starting at 512 pairs instead was within noise (interleaved
+// runs of the TPC-H Q2/Q5/Q7/Q9/Q8 DP).
+constexpr uint64_t kFirstRoundPairs = 64;
+
+// The entry rule: a round runs on all slots only when at most this share
+// of the previous round's candidates survived its round-start set. The
+// caller commits survivors alone, so a round pays off only while they are
+// few: on the TPC-H specs of the five- to eight-table queries, 2.5% of the
+// candidates priced in rounds survived and 0.34% were kept, and the commit
+// (with its deletion pass) took 0.27 s against 1.5 s of parallel pricing.
+// A chain-12 round (three objectives, alpha 1.05) in which 44% survived ran
+// slower on four slots than serially.
+constexpr double kMaxRoundSurvivorShare = 0.10;
+
+// Chunks per slot in a round, so slots that price faster take more. On a
+// 4-vCPU host with steal, in interleaved runs of the TPC-H Q2/Q5/Q7/Q9/Q8
+// DP, 8 chunks per slot beat 4 in 13 of 16 runs (median 218 vs 238 ms);
+// 16 were no better than 8.
+constexpr int kChunksPerSlot = 8;
+
 }  // namespace
 
 const ParetoSet& DPPlanGenerator::Run(const Query& query,
@@ -115,11 +151,34 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
       probe_span.AddArg("hits", stats_.memo_hits - hits_before);
     }
 
+    // The fan-out gate: the memo-miss sets' summed candidate pairs. Slots
+    // beyond the pool's helpers + the caller can never run, so cap there:
+    // parallelism is request-supplied and must not size allocations.
+    int slots = 1;
+    std::vector<int> work;
+    std::vector<uint64_t> proxy;
+    if (parallel && !stats_.timed_out && !options.deadline.Expired()) {
+      proxy.assign(level.size(), 0);
+      uint64_t level_pairs = 0;
+      for (size_t i = 0; i < level.size(); ++i) {
+        if (from_memo[i]) continue;
+        work.push_back(static_cast<int>(i));
+        proxy[i] = SplitWorkProxy(level[i], options);
+        level_pairs += proxy[i];
+      }
+      if (level_pairs >= kMinFanOutPairs) {
+        slots = std::min(options.parallelism, options.pool->num_threads() + 1);
+      }
+    }
+
     std::vector<char> built(level.size(), 0);
-    if (parallel && level.size() > 1 && !stats_.timed_out &&
-        !options.deadline.Expired()) {
-      ProcessLevelParallel(query, level, options, from_memo, &built);
+    if (slots > 1 && work.size() > 1) {
+      ProcessLevelParallel(query, level, options, slots, std::move(work),
+                           proxy, from_memo, &built);
     } else {
+      // At most one memo-miss set here when slots > 1: it builds in rounds.
+      const int set_slots = options.aggressive_delete ? 1 : slots;
+      const int rounds_before = stats_.parallel_rounds;
       for (size_t i = 0; i < level.size(); ++i) {
         const TableSet tables = level[i];
         if (from_memo[i]) {
@@ -137,7 +196,8 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
           continue;
         }
         ParetoSet& set = memo_[tables.mask()];
-        if (ProcessSetInto(query, tables, options, arena_, &set, &stats_)) {
+        if (ProcessSetInto(query, tables, options, arena_, &set, &stats_,
+                           set_slots)) {
           built[i] = 1;
           ++stats_.complete_sets;
           stats_.last_complete_set = tables;
@@ -150,6 +210,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
           ProcessSetQuick(query, tables, options);
         }
       }
+      if (stats_.parallel_rounds > rounds_before) ++stats_.parallel_levels;
     }
 
     // Publish-after-seal: every set built completely by THIS run (never
@@ -211,13 +272,11 @@ uint64_t DPPlanGenerator::SplitWorkProxy(TableSet tables,
 
 void DPPlanGenerator::ProcessLevelParallel(const Query& query,
                                            const std::vector<TableSet>& level,
-                                           const DPOptions& options,
+                                           const DPOptions& options, int slots,
+                                           std::vector<int> work,
+                                           const std::vector<uint64_t>& proxy,
                                            const std::vector<char>& from_memo,
                                            std::vector<char>* built) {
-  // Slots beyond the pool's helpers + the caller can never run, so cap
-  // here: parallelism is request-supplied and must not size allocations.
-  const int slots =
-      std::min(options.parallelism, options.pool->num_threads() + 1);
   while (static_cast<int>(slot_arenas_.size()) < slots - 1) {
     slot_arenas_.push_back(std::make_unique<Arena>());
   }
@@ -236,13 +295,6 @@ void DPPlanGenerator::ProcessLevelParallel(const Query& query,
   // behind one thread; issuing big sets first lets the small ones pack the
   // stragglers. Stable sort on the precomputed proxy keeps the schedule
   // deterministic (results never depend on it — one task per set).
-  std::vector<int> work;
-  work.reserve(level.size());
-  for (size_t i = 0; i < level.size(); ++i) {
-    if (!from_memo[i]) work.push_back(static_cast<int>(i));
-  }
-  std::vector<uint64_t> proxy(level.size(), 0);
-  for (int index : work) proxy[index] = SplitWorkProxy(level[index], options);
   std::stable_sort(work.begin(), work.end(), [&proxy](int a, int b) {
     return proxy[a] > proxy[b];
   });
@@ -411,44 +463,210 @@ std::vector<DPPlanGenerator::Split> DPPlanGenerator::SplitsOf(
   return all;
 }
 
-bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
-                                     const DPOptions& options, Arena* arena,
-                                     ParetoSet* set, DPStats* stats) const {
-  const ParetoSet::PruneOptions prune{options.alpha,
-                                      options.aggressive_delete};
-  long since_poll = 0;
-  for (const Split& split : SplitsOf(query, tables, options)) {
-    const ParetoSet& left_plans = SetFor(split.left);
-    const ParetoSet& right_plans = SetFor(split.right);
-    for (int li = 0; li < left_plans.size(); ++li) {
+DPPlanGenerator::PairStream DPPlanGenerator::StreamOf(
+    const Query& query, TableSet tables, const DPOptions& options) const {
+  PairStream stream;
+  stream.splits = SplitsOf(query, tables, options);
+  for (Split& split : stream.splits) {
+    split.left_plans = &SetFor(split.left);
+    split.right_plans = &SetFor(split.right);
+    split.first_pair = stream.pairs;
+    stream.pairs += static_cast<uint64_t>(split.left_plans->size()) *
+                    static_cast<uint64_t>(split.right_plans->size());
+  }
+  return stream;
+}
+
+template <class Fn>
+bool DPPlanGenerator::PriceRange(const PairStream& stream, uint64_t begin,
+                                 uint64_t end, const Deadline& deadline,
+                                 long* since_poll, Fn&& fn) const {
+  const std::vector<Split>& splits = stream.splits;
+  // The split holding pair `begin`: the last one starting at or before it
+  // (splits without pairs start where their successor does).
+  size_t s = std::upper_bound(splits.begin(), splits.end(), begin,
+                              [](uint64_t pair, const Split& split) {
+                                return pair < split.first_pair;
+                              }) -
+             splits.begin() - 1;
+  long polled = *since_poll;
+  for (uint64_t pair = begin; pair < end; ++s) {
+    const Split& split = splits[s];
+    const uint64_t split_end = std::min(
+        end, s + 1 < splits.size() ? splits[s + 1].first_pair : stream.pairs);
+    if (pair >= split_end) continue;
+    const ParetoSet& left_plans = *split.left_plans;
+    const ParetoSet& right_plans = *split.right_plans;
+    const uint64_t width = static_cast<uint64_t>(right_plans.size());
+    int li = static_cast<int>((pair - split.first_pair) / width);
+    int ri = static_cast<int>((pair - split.first_pair) % width);
+    for (; pair < split_end; ++pair) {
       const PlanNode* left = left_plans.at(li);
-      for (int ri = 0; ri < right_plans.size(); ++ri) {
-        const PlanNode* right = right_plans.at(ri);
-        // One set of operand terms per pair, shared by its join configs;
-        // a candidate is priced on the stack and becomes a node only if
-        // the set keeps it.
-        const CostModel::JoinOperands operands =
-            model_->Operands(*left, *right, split.info);
-        for (int config : registry_->join_configs()) {
-          if (++since_poll >= kDeadlinePollInterval) {
-            since_poll = 0;
-            if (options.deadline.Expired()) return false;
-          }
-          const OperatorConfig& op = registry_->config(config);
-          if (!model_->JoinApplicableFast(op, split.info)) continue;
-          const CostVector cost = model_->CombineJoinCost(op, operands);
-          ++stats->considered_plans;
-          if (set->WouldInsert(cost, prune)) {
-            const PlanNode* kept = arena->New<PlanNode>(
-                model_->JoinNode(config, left, right, operands, cost));
-            set->Insert(kept, prune);
-            ++stats->inserted_plans;
-          }
+      const PlanNode* right = right_plans.at(ri);
+      // One set of operand terms per pair, shared by its join configs; a
+      // candidate is priced on the stack and becomes a node only if the
+      // set keeps it.
+      const CostModel::JoinOperands operands =
+          model_->Operands(*left, *right, split.info);
+      for (int config : registry_->join_configs()) {
+        if (++polled >= kDeadlinePollInterval) {
+          polled = 0;
+          if (deadline.Expired()) return false;
         }
+        const OperatorConfig& op = registry_->config(config);
+        if (!model_->JoinApplicableFast(op, split.info)) continue;
+        fn(config, left, right, operands,
+           model_->CombineJoinCost(op, operands));
+      }
+      if (++ri == static_cast<int>(width)) {
+        ri = 0;
+        ++li;
       }
     }
   }
+  *since_poll = polled;
+  return true;
+}
+
+bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
+                                     const DPOptions& options, Arena* arena,
+                                     ParetoSet* set, DPStats* stats,
+                                     int slots) {
+  const ParetoSet::PruneOptions prune{options.alpha,
+                                      options.aggressive_delete};
+  const PairStream stream = StreamOf(query, tables, options);
+  const uint64_t pairs = stream.pairs;
+  long since_poll = 0;
+  const auto insert = [&](int config, const PlanNode* left,
+                          const PlanNode* right,
+                          const CostModel::JoinOperands& operands,
+                          const CostVector& cost) {
+    ++stats->considered_plans;
+    if (set->WouldInsert(cost, prune)) {
+      set->Insert(arena->New<PlanNode>(
+                      model_->JoinNode(config, left, right, operands, cost)),
+                  prune);
+      ++stats->inserted_plans;
+    }
+  };
+  if (slots <= 1) {
+    if (!PriceRange(stream, 0, pairs, options.deadline, &since_poll,
+                    insert)) {
+      return false;
+    }
+    set->Seal();
+    return true;
+  }
+
+  // Rounds. A rejecter cache is valid for one set only.
+  round_slots_.resize(std::max(round_slots_.size(),
+                               static_cast<size_t>(slots)));
+  for (RoundSlot& slot : round_slots_) slot.rejecters = {};
+  bool on_all_slots = false;
+  uint64_t size = kFirstRoundPairs;
+  for (uint64_t begin = 0; begin < pairs; begin += size, size *= 2) {
+    const uint64_t end = std::min(pairs, begin + size);
+    const long considered_before = stats->considered_plans;
+    const long inserted_before = stats->inserted_plans;
+    long survivors = 0;
+    if (on_all_slots
+            ? !RunRound(stream, begin, end, options, slots, set, stats,
+                        &survivors)
+            : !PriceRange(stream, begin, end, options.deadline, &since_poll,
+                          insert)) {
+      return false;
+    }
+    // Every candidate a serial round inserts survived the set as it stood,
+    // so its insert count stands in for the survivor count.
+    if (!on_all_slots) survivors = stats->inserted_plans - inserted_before;
+    on_all_slots = survivors <= kMaxRoundSurvivorShare *
+                                    (stats->considered_plans -
+                                     considered_before);
+  }
   set->Seal();
+  return true;
+}
+
+bool DPPlanGenerator::RunRound(const PairStream& stream, uint64_t begin,
+                               uint64_t end, const DPOptions& options,
+                               int slots, ParetoSet* set, DPStats* stats,
+                               long* survivors) {
+  TraceSpan round_span(options.tracer, "dp", "dp.round", options.trace_id);
+  const ParetoSet::PruneOptions prune{options.alpha,
+                                      options.aggressive_delete};
+  const int chunks = static_cast<int>(
+      std::min<uint64_t>(end - begin, static_cast<uint64_t>(slots) *
+                                          kChunksPerSlot));
+  round_chunks_.resize(std::max(round_chunks_.size(),
+                                static_cast<size_t>(chunks)));
+  for (int s = 0; s < slots; ++s) round_slots_[s].last_finish_us = -1;
+  std::atomic<bool> expired{false};
+  StopWatch round_watch;
+  const auto round_us = [&round_watch] {
+    return static_cast<int64_t>(round_watch.ElapsedMillis() * 1000.0);
+  };
+
+  // Pricing: each chunk keeps, in candidate order, the candidates the set
+  // as it stands does not reject. Nothing writes the set meanwhile, and
+  // each slot checks through its own rejecter cache.
+  options.pool->ParallelFor(chunks, slots - 1, [&](int c, int s) {
+    RoundChunk& chunk = round_chunks_[c];
+    chunk.survivors.clear();
+    chunk.considered = 0;
+    if (expired.load(std::memory_order_relaxed)) return;
+    RoundSlot& slot = round_slots_[s];
+    const uint64_t chunk_begin = begin + (end - begin) * c / chunks;
+    const uint64_t chunk_end = begin + (end - begin) * (c + 1) / chunks;
+    const bool priced = PriceRange(
+        stream, chunk_begin, chunk_end, options.deadline, &slot.since_poll,
+        [&](int config, const PlanNode* left, const PlanNode* right,
+            const CostModel::JoinOperands& operands, const CostVector& cost) {
+          ++chunk.considered;
+          if (set->WouldInsert(cost, prune, &slot.rejecters)) {
+            chunk.survivors.push_back(
+                model_->JoinNode(config, left, right, operands, cost));
+          }
+        });
+    if (!priced) expired.store(true, std::memory_order_relaxed);
+    slot.last_finish_us = round_us();
+  });
+  if (expired.load(std::memory_order_relaxed)) return false;
+  const int64_t priced_us = round_us();
+
+  // Commit, in candidate order: a survivor is rejected serially iff a row
+  // kept earlier in this round rejects it, and the round's deletions run
+  // once at its end.
+  const int mark = set->row_count();
+  long round_considered = 0;
+  long round_survivors = 0;
+  long kept = 0;
+  for (int c = 0; c < chunks; ++c) {
+    const RoundChunk& chunk = round_chunks_[c];
+    round_considered += chunk.considered;
+    round_survivors += static_cast<long>(chunk.survivors.size());
+    for (const PlanNode& node : chunk.survivors) {
+      if (!set->WouldInsertSince(mark, node.cost, prune)) continue;
+      set->Append(arena_->New<PlanNode>(node));
+      ++kept;
+    }
+  }
+  set->DeleteDominatedSince(mark);
+
+  // Idle slot time: the caller waits from its last chunk until pricing
+  // ends; the helpers until the commit ends.
+  const int64_t round_end_us = round_us();
+  int64_t wait_us = 0;
+  for (int s = 0; s < slots; ++s) {
+    const int64_t finish = round_slots_[s].last_finish_us;
+    if (finish >= 0) wait_us += (s == 0 ? priced_us : round_end_us) - finish;
+  }
+  stats->considered_plans += round_considered;
+  stats->inserted_plans += kept;
+  stats->barrier_wait_us += wait_us;
+  ++stats->parallel_rounds;
+  *survivors = round_survivors;
+  round_span.AddArg("pairs", static_cast<int64_t>(end - begin));
+  round_span.AddArg("survivors", round_survivors);
   return true;
 }
 

@@ -11,16 +11,36 @@
 // distinguishes the EXA (alpha = 1) from the RTA (alpha = |Q|-th root of
 // the user precision).
 //
-// Parallelism (PR 3): table sets of cardinality k depend only on sets of
-// cardinality < k, so each DP level is an embarrassingly parallel batch.
-// With parallelism > 1 and a pool, the driver partitions every level's
-// table sets across ThreadPool::ParallelFor — each set is built by exactly
-// one task, in the same split order as the serial engine, allocating
-// surviving plans from a per-slot scratch Arena — and seals the level at a
-// barrier before the next level starts. Because parallelism is across
-// sets (never within one set's insertion sequence), the sealed frontier of
-// every table set is byte-for-byte identical to the serial run's for any
-// thread count, exact or approximate pruning alike.
+// Parallelism: table sets of cardinality k depend only on sets of
+// cardinality < k, so each DP level is a parallel batch. With parallelism
+// > 1 and a pool, a level runs on several slots (ThreadPool::ParallelFor
+// participants) only when its memo-miss sets carry enough work: their
+// summed candidate (left, right) pairs (SplitWorkProxy) must reach one
+// constant, since fanning a few thousand pairs out costs more than it
+// saves. A level that clears it goes one of two ways:
+//
+//  * Several memo-miss sets: each set is built by exactly one task, in
+//    the serial split order, allocating surviving plans from a per-slot
+//    scratch Arena, and the level seals at a barrier.
+//  * One memo-miss set (the top level of every query): all slots build it
+//    in rounds over its (split, left plan, right plan) stream, doubling in
+//    size. The slots price contiguous chunks of a round and drop every
+//    candidate the set as it stood at the round start rejects; the caller
+//    then commits the survivors in candidate order, re-checking each only
+//    against the rows kept in this round, and runs the round's deletions
+//    at once (ParetoSet::Append / DeleteDominatedSince). This is exact: a
+//    stored plan leaves a set only when a plain dominator q replaces it,
+//    and q ⪯ p ⪯α c gives q ⪯α c, so every rejection by the round-start
+//    set is a serial rejection too. Rounds pay off only when few
+//    candidates survive the round-start set, so a set starts with one
+//    serial round and runs each later round on all slots only while the
+//    previous round's survivor ratio (its insert ratio, after a serial
+//    round) stays under a constant. aggressive_delete, whose deletions are
+//    approximate, never runs in rounds.
+//
+// Either way, every table set's sealed frontier, `considered_plans` and
+// `inserted_plans` are identical to the serial run's at any thread count,
+// exact or approximate pruning alike.
 //
 // Cross-query subplan memo (PR 4): with DPOptions::subplan_memo set, the
 // driver probes a shared SubplanMemo before building a table set — keyed
@@ -124,10 +144,13 @@ struct DPStats {
   long memo_hits = 0;
   long memo_misses = 0;
   long memo_publishes = 0;
-  /// Barrier-tail attribution (PR 6): DP levels that actually fanned out,
-  /// and the total time participating slots spent finished-but-waiting at
-  /// level barriers (the work-stealing ROADMAP item's target metric).
+  /// Fan-out attribution: DP levels that ran on several slots (across
+  /// sets or in rounds), the rounds run on all slots, and the total time
+  /// participating slots sat idle at barriers — at a level's end from each
+  /// slot's last set; in a round from each slot's last chunk to the end of
+  /// the round's commit.
   int parallel_levels = 0;
+  int parallel_rounds = 0;
   long barrier_wait_us = 0;
 };
 
@@ -157,22 +180,63 @@ class DPPlanGenerator {
  private:
   void ProcessSingletons(const Query& query, const DPOptions& options);
 
+  /// One ordered split with its precomputed plan-independent facts; in a
+  /// candidate stream (StreamOf) also its operand frontiers and the number
+  /// of (left plan, right plan) pairs of the splits ahead of it.
+  struct Split {
+    TableSet left;
+    TableSet right;
+    CostModel::SplitInfo info;
+    const ParetoSet* left_plans = nullptr;
+    const ParetoSet* right_plans = nullptr;
+    uint64_t first_pair = 0;
+  };
+
+  /// A table set's candidate stream: its splits in enumeration order and
+  /// the pairs of all of them.
+  struct PairStream {
+    std::vector<Split> splits;
+    uint64_t pairs = 0;
+  };
+
   /// Builds the plan set for `tables` into `set`, allocating survivors
   /// from `arena` and counting into `stats`; seals the set on success.
-  /// Returns false if the deadline expired mid-set (the partial set is
-  /// discarded and rebuilt quickly by the caller).
+  /// With `slots` > 1 the set is built in rounds (see the header comment)
+  /// on options.pool, kept plans allocated from the run arena. Returns
+  /// false if the deadline expired mid-set (the partial set is discarded
+  /// and rebuilt quickly by the caller).
   bool ProcessSetInto(const Query& query, TableSet tables,
                       const DPOptions& options, Arena* arena, ParetoSet* set,
-                      DPStats* stats) const;
+                      DPStats* stats, int slots = 1);
 
-  /// Fans one level's memo-miss table sets out over options.pool (largest
-  /// estimated sets first, to shorten the barrier tail); merges stats and
-  /// seals every set at the closing barrier. `from_memo[i]` marks sets
-  /// already sealed by a memo hit; `built[i]` is set for sets completely
-  /// built locally (the publish candidates).
+  /// Calls fn(config, left, right, operands, cost) for every applicable
+  /// candidate of pairs [begin, end) of `stream`, in stream order. Returns
+  /// false iff the deadline expired; `since_poll` carries the candidates
+  /// since its last poll across calls.
+  template <class Fn>
+  bool PriceRange(const PairStream& stream, uint64_t begin, uint64_t end,
+                  const Deadline& deadline, long* since_poll, Fn&& fn) const;
+
+  /// One round of the rounds build: pairs [begin, end) of `stream` priced
+  /// on `slots` slots against `set` as it stands, survivors committed in
+  /// candidate order. Adds the round's counts to `stats` and sets
+  /// `*survivors` to the candidates the round-start set kept. Returns
+  /// false iff the deadline expired.
+  bool RunRound(const PairStream& stream, uint64_t begin, uint64_t end,
+                const DPOptions& options, int slots, ParetoSet* set,
+                DPStats* stats, long* survivors);
+
+  /// Fans one level's memo-miss table sets (`work`, level indices) out
+  /// over `slots` slots (largest estimated sets first, to shorten the
+  /// barrier tail); merges stats and seals every set at the closing
+  /// barrier. `proxy[i]` is set i's SplitWorkProxy; `from_memo[i]` marks
+  /// sets already sealed by a memo hit; `built[i]` is set for sets
+  /// completely built locally (the publish candidates).
   void ProcessLevelParallel(const Query& query,
                             const std::vector<TableSet>& level,
-                            const DPOptions& options,
+                            const DPOptions& options, int slots,
+                            std::vector<int> work,
+                            const std::vector<uint64_t>& proxy,
                             const std::vector<char>& from_memo,
                             std::vector<char>* built);
 
@@ -181,27 +245,24 @@ class DPPlanGenerator {
   /// entry's dense-rank space to this query's local indices.
   void MaterializeFromMemo(TableSet tables, const PlanSet& entry);
 
-  /// Estimated candidate count of building `tables`: sum over its splits
-  /// of |left frontier| * |right frontier|. Cheap (frontiers of lower
-  /// levels are sealed) and only a *scheduling* hint — results never
-  /// depend on task order.
+  /// Estimated work of building `tables`: sum over its splits of |left
+  /// frontier| * |right frontier|, the (left, right) pairs each priced
+  /// under every join config. Cheap (frontiers of lower levels are sealed)
+  /// and only a *scheduling* input — results never depend on it.
   uint64_t SplitWorkProxy(TableSet tables, const DPOptions& options) const;
 
   /// Quick mode: single weighted-best plan for `tables`.
   void ProcessSetQuick(const Query& query, TableSet tables,
                        const DPOptions& options);
 
-  /// One ordered split with its precomputed plan-independent facts.
-  struct Split {
-    TableSet left;
-    TableSet right;
-    CostModel::SplitInfo info;
-  };
-
   /// Ordered splits of `tables` honouring the Cartesian heuristic and the
   /// bushy/left-deep switch, with SplitInfo computed once per split.
   std::vector<Split> SplitsOf(const Query& query, TableSet tables,
                               const DPOptions& options) const;
+
+  /// SplitsOf(tables) with their operand frontiers and pair offsets.
+  PairStream StreamOf(const Query& query, TableSet tables,
+                      const DPOptions& options) const;
 
   WeightVector EffectiveWeights(const DPOptions& options) const;
 
@@ -211,6 +272,22 @@ class DPPlanGenerator {
   /// Scratch arenas for parallel helper slots (slot 0 reuses arena_);
   /// plans they hand out live until the next Run().
   std::vector<std::unique_ptr<Arena>> slot_arenas_;
+  /// Rounds state, grown on first use and reused by every later round:
+  /// one survivor buffer per chunk and one rejecter cache per slot, each
+  /// on its own cache lines.
+  struct alignas(64) RoundChunk {
+    std::vector<PlanNode> survivors;
+    long considered = 0;
+  };
+  struct alignas(64) RoundSlot {
+    ParetoSet::Rejecters rejecters;
+    long since_poll = 0;
+    /// When the slot finished its last chunk, in round-watch us; -1 = it
+    /// ran none this round.
+    int64_t last_finish_us = -1;
+  };
+  std::vector<RoundChunk> round_chunks_;
+  std::vector<RoundSlot> round_slots_;
   const Query* query_;
   std::unordered_map<uint64_t, ParetoSet> memo_;
   /// Canonical-signature builder of the current run; set iff a subplan

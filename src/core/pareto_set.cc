@@ -38,30 +38,31 @@ const ParetoSet::ScanBody ParetoSet::kBestScanBody =
     Avx512Available() ? ScanBody::kAvx512 : ScanBody::kScalar;
 
 template <class Row>
-bool ParetoSet::HasDominator(const Row& threshold, bool use_hot) const {
-  if (use_hot) {
-    for (int h = 0; h < hot_used_; ++h) {
-      if (threshold.Below(&hot_[h * kNumObjectives])) return true;
+bool ParetoSet::HasDominator(const Row& threshold, Rejecters* hot,
+                             int first) const {
+  if (hot != nullptr) {
+    for (int h = 0; h < hot->used; ++h) {
+      if (threshold.Below(&hot->rows[h * kNumObjectives])) return true;
     }
   }
   // Newest blocks first: consecutive candidates usually come from the same
   // split and are most often dominated by a recent insertion.
   const double* costs = costs_.data();
-  for (int b = NumBlocks() - 1; b >= 0; --b) {
+  for (int b = NumBlocks() - 1; b >= first / kBlockSize; --b) {
     // A block can contain a dominator only if its component-wise min is
     // below the threshold in every dimension (+inf mins — dead blocks —
     // never pass).
     if (!threshold.Below(&block_min_[static_cast<size_t>(b) * dims_])) {
       continue;
     }
-    const int begin = b * kBlockSize;
-    const int end = std::min(begin + kBlockSize, rows());
+    const int begin = std::max(b * kBlockSize, first);
+    const int end = std::min(b * kBlockSize + kBlockSize, rows());
     for (int i = end - 1; i >= begin; --i) {
       // Row test first: most rows fail it, and a tombstone's stale row is
       // still in bounds.
       const double* row = costs + static_cast<size_t>(i) * dims_;
       if (threshold.Below(row) && plans_[i] != nullptr) {
-        if (use_hot) RememberRejecter(row);
+        if (hot != nullptr) RememberRejecter(row, hot);
         return true;
       }
     }
@@ -70,14 +71,14 @@ bool ParetoSet::HasDominator(const Row& threshold, bool use_hot) const {
 }
 
 template <class Row>
-void ParetoSet::DeleteDominated(const Row& row) {
+void ParetoSet::DeleteDominated(const Row& row, int end_row) {
   const double* costs = costs_.data();
-  for (int b = 0; b < NumBlocks(); ++b) {
+  for (int b = 0; b * kBlockSize < end_row; ++b) {
     // The new plan can dominate a block member only if row <= block_max
     // (-inf maxes — dead blocks — never pass).
     if (!row.Above(&block_max_[static_cast<size_t>(b) * dims_])) continue;
     const int begin = b * kBlockSize;
-    const int end = std::min(begin + kBlockSize, rows());
+    const int end = std::min(begin + kBlockSize, end_row);
     bool removed_any = false;
     for (int i = begin; i < end; ++i) {
       if (row.Above(costs + static_cast<size_t>(i) * dims_) &&
@@ -96,26 +97,27 @@ void ParetoSet::DeleteDominated(const Row& row) {
 // AVX-512F-compiled loop.
 MOQO_TARGET_AVX512 __attribute__((flatten)) bool
 ParetoSet::HasDominatorAvx512(const double* threshold, int dims,
-                              bool use_hot) const {
-  return HasDominator(Avx512Row(threshold, dims), use_hot);
+                              Rejecters* hot, int first) const {
+  return HasDominator(Avx512Row(threshold, dims), hot, first);
 }
 
 MOQO_TARGET_AVX512 __attribute__((flatten)) void
-ParetoSet::DeleteDominatedAvx512(const double* row, int dims) {
-  DeleteDominated(Avx512Row(row, dims));
+ParetoSet::DeleteDominatedAvx512(const double* row, int dims, int end) {
+  DeleteDominated(Avx512Row(row, dims), end);
 }
 #endif  // MOQO_DOMINANCE_AVX512
 
-void ParetoSet::RememberRejecter(const double* row) const {
-  double* hot = &hot_[hot_next_ * kNumObjectives];
-  for (int d = 0; d < dims_; ++d) hot[d] = row[d];
-  hot_next_ = (hot_next_ + 1) % kHotSlots;
-  hot_used_ = std::min(hot_used_ + 1, kHotSlots);
+void ParetoSet::RememberRejecter(const double* row, Rejecters* hot) const {
+  double* slot = &hot->rows[hot->next * kNumObjectives];
+  for (int d = 0; d < dims_; ++d) slot[d] = row[d];
+  hot->next = (hot->next + 1) % Rejecters::kSlots;
+  hot->used = std::min(hot->used + 1, Rejecters::kSlots);
 }
 
-bool ParetoSet::WouldInsert(const CostVector& cost,
-                            const PruneOptions& options,
-                            [[maybe_unused]] ScanBody body) const {
+inline bool ParetoSet::WouldInsertFrom(int first, const CostVector& cost,
+                                       const PruneOptions& options,
+                                       Rejecters* hot,
+                                       [[maybe_unused]] ScanBody body) const {
   const int dims = cost.size();
   // stored ⪯_alpha cost  <=>  stored ⪯ alpha*cost; the alpha multiply is
   // hoisted out of the scans by scaling the candidate once into a
@@ -126,41 +128,33 @@ bool ParetoSet::WouldInsert(const CostVector& cost,
   } else {
     for (int d = 0; d < dims; ++d) threshold[d] = cost[d] * options.alpha;
   }
+#if MOQO_DOMINANCE_AVX512
+  if (body == ScanBody::kAvx512) {
+    return !HasDominatorAvx512(threshold, dims, hot, first);
+  }
+#endif
+  return !HasDominator(ScalarRow(threshold, dims), hot, first);
+}
+
+bool ParetoSet::WouldInsert(const CostVector& cost,
+                            const PruneOptions& options, Rejecters* hot,
+                            ScanBody body) const {
   // Recent-rejecter cache (sound only with the default deletion rule: a
   // tombstoned plan is plainly dominated by a live one, so its rejections
   // transfer; with aggressive deletion that implication weakens to alpha^2).
-  const bool use_hot = !options.aggressive_delete;
-#if MOQO_DOMINANCE_AVX512
-  if (body == ScanBody::kAvx512) {
-    return !HasDominatorAvx512(threshold, dims, use_hot);
-  }
-#endif
-  return !HasDominator(ScalarRow(threshold, dims), use_hot);
+  return WouldInsertFrom(0, cost, options,
+                         options.aggressive_delete ? nullptr : hot, body);
 }
 
-void ParetoSet::Insert(const PlanNode* plan, const PruneOptions& options,
-                       [[maybe_unused]] ScanBody body) {
-  const CostVector& cost = plan->cost;
-  const int dims = cost.size();
+bool ParetoSet::WouldInsertSince(int mark, const CostVector& cost,
+                                 const PruneOptions& options,
+                                 ScanBody body) const {
+  return WouldInsertFrom(mark, cost, options, nullptr, body);
+}
+
+inline void ParetoSet::AppendRow(const PlanNode* plan, const double* row) {
+  const int dims = plan->cost.size();
   if (dims_ == 0) dims_ = dims;
-  double row[kNumObjectives];
-  for (int d = 0; d < dims; ++d) row[d] = cost[d];
-
-  // Deletion: tombstone stored plans the new plan dominates. Plain
-  // dominance by default (see header); approximate dominance only in the
-  // ablation mode.
-  if (options.aggressive_delete && options.alpha > 1.0) {
-    DeleteDominated(ScaledRow(row, dims, options.alpha));
-#if MOQO_DOMINANCE_AVX512
-  } else if (body == ScanBody::kAvx512) {
-    DeleteDominatedAvx512(row, dims);
-#endif
-  } else {
-    DeleteDominated(ScalarRow(row, dims));
-  }
-
-  // Compact when tombstones dominate the storage.
-  if (live_ * 2 < rows()) Compact();
 
   // Append the row and fold it into the last block's summaries.
   plans_.push_back(plan);
@@ -177,6 +171,55 @@ void ParetoSet::Insert(const PlanNode* plan, const PruneOptions& options,
     bmin[d] = std::min(bmin[d], row[d]);
     bmax[d] = std::max(bmax[d], row[d]);
   }
+}
+
+void ParetoSet::Insert(const PlanNode* plan, const PruneOptions& options,
+                       [[maybe_unused]] ScanBody body) {
+  const CostVector& cost = plan->cost;
+  const int dims = cost.size();
+  double row[kNumObjectives];
+  for (int d = 0; d < dims; ++d) row[d] = cost[d];
+
+  // Deletion: tombstone stored plans the new plan dominates. Plain
+  // dominance by default (see header); approximate dominance only in the
+  // ablation mode.
+  if (options.aggressive_delete && options.alpha > 1.0) {
+    DeleteDominated(ScaledRow(row, dims, options.alpha), rows());
+#if MOQO_DOMINANCE_AVX512
+  } else if (body == ScanBody::kAvx512) {
+    DeleteDominatedAvx512(row, dims, rows());
+#endif
+  } else {
+    DeleteDominated(ScalarRow(row, dims), rows());
+  }
+
+  // Compact when tombstones dominate the storage.
+  if (live_ * 2 < rows()) Compact();
+  AppendRow(plan, row);
+}
+
+void ParetoSet::Append(const PlanNode* plan) {
+  double row[kNumObjectives];
+  for (int d = 0; d < plan->cost.size(); ++d) row[d] = plan->cost[d];
+  AppendRow(plan, row);
+}
+
+void ParetoSet::DeleteDominatedSince(int mark,
+                                     [[maybe_unused]] ScanBody body) {
+  // Each appended row owes the deletion pass Insert would have run over
+  // the rows before it. Rows after it need none: a row it dominates
+  // would have failed WouldInsert against it.
+  for (int j = mark; j < rows(); ++j) {
+    const double* row = costs_.data() + static_cast<size_t>(j) * dims_;
+#if MOQO_DOMINANCE_AVX512
+    if (body == ScanBody::kAvx512) {
+      DeleteDominatedAvx512(row, dims_, j);
+      continue;
+    }
+#endif
+    DeleteDominated(ScalarRow(row, dims_), j);
+  }
+  if (live_ * 2 < rows()) Compact();
 }
 
 bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options,
@@ -251,8 +294,7 @@ void ParetoSet::clear() {
   block_max_.clear();
   dims_ = 0;
   live_ = 0;
-  hot_used_ = 0;
-  hot_next_ = 0;
+  hot_ = Rejecters();
 }
 
 CostVector ParetoSet::cost_at(int i) const {

@@ -48,11 +48,20 @@
 // cost, then — only for a kept candidate, now arena-allocated — Insert,
 // which runs just the deletion pass.
 //
+// Rounds (the DP's one-set levels): several threads check candidates
+// against the set as it stands at a round start, each through its own
+// Rejecters cache; one thread then re-checks the survivors, in candidate
+// order, only against the rows appended since the round's mark
+// (WouldInsertSince), Appends the kept ones without a deletion pass, and
+// runs every deferred deletion at once (DeleteDominatedSince). A plainly
+// dominated row that stays until then rejects nothing its dominator does
+// not, so the set ends exactly as Insert-ing the same plans would leave it.
+//
 // Thread-safety: none while mutating, but every const member is genuinely
-// read-only except WouldInsert (which touches the mutable hot-rejecter
-// cache). The parallel DP driver therefore shares *sealed* sets across
-// threads freely and calls WouldInsert/Insert only on the one unsealed set
-// its task owns.
+// read-only except the WouldInsert overload without a Rejecters argument
+// (it touches the set's own mutable cache). The parallel DP driver shares
+// *sealed* sets across threads freely, and checks one unsealed set from
+// several threads only through per-thread Rejecters.
 
 #ifndef MOQO_CORE_PARETO_SET_H_
 #define MOQO_CORE_PARETO_SET_H_
@@ -88,11 +97,33 @@ class ParetoSet {
   /// body in turn, and name kAvx512 only where Avx512Available().
   static const ScanBody kBestScanBody;
 
+  /// Move-to-front cache of recently rejecting cost rows: consecutive
+  /// candidates usually come from the same split and are rejected by the
+  /// same stored plan. Purely an accelerator; stale copies are harmless
+  /// because every cached row belonged to a stored plan whose dominance
+  /// already implied rejection (tombstoning only ever happens to plans
+  /// dominated by a *kept* plan, which then dominates the same
+  /// candidates). Valid for one set only.
+  struct Rejecters {
+    static constexpr int kSlots = 4;
+    std::array<double, kSlots * kNumObjectives> rows{};
+    int used = 0;
+    int next = 0;
+  };
+
   /// Insertion check only: would a plan with cost `cost` survive pruning?
   /// Lets the DP driver cost-evaluate candidates on the stack and
   /// arena-allocate only survivors.
   bool WouldInsert(const CostVector& cost, const PruneOptions& options,
-                   ScanBody body = kBestScanBody) const;
+                   ScanBody body = kBestScanBody) const {
+    return WouldInsert(cost, options, &hot_, body);
+  }
+
+  /// The same check through the caller's `hot` cache instead of the set's
+  /// own: calls with distinct caches on a set nobody mutates meanwhile are
+  /// race-free.
+  bool WouldInsert(const CostVector& cost, const PruneOptions& options,
+                   Rejecters* hot, ScanBody body = kBestScanBody) const;
 
   /// Inserts `plan`, which WouldInsert accepted with the same options, with
   /// nothing inserted since: tombstones the stored plans it dominates and
@@ -109,6 +140,28 @@ class ParetoSet {
 
   /// Convenience overload with exact pruning.
   bool Prune(const PlanNode* plan) { return Prune(plan, PruneOptions()); }
+
+  /// Rows stored, live or tombstoned: a round's mark. It stays valid
+  /// through Append and until DeleteDominatedSince.
+  int row_count() const { return rows(); }
+
+  /// WouldInsert against only the rows at index >= `mark`, without the
+  /// rejecter cache.
+  bool WouldInsertSince(int mark, const CostVector& cost,
+                        const PruneOptions& options,
+                        ScanBody body = kBestScanBody) const;
+
+  /// Appends `plan` with no deletion pass and no compaction: the plan must
+  /// pass WouldInsert against the set as it stands, and plain deletion
+  /// (not aggressive_delete) must apply. DeleteDominatedSince owes the
+  /// deletions.
+  void Append(const PlanNode* plan);
+
+  /// The deletions owed by the plans appended since `mark`: tombstones
+  /// every row that a row appended after it plainly dominates, then
+  /// compacts if tombstones dominate the storage. The set then holds what
+  /// Insert-ing the appended plans in order would have left.
+  void DeleteDominatedSince(int mark, ScanBody body = kBestScanBody);
 
   /// Number of live (non-deleted) plans.
   int size() const { return live_; }
@@ -171,26 +224,36 @@ class ParetoSet {
     return (rows() + kBlockSize - 1) / kBlockSize;
   }
 
-  /// WouldInsert's scans — hot rows, then block minima and rows, newest
-  /// first — with the kernel `threshold` (Below(r) <=> r <= the
-  /// candidate's threshold). True iff a stored row rejects the candidate;
-  /// that row enters the hot cache when `use_hot`.
+  /// WouldInsert's scans — cached rejecters, then block minima and rows
+  /// at index >= `first`, newest first — with the kernel `threshold`
+  /// (Below(r) <=> r <= the candidate's threshold). True iff a stored row
+  /// rejects the candidate; that row enters `hot` unless it is null.
   template <class Row>
-  bool HasDominator(const Row& threshold, bool use_hot) const;
+  bool HasDominator(const Row& threshold, Rejecters* hot, int first) const;
 
-  /// Insert's deletion pass — block maxima, then rows — with the kernel
-  /// `row` (Above(r) <=> the new row dominates r: plainly, or within alpha
-  /// in the ablation): tombstones every live row the new row dominates.
+  /// Insert's deletion pass — block maxima, then rows below index `end` —
+  /// with the kernel `row` (Above(r) <=> the new row dominates r: plainly,
+  /// or within alpha in the ablation): tombstones every live row the new
+  /// row dominates.
   template <class Row>
-  void DeleteDominated(const Row& row);
+  void DeleteDominated(const Row& row, int end);
 
   /// The two passes above compiled for AVX-512F.
-  bool HasDominatorAvx512(const double* threshold, int dims,
-                          bool use_hot) const;
-  void DeleteDominatedAvx512(const double* row, int dims);
+  bool HasDominatorAvx512(const double* threshold, int dims, Rejecters* hot,
+                          int first) const;
+  void DeleteDominatedAvx512(const double* row, int dims, int end);
 
-  /// Records a rejecting stored row in the hot cache.
-  void RememberRejecter(const double* row) const;
+  /// WouldInsert's body: the scans from row `first` on.
+  bool WouldInsertFrom(int first, const CostVector& cost,
+                       const PruneOptions& options, Rejecters* hot,
+                       ScanBody body) const;
+
+  /// Appends `plan`, whose cost components `row` holds, and folds the row
+  /// into the last block's summaries: Append's body, shared with Insert.
+  void AppendRow(const PlanNode* plan, const double* row);
+
+  /// Records a rejecting stored row in `hot`.
+  void RememberRejecter(const double* row, Rejecters* hot) const;
 
   /// Recomputes min/max summaries of block `b` from its live rows.
   void RebuildBlock(int b);
@@ -211,16 +274,8 @@ class ParetoSet {
   std::vector<double> block_min_;
   std::vector<double> block_max_;
 
-  /// Move-to-front cache of recently rejecting cost rows: consecutive
-  /// candidates usually come from the same split and are rejected by the
-  /// same stored plan. Purely an accelerator; stale copies are harmless
-  /// because every cached row belonged to a stored plan whose dominance
-  /// already implied rejection (tombstoning only ever happens to plans
-  /// dominated by a *kept* plan, which then dominates the same candidates).
-  static constexpr int kHotSlots = 4;
-  mutable std::array<double, kHotSlots * kNumObjectives> hot_{};
-  mutable int hot_used_ = 0;
-  mutable int hot_next_ = 0;
+  /// The set's own rejecter cache (the WouldInsert overload without one).
+  mutable Rejecters hot_;
 };
 
 }  // namespace moqo

@@ -101,8 +101,8 @@ struct ServiceOptions {
   /// Worker threads; 0 = one per hardware thread.
   int num_workers = 0;
   /// Helper threads of the shared intra-query DP pool (0 = one per
-  /// hardware thread). Big queries fan each DP level out over this pool
-  /// (see PolicyOptions::parallel_min_tables / max_parallelism); the pool
+  /// hardware thread). DP levels with enough work fan out over this pool
+  /// (see PolicyOptions::max_parallelism and core/dp_driver.h); the pool
   /// is shared by all in-flight requests and sized independently of the
   /// request workers.
   int num_dp_helpers = 0;

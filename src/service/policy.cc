@@ -22,8 +22,7 @@ constexpr double kTightAlpha = 2.5;
 /// Deterministic for a fixed host: hardware concurrency only enters when
 /// max_parallelism = 0, and parallelism never affects the frontier (or the
 /// cache signature), so routing stays reproducible where it matters.
-int ResolveParallelism(const Query& query, const PolicyOptions& options) {
-  if (query.num_tables() < options.parallel_min_tables) return 1;
+int ResolveParallelism(const PolicyOptions& options) {
   int cap = options.max_parallelism;
   if (cap == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -42,7 +41,7 @@ PolicyDecision ChooseAlgorithm(const Query& query,
   const bool tight = deadline_ms >= 0 && deadline_ms <= kTightDeadlineMs;
   const int num_tables = query.num_tables();
   const int num_objectives = objectives.size();
-  decision.parallelism = ResolveParallelism(query, options);
+  decision.parallelism = ResolveParallelism(options);
   // Every algorithm the policy routes to builds sub-problem-determined
   // table-set frontiers, so all of them may share through the subplan
   // memo; the service clears this for an explicit weighted-sum override.

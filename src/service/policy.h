@@ -33,13 +33,11 @@
 namespace moqo {
 
 struct PolicyOptions {
-  /// Queries with at least this many tables fan their DP levels out over
-  /// the intra-query pool; smaller ones stay serial (their levels are too
-  /// shallow to amortize the fan-out).
-  int parallel_min_tables = 7;
-  /// Cap on intra-query DP threads (the optimizing worker counts as one).
-  /// 0 = hardware concurrency, 1 = parallelism off. The frontier is
-  /// identical for every value, so this never enters the cache key.
+  /// Cap on intra-query DP threads (the optimizing worker counts as one),
+  /// given to every spec; the DP itself fans out only the levels with
+  /// enough work (core/dp_driver.h). 0 = hardware concurrency, 1 =
+  /// parallelism off. The frontier is identical for every value, so this
+  /// never enters the cache key.
   int max_parallelism = 0;
 };
 

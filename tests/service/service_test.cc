@@ -12,12 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dp_driver.h"
 #include "core/exa.h"
+#include "core/rta.h"
 #include "harness/service_experiment.h"
 #include "query/tpch_queries.h"
 #include "rt/failpoint.h"
 #include "service/policy.h"
 #include "testing/test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace moqo {
 namespace {
@@ -100,22 +103,44 @@ TEST(PolicyTest, RoutesBySpecShape) {
   // are not even parameters, which keeps the cache key weight-free. The
   // IRA is reachable via ProblemSpec::algorithm only.
 
-  // Intra-query parallelism gates on table count: small specs stay serial,
-  // big ones fan out up to the configured cap.
+  // Every spec gets the parallelism cap; the DP fans out only the levels
+  // whose work clears its gate. Six objectives in the bench operator
+  // space: a three-table query fans nothing out at parallelism 4, TPC-H
+  // Q8 does.
   PolicyOptions fan_out;
-  fan_out.parallel_min_tables = 4;
   fan_out.max_parallelism = 4;
-  EXPECT_EQ(ChooseAlgorithm(small, ObjectiveSet::All(), -1, fan_out)
-                .parallelism,
-            1);  // star(2) = 3 tables, below the threshold.
-  Query big = MakeStarQuery(&catalog, 3);  // 4 tables: fans out.
-  EXPECT_EQ(ChooseAlgorithm(big, ObjectiveSet::All(), -1, fan_out)
-                .parallelism,
-            4);
+  const Catalog tpch = Catalog::TpcH(0.01);
+  const ObjectiveSet six({Objective::kTotalTime, Objective::kStartupTime,
+                          Objective::kIOLoad, Objective::kEnergy,
+                          Objective::kBufferFootprint,
+                          Objective::kTupleLoss});
+  OperatorRegistry::Options bench_space;
+  bench_space.sampling_rates = {0.05};
+  bench_space.dops = {1, 2};
+  const OperatorRegistry registry(bench_space);
+  ThreadPool pool(3);
+  const auto dp_stats = [&](const Query& query) {
+    const PolicyDecision decision = ChooseAlgorithm(query, six, -1, fan_out);
+    const CostModel model(&query, &registry, six);
+    Arena arena;
+    DPPlanGenerator generator(&model, &registry, &arena);
+    DPOptions options;
+    options.alpha = RTAInternalPrecision(decision.alpha, query.num_tables());
+    options.parallelism = decision.parallelism;
+    options.pool = &pool;
+    generator.Run(query, options);
+    return generator.stats();
+  };
+  const Query q3 = MakeTpcHQuery(&tpch, 3);
+  const Query q8 = MakeTpcHQuery(&tpch, 8);
+  EXPECT_EQ(ChooseAlgorithm(q3, six, -1, fan_out).parallelism, 4);
+  const DPStats q3_stats = dp_stats(q3);
+  EXPECT_EQ(q3_stats.parallel_levels, 0);
+  EXPECT_EQ(q3_stats.parallel_rounds, 0);
+  EXPECT_GT(dp_stats(q8).parallel_levels, 0);
   fan_out.max_parallelism = 1;  // Cap 1 = parallelism off everywhere.
-  EXPECT_EQ(ChooseAlgorithm(big, ObjectiveSet::All(), -1, fan_out)
-                .parallelism,
-            1);
+  EXPECT_EQ(ChooseAlgorithm(q8, six, -1, fan_out).parallelism, 1);
+  EXPECT_EQ(dp_stats(q8).parallel_levels, 0);
 }
 
 TEST(ServiceTest, ExactHitIsBitIdenticalToFreshOptimization) {
