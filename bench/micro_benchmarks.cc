@@ -60,9 +60,14 @@ void BM_ParetoSetPrune(benchmark::State& state) {
     plans.push_back(plan);
   }
   const ParetoSet::PruneOptions options{alpha, false};
+  // The DP's protocol: one check through the caller's rejecter cache, then
+  // Insert for a kept plan.
   for (auto _ : state) {
     ParetoSet set;
-    for (PlanNode* plan : plans) set.Prune(plan, options);
+    ParetoSet::Rejecters hot;
+    for (PlanNode* plan : plans) {
+      if (set.WouldInsert(plan->cost, options, &hot)) set.Insert(plan, options);
+    }
     benchmark::DoNotOptimize(set.size());
   }
   state.SetItemsProcessed(state.iterations() * plans.size());

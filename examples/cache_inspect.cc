@@ -141,7 +141,7 @@ int Inspect(const std::string& path, bool list_records) {
     }
     std::printf("\n");
   };
-  std::printf("contents (%s):\n", result.used_mmap ? "mmap" : "read");
+  std::printf("contents:\n");
   print_tally("plan_cache", plan_tally);
   print_tally("memo", memo_tally);
   if (other_records > 0) {

@@ -59,7 +59,6 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
                                       const DPOptions& options) {
   query_ = &query;
   memo_.clear();
-  slot_arenas_.clear();
   stats_ = DPStats();
 
   const TableSet all = query.AllTables();
@@ -74,6 +73,18 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
       options.cartesian_heuristic && query.JoinGraphConnected();
   const bool parallel = options.parallelism > 1 && options.pool != nullptr &&
                         !options.single_plan_mode;
+
+  // The slots, sized here and never during a level: tasks hold references
+  // into them. Slots beyond the pool's helpers + the caller can never run,
+  // so cap there: parallelism is request-supplied and must not size
+  // allocations. Fresh slots release the previous run's helper arenas.
+  slots_.clear();
+  slots_.resize(parallel ? std::min(options.parallelism,
+                                    options.pool->num_threads() + 1)
+                         : 1);
+  for (size_t s = 1; s < slots_.size(); ++s) {
+    slots_[s].arena = std::make_unique<Arena>();
+  }
 
   // Cross-query memo: single_plan_mode is excluded (its per-set output
   // depends on the request's weights, not just the sub-problem). The key
@@ -151,13 +162,12 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
       probe_span.AddArg("hits", stats_.memo_hits - hits_before);
     }
 
-    // The fan-out gate: the memo-miss sets' summed candidate pairs. Slots
-    // beyond the pool's helpers + the caller can never run, so cap there:
-    // parallelism is request-supplied and must not size allocations.
+    // The fan-out gate: the memo-miss sets' summed candidate pairs.
     int slots = 1;
     std::vector<int> work;
     std::vector<uint64_t> proxy;
-    if (parallel && !stats_.timed_out && !options.deadline.Expired()) {
+    if (slots_.size() > 1 && !stats_.timed_out &&
+        !options.deadline.Expired()) {
       proxy.assign(level.size(), 0);
       uint64_t level_pairs = 0;
       for (size_t i = 0; i < level.size(); ++i) {
@@ -167,50 +177,52 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         level_pairs += proxy[i];
       }
       if (level_pairs >= kMinFanOutPairs) {
-        slots = std::min(options.parallelism, options.pool->num_threads() + 1);
+        slots = static_cast<int>(slots_.size());
       }
     }
 
+    // The build: `built[i]` marks the sets built completely by this run.
     std::vector<char> built(level.size(), 0);
     if (slots > 1 && work.size() > 1) {
       ProcessLevelParallel(query, level, options, slots, std::move(work),
-                           proxy, from_memo, &built);
+                           proxy, &built);
     } else {
       // At most one memo-miss set here when slots > 1: it builds in rounds.
       const int set_slots = options.aggressive_delete ? 1 : slots;
       const int rounds_before = stats_.parallel_rounds;
       for (size_t i = 0; i < level.size(); ++i) {
-        const TableSet tables = level[i];
-        if (from_memo[i]) {
-          // Sealed from the memo during the probe; only bookkeeping is
-          // left, in level order like a local build's.
-          ++stats_.complete_sets;
-          stats_.last_complete_set = tables;
-          stats_.last_complete_pareto_count = SetFor(tables).size();
-          continue;
-        }
+        if (from_memo[i]) continue;
+        // After an expiry, the sets left are rebuilt quickly below.
         if (stats_.timed_out || options.deadline.Expired() ||
             options.single_plan_mode) {
-          if (!options.single_plan_mode) stats_.timed_out = true;
-          ProcessSetQuick(query, tables, options);
-          continue;
+          break;
         }
-        ParetoSet& set = memo_[tables.mask()];
-        if (ProcessSetInto(query, tables, options, arena_, &set, &stats_,
-                           set_slots)) {
-          built[i] = 1;
-          ++stats_.complete_sets;
-          stats_.last_complete_set = tables;
-          stats_.last_complete_pareto_count = set.size();
-        } else {
-          // Deadline hit mid-set: discard the partial result and rebuild
-          // this set (and all remaining ones) in quick mode.
-          stats_.timed_out = true;
-          set.clear();
-          ProcessSetQuick(query, tables, options);
-        }
+        built[i] = ProcessSetInto(query, level[i], options, /*slot=*/0,
+                                  &memo_[level[i].mask()], set_slots);
+        if (!built[i]) stats_.timed_out = true;
       }
       if (stats_.parallel_rounds > rounds_before) ++stats_.parallel_levels;
+    }
+    for (Slot& slot : slots_) {
+      stats_.considered_plans += slot.considered;
+      stats_.inserted_plans += slot.inserted;
+      slot.considered = 0;
+      slot.inserted = 0;
+    }
+
+    // Seal bookkeeping, in level order (so the "last complete set" matches
+    // the serial engine's): a memo hit or a complete build is complete;
+    // any other set — single-plan mode, or one a deadline interrupted or
+    // pre-empted — gets its one quick plan.
+    for (size_t i = 0; i < level.size(); ++i) {
+      if (from_memo[i] || built[i]) {
+        ++stats_.complete_sets;
+        stats_.last_complete_set = level[i];
+        stats_.last_complete_pareto_count = SetFor(level[i]).size();
+      } else {
+        if (!options.single_plan_mode) stats_.timed_out = true;
+        ProcessSetQuick(query, level[i], options);
+      }
     }
 
     // Publish-after-seal: every set built completely by THIS run (never
@@ -275,12 +287,7 @@ void DPPlanGenerator::ProcessLevelParallel(const Query& query,
                                            const DPOptions& options, int slots,
                                            std::vector<int> work,
                                            const std::vector<uint64_t>& proxy,
-                                           const std::vector<char>& from_memo,
                                            std::vector<char>* built) {
-  while (static_cast<int>(slot_arenas_.size()) < slots - 1) {
-    slot_arenas_.push_back(std::make_unique<Arena>());
-  }
-
   // Create this level's memo entries up front, on this thread: tasks then
   // only *read* the map (lower levels via SetFor, their own output through
   // these pointers, which unordered_map keeps stable), so the batch never
@@ -299,80 +306,51 @@ void DPPlanGenerator::ProcessLevelParallel(const Query& query,
     return proxy[a] > proxy[b];
   });
 
-  // One padded state block per slot. ParallelFor guarantees slot values
-  // are distinct across concurrent participants, so per-slot counting is
-  // race-free by construction (audited for PR 6; the TSan-filtered
-  // ParallelDpTest covers it) — the padding only stops adjacent slots'
-  // counters from false-sharing a cache line.
-  struct alignas(64) SlotState {
-    DPStats stats;
-    /// When this slot finished its last claimed set, in level-watch us;
-    /// -1 = the slot never ran a task.
-    int64_t last_finish_us = -1;
-  };
-  std::vector<SlotState> slot_state(slots);
-  std::vector<char> completed(level.size(), 0);
   std::atomic<bool> expired{false};
-
   StopWatch level_watch;
   const auto level_us = [&level_watch] {
     return static_cast<int64_t>(level_watch.ElapsedMillis() * 1000.0);
   };
 
+  // ParallelFor guarantees slot values are distinct across concurrent
+  // participants, so each task writes only its own slot and its own set's
+  // `built` entry.
   options.pool->ParallelFor(
       static_cast<int>(work.size()), slots - 1, [&](int wi, int slot) {
-        // After the first expiry, unstarted sets are left empty and
-        // rebuilt in quick mode below — the Section 5.1 behaviour.
+        // After the first expiry, unstarted sets are left for the quick
+        // rebuild — the Section 5.1 behaviour.
         if (expired.load(std::memory_order_relaxed)) return;
         const int index = work[wi];
-        Arena* arena =
-            slot == 0 ? arena_ : slot_arenas_[slot - 1].get();
         TraceSpan set_span(options.tracer, "dp", "dp.set", options.trace_id);
         set_span.AddArg("tables", level[index].Cardinality());
         set_span.AddArg("split_work", static_cast<int64_t>(proxy[index]));
-        if (ProcessSetInto(query, level[index], options, arena,
-                           outputs[index], &slot_state[slot].stats)) {
-          completed[index] = 1;
+        if (ProcessSetInto(query, level[index], options, slot,
+                           outputs[index])) {
+          (*built)[index] = 1;
         } else {
           expired.store(true, std::memory_order_relaxed);
         }
-        slot_state[slot].last_finish_us = level_us();
+        slots_[slot].last_finish_us = level_us();
       });
 
-  // Barrier-tail attribution: every slot that ran at least one task waited
-  // from its last set's completion until the whole level sealed. The sum
-  // is the level's load-imbalance cost (ROADMAP: work stealing).
-  const int64_t barrier_us = level_us();
+  CountBarrierWait(0, slots, level_us(), options);
   ++stats_.parallel_levels;
-  for (const SlotState& s : slot_state) {
-    stats_.considered_plans += s.stats.considered_plans;
-    stats_.inserted_plans += s.stats.inserted_plans;
-    if (s.last_finish_us < 0) continue;
-    const int64_t wait_us = barrier_us - s.last_finish_us;
+  if (expired.load(std::memory_order_relaxed)) stats_.timed_out = true;
+}
+
+void DPPlanGenerator::CountBarrierWait(int first, int last, int64_t now_us,
+                                       const DPOptions& options) {
+  // The sum is the fan-out's load-imbalance cost (ROADMAP: work stealing).
+  for (int s = first; s < last; ++s) {
+    Slot& slot = slots_[s];
+    if (slot.last_finish_us < 0) continue;
+    const int64_t wait_us = now_us - slot.last_finish_us;
+    slot.last_finish_us = -1;
     stats_.barrier_wait_us += wait_us;
     if (options.tracer != nullptr) {
       options.tracer->RecordEndingNow("dp", "dp.barrier_wait",
                                       options.trace_id, wait_us, "wait_us",
                                       wait_us);
-    }
-  }
-  if (expired.load(std::memory_order_relaxed)) stats_.timed_out = true;
-  // Merge step: completion bookkeeping in level order (so the "last
-  // complete set" matches the serial engine), and quick rebuilds for sets
-  // the expiry interrupted or pre-empted.
-  for (size_t i = 0; i < level.size(); ++i) {
-    if (from_memo[i]) {
-      ++stats_.complete_sets;
-      stats_.last_complete_set = level[i];
-      stats_.last_complete_pareto_count = outputs[i]->size();
-    } else if (completed[i]) {
-      (*built)[i] = 1;
-      ++stats_.complete_sets;
-      stats_.last_complete_set = level[i];
-      stats_.last_complete_pareto_count = outputs[i]->size();
-    } else {
-      outputs[i]->clear();
-      ProcessSetQuick(query, level[i], options);
     }
   }
 }
@@ -384,8 +362,8 @@ const ParetoSet& DPPlanGenerator::SetFor(TableSet tables) const {
 
 size_t DPPlanGenerator::MemoryBytes() const {
   size_t bytes = arena_->reserved_bytes();
-  for (const std::unique_ptr<Arena>& arena : slot_arenas_) {
-    bytes += arena->reserved_bytes();
+  for (const Slot& slot : slots_) {
+    if (slot.arena != nullptr) bytes += slot.arena->reserved_bytes();
   }
   for (const auto& [mask, set] : memo_) {
     bytes += set.MemoryBytes() + sizeof(mask);
@@ -529,59 +507,51 @@ bool DPPlanGenerator::PriceRange(const PairStream& stream, uint64_t begin,
 }
 
 bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
-                                     const DPOptions& options, Arena* arena,
-                                     ParetoSet* set, DPStats* stats,
-                                     int slots) {
+                                     const DPOptions& options, int slot_index,
+                                     ParetoSet* set, int slots) {
   const ParetoSet::PruneOptions prune{options.alpha,
                                       options.aggressive_delete};
   const PairStream stream = StreamOf(query, tables, options);
-  const uint64_t pairs = stream.pairs;
-  long since_poll = 0;
+  Slot& slot = slots_[slot_index];
+  Arena* arena = slot_index == 0 ? arena_ : slot.arena.get();
+  // A rejecter cache is valid for one set only.
+  for (int s = slot_index; s < slot_index + slots; ++s) {
+    slots_[s].rejecters = {};
+  }
   const auto insert = [&](int config, const PlanNode* left,
                           const PlanNode* right,
                           const CostModel::JoinOperands& operands,
                           const CostVector& cost) {
-    ++stats->considered_plans;
-    if (set->WouldInsert(cost, prune)) {
+    ++slot.considered;
+    if (set->WouldInsert(cost, prune, &slot.rejecters)) {
       set->Insert(arena->New<PlanNode>(
                       model_->JoinNode(config, left, right, operands, cost)),
                   prune);
-      ++stats->inserted_plans;
+      ++slot.inserted;
     }
   };
-  if (slots <= 1) {
-    if (!PriceRange(stream, 0, pairs, options.deadline, &since_poll,
-                    insert)) {
-      return false;
-    }
-    set->Seal();
-    return true;
-  }
 
-  // Rounds. A rejecter cache is valid for one set only.
-  round_slots_.resize(std::max(round_slots_.size(),
-                               static_cast<size_t>(slots)));
-  for (RoundSlot& slot : round_slots_) slot.rejecters = {};
+  // Rounds of doubling size, each on this slot alone or, when the entry
+  // rule holds, on all `slots`.
   bool on_all_slots = false;
   uint64_t size = kFirstRoundPairs;
-  for (uint64_t begin = 0; begin < pairs; begin += size, size *= 2) {
-    const uint64_t end = std::min(pairs, begin + size);
-    const long considered_before = stats->considered_plans;
-    const long inserted_before = stats->inserted_plans;
+  for (uint64_t begin = 0; begin < stream.pairs; begin += size, size *= 2) {
+    const uint64_t end = std::min(stream.pairs, begin + size);
+    const long considered_before = slot.considered;
+    const long inserted_before = slot.inserted;
     long survivors = 0;
     if (on_all_slots
-            ? !RunRound(stream, begin, end, options, slots, set, stats,
-                        &survivors)
-            : !PriceRange(stream, begin, end, options.deadline, &since_poll,
-                          insert)) {
+            ? !RunRound(stream, begin, end, options, slots, set, &survivors)
+            : !PriceRange(stream, begin, end, options.deadline,
+                          &slot.since_poll, insert)) {
       return false;
     }
     // Every candidate a serial round inserts survived the set as it stood,
     // so its insert count stands in for the survivor count.
-    if (!on_all_slots) survivors = stats->inserted_plans - inserted_before;
-    on_all_slots = survivors <= kMaxRoundSurvivorShare *
-                                    (stats->considered_plans -
-                                     considered_before);
+    if (!on_all_slots) survivors = slot.inserted - inserted_before;
+    on_all_slots = slots > 1 && survivors <= kMaxRoundSurvivorShare *
+                                                 (slot.considered -
+                                                  considered_before);
   }
   set->Seal();
   return true;
@@ -589,8 +559,7 @@ bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
 
 bool DPPlanGenerator::RunRound(const PairStream& stream, uint64_t begin,
                                uint64_t end, const DPOptions& options,
-                               int slots, ParetoSet* set, DPStats* stats,
-                               long* survivors) {
+                               int slots, ParetoSet* set, long* survivors) {
   TraceSpan round_span(options.tracer, "dp", "dp.round", options.trace_id);
   const ParetoSet::PruneOptions prune{options.alpha,
                                       options.aggressive_delete};
@@ -599,7 +568,6 @@ bool DPPlanGenerator::RunRound(const PairStream& stream, uint64_t begin,
                                           kChunksPerSlot));
   round_chunks_.resize(std::max(round_chunks_.size(),
                                 static_cast<size_t>(chunks)));
-  for (int s = 0; s < slots; ++s) round_slots_[s].last_finish_us = -1;
   std::atomic<bool> expired{false};
   StopWatch round_watch;
   const auto round_us = [&round_watch] {
@@ -614,7 +582,7 @@ bool DPPlanGenerator::RunRound(const PairStream& stream, uint64_t begin,
     chunk.survivors.clear();
     chunk.considered = 0;
     if (expired.load(std::memory_order_relaxed)) return;
-    RoundSlot& slot = round_slots_[s];
+    Slot& slot = slots_[s];
     const uint64_t chunk_begin = begin + (end - begin) * c / chunks;
     const uint64_t chunk_end = begin + (end - begin) * (c + 1) / chunks;
     const bool priced = PriceRange(
@@ -630,8 +598,12 @@ bool DPPlanGenerator::RunRound(const PairStream& stream, uint64_t begin,
     if (!priced) expired.store(true, std::memory_order_relaxed);
     slot.last_finish_us = round_us();
   });
-  if (expired.load(std::memory_order_relaxed)) return false;
-  const int64_t priced_us = round_us();
+  // Idle slot time: the caller waits from its last chunk until pricing
+  // ends; the helpers until the commit ends, or, after an expiry (the
+  // caller then discards the set), until pricing ends too.
+  const bool in_time = !expired.load(std::memory_order_relaxed);
+  CountBarrierWait(0, in_time ? 1 : slots, round_us(), options);
+  if (!in_time) return false;
 
   // Commit, in candidate order: a survivor is rejected serially iff a row
   // kept earlier in this round rejects it, and the round's deletions run
@@ -645,25 +617,17 @@ bool DPPlanGenerator::RunRound(const PairStream& stream, uint64_t begin,
     round_considered += chunk.considered;
     round_survivors += static_cast<long>(chunk.survivors.size());
     for (const PlanNode& node : chunk.survivors) {
-      if (!set->WouldInsertSince(mark, node.cost, prune)) continue;
+      if (!set->WouldInsert(node.cost, prune, nullptr, mark)) continue;
       set->Append(arena_->New<PlanNode>(node));
       ++kept;
     }
   }
-  set->DeleteDominatedSince(mark);
+  set->DeleteDominatedSince(mark, prune);
 
-  // Idle slot time: the caller waits from its last chunk until pricing
-  // ends; the helpers until the commit ends.
-  const int64_t round_end_us = round_us();
-  int64_t wait_us = 0;
-  for (int s = 0; s < slots; ++s) {
-    const int64_t finish = round_slots_[s].last_finish_us;
-    if (finish >= 0) wait_us += (s == 0 ? priced_us : round_end_us) - finish;
-  }
-  stats->considered_plans += round_considered;
-  stats->inserted_plans += kept;
-  stats->barrier_wait_us += wait_us;
-  ++stats->parallel_rounds;
+  CountBarrierWait(1, slots, round_us(), options);
+  slots_[0].considered += round_considered;
+  slots_[0].inserted += kept;
+  ++stats_.parallel_rounds;
   *survivors = round_survivors;
   round_span.AddArg("pairs", static_cast<int64_t>(end - begin));
   round_span.AddArg("survivors", round_survivors);
@@ -674,6 +638,7 @@ void DPPlanGenerator::ProcessSetQuick(const Query& query, TableSet tables,
                                       const DPOptions& options) {
   const WeightVector weights = EffectiveWeights(options);
   ParetoSet& set = memo_[tables.mask()];
+  set.clear();
   PlanNode best;
   double best_cost = std::numeric_limits<double>::infinity();
   for (const Split& split : SplitsOf(query, tables, options)) {

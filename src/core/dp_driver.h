@@ -38,7 +38,11 @@
 //    round) stays under a constant. aggressive_delete, whose deletions are
 //    approximate, never runs in rounds.
 //
-// Either way, every table set's sealed frontier, `considered_plans` and
+// Both ways run on the same per-slot state (arena, rejecter cache, counts,
+// finish time; Slot below), sized once per Run(). After the build, one
+// loop does every set's bookkeeping in level order and rebuilds the sets
+// a deadline or single-plan mode left incomplete quickly. Either way,
+// every table set's sealed frontier, `considered_plans` and
 // `inserted_plans` are identical to the serial run's at any thread count,
 // exact or approximate pruning alike.
 //
@@ -148,7 +152,7 @@ struct DPStats {
   /// sets or in rounds), the rounds run on all slots, and the total time
   /// participating slots sat idle at barriers — at a level's end from each
   /// slot's last set; in a round from each slot's last chunk to the end of
-  /// the round's commit.
+  /// pricing (the caller) or of the round's commit (the helpers).
   int parallel_levels = 0;
   int parallel_rounds = 0;
   long barrier_wait_us = 0;
@@ -199,15 +203,16 @@ class DPPlanGenerator {
     uint64_t pairs = 0;
   };
 
-  /// Builds the plan set for `tables` into `set`, allocating survivors
-  /// from `arena` and counting into `stats`; seals the set on success.
-  /// With `slots` > 1 the set is built in rounds (see the header comment)
-  /// on options.pool, kept plans allocated from the run arena. Returns
-  /// false if the deadline expired mid-set (the partial set is discarded
-  /// and rebuilt quickly by the caller).
+  /// Builds the plan set for `tables` into `set` on slot `slot` (its
+  /// arena, rejecter cache, poll count and counts) and seals it. It runs
+  /// in rounds of doubling size; with `slots` > 1 (the caller only, slot
+  /// 0) a round may run on slots 0..slots-1 (see the header comment), kept
+  /// plans allocated from the run arena. Returns false if the deadline
+  /// expired mid-set (the caller discards the partial set and rebuilds it
+  /// quickly).
   bool ProcessSetInto(const Query& query, TableSet tables,
-                      const DPOptions& options, Arena* arena, ParetoSet* set,
-                      DPStats* stats, int slots = 1);
+                      const DPOptions& options, int slot, ParetoSet* set,
+                      int slots = 1);
 
   /// Calls fn(config, left, right, operands, cost) for every applicable
   /// candidate of pairs [begin, end) of `stream`, in stream order. Returns
@@ -219,26 +224,32 @@ class DPPlanGenerator {
 
   /// One round of the rounds build: pairs [begin, end) of `stream` priced
   /// on `slots` slots against `set` as it stands, survivors committed in
-  /// candidate order. Adds the round's counts to `stats` and sets
+  /// candidate order. Adds the round's counts to slot 0 and sets
   /// `*survivors` to the candidates the round-start set kept. Returns
   /// false iff the deadline expired.
   bool RunRound(const PairStream& stream, uint64_t begin, uint64_t end,
                 const DPOptions& options, int slots, ParetoSet* set,
-                DPStats* stats, long* survivors);
+                long* survivors);
 
   /// Fans one level's memo-miss table sets (`work`, level indices) out
-  /// over `slots` slots (largest estimated sets first, to shorten the
-  /// barrier tail); merges stats and seals every set at the closing
-  /// barrier. `proxy[i]` is set i's SplitWorkProxy; `from_memo[i]` marks
-  /// sets already sealed by a memo hit; `built[i]` is set for sets
-  /// completely built locally (the publish candidates).
+  /// over `slots` slots, one task per set (largest estimated sets first,
+  /// to shorten the barrier tail), and sets `built[i]` for each set i
+  /// built completely. `proxy[i]` is set i's SplitWorkProxy. Bookkeeping
+  /// and quick rebuilds are left to the caller.
   void ProcessLevelParallel(const Query& query,
                             const std::vector<TableSet>& level,
                             const DPOptions& options, int slots,
                             std::vector<int> work,
                             const std::vector<uint64_t>& proxy,
-                            const std::vector<char>& from_memo,
                             std::vector<char>* built);
+
+  /// Barrier-tail attribution, called as slots [first, last) go on after
+  /// a level or a round, `now_us` on that fan-out's watch: each of them
+  /// that finished a task since it last went on waited from then until
+  /// now. Adds the waits to stats_ and the trace; clears the finish
+  /// times.
+  void CountBarrierWait(int first, int last, int64_t now_us,
+                        const DPOptions& options);
 
   /// Seals memo_[tables] from a shared memo snapshot: plans are deep-copied
   /// into the run arena with their table references rebased from the
@@ -269,25 +280,34 @@ class DPPlanGenerator {
   const CostModel* model_;
   const OperatorRegistry* registry_;
   Arena* arena_;
-  /// Scratch arenas for parallel helper slots (slot 0 reuses arena_);
-  /// plans they hand out live until the next Run().
-  std::vector<std::unique_ptr<Arena>> slot_arenas_;
-  /// Rounds state, grown on first use and reused by every later round:
-  /// one survivor buffer per chunk and one rejecter cache per slot, each
-  /// on its own cache lines.
+  /// One fan-out slot (a ThreadPool::ParallelFor participant; slot 0 is
+  /// the caller), on its own cache lines. The same slots serve the
+  /// across-set and the rounds fan-out.
+  struct alignas(64) Slot {
+    /// A helper slot's plan arena (slot 0 allocates from the run arena);
+    /// its plans live until the next Run().
+    std::unique_ptr<Arena> arena;
+    /// Valid for the set the slot is building or pricing.
+    ParetoSet::Rejecters rejecters;
+    /// Candidates since the slot's last deadline poll.
+    long since_poll = 0;
+    /// Plans considered and inserted, added to stats_ after each level.
+    long considered = 0;
+    long inserted = 0;
+    /// When the slot finished its last task (a set or a round's chunk), in
+    /// us on the fan-out's watch; -1 = none since the last barrier.
+    int64_t last_finish_us = -1;
+  };
+  /// Sized once per Run(): min(parallelism, pool threads + 1) slots when
+  /// the run may fan out, else one.
+  std::vector<Slot> slots_;
+  /// A round's survivor buffers, one per chunk, grown on first use and
+  /// reused by every later round.
   struct alignas(64) RoundChunk {
     std::vector<PlanNode> survivors;
     long considered = 0;
   };
-  struct alignas(64) RoundSlot {
-    ParetoSet::Rejecters rejecters;
-    long since_poll = 0;
-    /// When the slot finished its last chunk, in round-watch us; -1 = it
-    /// ran none this round.
-    int64_t last_finish_us = -1;
-  };
   std::vector<RoundChunk> round_chunks_;
-  std::vector<RoundSlot> round_slots_;
   const Query* query_;
   std::unordered_map<uint64_t, ParetoSet> memo_;
   /// Canonical-signature builder of the current run; set iff a subplan

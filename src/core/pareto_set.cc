@@ -114,10 +114,13 @@ void ParetoSet::RememberRejecter(const double* row, Rejecters* hot) const {
   hot->used = std::min(hot->used + 1, Rejecters::kSlots);
 }
 
-inline bool ParetoSet::WouldInsertFrom(int first, const CostVector& cost,
-                                       const PruneOptions& options,
-                                       Rejecters* hot,
-                                       [[maybe_unused]] ScanBody body) const {
+bool ParetoSet::WouldInsert(const CostVector& cost,
+                            const PruneOptions& options, Rejecters* hot,
+                            int first, [[maybe_unused]] ScanBody body) const {
+  // Recent-rejecter cache (sound only with the default deletion rule: a
+  // tombstoned plan is plainly dominated by a live one, so its rejections
+  // transfer; with aggressive deletion that implication weakens to alpha^2).
+  if (options.aggressive_delete) hot = nullptr;
   const int dims = cost.size();
   // stored ⪯_alpha cost  <=>  stored ⪯ alpha*cost; the alpha multiply is
   // hoisted out of the scans by scaling the candidate once into a
@@ -136,29 +139,14 @@ inline bool ParetoSet::WouldInsertFrom(int first, const CostVector& cost,
   return !HasDominator(ScalarRow(threshold, dims), hot, first);
 }
 
-bool ParetoSet::WouldInsert(const CostVector& cost,
-                            const PruneOptions& options, Rejecters* hot,
-                            ScanBody body) const {
-  // Recent-rejecter cache (sound only with the default deletion rule: a
-  // tombstoned plan is plainly dominated by a live one, so its rejections
-  // transfer; with aggressive deletion that implication weakens to alpha^2).
-  return WouldInsertFrom(0, cost, options,
-                         options.aggressive_delete ? nullptr : hot, body);
-}
-
-bool ParetoSet::WouldInsertSince(int mark, const CostVector& cost,
-                                 const PruneOptions& options,
-                                 ScanBody body) const {
-  return WouldInsertFrom(mark, cost, options, nullptr, body);
-}
-
-inline void ParetoSet::AppendRow(const PlanNode* plan, const double* row) {
-  const int dims = plan->cost.size();
+void ParetoSet::Append(const PlanNode* plan) {
+  const CostVector& cost = plan->cost;
+  const int dims = cost.size();
   if (dims_ == 0) dims_ = dims;
 
   // Append the row and fold it into the last block's summaries.
   plans_.push_back(plan);
-  costs_.insert(costs_.end(), row, row + dims);
+  for (int d = 0; d < dims; ++d) costs_.push_back(cost[d]);
   ++live_;
   if (static_cast<int>(block_min_.size()) <
       NumBlocks() * static_cast<int>(dims_)) {
@@ -168,63 +156,43 @@ inline void ParetoSet::AppendRow(const PlanNode* plan, const double* row) {
   double* bmin = &block_min_[static_cast<size_t>(NumBlocks() - 1) * dims_];
   double* bmax = &block_max_[static_cast<size_t>(NumBlocks() - 1) * dims_];
   for (int d = 0; d < dims; ++d) {
-    bmin[d] = std::min(bmin[d], row[d]);
-    bmax[d] = std::max(bmax[d], row[d]);
+    bmin[d] = std::min(bmin[d], cost[d]);
+    bmax[d] = std::max(bmax[d], cost[d]);
   }
+}
+
+void ParetoSet::DeleteDominatedSince(int mark, const PruneOptions& options,
+                                     [[maybe_unused]] ScanBody body) {
+  // Each appended row owes the deletion pass over the rows before it.
+  // Rows after it need none: a row it dominates would have failed
+  // WouldInsert against it. Plain dominance by default (see header);
+  // approximate dominance only in the ablation mode.
+  const bool scaled = options.aggressive_delete && options.alpha > 1.0;
+  for (int j = mark; j < rows(); ++j) {
+    const double* row = costs_.data() + static_cast<size_t>(j) * dims_;
+    if (scaled) {
+      DeleteDominated(ScaledRow(row, dims_, options.alpha), j);
+#if MOQO_DOMINANCE_AVX512
+    } else if (body == ScanBody::kAvx512) {
+      DeleteDominatedAvx512(row, dims_, j);
+#endif
+    } else {
+      DeleteDominated(ScalarRow(row, dims_), j);
+    }
+  }
+  // Compact when tombstones dominate the storage.
+  if (live_ * 2 < rows()) Compact();
 }
 
 void ParetoSet::Insert(const PlanNode* plan, const PruneOptions& options,
-                       [[maybe_unused]] ScanBody body) {
-  const CostVector& cost = plan->cost;
-  const int dims = cost.size();
-  double row[kNumObjectives];
-  for (int d = 0; d < dims; ++d) row[d] = cost[d];
-
-  // Deletion: tombstone stored plans the new plan dominates. Plain
-  // dominance by default (see header); approximate dominance only in the
-  // ablation mode.
-  if (options.aggressive_delete && options.alpha > 1.0) {
-    DeleteDominated(ScaledRow(row, dims, options.alpha), rows());
-#if MOQO_DOMINANCE_AVX512
-  } else if (body == ScanBody::kAvx512) {
-    DeleteDominatedAvx512(row, dims, rows());
-#endif
-  } else {
-    DeleteDominated(ScalarRow(row, dims), rows());
-  }
-
-  // Compact when tombstones dominate the storage.
-  if (live_ * 2 < rows()) Compact();
-  AppendRow(plan, row);
-}
-
-void ParetoSet::Append(const PlanNode* plan) {
-  double row[kNumObjectives];
-  for (int d = 0; d < plan->cost.size(); ++d) row[d] = plan->cost[d];
-  AppendRow(plan, row);
-}
-
-void ParetoSet::DeleteDominatedSince(int mark,
-                                     [[maybe_unused]] ScanBody body) {
-  // Each appended row owes the deletion pass Insert would have run over
-  // the rows before it. Rows after it need none: a row it dominates
-  // would have failed WouldInsert against it.
-  for (int j = mark; j < rows(); ++j) {
-    const double* row = costs_.data() + static_cast<size_t>(j) * dims_;
-#if MOQO_DOMINANCE_AVX512
-    if (body == ScanBody::kAvx512) {
-      DeleteDominatedAvx512(row, dims_, j);
-      continue;
-    }
-#endif
-    DeleteDominated(ScalarRow(row, dims_), j);
-  }
-  if (live_ * 2 < rows()) Compact();
+                       ScanBody body) {
+  Append(plan);
+  DeleteDominatedSince(rows() - 1, options, body);
 }
 
 bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options,
                       ScanBody body) {
-  if (!WouldInsert(plan->cost, options, body)) return false;
+  if (!WouldInsert(plan->cost, options, nullptr, 0, body)) return false;
   Insert(plan, options, body);
   return true;
 }
@@ -294,7 +262,6 @@ void ParetoSet::clear() {
   block_max_.clear();
   dims_ = 0;
   live_ = 0;
-  hot_ = Rejecters();
 }
 
 CostVector ParetoSet::cost_at(int i) const {

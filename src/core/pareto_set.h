@@ -44,24 +44,26 @@
 //    compaction runs when tombstones exceed half the rows, and the DP
 //    driver Seal()s a set once its table set is fully processed.
 //
-// The DP driver scans each candidate once: WouldInsert on its stack-priced
-// cost, then — only for a kept candidate, now arena-allocated — Insert,
-// which runs just the deletion pass.
+// One growth protocol. A kept plan is Appended, then runs its deletion
+// pass through DeleteDominatedSince: Insert is those two calls for one
+// plan, and Prune is WouldInsert, then Insert. The DP driver prices each
+// candidate on the stack, checks it once (WouldInsert, through a Rejecters
+// cache the driver owns) and allocates and Inserts only a kept one.
 //
-// Rounds (the DP's one-set levels): several threads check candidates
-// against the set as it stands at a round start, each through its own
-// Rejecters cache; one thread then re-checks the survivors, in candidate
-// order, only against the rows appended since the round's mark
-// (WouldInsertSince), Appends the kept ones without a deletion pass, and
-// runs every deferred deletion at once (DeleteDominatedSince). A plainly
-// dominated row that stays until then rejects nothing its dominator does
-// not, so the set ends exactly as Insert-ing the same plans would leave it.
+// Rounds (the DP's one-set levels) use the same calls. Several threads
+// check candidates against the set as it stands at a round start, each
+// through its own Rejecters cache; one thread then re-checks the
+// survivors, in candidate order, only against the rows appended since the
+// round's mark (WouldInsert from that row on), Appends the kept ones, and
+// runs every deferred deletion pass at once (DeleteDominatedSince). A
+// plainly dominated row that stays until then rejects nothing its
+// dominator does not, so the set ends exactly as Insert-ing the same plans
+// would leave it.
 //
-// Thread-safety: none while mutating, but every const member is genuinely
-// read-only except the WouldInsert overload without a Rejecters argument
-// (it touches the set's own mutable cache). The parallel DP driver shares
-// *sealed* sets across threads freely, and checks one unsealed set from
-// several threads only through per-thread Rejecters.
+// Thread-safety: none while mutating; every const member is read-only.
+// The parallel DP driver shares sealed sets across threads freely, and
+// checks one unsealed set from several threads, each through its own
+// Rejecters.
 
 #ifndef MOQO_CORE_PARETO_SET_H_
 #define MOQO_CORE_PARETO_SET_H_
@@ -103,7 +105,8 @@ class ParetoSet {
   /// because every cached row belonged to a stored plan whose dominance
   /// already implied rejection (tombstoning only ever happens to plans
   /// dominated by a *kept* plan, which then dominates the same
-  /// candidates). Valid for one set only.
+  /// candidates). Owned by the caller; valid for one set and one `first`
+  /// of WouldInsert.
   struct Rejecters {
     static constexpr int kSlots = 4;
     std::array<double, kSlots * kNumObjectives> rows{};
@@ -111,57 +114,46 @@ class ParetoSet {
     int next = 0;
   };
 
-  /// Insertion check only: would a plan with cost `cost` survive pruning?
-  /// Lets the DP driver cost-evaluate candidates on the stack and
-  /// arena-allocate only survivors.
+  /// Insertion check: would a plan with cost `cost` survive pruning
+  /// against the stored rows at index >= `first` (0 = the whole set)?
+  /// Lets the DP driver price candidates on the stack and arena-allocate
+  /// only survivors. `hot`, if not null, is checked first and takes the
+  /// rejecting row; aggressive_delete bypasses it. The answer depends only
+  /// on which of those rows are live, never on row layout or `hot`.
   bool WouldInsert(const CostVector& cost, const PruneOptions& options,
-                   ScanBody body = kBestScanBody) const {
-    return WouldInsert(cost, options, &hot_, body);
-  }
+                   Rejecters* hot = nullptr, int first = 0,
+                   ScanBody body = kBestScanBody) const;
 
-  /// The same check through the caller's `hot` cache instead of the set's
-  /// own: calls with distinct caches on a set nobody mutates meanwhile are
-  /// race-free.
-  bool WouldInsert(const CostVector& cost, const PruneOptions& options,
-                   Rejecters* hot, ScanBody body = kBestScanBody) const;
+  /// Appends `plan`, which WouldInsert accepted against the set as it
+  /// stands, without its deletion pass: DeleteDominatedSince owes it.
+  void Append(const PlanNode* plan);
 
-  /// Inserts `plan`, which WouldInsert accepted with the same options, with
-  /// nothing inserted since: tombstones the stored plans it dominates and
-  /// appends it. The kept-candidate half of Prune, without a second scan
-  /// for a dominator.
+  /// Rows stored, live or tombstoned: a round's mark. It stays valid
+  /// through Append and until DeleteDominatedSince.
+  int row_count() const { return rows(); }
+
+  /// The deletion passes owed by the plans appended since `mark`, in
+  /// order: each tombstones every earlier live row it dominates (plainly,
+  /// or within alpha under aggressive_delete); then the set compacts if
+  /// tombstones dominate the storage. The set then holds what Insert-ing
+  /// the appended plans in order would have left — with several appended
+  /// plans, under plain deletion only (see the rounds note above).
+  void DeleteDominatedSince(int mark, const PruneOptions& options,
+                            ScanBody body = kBestScanBody);
+
+  /// Inserts `plan`, which WouldInsert accepted with the same options:
+  /// Append, then its deletion pass.
   void Insert(const PlanNode* plan, const PruneOptions& options,
               ScanBody body = kBestScanBody);
 
-  /// Attempts to insert `plan` (WouldInsert, then Insert); returns true
-  /// iff the plan was kept.
+  /// WouldInsert (without a cache), then Insert; returns true iff the
+  /// plan was kept.
   /// Postcondition: no stored live plan strictly dominates another.
   bool Prune(const PlanNode* plan, const PruneOptions& options,
              ScanBody body = kBestScanBody);
 
   /// Convenience overload with exact pruning.
   bool Prune(const PlanNode* plan) { return Prune(plan, PruneOptions()); }
-
-  /// Rows stored, live or tombstoned: a round's mark. It stays valid
-  /// through Append and until DeleteDominatedSince.
-  int row_count() const { return rows(); }
-
-  /// WouldInsert against only the rows at index >= `mark`, without the
-  /// rejecter cache.
-  bool WouldInsertSince(int mark, const CostVector& cost,
-                        const PruneOptions& options,
-                        ScanBody body = kBestScanBody) const;
-
-  /// Appends `plan` with no deletion pass and no compaction: the plan must
-  /// pass WouldInsert against the set as it stands, and plain deletion
-  /// (not aggressive_delete) must apply. DeleteDominatedSince owes the
-  /// deletions.
-  void Append(const PlanNode* plan);
-
-  /// The deletions owed by the plans appended since `mark`: tombstones
-  /// every row that a row appended after it plainly dominates, then
-  /// compacts if tombstones dominate the storage. The set then holds what
-  /// Insert-ing the appended plans in order would have left.
-  void DeleteDominatedSince(int mark, ScanBody body = kBestScanBody);
 
   /// Number of live (non-deleted) plans.
   int size() const { return live_; }
@@ -231,10 +223,10 @@ class ParetoSet {
   template <class Row>
   bool HasDominator(const Row& threshold, Rejecters* hot, int first) const;
 
-  /// Insert's deletion pass — block maxima, then rows below index `end` —
-  /// with the kernel `row` (Above(r) <=> the new row dominates r: plainly,
-  /// or within alpha in the ablation): tombstones every live row the new
-  /// row dominates.
+  /// One plan's deletion pass — block maxima, then rows below index
+  /// `end` — with the kernel `row` (Above(r) <=> the new row dominates r:
+  /// plainly, or within alpha in the ablation): tombstones every live row
+  /// the new row dominates.
   template <class Row>
   void DeleteDominated(const Row& row, int end);
 
@@ -242,15 +234,6 @@ class ParetoSet {
   bool HasDominatorAvx512(const double* threshold, int dims, Rejecters* hot,
                           int first) const;
   void DeleteDominatedAvx512(const double* row, int dims, int end);
-
-  /// WouldInsert's body: the scans from row `first` on.
-  bool WouldInsertFrom(int first, const CostVector& cost,
-                       const PruneOptions& options, Rejecters* hot,
-                       ScanBody body) const;
-
-  /// Appends `plan`, whose cost components `row` holds, and folds the row
-  /// into the last block's summaries: Append's body, shared with Insert.
-  void AppendRow(const PlanNode* plan, const double* row);
 
   /// Records a rejecting stored row in `hot`.
   void RememberRejecter(const double* row, Rejecters* hot) const;
@@ -273,9 +256,6 @@ class ParetoSet {
   /// +inf / -inf for blocks with no live rows.
   std::vector<double> block_min_;
   std::vector<double> block_max_;
-
-  /// The set's own rejecter cache (the WouldInsert overload without one).
-  mutable Rejecters hot_;
 };
 
 }  // namespace moqo

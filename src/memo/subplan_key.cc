@@ -82,9 +82,8 @@ SubplanKeyContext::SubplanKeyContext(
 
   // Run-wide suffix. alpha_i is encoded bit-exactly: the sealed frontier
   // of every table set depends on the pruning precision, so "close" alphas
-  // must not share entries. CostModelParams are not encoded — every
-  // optimizer constructs the defaults; revisit if they become a knob on
-  // the service path.
+  // must not share entries. The cost-model constants are fixed and not
+  // encoded (model/cost_model.cc).
   PutU64(&suffix_, static_cast<uint64_t>(objectives.size()));
   for (Objective objective : objectives) {
     PutU64(&suffix_, static_cast<uint64_t>(objective));

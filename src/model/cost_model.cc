@@ -7,6 +7,32 @@ namespace moqo {
 
 namespace {
 
+/// Cost-model constants, Postgres-flavoured units. Fixed: neither the
+/// subplan memo key nor the plan cache signature encodes them, so changing
+/// one means bumping kCostModelVersion.
+struct Constants {
+  double seq_page_cost = 1.0;       ///< Sequential page read (time units).
+  double random_page_cost = 4.0;    ///< Random page read.
+  double cpu_tuple_cost = 0.01;     ///< Per-tuple CPU work.
+  double cpu_operator_cost = 0.0025;
+  double index_probe_cost = 0.3;    ///< B-tree descent per probe.
+  double parallel_setup_cost = 10.0;  ///< Per-core coordination overhead.
+  double parallel_overhead = 0.05;  ///< Extra CPU fraction per extra core.
+  double work_mem_bytes = 4.0 * 1024 * 1024;  ///< Spill threshold.
+  double page_bytes = 8192.0;
+  /// Energy: Joule per CPU time unit and per IO time unit. IO is weighted
+  /// differently from CPU so that energy is correlated with but not
+  /// proportional to time (Section 4: "Energy consumption is not always
+  /// correlated with time").
+  double energy_per_cpu = 0.08;
+  double energy_per_io = 0.25;
+  /// Extra energy fraction per additional core (coordination makes
+  /// parallel plans faster but less energy-efficient).
+  double energy_parallel_penalty = 0.12;
+};
+
+constexpr Constants kConstants;
+
 double Log2Ceil(double x) { return std::log2(std::max(x, 2.0)); }
 
 }  // namespace
@@ -66,7 +92,7 @@ bool CostModel::JoinApplicable(int config_id, const PlanNode& left,
 CostVector CostModel::ScanCost(const OperatorConfig& op, int local_table,
                                double output_rows) const {
   const Table& table = query_->table(local_table);
-  const CostModelParams& p = params_;
+  const Constants& p = kConstants;
   const double s = op.sampling_rate;
   const double pages = table.page_count();
   const double rows = table.row_count();
@@ -118,8 +144,8 @@ CostModel::JoinOperands CostModel::Operands(const OperandStats& left_stats,
   in.rows_right = std::max(right_stats.rows, 1.0);
   in.bytes_left = std::max(left_stats.bytes(), 1.0);
   in.bytes_right = std::max(right_stats.bytes(), 1.0);
-  in.pages_left = left_stats.pages(params_.page_bytes);
-  in.pages_right = right_stats.pages(params_.page_bytes);
+  in.pages_left = left_stats.pages(kConstants.page_bytes);
+  in.pages_right = right_stats.pages(kConstants.page_bytes);
   in.log_left = Log2Ceil(in.rows_left);
   in.log_right = Log2Ceil(in.rows_right);
   in.output_rows = output_rows;
@@ -145,7 +171,7 @@ CostModel::JoinOperands CostModel::Operands(const PlanNode& left,
 
 CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
                                       const JoinOperands& in) const {
-  const CostModelParams& p = params_;
+  const Constants& p = kConstants;
   const double tL = in.rows_left;
   const double tR = in.rows_right;
   const double bytesL = in.bytes_left;

@@ -24,9 +24,9 @@
 // builds a PlanNode only for a candidate it keeps; the JoinNode and
 // MakeJoin overloads are thin wrappers over the same two steps.
 //
-// The absolute constants (below) are synthetic but Postgres-flavoured;
-// DESIGN.md's substitution table explains why only the formula structure,
-// not the constants, matters for reproducing the paper.
+// The absolute constants (fixed, in cost_model.cc) are synthetic but
+// Postgres-flavoured; DESIGN.md's substitution table explains why only the
+// formula structure, not the constants, matters for reproducing the paper.
 
 #ifndef MOQO_MODEL_COST_MODEL_H_
 #define MOQO_MODEL_COST_MODEL_H_
@@ -47,29 +47,6 @@ namespace moqo {
 /// priced them.
 inline constexpr uint64_t kCostModelVersion = 1;
 
-/// Cost-model constants, Postgres-flavoured units. Exposed so ablation
-/// benches can perturb them.
-struct CostModelParams {
-  double seq_page_cost = 1.0;       ///< Sequential page read (time units).
-  double random_page_cost = 4.0;    ///< Random page read.
-  double cpu_tuple_cost = 0.01;     ///< Per-tuple CPU work.
-  double cpu_operator_cost = 0.0025;
-  double index_probe_cost = 0.3;    ///< B-tree descent per probe.
-  double parallel_setup_cost = 10.0;  ///< Per-core coordination overhead.
-  double parallel_overhead = 0.05;  ///< Extra CPU fraction per extra core.
-  double work_mem_bytes = 4.0 * 1024 * 1024;  ///< Spill threshold.
-  double page_bytes = 8192.0;
-  /// Energy: Joule per CPU time unit and per IO time unit. IO is weighted
-  /// differently from CPU so that energy is correlated with but not
-  /// proportional to time (Section 4: "Energy consumption is not always
-  /// correlated with time").
-  double energy_per_cpu = 0.08;
-  double energy_per_io = 0.25;
-  /// Extra energy fraction per additional core (coordination makes
-  /// parallel plans faster but less energy-efficient).
-  double energy_parallel_penalty = 0.12;
-};
-
 /// Derived statistics of one operand (plan output) that the operator-local
 /// cost terms consume. These are plan *properties*, not costs.
 struct OperandStats {
@@ -87,12 +64,10 @@ struct OperandStats {
 class CostModel {
  public:
   CostModel(const Query* query, const OperatorRegistry* registry,
-            ObjectiveSet objectives,
-            CostModelParams params = CostModelParams())
+            ObjectiveSet objectives)
       : query_(query),
         registry_(registry),
         objectives_(std::move(objectives)),
-        params_(params),
         estimator_(query) {
     for (int i = 0; i < kNumObjectives; ++i) {
       dimension_[i] = objectives_.IndexOf(static_cast<Objective>(i));
@@ -101,7 +76,6 @@ class CostModel {
 
   const ObjectiveSet& objectives() const { return objectives_; }
   const CardinalityEstimator& estimator() const { return estimator_; }
-  const CostModelParams& params() const { return params_; }
 
   /// True iff scan config `config_id` may be used on `local_table`
   /// (IndexScan requires an index on some filter or join column).
@@ -233,7 +207,6 @@ class CostModel {
   const Query* query_;
   const OperatorRegistry* registry_;
   ObjectiveSet objectives_;
-  CostModelParams params_;
   CardinalityEstimator estimator_;
   /// dimension_[o] = active index of objective o, or -1.
   int dimension_[kNumObjectives];

@@ -3,7 +3,6 @@
 #include "persist/snapshot.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -88,34 +87,21 @@ SnapshotReadResult ReadSnapshot(
   }
   const size_t size = static_cast<size_t>(st.st_size);
 
-  // Preferred path: parse straight out of the mapping (the PlanSet codec
-  // is offset-based precisely so this needs no copies or fixups). The
-  // `persist.mmap` failpoint — and any real mmap failure — falls back to
-  // read(2) into heap memory.
-  const void* data = nullptr;
-  void* mapping = MAP_FAILED;
-  std::string fallback;
-  if (!MOQO_FAILPOINT_HIT("persist.mmap")) {
-    mapping = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  }
-  if (mapping != MAP_FAILED) {
-    data = mapping;
-    result.used_mmap = true;
-  } else {
-    fallback.resize(size);
-    size_t done = 0;
-    while (done < size) {
-      const ssize_t n = ::read(fd, fallback.data() + done, size - done);
-      if (n <= 0) break;
-      done += static_cast<size_t>(n);
-    }
-    if (done != size) {
-      ::close(fd);
-      return result;
-    }
-    data = fallback.data();
+  // One read(2) into heap memory, not a mapping: a file that another
+  // process shortens under a mapping raises SIGBUS instead of the clean
+  // skip the validation matrix promises. Restore runs once at start-up and
+  // decodes every record into arenas either way, so a mapping would save
+  // only one file-sized copy.
+  std::string bytes(size, '\0');
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::read(fd, bytes.data() + done, size - done);
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
   }
   ::close(fd);
+  if (done != size) return result;
+  const void* data = bytes.data();
 
   do {
     ByteReader reader(data, size);
@@ -158,8 +144,6 @@ SnapshotReadResult ReadSnapshot(
       result.records_ok += 1;
     }
   } while (false);
-
-  if (mapping != MAP_FAILED) ::munmap(mapping, size);
   return result;
 }
 

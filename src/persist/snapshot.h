@@ -84,8 +84,7 @@ class SnapshotWriter {
 };
 
 struct SnapshotReadResult {
-  bool loaded = false;     ///< File opened and the header validated.
-  bool used_mmap = false;  ///< Records parsed from an mmap'ed region.
+  bool loaded = false;  ///< File opened and the header validated.
   SnapshotHeader header;
   uint64_t records_ok = 0;
   uint64_t skipped_checksum = 0;  ///< Records failing their checksum.
@@ -97,7 +96,7 @@ struct SnapshotReadResult {
 /// record is parsed (epoch/version gating); `record_cb` is then called for
 /// every record whose checksum verifies. Records are never parsed when
 /// header.format_version != kFormatVersion. The `persist.read` failpoint
-/// fails the open; `persist.mmap` forces the read(2) fallback path.
+/// fails the open.
 SnapshotReadResult ReadSnapshot(
     const std::string& path,
     const std::function<bool(const SnapshotHeader&)>& header_cb,

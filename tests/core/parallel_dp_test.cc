@@ -218,9 +218,9 @@ std::vector<const PlanNode*> CommitInRounds(
     }
     const int mark = set.row_count();
     for (const PlanNode* plan : survivors) {
-      if (set.WouldInsertSince(mark, plan->cost, options)) set.Append(plan);
+      if (set.WouldInsert(plan->cost, options, nullptr, mark)) set.Append(plan);
     }
-    set.DeleteDominatedSince(mark);
+    set.DeleteDominatedSince(mark, options);
     begin = end;
   }
   set.Seal();

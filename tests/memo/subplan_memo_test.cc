@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dp_driver.h"
+#include "core/optimizer.h"
 #include "memo/subplan_key.h"
 #include "memo/subplan_memo.h"
 #include "persist/disk_tier.h"
@@ -301,18 +303,72 @@ TEST_F(SubplanMemoDpTest, ApproximatePruningWarmRunsStayIdentical) {
 }
 
 TEST_F(SubplanMemoDpTest, ParallelWarmRunMatchesSerialMemoOff) {
+  // Eight-table windows of a twelve-table chain, each shifted by one table
+  // from the last, at six objectives: a warm window hits the memo on the
+  // sets it shares with the last one, and its missed levels still clear
+  // the fan-out gate, so the parallel DP runs over memo hits (the path the
+  // anytime sessions take).
+  const Catalog catalog = MakeChainCatalog(12);
+  const ObjectiveSet six({Objective::kTotalTime, Objective::kStartupTime,
+                          Objective::kIOLoad, Objective::kCores,
+                          Objective::kDiskFootprint, Objective::kTupleLoss});
+  const double alpha = RTAInternalPrecision(1.5, 8);
+  // Every table set's sealed frontier as bytes, by mask: each plan's tree
+  // in set order, every node's operator config, table and cost bits, with
+  // children inline (a memo hit deep-copies its plans, so DAG sharing
+  // differs from a local build's and is left out).
+  const std::function<void(const PlanNode*, std::string*)> append_tree =
+      [&](const PlanNode* node, std::string* out) {
+        if (node == nullptr) {
+          out->push_back('.');
+          return;
+        }
+        out->append(std::to_string(node->op_config) + ":" +
+                    std::to_string(node->table) + "(");
+        for (int d = 0; d < node->cost.size(); ++d) {
+          const double value = node->cost[d];
+          out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+        }
+        append_tree(node->left, out);
+        append_tree(node->right, out);
+        out->push_back(')');
+      };
+  const auto run = [&](const Query& query, SubplanMemo* memo, int parallelism,
+                       ThreadPool* pool, DPStats* stats) {
+    const CostModel model(&query, &registry_, six);
+    Arena arena;
+    DPPlanGenerator generator(&model, &registry_, &arena);
+    DPOptions options;
+    options.alpha = alpha;
+    options.subplan_memo = memo;
+    options.parallelism = parallelism;
+    options.pool = pool;
+    generator.Run(query, options);
+    *stats = generator.stats();
+    std::vector<std::string> frontiers;
+    for (uint64_t mask = 1; mask <= query.AllTables().mask(); ++mask) {
+      const ParetoSet& set = generator.SetFor(TableSet(mask));
+      std::string bytes;
+      for (int i = 0; i < set.size(); ++i) append_tree(set.at(i), &bytes);
+      frontiers.push_back(std::move(bytes));
+    }
+    return frontiers;
+  };
+
   SubplanMemo memo;
   ThreadPool pool(3);
-  const Query a = MakeChainQuery(&catalog_, 0, 4);
-  const Query b = MakeChainQuery(&catalog_, 1, 5);
-  DPStats stats;
-  RunDp(a, &memo, &stats, 1.0, /*parallelism=*/4, &pool);
-  DPStats warm_stats;
-  const auto warm_parallel =
-      RunDp(b, &memo, &warm_stats, 1.0, /*parallelism=*/4, &pool);
-  EXPECT_GT(warm_stats.memo_hits, 0);
-  const auto serial_off = RunDp(b, nullptr, &stats);
-  EXPECT_EQ(warm_parallel, serial_off);
+  for (int lo = 0; lo < 3; ++lo) {
+    const Query window = MakeChainQuery(&catalog, lo, lo + 7);
+    DPStats parallel_stats;
+    DPStats serial_stats;
+    EXPECT_EQ(run(window, &memo, /*parallelism=*/4, &pool, &parallel_stats),
+              run(window, nullptr, /*parallelism=*/1, nullptr, &serial_stats))
+        << window.name();
+    if (lo == 0) continue;
+    EXPECT_GT(parallel_stats.memo_hits, 0) << window.name();
+    EXPECT_GT(parallel_stats.parallel_levels, 0) << window.name();
+    EXPECT_GT(parallel_stats.parallel_rounds, 0) << window.name();
+  }
 }
 
 TEST_F(SubplanMemoDpTest, MinTablesGatesProbesAndPublishes) {

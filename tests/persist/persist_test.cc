@@ -351,7 +351,6 @@ TEST(PersistTest, SnapshotWriterReaderRoundTrip) {
         }
       });
   EXPECT_TRUE(result.loaded);
-  EXPECT_TRUE(result.used_mmap);
   EXPECT_EQ(result.records_ok, 2u);
   EXPECT_EQ(result.skipped_checksum, 0u);
   EXPECT_EQ(result.truncated, 0u);
@@ -823,21 +822,6 @@ TEST(PersistTest, FailpointsForceColdStartAndFailedSnapshotCleanly) {
     EXPECT_EQ(service.PersistStats().restored_entries(), 0u);
     ServiceResponse response = service.SubmitAndWait(request);
     EXPECT_EQ(response.status, ResponseStatus::kCompleted);
-  }
-  rt::FailpointRegistry::Global().DisarmAll();
-
-  // persist.mmap: mmap refused -> the read(2) fallback restores the same
-  // entries.
-  ASSERT_TRUE(
-      rt::FailpointRegistry::Global().Arm("persist.mmap", "always:return_error"));
-  {
-    ServiceOptions options = PersistServiceOptions(dir);
-    options.persist.snapshot_on_shutdown = false;
-    OptimizationService service(options);
-    EXPECT_GT(service.PersistStats().restored_entries(), 0u);
-    ServiceResponse response = service.SubmitAndWait(request);
-    EXPECT_EQ(response.status, ResponseStatus::kCompleted);
-    EXPECT_TRUE(response.cache_hit());
   }
   rt::FailpointRegistry::Global().DisarmAll();
 

@@ -557,7 +557,6 @@ TEST(ChaosTest, PersistFaultsAndTornSnapshotsAcrossRestartsStayClean) {
   constexpr SiteSpec kPersistSites[] = {
       {"persist.write", "return_error"},
       {"persist.read", "return_error"},
-      {"persist.mmap", "return_error"},
       {"persist.tier.write", "return_error"},
       {"persist.tier.read", "return_error"},
   };
@@ -601,16 +600,6 @@ TEST(ChaosTest, PersistFaultsAndTornSnapshotsAcrossRestartsStayClean) {
                   .SubmitAndWait(ChaosStarRequest(queries, 2, 1.05))
                   .status,
               ResponseStatus::kCompleted);
-  }
-  rt::FailpointRegistry::Global().DisarmAll();
-  // persist.mmap always: restore falls back to read(2) and still loads.
-  ASSERT_TRUE(rt::FailpointRegistry::Global().Arm("persist.mmap",
-                                                  "always:return_error"));
-  {
-    ServiceOptions options = restart_options();
-    options.persist.snapshot_on_shutdown = false;
-    OptimizationService service(options);
-    EXPECT_GT(service.PersistStats().restored_entries(), 0u);
   }
   rt::FailpointRegistry::Global().DisarmAll();
   // persist.write always: the snapshot fails cleanly; the previous good

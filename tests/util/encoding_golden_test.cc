@@ -483,6 +483,13 @@ TEST(EncodingGoldenTest, TpchOptimizerFrontiers) {
                          std::vector<Objective>(kAllObjectives.begin(),
                                                 kAllObjectives.end())),
                {615, 144532u, 12398799925385972966ull, 77768});
+
+  // The ablation's deletion rule (aggressive_delete: stored plans the new
+  // one alpha-dominates go too) on Q5.
+  options.aggressive_delete = true;
+  RTAOptimizer ablation(options);
+  ExpectPinned(RunPinned(&ablation, MakeTpcHQuery(&catalog, 5), six),
+               {19, 6372u, 8849305345751279887ull, 20932});
 }
 
 }  // namespace
