@@ -326,8 +326,6 @@ int Run() {
         .Set("memo_hit_rate", hit_rate)
         .Set("memo_entries", memo_stats.memo_entries)
         .Set("memo_bytes", memo_stats.memo_bytes)
-        .Set("memo_admission_rejects",
-             static_cast<long long>(memo_stats.memo_admission_rejects))
         .Set("memo_off_p50_ms", cold_p50)
         .Set("memo_on_p50_ms", warm_p50)
         .Set("p50_speedup", warm_p50 > 0 ? cold_p50 / warm_p50 : 0.0);

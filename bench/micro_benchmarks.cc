@@ -3,16 +3,22 @@
 // pricing of one operand pair's join configs, subset enumeration, and
 // end-to-end optimization of small queries — plus the per-request work
 // of a plan-cache hit: signature computation and extension, and
-// SelectPlan over a cached frontier.
+// SelectPlan over a cached frontier — and the memo and persistence
+// layers: an all-hit DP re-run through the subplan memo, and the PlanSet
+// codec over a real frontier.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
+#include "core/dp_driver.h"
 #include "core/exa.h"
 #include "core/pareto_set.h"
 #include "core/rta.h"
+#include "memo/subplan_memo.h"
 #include "model/cost_model.h"
+#include "persist/plan_set_codec.h"
 #include "query/tpch_queries.h"
 #include "service/signature.h"
 #include "util/random.h"
@@ -267,6 +273,87 @@ void BM_SelectPlan(benchmark::State& state) {
   state.counters["plans"] = frontier->size();
 }
 BENCHMARK(BM_SelectPlan);
+
+/// The bench operator space (one sampling rate, DOP 1 and 2).
+OperatorRegistry::Options BenchOperators() {
+  OperatorRegistry::Options operators;
+  operators.sampling_rates = {0.05};
+  operators.dops = {1, 2};
+  return operators;
+}
+
+/// A memo hit's work, end to end: the DP over TPC-H Q8 (six objectives,
+/// bench operator space, RTA 1.5's internal precision) after a cold run
+/// published every set of three or more tables, so each of those is
+/// sealed by pricing its entry's candidates again. The `hits` counter
+/// reports the sets sealed from the memo per run.
+void BM_MemoWarmRun(benchmark::State& state) {
+  const Catalog catalog = Catalog::TpcH(1.0);
+  const Query query = MakeTpcHQuery(&catalog, 8);
+  const OperatorRegistry registry(BenchOperators());
+  const CostModel model(&query, &registry, FirstObjectives(6));
+  SubplanMemo memo;
+  DPOptions options;
+  options.alpha = RTAInternalPrecision(1.5, query.num_tables());
+  options.subplan_memo = &memo;
+  {
+    Arena arena;
+    DPPlanGenerator(&model, &registry, &arena).Run(query, options);
+  }
+  long hits = 0;
+  for (auto _ : state) {
+    Arena arena;
+    DPPlanGenerator generator(&model, &registry, &arena);
+    benchmark::DoNotOptimize(generator.Run(query, options).size());
+    hits = generator.stats().memo_hits;
+  }
+  state.counters["hits"] = static_cast<double>(hits);
+}
+BENCHMARK(BM_MemoWarmRun)->Unit(benchmark::kMicrosecond);
+
+/// TPC-H Q8's RTA frontier (six objectives, alpha 1.5, bench operator
+/// space): what a plan-cache record or a snapshot carries.
+std::shared_ptr<const PlanSet> Q8Frontier() {
+  const Catalog catalog = Catalog::TpcH(1.0);
+  const Query query = MakeTpcHQuery(&catalog, 8);
+  MOQOProblem problem;
+  problem.query = &query;
+  problem.objectives = FirstObjectives(6);
+  problem.weights = WeightVector::Uniform(6);
+  OptimizerOptions options;
+  options.alpha = 1.5;
+  options.operators = BenchOperators();
+  return RTAOptimizer(options).Optimize(problem).plan_set;
+}
+
+/// Encoding Q8's frontier as a PlanSet block; `bytes` is its length.
+void BM_PlanSetCodecAppend(benchmark::State& state) {
+  const std::shared_ptr<const PlanSet> frontier = Q8Frontier();
+  std::string block;
+  for (auto _ : state) {
+    block.clear();
+    persist::PlanSetCodec::Append(*frontier, &block);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["plans"] = frontier->size();
+  state.counters["bytes"] = static_cast<double>(block.size());
+}
+BENCHMARK(BM_PlanSetCodecAppend)->Unit(benchmark::kMicrosecond);
+
+/// Decoding Q8's frontier from its PlanSet block, as a restore does.
+void BM_PlanSetCodecDecode(benchmark::State& state) {
+  const std::shared_ptr<const PlanSet> frontier = Q8Frontier();
+  std::string block;
+  persist::PlanSetCodec::Append(*frontier, &block);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        persist::PlanSetCodec::Decode(block.data(), block.size(), nullptr));
+  }
+  state.counters["plans"] = frontier->size();
+  state.counters["bytes"] = static_cast<double>(block.size());
+}
+BENCHMARK(BM_PlanSetCodecDecode)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace moqo

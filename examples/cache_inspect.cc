@@ -18,10 +18,9 @@
 #include <memory>
 #include <string>
 
-#include "core/plan_set.h"
+#include "memo/subplan_memo.h"
 #include "persist/format.h"
 #include "persist/frontier_codec.h"
-#include "persist/plan_set_codec.h"
 #include "persist/snapshot.h"
 
 namespace moqo {
@@ -39,8 +38,10 @@ const char* KindName(persist::RecordKind kind) {
   switch (kind) {
     case persist::RecordKind::kPlanCacheEntry:
       return "plan_cache";
-    case persist::RecordKind::kMemoEntry:
+    case persist::RecordKind::kMemoCandidates:
       return "memo";
+    case persist::RecordKind::kMemoEntry:
+      return "retired";
   }
   return "unknown";
 }
@@ -67,7 +68,7 @@ int Inspect(const std::string& path, bool list_records) {
         KindTally* tally =
             record.kind == persist::RecordKind::kPlanCacheEntry
                 ? &plan_tally
-                : record.kind == persist::RecordKind::kMemoEntry
+                : record.kind == persist::RecordKind::kMemoCandidates
                       ? &memo_tally
                       : nullptr;
         if (tally == nullptr) {
@@ -78,35 +79,34 @@ int Inspect(const std::string& path, bool list_records) {
         tally->payload_bytes += record.payload.size();
 
         // Decode the payload the way a restore would, to report the
-        // frontier actually recoverable from this record.
-        std::shared_ptr<const PlanSet> frontier;
+        // frontier plans (memo: candidates) recoverable from this record;
+        // -1 if none.
+        int plans = -1;
         if (record.kind == persist::RecordKind::kPlanCacheEntry) {
           std::shared_ptr<const CachedFrontier> entry =
               persist::DecodeFrontierPayload(record.payload.data(),
                                              record.payload.size(),
                                              record.achieved_alpha);
           if (entry != nullptr && entry->result != nullptr) {
-            frontier = entry->result->plan_set;
+            plans = entry->result->plan_set->size();
           }
-        } else {
-          frontier = persist::PlanSetCodec::Decode(
-              record.payload.data(), record.payload.size(), nullptr);
+        } else if (const std::shared_ptr<const MemoFrontier> entry =
+                       MemoEntryCodec::Decode(record.payload,
+                                              record.achieved_alpha)) {
+          plans = static_cast<int>(entry->rows.size());
         }
-        if (frontier == nullptr) {
+        if (plans < 0) {
           ++tally->undecodable;
         } else {
-          tally->frontier_plans += frontier->size();
-          if (frontier->size() > tally->max_frontier) {
-            tally->max_frontier = frontier->size();
-          }
+          tally->frontier_plans += plans;
+          if (plans > tally->max_frontier) tally->max_frontier = plans;
         }
         if (list_records) {
           std::printf(
               "  record kind=%-10s hash=%016" PRIx64
               " alpha=%-6g key=%zuB payload=%zuB frontier=%d\n",
               KindName(record.kind), record.key_hash, record.achieved_alpha,
-              record.key.size(), record.payload.size(),
-              frontier == nullptr ? -1 : frontier->size());
+              record.key.size(), record.payload.size(), plans);
         }
       });
 
@@ -145,7 +145,8 @@ int Inspect(const std::string& path, bool list_records) {
   print_tally("plan_cache", plan_tally);
   print_tally("memo", memo_tally);
   if (other_records > 0) {
-    std::printf("  %-12s %8" PRIu64 " records (unknown kind, skipped)\n",
+    std::printf("  %-12s %8" PRIu64
+                " records (retired or unknown kind, skipped)\n",
                 "other", other_records);
   }
   std::printf("validation: %" PRIu64 " ok, %" PRIu64

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <limits>
 
-#include "core/plan_set.h"
 #include "memo/subplan_memo.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -59,6 +59,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
                                       const DPOptions& options) {
   query_ = &query;
   memo_.clear();
+  row_of_.clear();
   stats_ = DPStats();
 
   const TableSet all = query.AllTables();
@@ -117,7 +118,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
     level_span.AddArg("sets", static_cast<int64_t>(level.size()));
 
     // Memo probe, on the caller thread before any of this level's sets is
-    // built: hits seal their entry directly from the shared snapshot;
+    // built: hits seal their entry from the memo entry's candidates;
     // misses remember their signature so publish-after-seal below needs no
     // re-encoding. Probing is skipped once the run is in quick mode —
     // quick-mode sets are weight-dependent and must not come from (or go
@@ -135,24 +136,19 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
       signatures.resize(level.size());
       for (size_t i = 0; i < level.size(); ++i) {
         // Per-set deadline poll: signature encoding and hit
-        // materialization are real work, and an expired run must fall to
+        // pricing are real work, and an expired run must fall to
         // quick mode as promptly as the build loops do. Expiry is
         // monotone, so the processing loops below see it too; un-probed
         // sets simply stay misses (their `built` flag can never be set,
         // so the publish loop skips their empty signatures).
         if (options.deadline.Expired()) break;
         signatures[i] = key_context_->SignatureFor(level[i]);
-        const std::shared_ptr<const PlanSet> entry =
+        // An entry whose rows do not fit this run (only a restored or
+        // promoted record can) is a miss: the set is rebuilt and its
+        // publish replaces the entry.
+        const std::shared_ptr<const MemoFrontier> entry =
             shared_memo->Lookup(signatures[i]);
-        // An entry's plans must join exactly the set's dense ranks
-        // 0..k-1, the space MaterializeFromMemo maps back to local
-        // indices. The DP's own publishes always do; a restored or
-        // promoted entry was only checked for internal consistency at
-        // decode, so one over other ranks is a miss: the set is rebuilt
-        // and its publish replaces the entry.
-        if (entry != nullptr && !entry->empty() &&
-            entry->plan(0)->tables == TableSet::Prefix(k)) {
-          MaterializeFromMemo(level[i], *entry);
+        if (entry != nullptr && SealFromMemo(level[i], *entry)) {
           from_memo[i] = 1;
           ++stats_.memo_hits;
         } else {
@@ -219,6 +215,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         ++stats_.complete_sets;
         stats_.last_complete_set = level[i];
         stats_.last_complete_pareto_count = SetFor(level[i]).size();
+        if (shared_memo != nullptr) RecordRows(SetFor(level[i]));
       } else {
         if (!options.single_plan_mode) stats_.timed_out = true;
         ProcessSetQuick(query, level[i], options);
@@ -227,25 +224,16 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
 
     // Publish-after-seal: every set built completely by THIS run (never
     // re-published hits, never quick-mode rebuilds) is offered to the
-    // memo, rebased into its canonical dense-rank space. Running after the
-    // level barrier on the caller thread keeps the parallel batch free of
-    // shared-structure writes.
+    // memo as its candidates in the set's dense-rank space. Running after
+    // the level barrier on the caller thread keeps the parallel batch free
+    // of shared-structure writes.
     if (memo_level) {
       TraceSpan publish_span(options.tracer, "memo", "memo.publish",
                              options.trace_id);
       const long publishes_before = stats_.memo_publishes;
       for (size_t i = 0; i < level.size(); ++i) {
-        if (!built[i]) continue;
-        const ParetoSet& set = SetFor(level[i]);
-        if (!shared_memo->Admits(set, options.alpha)) continue;
-        std::vector<int> local_to_rank(query.num_tables(), -1);
-        const std::vector<int> members = level[i].Members();
-        for (size_t r = 0; r < members.size(); ++r) {
-          local_to_rank[members[r]] = static_cast<int>(r);
-        }
-        shared_memo->Insert(signatures[i],
-                            PlanSet::FromParetoSetRemapped(set,
-                                                           local_to_rank));
+        if (!built[i] || SetFor(level[i]).empty()) continue;
+        shared_memo->Insert(signatures[i], MemoEntryOf(level[i]));
         ++stats_.memo_publishes;
       }
       publish_span.AddArg("publishes",
@@ -255,20 +243,85 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
   return SetFor(all);
 }
 
-void DPPlanGenerator::MaterializeFromMemo(TableSet tables,
-                                          const PlanSet& entry) {
-  // rank -> local: the entry stores plans over dense ranks 0..k-1 in the
-  // set's ascending member order; Members() is exactly that mapping.
-  const std::vector<int> rank_to_local = tables.Members();
-  std::unordered_map<const PlanNode*, const PlanNode*> copied;
-  copied.reserve(static_cast<size_t>(entry.size()) * 2);
+bool DPPlanGenerator::SealFromMemo(TableSet tables,
+                                   const MemoFrontier& entry) {
+  const std::vector<int> members = tables.Members();
+  const uint64_t all_ranks =
+      TableSet::Prefix(static_cast<int>(members.size())).mask();
   std::vector<const PlanNode*> plans;
-  plans.reserve(entry.size());
-  for (int i = 0; i < entry.size(); ++i) {
-    plans.push_back(
-        DeepCopyPlanRemapped(entry.plan(i), arena_, rank_to_local, &copied));
+  plans.reserve(entry.rows.size());
+  // A split's rows are adjacent (the DP keeps candidates in split order),
+  // so each split is analyzed once, as in PriceRange.
+  uint64_t split_ranks = 0;
+  const ParetoSet* left_plans = nullptr;
+  const ParetoSet* right_plans = nullptr;
+  CostModel::SplitInfo info;
+  for (const MemoFrontier::Row& row : entry.rows) {
+    if (row.left_ranks == 0 || (row.left_ranks & ~all_ranks) != 0 ||
+        row.left_ranks == all_ranks) {
+      return false;
+    }
+    if (row.left_ranks != split_ranks) {
+      split_ranks = row.left_ranks;
+      TableSet left;
+      for (size_t r = 0; r < members.size(); ++r) {
+        if ((split_ranks >> r) & 1) left = left.With(members[r]);
+      }
+      const TableSet right = tables.Minus(left);
+      left_plans = &SetFor(left);
+      right_plans = &SetFor(right);
+      info = model_->AnalyzeSplit(left, right);
+    }
+    if (row.left_row >= static_cast<uint32_t>(left_plans->size()) ||
+        row.right_row >= static_cast<uint32_t>(right_plans->size()) ||
+        row.op_config < 0 || row.op_config >= registry_->num_configs()) {
+      return false;
+    }
+    const OperatorConfig& op = registry_->config(row.op_config);
+    if (op.IsScan() || !model_->JoinApplicableFast(op, info)) return false;
+    const PlanNode* left = left_plans->at(static_cast<int>(row.left_row));
+    const PlanNode* right = right_plans->at(static_cast<int>(row.right_row));
+    const CostModel::JoinOperands operands =
+        model_->Operands(*left, *right, info);
+    plans.push_back(arena_->New<PlanNode>(
+        model_->JoinNode(row.op_config, left, right, operands,
+                         model_->CombineJoinCost(op, operands))));
   }
   memo_[tables.mask()].LoadSealed(plans);
+  return true;
+}
+
+std::shared_ptr<const MemoFrontier> DPPlanGenerator::MemoEntryOf(
+    TableSet tables) const {
+  const std::vector<int> members = tables.Members();
+  const ParetoSet& set = SetFor(tables);
+  // Every operand of a complete set is a row of a sealed subset, recorded
+  // when that subset sealed.
+  const auto row_of = [this](const PlanNode* operand) {
+    const auto it = row_of_.find(operand);
+    assert(it != row_of_.end());
+    return it->second;
+  };
+  auto entry = std::make_shared<MemoFrontier>();
+  entry->rows.reserve(set.size());
+  for (int i = 0; i < set.size(); ++i) {
+    const PlanNode* plan = set.at(i);
+    uint64_t left_ranks = 0;
+    for (size_t r = 0; r < members.size(); ++r) {
+      if (plan->left->tables.Contains(members[r])) {
+        left_ranks |= uint64_t{1} << r;
+      }
+    }
+    entry->rows.push_back({plan->op_config, row_of(plan->left),
+                           row_of(plan->right), left_ranks});
+  }
+  return entry;
+}
+
+void DPPlanGenerator::RecordRows(const ParetoSet& set) {
+  for (int i = 0; i < set.size(); ++i) {
+    row_of_.emplace(set.at(i), static_cast<uint32_t>(i));
+  }
 }
 
 uint64_t DPPlanGenerator::SplitWorkProxy(TableSet tables,
@@ -416,6 +469,7 @@ void DPPlanGenerator::ProcessSingletons(const Query& query,
       }
     }
     set.Seal();
+    if (key_context_ != nullptr) RecordRows(set);
     ++stats_.complete_sets;
     stats_.last_complete_set = TableSet::Singleton(table);
     stats_.last_complete_pareto_count = set.size();

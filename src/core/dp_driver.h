@@ -47,14 +47,13 @@
 // exact or approximate pruning alike.
 //
 // Cross-query subplan memo (PR 4): with DPOptions::subplan_memo set, the
-// driver probes a shared SubplanMemo before building a table set — keyed
-// by the set's canonical signature (memo/subplan_key.h), which guarantees
-// byte-identical frontiers for equal keys — and on a hit seals the level
-// entry directly from the shared snapshot (plans rebased into this query's
-// table indices, costs verbatim). Newly sealed sets are published back
-// *after* the level barrier, on the caller thread, so in-flight tasks only
-// ever read immutable memo state and the frontiers of a cold run are
-// byte-identical with the memo on or off.
+// driver probes a shared SubplanMemo before building a table set, keyed by
+// the set's canonical signature (memo/subplan_key.h). A hit prices the
+// entry's candidates again from this run's sealed sub-frontiers, which the
+// key fixes row for row, so it builds exactly the nodes a local build
+// would. Newly sealed sets are published back *after* the level barrier,
+// on the caller thread, so in-flight tasks only ever read immutable memo
+// state. Frontiers are byte-identical with the memo on or off.
 //
 // Postgres heuristics kept in place per Section 4: Cartesian-product splits
 // are considered only for table sets where no predicate-connected split
@@ -81,7 +80,7 @@
 
 namespace moqo {
 
-class PlanSet;
+struct MemoFrontier;
 class SubplanMemo;
 class ThreadPool;
 class Tracer;
@@ -143,8 +142,8 @@ struct DPStats {
   int complete_sets = 0;
   int total_sets = 0;
   /// Cross-query subplan memo traffic of this run (0 when no memo is
-  /// attached): sets sealed from a shared snapshot, sets probed without an
-  /// entry, and sets published after their level's barrier.
+  /// attached): sets sealed from a memo entry, sets probed without a
+  /// usable entry, and sets published after their level's barrier.
   long memo_hits = 0;
   long memo_misses = 0;
   long memo_publishes = 0;
@@ -251,10 +250,16 @@ class DPPlanGenerator {
   void CountBarrierWait(int first, int last, int64_t now_us,
                         const DPOptions& options);
 
-  /// Seals memo_[tables] from a shared memo snapshot: plans are deep-copied
-  /// into the run arena with their table references rebased from the
-  /// entry's dense-rank space to this query's local indices.
-  void MaterializeFromMemo(TableSet tables, const PlanSet& entry);
+  /// Seals memo_[tables] by pricing `entry`'s candidates from this run's
+  /// sealed sub-frontiers, as PriceRange does. False, sealing nothing, if
+  /// a row does not fit the set (see MemoFrontier).
+  bool SealFromMemo(TableSet tables, const MemoFrontier& entry);
+
+  /// The memo entry of the sealed set `tables`, read through row_of_.
+  std::shared_ptr<const MemoFrontier> MemoEntryOf(TableSet tables) const;
+
+  /// Records each plan's row of the sealed `set` in row_of_.
+  void RecordRows(const ParetoSet& set);
 
   /// Estimated work of building `tables`: sum over its splits of |left
   /// frontier| * |right frontier|, the (left, right) pairs each priced
@@ -310,6 +315,9 @@ class DPPlanGenerator {
   std::vector<RoundChunk> round_chunks_;
   const Query* query_;
   std::unordered_map<uint64_t, ParetoSet> memo_;
+  /// Each complete set's plans -> their rows in it; filled only when a
+  /// subplan memo is attached, to name a published candidate's operands.
+  std::unordered_map<const PlanNode*, uint32_t> row_of_;
   /// Canonical-signature builder of the current run; set iff a subplan
   /// memo is attached and active.
   std::unique_ptr<SubplanKeyContext> key_context_;

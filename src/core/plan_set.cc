@@ -14,18 +14,6 @@ std::shared_ptr<const PlanSet> PlanSet::FromParetoSet(const ParetoSet& set) {
   // Frontier snapshots deep-copy into a fresh arena; arm with `oom` to
   // fail the copy before any allocation happens.
   MOQO_FAILPOINT("planset.snapshot");
-  return Copy(set, {});
-}
-
-std::shared_ptr<const PlanSet> PlanSet::FromParetoSetRemapped(
-    const ParetoSet& set, const std::vector<int>& table_map) {
-  if (set.empty()) return Empty();
-  MOQO_FAILPOINT("planset.snapshot.remap");
-  return Copy(set, table_map);
-}
-
-std::shared_ptr<const PlanSet> PlanSet::Copy(
-    const ParetoSet& set, const std::vector<int>& table_map) {
   // make_shared needs a public constructor; the private one is reached
   // through this local subclass trampoline.
   struct Constructible : PlanSet {};
@@ -37,8 +25,7 @@ std::shared_ptr<const PlanSet> PlanSet::Copy(
   result->plans_.reserve(plans.size());
   result->costs_.reserve(plans.size());
   for (const PlanNode* plan : plans) {
-    result->plans_.push_back(
-        DeepCopyPlanRemapped(plan, &result->arena_, table_map, &copied));
+    result->plans_.push_back(DeepCopyPlan(plan, &result->arena_, &copied));
     result->costs_.push_back(plan->cost);
   }
   return result;
@@ -62,7 +49,7 @@ std::shared_ptr<const PlanSet> PlanSet::FromIndices(
   result->costs_.reserve(indices.size());
   for (int i : indices) {
     result->plans_.push_back(
-        DeepCopyPlanRemapped(source.plan(i), &result->arena_, {}, &copied));
+        DeepCopyPlan(source.plan(i), &result->arena_, &copied));
     result->costs_.push_back(source.cost(i));
   }
   return result;

@@ -44,15 +44,6 @@ class PlanSet {
   /// Shared empty singleton (no arena blocks).
   static std::shared_ptr<const PlanSet> Empty();
 
-  /// FromParetoSet with table renumbering: every copied node's table
-  /// references are rewritten through `table_map` (new = table_map[old];
-  /// see DeepCopyPlanRemapped). DAG sharing is preserved. The cross-query
-  /// subplan memo publishes sealed per-table-set frontiers through this,
-  /// rebasing plans from query-local indices into the set's canonical
-  /// dense-rank space; costs are copied verbatim (they are index-free).
-  static std::shared_ptr<const PlanSet> FromParetoSetRemapped(
-      const ParetoSet& set, const std::vector<int>& table_map);
-
   /// Deep-copies the plans at `indices` (in the given order) into a new
   /// set, preserving DAG sharing among them. Building block of
   /// CompactPlanSet; `indices` must be valid and duplicate-free.
@@ -85,25 +76,17 @@ class PlanSet {
  private:
   PlanSet() = default;
 
-  /// The one copy loop behind FromParetoSet(Remapped): deep-copies the
-  /// live plans of `set` through `table_map` (empty = table fields
-  /// verbatim), preserving DAG sharing — frontier plans of one table set
-  /// share most of their sub-plans through the DP memo, so a per-plan
-  /// copy would multiply the footprint by the frontier size.
-  static std::shared_ptr<const PlanSet> Copy(
-      const ParetoSet& set, const std::vector<int>& table_map);
-
   /// The on-disk codec (src/persist/plan_set_codec.h) materializes decoded
   /// snapshots directly into a fresh set's arena — the only writer besides
   /// the factory functions above.
   friend class persist::PlanSetCodec;
 
   /// First block sized for a handful of nodes, doubling up to the default
-  /// block size: snapshots live as long as a cache/memo entry references
-  /// them, and most frontiers are far smaller than one 64 KiB block —
-  /// pinning one per entry would waste most of a byte-budgeted cache's
-  /// capacity on slack (the ApproxBytes the caches account is reserved,
-  /// not allocated, bytes).
+  /// block size: snapshots live as long as a cache entry references them,
+  /// and most frontiers are far smaller than one 64 KiB block — pinning
+  /// one per entry would waste most of a byte-budgeted cache's capacity on
+  /// slack (the ApproxBytes the cache accounts is reserved, not allocated,
+  /// bytes).
   Arena arena_{size_t{1} << 10, Arena::kDefaultBlockBytes};
   std::vector<const PlanNode*> plans_;
   std::vector<CostVector> costs_;

@@ -8,31 +8,30 @@
 // than whole queries. This memo shares work at the granularity the DP
 // actually spends its time on: the sealed approximate Pareto set of one
 // table set. Keys are canonical table-set signatures (memo/subplan_key.h —
-// equal keys imply byte-identical frontiers); values are immutable shared
-// PlanSet snapshots holding the frontier's plans in the set's canonical
-// dense-rank space (costs verbatim, plans DAG-shared, rebased on a hit via
-// DeepCopyPlanRemapped). The DP driver probes before building a table set
-// and seals the level entry directly on a hit; after the level barrier it
-// publishes newly sealed sets — publish-after-seal, so in-flight parallel
-// tasks only ever read immutable entries and a cold run's frontiers are
-// byte-identical with the memo on or off.
+// equal keys imply byte-identical frontiers). A value is a MemoFrontier:
+// the candidates that survived the set's DP, in sealed order, each named
+// the way Theorem 1 stores a plan — its last join's operator config plus
+// its two operands, here as rows of the run's sealed sub-frontiers. The
+// DP driver probes before building a table set and, on a hit, prices
+// those candidates again from its own sealed sub-frontiers. A set's key
+// fixes each subset's key (a member's fragment carries all its incident
+// join columns; a subset's induced edges are a subset of the set's), so
+// those are, row for row, the sub-frontiers the entry was built over, and
+// a hit builds exactly the nodes a local build would. After the level
+// barrier the driver publishes newly sealed sets — publish-after-seal, so
+// in-flight parallel tasks only ever read immutable entries. Frontiers
+// are byte-identical with the memo on or off, cold or warm.
 //
 // Storage, the disk tier and snapshot export/restore are the same
-// persist::TieredLru the PlanCache is (persist/tiered_lru.h), over PlanSet
-// with the MemoEntryCodec below: entries are accounted by their PlanSet
-// footprint plus key/index overhead and tagged alpha 0, since the key
-// already carries the precision bit-exactly. This class keeps only the
-// memo's own policy. Admission is
-// shaped by three knobs: `min_tables` (small sets are cheaper to rebuild
-// than to copy), `admission_epsilon` (only frontiers already compact at
-// the service's cache epsilon are worth pinning — a denser frontier would
-// be compacted away at the whole-query cache anyway; entries are never
-// stored compacted, since hits must reproduce the exact frontier), and
-// `max_entry_plans` (a hard per-entry size cut). Per-catalog epochs keep
-// the memo tidy: ObserveCatalog flushes all entries when a known
-// catalog's epoch advances (Catalog::BumpEpoch after an in-place
-// statistics refresh), evicting entries whose content-derived keys just
-// became unreachable.
+// persist::TieredLru the PlanCache is (persist/tiered_lru.h), over
+// MemoFrontier with the MemoEntryCodec below: entries are accounted by
+// their row footprint plus key/index overhead and tagged alpha 0, since
+// the key already carries the precision bit-exactly. This class keeps
+// only the memo's own policy: `min_tables` (small sets are cheaper to
+// rebuild than to look up) and per-catalog epochs — ObserveCatalog
+// flushes all entries when a known catalog's epoch advances
+// (Catalog::BumpEpoch after an in-place statistics refresh), evicting
+// entries whose content-derived keys just became unreachable.
 
 #ifndef MOQO_MEMO_SUBPLAN_MEMO_H_
 #define MOQO_MEMO_SUBPLAN_MEMO_H_
@@ -43,8 +42,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
-#include "core/plan_set.h"
 #include "memo/subplan_key.h"
 #include "obs/counter.h"
 #include "persist/tiered_lru.h"
@@ -53,21 +52,44 @@
 
 namespace moqo {
 
-/// The TieredLru codec of a memo entry: kMemoEntry records whose payload
-/// is the PlanSet block (persist/plan_set_codec.h), tagged alpha 0.
+/// One memo entry: the candidates that survived a table set's DP, in
+/// sealed order, over the set's dense member ranks (rank r = its r-th
+/// member in ascending local order). A row holds no cost: a hit prices it
+/// again, so a restored entry is trusted only for which candidates
+/// survived. A hit misses if a row's left ranks are empty, the whole set
+/// or outside it, an operand row is past its sealed sub-frontier, or the
+/// config is not a join applicable to the split.
+struct MemoFrontier {
+  struct Row {
+    int32_t op_config = -1;   ///< The join's operator config.
+    uint32_t left_row = 0;    ///< Operand rows in their sealed frontiers.
+    uint32_t right_row = 0;
+    uint64_t left_ranks = 0;  ///< Left operand; the right is the rest.
+  };
+  std::vector<Row> rows;
+};
+
+/// The TieredLru codec of a memo entry: kMemoCandidates records whose
+/// payload is a u32 row count, then per row i32 op_config, u32 left_row,
+/// u32 right_row and u64 left_ranks; tagged alpha 0.
 struct MemoEntryCodec {
-  static constexpr persist::RecordKind kKind = persist::RecordKind::kMemoEntry;
-  static double Alpha(const PlanSet& /*frontier*/) { return 0.0; }
-  static size_t Plans(const PlanSet& frontier) {
-    return static_cast<size_t>(frontier.size());
+  static constexpr persist::RecordKind kKind =
+      persist::RecordKind::kMemoCandidates;
+  static constexpr size_t kRowBytes = 20;
+  static double Alpha(const MemoFrontier& /*frontier*/) { return 0.0; }
+  static size_t Plans(const MemoFrontier& frontier) {
+    return frontier.rows.size();
   }
-  static size_t Footprint(const PlanSet& frontier) {
-    return frontier.ApproxBytes();
+  static size_t Footprint(const MemoFrontier& frontier) {
+    return sizeof(frontier) +
+           frontier.rows.capacity() * sizeof(MemoFrontier::Row);
   }
-  /// False for the empty set: nothing worth persisting.
-  static bool Encode(const PlanSet& frontier, std::string* out);
-  static std::shared_ptr<const PlanSet> Decode(std::string_view payload,
-                                               double alpha);
+  /// False for an entry without rows: nothing worth persisting.
+  static bool Encode(const MemoFrontier& frontier, std::string* out);
+  /// Null unless the payload is a positive row count followed by exactly
+  /// that many rows; the rows' values are checked on a hit.
+  static std::shared_ptr<const MemoFrontier> Decode(std::string_view payload,
+                                                    double alpha);
   /// The `memo.insert` failpoint; `return_error` drops the publish.
   static bool DropInsert();
 };
@@ -75,7 +97,7 @@ struct MemoEntryCodec {
 class SubplanMemo {
  public:
   struct Options {
-    /// Byte budget across all shards (entries accounted by PlanSet
+    /// Byte budget across all shards (entries accounted by row
     /// footprint + key/index overhead); 0 = unlimited.
     size_t capacity_bytes = size_t{64} << 20;  // 64 MiB
     /// Entry cap across all shards (secondary limit).
@@ -86,19 +108,9 @@ class SubplanMemo {
     /// published (floored at 2: singletons are cheaper to rebuild than to
     /// look up). The DP skips memo work below this size entirely.
     int min_tables = 3;
-    /// Epsilon-aware admission: a frontier is published only if it is
-    /// already compact at this epsilon — no plan (1+epsilon)-dominated by
-    /// an earlier one. 0 disables the check; a negative value means "use
-    /// the owner's default" (the service substitutes its cache-compaction
-    /// epsilon; a bare SubplanMemo treats it as disabled).
-    double admission_epsilon = -1.0;
-    /// Frontiers with more plans than this are never published; 0 = no cap.
-    size_t max_entry_plans = 0;
   };
 
   struct Stats : persist::TieredStats {
-    /// Publishes refused by admission (epsilon density / entry size).
-    Counter admission_rejects;
     /// Epoch changes that flushed the memo.
     Counter invalidations;
   };
@@ -112,28 +124,17 @@ class SubplanMemo {
   const Options& options() const { return options_; }
   int min_tables() const { return options_.min_tables; }
 
-  /// Returns the shared frontier for `signature` (promoting it to
+  /// Returns the shared entry for `signature` (promoting it to
   /// most-recently-used) or nullptr on miss; see TieredLru::Lookup.
-  std::shared_ptr<const PlanSet> Lookup(const SubplanSignature& signature) {
+  std::shared_ptr<const MemoFrontier> Lookup(
+      const SubplanSignature& signature) {
     return lru_.Lookup(signature);
   }
 
-  /// True iff `frontier` passes the admission policy (size cap and epsilon
-  /// compactness); counts rejects. `alpha` is the pruning precision the
-  /// frontier was built with: approximate pruning already guarantees
-  /// compactness at alpha - 1 (no stored plan is alpha-dominated by an
-  /// earlier one), so the effective admission epsilon is capped there and
-  /// the O(n^2) density scan only ever runs — and prunes — for *exact*
-  /// frontiers, the ones whose density is actually unbounded. The DP
-  /// checks this before paying for the deep copy a publish requires.
-  bool Admits(const ParetoSet& frontier, double alpha);
-
-  /// Inserts (or refreshes) an admitted frontier, evicting LRU entries of
-  /// the target shard until it fits the byte budget and entry cap. Equal
-  /// keys imply byte-identical frontiers, so a refresh only touches
-  /// recency and accounting.
+  /// Inserts (or replaces) an entry, evicting LRU entries of the target
+  /// shard until it fits the byte budget and entry cap.
   void Insert(const SubplanSignature& signature,
-              std::shared_ptr<const PlanSet> frontier) {
+              std::shared_ptr<const MemoFrontier> frontier) {
     lru_.Insert(signature, std::move(frontier));
   }
 
@@ -169,7 +170,7 @@ class SubplanMemo {
 
  private:
   Options options_;
-  persist::TieredLru<PlanSet, MemoEntryCodec> lru_;
+  persist::TieredLru<MemoFrontier, MemoEntryCodec> lru_;
 
   /// Last-seen epoch per catalog identity; epoch_mu_ also serializes the
   /// flush an epoch change triggers.

@@ -62,7 +62,8 @@ inline constexpr size_t kRecordHeaderBytes = 40;
 /// Record kinds in a snapshot file or tier segment.
 enum class RecordKind : uint32_t {
   kPlanCacheEntry = 1,  ///< Payload: preference block + PlanSet block.
-  kMemoEntry = 2,       ///< Payload: PlanSet block only.
+  kMemoEntry = 2,       ///< Retired (a PlanSet block): no cache claims it.
+  kMemoCandidates = 3,  ///< Payload: memo candidate rows (subplan_memo.h).
 };
 
 /// One decoded record, viewing the bytes it was read from.

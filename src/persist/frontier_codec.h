@@ -1,13 +1,12 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// Payload codecs for the two cached-entry kinds the persistence layer
-// moves around (snapshot records and disk-tier records share these):
+// Payload codec of the plan cache's record kind (snapshot records and
+// disk-tier records share it; memo records are memo/subplan_memo.h's):
 //
 //   kPlanCacheEntry — a whole-query CachedFrontier:
 //     u32 weights_size, u32 bounds_size
 //     f64 weights[weights_size], f64 bounds[bounds_size]
 //     PlanSet block (plan_set_codec.h)
-//   kMemoEntry — a table-set-level frontier: PlanSet block only.
 //
 // The achieved alpha travels in the container's record header (snapshot
 // record / tier index entry), not the payload, so the tier can gate

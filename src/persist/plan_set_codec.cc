@@ -18,8 +18,8 @@ namespace {
 
 /// Children-before-parents node enumeration with DAG dedup: every distinct
 /// node gets exactly one index, child indices are always smaller than the
-/// parent's. Mirrors DeepCopyPlanRemapped (plan/plan_node.h), but
-/// flattening instead of copying.
+/// parent's. Mirrors DeepCopyPlan (plan/plan_node.h), but flattening
+/// instead of copying.
 void EnumerateNodes(const PlanNode* node,
                     std::unordered_map<const PlanNode*, uint32_t>* index,
                     std::vector<const PlanNode*>* nodes) {
@@ -129,9 +129,9 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
     // Scans have no children, joins have both — anything else is corrupt.
     if ((left == kNoChild) != (right == kNoChild)) return nullptr;
     // The table fields must agree with that shape: a scan reads one
-    // in-range table, a join covers exactly its disjoint children. The
-    // memo hit path indexes a rank map by them, so a checksum-valid record
-    // that lies here must not decode.
+    // in-range table, a join covers exactly its disjoint children. Every
+    // reader of a restored plan walks it by these fields, so a
+    // checksum-valid record that lies here must not decode.
     if (left == kNoChild) {
       if (table < 0 || table >= TableSet::kMaxTables ||
           tables_mask != TableSet::Singleton(table).mask()) {

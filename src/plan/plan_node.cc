@@ -16,23 +16,15 @@ bool PlanNode::IsLeftDeep() const {
   return right->IsScan() && left->IsLeftDeep();
 }
 
-const PlanNode* DeepCopyPlanRemapped(
-    const PlanNode* plan, Arena* arena, const std::vector<int>& table_map,
+const PlanNode* DeepCopyPlan(
+    const PlanNode* plan, Arena* arena,
     std::unordered_map<const PlanNode*, const PlanNode*>* copied) {
   if (plan == nullptr) return nullptr;
   auto it = copied->find(plan);
   if (it != copied->end()) return it->second;
   PlanNode* copy = arena->New<PlanNode>(*plan);
-  if (!table_map.empty()) {
-    if (plan->table >= 0) copy->table = table_map[plan->table];
-    TableSet mapped;
-    for (int table : plan->tables.Members()) {
-      mapped = mapped.With(table_map[table]);
-    }
-    copy->tables = mapped;
-  }
-  copy->left = DeepCopyPlanRemapped(plan->left, arena, table_map, copied);
-  copy->right = DeepCopyPlanRemapped(plan->right, arena, table_map, copied);
+  copy->left = DeepCopyPlan(plan->left, arena, copied);
+  copy->right = DeepCopyPlan(plan->right, arena, copied);
   (*copied)[plan] = copy;
   return copy;
 }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "cost/cost_vector.h"
 #include "util/arena.h"
@@ -60,17 +59,11 @@ struct PlanNode {
 static_assert(std::is_trivially_destructible_v<PlanNode>,
               "PlanNode must be arena-compatible");
 
-/// DAG-sharing deep copy that additionally *renumbers* table references:
-/// every node's `table` and `tables` are rewritten through `table_map`
-/// (new_index = table_map[old_index]; every referenced old index must have
-/// a valid mapping); an empty `table_map` copies them verbatim — the plain
-/// deep copy behind every PlanSet. `copied` carries the source-node -> copy
-/// mapping, so copies of several roots through one map preserve sub-plan
-/// sharing among them. The cross-query subplan memo uses this in both
-/// directions: plans are stored in the table set's canonical dense-rank
-/// space and rebound to a query's local indices on a hit.
-const PlanNode* DeepCopyPlanRemapped(
-    const PlanNode* plan, Arena* arena, const std::vector<int>& table_map,
+/// DAG-sharing deep copy of `plan` into `arena`. `copied` carries the
+/// source-node -> copy mapping, so copies of several roots through one map
+/// preserve sub-plan sharing among them.
+const PlanNode* DeepCopyPlan(
+    const PlanNode* plan, Arena* arena,
     std::unordered_map<const PlanNode*, const PlanNode*>* copied);
 
 /// Structural equality of two plans (same operators, tables, and shape).

@@ -122,13 +122,7 @@ OptimizationService::OptimizationService(ServiceOptions options)
       cache_(options_.cache),
       pool_(ResolveWorkers(options_.num_workers), &tracer_, "pool") {
   if (options_.enable_subplan_memo) {
-    SubplanMemo::Options memo_options = options_.subplan_memo;
-    if (memo_options.admission_epsilon < 0) {
-      // Inherit the whole-query cache's compaction resolution: frontiers
-      // denser than what the PlanCache would keep are not worth pinning.
-      memo_options.admission_epsilon = options_.cache_compaction_epsilon;
-    }
-    subplan_memo_ = std::make_unique<SubplanMemo>(memo_options);
+    subplan_memo_ = std::make_unique<SubplanMemo>(options_.subplan_memo);
   }
   if (!options_.persist.directory.empty()) {
     MakePersistDir(options_.persist.directory);
@@ -1012,7 +1006,6 @@ ServiceStatsSnapshot OptimizationService::Stats() const {
     snapshot.memo_misses = memo_stats.misses;
     snapshot.memo_insertions = memo_stats.insertions;
     snapshot.memo_evictions = memo_stats.evictions;
-    snapshot.memo_admission_rejects = memo_stats.admission_rejects;
     snapshot.memo_invalidations = memo_stats.invalidations;
     snapshot.memo_entries = memo_stats.entries;
     snapshot.memo_bytes = memo_stats.bytes;

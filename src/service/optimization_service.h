@@ -149,10 +149,7 @@ struct ServiceOptions {
   /// repeated *queries*, this one shares work between *different*
   /// queries. Frontiers are byte-identical with the memo on or off.
   bool enable_subplan_memo = true;
-  /// Capacity/sharding/admission knobs (capacity_bytes, min_tables, ...).
-  /// A negative admission_epsilon (the SubplanMemo default) inherits
-  /// cache_compaction_epsilon: sub-frontiers denser than the service's
-  /// cache resolution are not worth pinning.
+  /// Capacity, sharding and min_tables knobs of the memo.
   SubplanMemo::Options subplan_memo;
   PlanCache::Options cache;
   PolicyOptions policy;

@@ -44,7 +44,6 @@ std::string ServiceStatsSnapshot::ToString() const {
       << " hit_rate=" << MemoHitRate() << " entries=" << memo_entries
       << " bytes=" << memo_bytes << " inserted=" << memo_insertions
       << " evicted=" << memo_evictions
-      << " admission_rejects=" << memo_admission_rejects
       << " invalidations=" << memo_invalidations << "\n"
       << "  sessions: opened=" << sessions_opened
       << " coalesced=" << sessions_coalesced

@@ -93,7 +93,6 @@ struct ServiceStatsSnapshot : ServiceCounters {
   uint64_t memo_misses = 0;
   uint64_t memo_insertions = 0;
   uint64_t memo_evictions = 0;
-  uint64_t memo_admission_rejects = 0;
   uint64_t memo_invalidations = 0;
   size_t memo_entries = 0;
   size_t memo_bytes = 0;

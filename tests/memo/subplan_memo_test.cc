@@ -2,7 +2,7 @@
 //
 // Cross-query subplan memo: canonical table-set signatures (permutation /
 // translation invariance, collision resistance across predicates,
-// objectives and alpha), memo admission/eviction/epoch semantics, and the
+// objectives and alpha), memo gating/eviction/epoch semantics, and the
 // tentpole guarantee — frontiers are byte-identical with the memo on or
 // off, cold and warm, serial and parallel, exact and approximate. The
 // concurrency tests run under TSan in CI.
@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,9 +19,11 @@
 
 #include "core/dp_driver.h"
 #include "core/optimizer.h"
+#include "core/plan_set.h"
 #include "memo/subplan_key.h"
 #include "memo/subplan_memo.h"
 #include "persist/disk_tier.h"
+#include "persist/plan_set_codec.h"
 #include "query/query.h"
 #include "testing/test_helpers.h"
 #include "util/thread_pool.h"
@@ -313,26 +314,6 @@ TEST_F(SubplanMemoDpTest, ParallelWarmRunMatchesSerialMemoOff) {
                           Objective::kIOLoad, Objective::kCores,
                           Objective::kDiskFootprint, Objective::kTupleLoss});
   const double alpha = RTAInternalPrecision(1.5, 8);
-  // Every table set's sealed frontier as bytes, by mask: each plan's tree
-  // in set order, every node's operator config, table and cost bits, with
-  // children inline (a memo hit deep-copies its plans, so DAG sharing
-  // differs from a local build's and is left out).
-  const std::function<void(const PlanNode*, std::string*)> append_tree =
-      [&](const PlanNode* node, std::string* out) {
-        if (node == nullptr) {
-          out->push_back('.');
-          return;
-        }
-        out->append(std::to_string(node->op_config) + ":" +
-                    std::to_string(node->table) + "(");
-        for (int d = 0; d < node->cost.size(); ++d) {
-          const double value = node->cost[d];
-          out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-        }
-        append_tree(node->left, out);
-        append_tree(node->right, out);
-        out->push_back(')');
-      };
   const auto run = [&](const Query& query, SubplanMemo* memo, int parallelism,
                        ThreadPool* pool, DPStats* stats) {
     const CostModel model(&query, &registry_, six);
@@ -345,11 +326,13 @@ TEST_F(SubplanMemoDpTest, ParallelWarmRunMatchesSerialMemoOff) {
     options.pool = pool;
     generator.Run(query, options);
     *stats = generator.stats();
+    // Every table set's sealed frontier as PlanSetCodec bytes, by mask:
+    // costs, plan shapes and DAG sharing alike.
     std::vector<std::string> frontiers;
     for (uint64_t mask = 1; mask <= query.AllTables().mask(); ++mask) {
-      const ParetoSet& set = generator.SetFor(TableSet(mask));
       std::string bytes;
-      for (int i = 0; i < set.size(); ++i) append_tree(set.at(i), &bytes);
+      persist::PlanSetCodec::Append(
+          *PlanSet::FromParetoSet(generator.SetFor(TableSet(mask))), &bytes);
       frontiers.push_back(std::move(bytes));
     }
     return frontiers;
@@ -392,37 +375,12 @@ TEST_F(SubplanMemoDpTest, ByteBudgetEvictsLru) {
   const Query query = MakeChainQuery(&catalog_, 0, 5);
   DPStats stats;
   RunDp(query, &memo, &stats);
-  // Every entry exceeds the tiny budget on its own (a PlanSet reserves at
-  // least one arena block), so each insert sheds all colder entries; the
-  // budget bounds the resident population, not a single oversized entry.
+  // The chain's entries, keys included, far exceed the tiny budget, so
+  // inserts shed colder entries: the budget bounds the resident
+  // population.
   const SubplanMemo::Stats memo_stats = memo.GetStats();
   EXPECT_GT(memo_stats.evictions, 0u);
   EXPECT_LT(memo_stats.entries, memo_stats.insertions);
-}
-
-TEST_F(SubplanMemoDpTest, AdmissionEpsilonRejectsDenseFrontiers) {
-  // At a huge epsilon almost any multi-plan frontier has a covered member,
-  // so publishes are refused; single-plan frontiers always pass.
-  SubplanMemo::Options options;
-  options.admission_epsilon = 1e6;
-  options.min_tables = 2;
-  SubplanMemo memo(options);
-  const Query query = MakeChainQuery(&catalog_, 0, 3);
-  DPStats stats;
-  RunDp(query, &memo, &stats);
-  EXPECT_GT(memo.GetStats().admission_rejects, 0u);
-}
-
-TEST_F(SubplanMemoDpTest, MaxEntryPlansCapsPublishedFrontiers) {
-  SubplanMemo::Options options;
-  options.max_entry_plans = 1;
-  options.min_tables = 2;
-  SubplanMemo memo(options);
-  const Query query = MakeChainQuery(&catalog_, 0, 3);
-  DPStats stats;
-  RunDp(query, &memo, &stats);
-  const SubplanMemo::Stats memo_stats = memo.GetStats();
-  EXPECT_EQ(memo_stats.frontier_plans, memo_stats.entries);
 }
 
 TEST_F(SubplanMemoDpTest, EpochChangeFlushesOnce) {

@@ -1,19 +1,26 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// Seeded fuzz of the two parsers every snapshot restore and disk-tier read
-// goes through: persist::ReadRecord (the record layout) and
-// PlanSetCodec::Decode, reached through both cache codecs' Decode. Valid
-// records of a real EXA frontier are mutated — bit flips, truncations,
-// overwritten length, count, index and table fields — and the record
-// checksum is re-sealed, so mutations reach the payload parser instead of
-// stopping at the checksum. Every case must be rejected or decode to a
+// Seeded fuzz of the parsers every snapshot restore and disk-tier read
+// goes through: persist::ReadRecord (the record layout), the plan cache's
+// PlanSetCodec::Decode and the memo's candidate rows. Valid records — a
+// real EXA frontier as a plan-cache record and a real DP's memo entry —
+// are mutated (bit flips, truncations, overwritten length, count, index,
+// table, config and rank fields) and the record checksum is re-sealed, so
+// mutations reach the payload parsers instead of stopping at the
+// checksum. A plan-cache case must be rejected or decode to a
 // structurally sound set: each scan reads one in-range table, each join
 // covers exactly its disjoint children, and all roots join one table set.
+// A memo case is restored under its key and the DP is run over it: the
+// run must miss, or seal only joins whose children partition their tables
+// and whose cost bits equal re-pricing them from those children — a
+// restored memo record is trusted for which candidates survived, never
+// for a cost.
 //
 // A case is a pure function of its seed. A failure prints a one-line
 // MOQO_PROP_SEED=<seed> repro; with that variable set, only that case
 // runs.
 
+#include <bit>
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
@@ -25,8 +32,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dp_driver.h"
 #include "core/exa.h"
+#include "memo/subplan_key.h"
 #include "memo/subplan_memo.h"
+#include "model/cost_model.h"
 #include "persist/format.h"
 #include "service/plan_cache.h"
 #include "testing/test_helpers.h"
@@ -42,41 +52,76 @@ using persist::RecordKind;
 constexpr uint64_t kFirstSeed = 1;
 constexpr int kCases = 20000;
 
+/// The star3 DP over three objectives in the small operator space: the
+/// source of the corpus and the run every decoded case goes through.
+struct FuzzDp {
+  FuzzDp() = default;
+  FuzzDp(const FuzzDp&) = delete;
+  FuzzDp& operator=(const FuzzDp&) = delete;
+
+  /// The DP over `query`, with `memo` attached unless it is null.
+  std::unique_ptr<DPPlanGenerator> Run(SubplanMemo* memo,
+                                       Arena* arena) const {
+    auto generator =
+        std::make_unique<DPPlanGenerator>(&model, &registry, arena);
+    DPOptions options;
+    options.subplan_memo = memo;
+    generator->Run(query, options);
+    return generator;
+  }
+
+  const Catalog catalog = testing::MakeTinyCatalog();
+  const Query query = testing::MakeStarQuery(&catalog, 3);
+  const OperatorRegistry registry{testing::SmallOperatorSpace()};
+  const CostModel model{
+      &query, &registry,
+      ObjectiveSet({Objective::kTotalTime, Objective::kEnergy,
+                    Objective::kBufferFootprint})};
+  /// The memo key of the whole query, the one set the DP probes that
+  /// has an entry in the corpus.
+  const SubplanSignature top =
+      SubplanKeyContext(query, model.objectives(), 1.0, registry.options(),
+                        /*bushy=*/true, /*cartesian_heuristic=*/true,
+                        /*aggressive_delete=*/false,
+                        /*skip_disconnected=*/true)
+          .SignatureFor(query.AllTables());
+};
+
 /// One valid record and where its fields sit.
 struct Target {
+  RecordKind kind = RecordKind::kPlanCacheEntry;
   std::string record;
   size_t payload = 0;  ///< Offset of the payload in `record`.
-  size_t block = 0;    ///< Offset of the PlanSet block in `record`.
-  uint32_t plans = 0;
+  size_t block = 0;    ///< Offset of the PlanSet block or memo rows.
+  uint32_t plans = 0;  ///< Frontier plans, or memo rows.
   uint32_t nodes = 0;
   uint32_t dims = 0;
 };
 
-Target MakeTarget(RecordKind kind, const std::string& payload,
-                  size_t block_in_payload) {
-  const std::string key = "fuzz-key";
+Target MakeTarget(RecordKind kind, const SubplanSignature& key,
+                  const std::string& payload, size_t block_in_payload) {
   Target target;
-  persist::AppendRecord(&target.record, kind, key,
-                        Fnv1a(key.data(), key.size(), kFnv1aOffsetBasis),
-                        kind == RecordKind::kMemoEntry ? 0.0 : 1.0, payload);
-  target.payload = persist::kRecordHeaderBytes + key.size();
+  target.kind = kind;
+  persist::AppendRecord(&target.record, kind, key.key, key.hash,
+                        kind == RecordKind::kMemoCandidates ? 0.0 : 1.0,
+                        payload);
+  target.payload = persist::kRecordHeaderBytes + key.key.size();
   target.block = target.payload + block_in_payload;
   ByteReader header(target.record.data() + target.block, 12);
   header.GetU32(&target.plans);
-  header.GetU32(&target.nodes);
-  header.GetU32(&target.dims);
+  if (kind == RecordKind::kPlanCacheEntry) {
+    header.GetU32(&target.nodes);
+    header.GetU32(&target.dims);
+  }
   return target;
 }
 
-/// A star3 EXA frontier over three objectives, as a memo record and as a
-/// plan-cache record.
-std::vector<Target> Corpus() {
-  const Catalog catalog = testing::MakeTinyCatalog();
-  const Query query = testing::MakeStarQuery(&catalog, 3);
+/// The star3 frontier as a plan-cache record (EXA), and the memo entry a
+/// DP run publishes for the whole query under its real key.
+std::vector<Target> Corpus(const FuzzDp& dp) {
   MOQOProblem problem;
-  problem.query = &query;
-  problem.objectives = ObjectiveSet(
-      {Objective::kTotalTime, Objective::kEnergy, Objective::kBufferFootprint});
+  problem.query = &dp.query;
+  problem.objectives = dp.model.objectives();
   problem.weights = WeightVector::Uniform(3);
   ExactMOQO exa(testing::SmallOptions());
   CachedFrontier entry;
@@ -86,13 +131,22 @@ std::vector<Target> Corpus() {
 
   std::vector<Target> corpus;
   std::string payload;
-  EXPECT_TRUE(MemoEntryCodec::Encode(*entry.result->plan_set, &payload));
-  corpus.push_back(MakeTarget(RecordKind::kMemoEntry, payload, 0));
-  payload.clear();
   EXPECT_TRUE(PlanCacheEntryCodec::Encode(entry, &payload));
+  SubplanSignature key;
+  key.key = "fuzz-key";
+  key.hash = Fnv1a(key.key.data(), key.key.size(), kFnv1aOffsetBasis);
   // The preference block: two u32 sizes, then three weights and bounds.
   corpus.push_back(
-      MakeTarget(RecordKind::kPlanCacheEntry, payload, 8 + 8 * (3 + 3)));
+      MakeTarget(RecordKind::kPlanCacheEntry, key, payload, 8 + 8 * (3 + 3)));
+
+  SubplanMemo memo;
+  Arena arena;
+  dp.Run(&memo, &arena);
+  const std::shared_ptr<const MemoFrontier> top = memo.Lookup(dp.top);
+  EXPECT_NE(top, nullptr);
+  payload.clear();
+  if (top != nullptr) EXPECT_TRUE(MemoEntryCodec::Encode(*top, &payload));
+  corpus.push_back(MakeTarget(RecordKind::kMemoCandidates, dp.top, payload, 0));
   return corpus;
 }
 
@@ -166,18 +220,99 @@ void Reseal(std::string* record) {
   PutU64At(record, persist::kRecordHeaderBytes - 8, checksum);
 }
 
-/// Applies one to three mutations to a copy of `target`'s record, then
-/// re-seals it; one case in sixteen also cuts the sealed record short.
-std::string Mutate(const Target& target, Xoshiro256* rng) {
-  std::string record = target.record;
+/// A memo row's operator config: around the registry's scan and join
+/// ranges, and extreme.
+uint32_t InterestingConfig(Xoshiro256* rng, int configs) {
+  if (rng->NextInt(2) == 0) {
+    return static_cast<uint32_t>(rng->NextInt(configs + 1));
+  }
+  static constexpr int32_t kValues[] = {-1, INT32_MIN, INT32_MAX};
+  return static_cast<uint32_t>(kValues[rng->NextInt(std::size(kValues))]);
+}
+
+/// One mutation of a PlanSet block's fields (`target` a plan-cache
+/// record), or false if `op` is not one.
+bool MutatePlanSet(const Target& target, uint64_t op, Xoshiro256* rng,
+                   std::string* record) {
   const size_t node_bytes = 40 + size_t{8} * target.dims;
   const size_t roots =
       target.block + 16 + size_t{target.plans} * target.dims * 8;
+  const size_t node = roots + 4 * size_t{target.plans} +
+                      node_bytes * rng->NextInt(target.nodes);
+  switch (op) {
+    case 2:  // The block's plan count, node count or dims.
+      PutU32At(record, target.block + 4 * rng->NextInt(3),
+               InterestingIndex(rng, target.nodes));
+      return true;
+    case 3:  // A root's node index.
+      PutU32At(record, roots + 4 * rng->NextInt(target.plans),
+               InterestingIndex(rng, target.nodes));
+      return true;
+    case 4:  // A node's table.
+      PutU32At(record, node + 4, InterestingTable(rng));
+      return true;
+    case 5:  // A node's left or right child index.
+      PutU32At(record, node + 8 + 4 * rng->NextInt(2),
+               InterestingIndex(rng, target.nodes));
+      return true;
+    case 6: {  // A node's table set.
+      uint64_t mask = 0;
+      if (node + 24 <= record->size()) {
+        ByteReader field(record->data() + node + 16, 8);
+        field.GetU64(&mask);
+      }
+      PutU64At(record, node + 16, InterestingMask(rng, mask));
+      return true;
+    }
+  }
+  return false;
+}
+
+/// One mutation of a memo entry's rows (`target` a memo record), or false
+/// if `op` is not one.
+bool MutateMemoRows(const Target& target, uint64_t op, int configs,
+                    Xoshiro256* rng, std::string* record) {
+  const size_t row = target.block + 4 +
+                     MemoEntryCodec::kRowBytes * rng->NextInt(target.plans);
+  switch (op) {
+    case 2:  // The row count.
+      PutU32At(record, target.block, InterestingIndex(rng, target.plans));
+      return true;
+    case 3:  // A row's config.
+      PutU32At(record, row, InterestingConfig(rng, configs));
+      return true;
+    case 4:  // A row's left or right operand row.
+    case 5:
+      PutU32At(record, row + 4 + 4 * rng->NextInt(2),
+               InterestingIndex(rng, target.plans));
+      return true;
+    case 6: {  // A row's left ranks.
+      uint64_t mask = 0;
+      if (row + MemoEntryCodec::kRowBytes <= record->size()) {
+        ByteReader field(record->data() + row + 12, 8);
+        field.GetU64(&mask);
+      }
+      PutU64At(record, row + 12, InterestingMask(rng, mask));
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Applies one to three mutations to a copy of `target`'s record, then
+/// re-seals it; one case in sixteen also cuts the sealed record short.
+/// `configs` is the memo rows' config range.
+std::string Mutate(const Target& target, int configs, Xoshiro256* rng) {
+  std::string record = target.record;
+  const bool memo = target.kind == RecordKind::kMemoCandidates;
   const int ops = 1 + static_cast<int>(rng->NextInt(3));
   for (int op = 0; op < ops; ++op) {
-    const size_t node = roots + 4 * size_t{target.plans} +
-                        node_bytes * rng->NextInt(target.nodes);
-    switch (rng->NextInt(8)) {
+    const uint64_t choice = rng->NextInt(8);
+    if (memo ? MutateMemoRows(target, choice, configs, rng, &record)
+             : MutatePlanSet(target, choice, rng, &record)) {
+      continue;
+    }
+    switch (choice) {
       case 0: {  // One bit anywhere.
         const uint64_t bit = rng->NextInt(record.size() * 8);
         record[bit / 8] = static_cast<char>(record[bit / 8] ^ (1 << (bit % 8)));
@@ -187,30 +322,6 @@ std::string Mutate(const Target& target, Xoshiro256* rng) {
         PutU32At(&record, rng->NextInt(2) == 0 ? 4 : 24,
                  InterestingIndex(rng, target.nodes));
         break;
-      case 2:  // The block's plan count, node count or dims.
-        PutU32At(&record, target.block + 4 * rng->NextInt(3),
-                 InterestingIndex(rng, target.nodes));
-        break;
-      case 3:  // A root's node index.
-        PutU32At(&record, roots + 4 * rng->NextInt(target.plans),
-                 InterestingIndex(rng, target.nodes));
-        break;
-      case 4:  // A node's table.
-        PutU32At(&record, node + 4, InterestingTable(rng));
-        break;
-      case 5:  // A node's left or right child index.
-        PutU32At(&record, node + 8 + 4 * rng->NextInt(2),
-                 InterestingIndex(rng, target.nodes));
-        break;
-      case 6: {  // A node's table set.
-        uint64_t mask = 0;
-        if (node + 24 <= record.size()) {
-          ByteReader field(record.data() + node + 16, 8);
-          field.GetU64(&mask);
-        }
-        PutU64At(&record, node + 16, InterestingMask(rng, mask));
-        break;
-      }
       default: {  // A shorter payload under a matching length field.
         const size_t length = rng->NextInt(record.size() - target.payload + 1);
         record.resize(target.payload + length);
@@ -261,13 +372,10 @@ std::string Violation(const PlanSet& set) {
   return "";
 }
 
-/// The frontier `record`'s payload decodes to through its kind's codec;
-/// null when the codec rejects it.
+/// The frontier a plan-cache `record`'s payload decodes to; null when the
+/// codec rejects it or the record is of another kind.
 std::shared_ptr<const PlanSet> DecodePayload(
     const persist::RecordView& record) {
-  if (record.kind == RecordKind::kMemoEntry) {
-    return MemoEntryCodec::Decode(record.payload, record.achieved_alpha);
-  }
   if (record.kind != RecordKind::kPlanCacheEntry) return nullptr;
   const std::shared_ptr<const CachedFrontier> entry =
       PlanCacheEntryCodec::Decode(record.payload, record.achieved_alpha);
@@ -276,10 +384,54 @@ std::shared_ptr<const PlanSet> DecodePayload(
              : entry->result->plan_set;
 }
 
+/// Restores a memo `record` into a fresh memo and runs the DP over it.
+/// Sets `*restored` iff the memo took the record and `*hit` iff the DP
+/// sealed a set from it. Empty when every join the run sealed from the
+/// memo joins children that partition its tables at the cost, rows and
+/// width bits of re-pricing it from them; else the first violation.
+std::string MemoViolation(const FuzzDp& dp, const persist::RecordView& record,
+                          bool* restored, bool* hit) {
+  SubplanMemo memo;
+  *restored = memo.Restore(record);
+  *hit = false;
+  if (!*restored) return "";
+  Arena arena;
+  const std::unique_ptr<DPPlanGenerator> generator = dp.Run(&memo, &arena);
+  *hit = generator->stats().memo_hits > 0;
+  if (!*hit) return "";
+  // The entry's key is the whole query's (a mutated key is never probed).
+  const TableSet all = dp.query.AllTables();
+  const ParetoSet& set = generator->SetFor(all);
+  if (set.empty()) return "an empty frontier";
+  for (int i = 0; i < set.size(); ++i) {
+    const PlanNode* node = set.at(i);
+    if (node->IsScan() || node->tables != all ||
+        node->left->tables.Intersects(node->right->tables) ||
+        node->left->tables.Union(node->right->tables) != all) {
+      return "plan " + std::to_string(i) + " over " + node->tables.ToString();
+    }
+    const PlanNode priced =
+        dp.model.JoinNode(node->op_config, node->left, node->right);
+    bool same = std::bit_cast<uint64_t>(priced.cardinality) ==
+                    std::bit_cast<uint64_t>(node->cardinality) &&
+                std::bit_cast<uint64_t>(priced.row_width) ==
+                    std::bit_cast<uint64_t>(node->row_width) &&
+                priced.cost.size() == node->cost.size();
+    for (int d = 0; same && d < node->cost.size(); ++d) {
+      same = std::bit_cast<uint64_t>(priced.cost[d]) ==
+             std::bit_cast<uint64_t>(node->cost[d]);
+    }
+    if (!same) return "plan " + std::to_string(i) + " priced differently";
+  }
+  return "";
+}
+
 TEST(DecoderFuzzTest, MutatedRecordsAreRejectedOrDecodeSound) {
-  const std::vector<Target> corpus = Corpus();
-  for (const Target& target : corpus) {
-    ByteReader reader(target.record.data(), target.record.size());
+  const FuzzDp dp;
+  const std::vector<Target> corpus = Corpus(dp);
+  ASSERT_EQ(corpus.size(), 2u);
+  {
+    ByteReader reader(corpus[0].record.data(), corpus[0].record.size());
     persist::RecordView record;
     ASSERT_EQ(persist::ReadRecord(&reader, &record),
               persist::ReadRecordStatus::kOk);
@@ -288,6 +440,16 @@ TEST(DecoderFuzzTest, MutatedRecordsAreRejectedOrDecodeSound) {
     ASSERT_GT(set->size(), 1);
     ASSERT_EQ(Violation(*set), "");
   }
+  {
+    ByteReader reader(corpus[1].record.data(), corpus[1].record.size());
+    persist::RecordView record;
+    ASSERT_EQ(persist::ReadRecord(&reader, &record),
+              persist::ReadRecordStatus::kOk);
+    ASSERT_GT(corpus[1].plans, 1u);
+    bool restored = false, hit = false;
+    ASSERT_EQ(MemoViolation(dp, record, &restored, &hit), "");
+    ASSERT_TRUE(hit);
+  }
 
   uint64_t first = kFirstSeed;
   int cases = kCases;
@@ -295,12 +457,12 @@ TEST(DecoderFuzzTest, MutatedRecordsAreRejectedOrDecodeSound) {
     first = std::strtoull(env, nullptr, 10);
     cases = 1;
   }
-  int parsed = 0, decoded = 0;
+  int parsed = 0, decoded = 0, memo_hits = 0;
   for (int i = 0; i < cases; ++i) {
     const uint64_t seed = first + static_cast<uint64_t>(i);
     Xoshiro256 rng(seed);
-    const std::string bytes =
-        Mutate(corpus[rng.NextInt(corpus.size())], &rng);
+    const std::string bytes = Mutate(corpus[rng.NextInt(corpus.size())],
+                                     dp.registry.num_configs(), &rng);
     ByteReader reader(bytes.data(), bytes.size());
     persist::RecordView record;
     if (persist::ReadRecord(&reader, &record) !=
@@ -308,10 +470,18 @@ TEST(DecoderFuzzTest, MutatedRecordsAreRejectedOrDecodeSound) {
       continue;
     }
     ++parsed;
-    const std::shared_ptr<const PlanSet> set = DecodePayload(record);
-    if (set == nullptr) continue;
+    std::string violation;
+    if (record.kind == RecordKind::kMemoCandidates) {
+      bool restored = false, hit = false;
+      violation = MemoViolation(dp, record, &restored, &hit);
+      if (!restored) continue;
+      memo_hits += hit ? 1 : 0;
+    } else {
+      const std::shared_ptr<const PlanSet> set = DecodePayload(record);
+      if (set == nullptr) continue;
+      violation = Violation(*set);
+    }
     ++decoded;
-    const std::string violation = Violation(*set);
     if (!violation.empty()) {
       FAIL() << "MOQO_PROP_SEED=" << seed
              << " moqo_tests --gtest_filter='DecoderFuzzTest.*'  # decoded "
@@ -319,10 +489,12 @@ TEST(DecoderFuzzTest, MutatedRecordsAreRejectedOrDecodeSound) {
     }
   }
   // Guards the mutator: were re-sealing broken, every case would stop at
-  // the record checksum and the payload parsers would go unfuzzed.
+  // the record checksum and the payload parsers would go unfuzzed; were
+  // every memo mutation a miss, the hit path would go unfuzzed.
   if (cases == kCases) {
     EXPECT_GT(parsed, kCases / 2);
     EXPECT_GT(decoded, 0);
+    EXPECT_GT(memo_hits, 0);
   }
 }
 

@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dp_driver.h"
 #include "core/plan_set.h"
+#include "memo/subplan_memo.h"
 #include "model/cost_model.h"
 #include "persist/format.h"
 #include "persist/frontier_codec.h"
@@ -608,7 +610,7 @@ std::vector<OwnedRecord> WriteWarmSnapshot(const std::string& dir) {
   }
   std::vector<OwnedRecord> records = ReadRecords(dir + "/moqo.snapshot");
   EXPECT_GE(CountKind(records, RecordKind::kPlanCacheEntry), 2u);
-  EXPECT_GT(CountKind(records, RecordKind::kMemoEntry), 0u);
+  EXPECT_GT(CountKind(records, RecordKind::kMemoCandidates), 0u);
   return records;
 }
 
@@ -637,9 +639,10 @@ TEST(PersistTest, RestoredStateReExportsTheSameRecords) {
 }
 
 TEST(PersistTest, RestoreSkipsRecordsOfAnUnknownKind) {
-  // A record of a kind this build does not know (a newer writer's) is
-  // skipped on its own: it is neither a checksum skip nor a truncation,
-  // and every known record behind it still restores.
+  // A record of a kind this build does not know (a newer writer's) or no
+  // longer claims (a memo entry as a PlanSet block, under a live memo
+  // key) is skipped on its own: it is neither a checksum skip nor a
+  // truncation, and every known record behind it still restores.
   const std::string dir = FreshDir("unknown_kind");
   const std::vector<OwnedRecord> known = WriteWarmSnapshot(dir);
   ServiceOptions options = PersistServiceOptions(dir);
@@ -648,6 +651,16 @@ TEST(PersistTest, RestoreSkipsRecordsOfAnUnknownKind) {
   SnapshotWriter writer(options.persist.catalog_epoch, kCostModelVersion);
   writer.AddRecord(static_cast<RecordKind>(99), "future-key", 99, 1.0,
                    "future-payload");
+  const auto live_memo = std::find_if(
+      known.begin(), known.end(), [](const OwnedRecord& r) {
+        return r.kind == static_cast<uint32_t>(RecordKind::kMemoCandidates);
+      });
+  ASSERT_NE(live_memo, known.end());
+  Arena arena;
+  std::string retired_payload;
+  PlanSetCodec::Append(*MakeDagFrontier(&arena), &retired_payload);
+  writer.AddRecord(RecordKind::kMemoEntry, live_memo->key, live_memo->hash,
+                   0.0, retired_payload);
   for (const OwnedRecord& r : known) {
     writer.AddRecord(static_cast<RecordKind>(r.kind), r.key, r.hash,
                      std::bit_cast<double>(r.alpha_bits), r.payload);
@@ -662,18 +675,20 @@ TEST(PersistTest, RestoreSkipsRecordsOfAnUnknownKind) {
   EXPECT_EQ(persisted.restored_plan_entries,
             CountKind(known, RecordKind::kPlanCacheEntry));
   EXPECT_EQ(persisted.restored_memo_entries,
-            CountKind(known, RecordKind::kMemoEntry));
+            CountKind(known, RecordKind::kMemoCandidates));
   EXPECT_EQ(persisted.restored_entries(), known.size());
 }
 
 TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
-  // A checksum-valid memo record under TPC-H Q3's real three-table key
-  // whose one plan scans rank 40. Each node agrees with its shape, so the
-  // record decodes and restores; but its root joins {40}, not the set's
-  // ranks {0, 1, 2}, and materializing it would index the set's rank map
-  // at 40. The memo hit path must take it as a miss: the DP rebuilds the
-  // set, its publish replaces the entry, and the frontier equals a
-  // memo-off service's bit for bit.
+  // Checksum-valid memo records under TPC-H Q3's real three-table key
+  // whose last row does not fit the set: its left operand is a rank
+  // outside the set, the whole set or no rank; its left operand row is
+  // one past that sub-frontier; its config is a scan, one past the
+  // registry, or an index nested-loop join over a two-table inner side.
+  // Each record restores (the codec checks sizes only), but the memo hit
+  // path must take it as a miss: the DP rebuilds the set, the frontier
+  // equals a memo-off service's byte for byte, and the set's publish
+  // replaces the entry with the real one.
   const std::string dir = FreshDir("other_ranks");
   const Catalog tpch = Catalog::TpcH(0.01);
   ServiceRequest request;
@@ -682,11 +697,9 @@ TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
   request.spec.algorithm = AlgorithmKind::kExa;
   request.preference.weights = WeightVector::Uniform(3);
 
-  // A warm run publishes Q3's one three-table set (admission is off: the
-  // exact frontier is denser than the cache epsilon admits); its record
-  // carries the real signature.
+  // A warm run publishes Q3's one three-table set; its record carries the
+  // real signature and rows.
   ServiceOptions options = PersistServiceOptions(dir);
-  options.subplan_memo.admission_epsilon = 0;
   {
     OptimizationService service(options);
     ASSERT_EQ(service.SubmitAndWait(request).status,
@@ -694,32 +707,15 @@ TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
   }
   std::vector<OwnedRecord> memo_records;
   for (const OwnedRecord& record : ReadRecords(dir + "/moqo.snapshot")) {
-    if (record.kind == static_cast<uint32_t>(RecordKind::kMemoEntry)) {
+    if (record.kind == static_cast<uint32_t>(RecordKind::kMemoCandidates)) {
       memo_records.push_back(record);
     }
   }
   ASSERT_EQ(memo_records.size(), 1u);
   const OwnedRecord& real = memo_records[0];
-
-  Arena arena;
-  PlanNode* scan = arena.New<PlanNode>();
-  scan->table = 40;
-  scan->tables = TableSet::Singleton(40);
-  scan->cost = CostVector(3);
-  ParetoSet set;
-  set.Prune(scan);
-  set.Seal();
-  std::string payload;
-  PlanSetCodec::Append(*PlanSet::FromParetoSet(set), &payload);
-  options.persist.snapshot_on_shutdown = false;
-  SnapshotWriter writer(options.persist.catalog_epoch, kCostModelVersion);
-  writer.AddRecord(RecordKind::kMemoEntry, real.key, real.hash, 0.0, payload);
-  ASSERT_TRUE(writer.WriteFile(dir + "/moqo.snapshot"));
-
-  OptimizationService restored(options);
-  ASSERT_EQ(restored.PersistStats().restored_memo_entries, 1u);
-  const ServiceResponse response = restored.SubmitAndWait(request);
-  ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+  const std::shared_ptr<const MemoFrontier> real_entry =
+      MemoEntryCodec::Decode(real.payload, 0.0);
+  ASSERT_NE(real_entry, nullptr);
 
   ServiceOptions memo_off;
   memo_off.num_workers = 2;
@@ -728,15 +724,85 @@ TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
   OptimizationService reference(memo_off);
   const ServiceResponse expected = reference.SubmitAndWait(request);
   ASSERT_EQ(expected.status, ResponseStatus::kCompleted);
-  ExpectBitIdentical(*expected.plan_set(), *response.plan_set());
+  std::string expected_bytes;
+  PlanSetCodec::Append(*expected.plan_set(), &expected_bytes);
 
+  // Q3 joins customer (rank 0) - orders (1) - lineitem (2), so only
+  // {customer, lineitem} has no sub-frontier; the last row's left operand
+  // frontier comes from a DP run like the service's.
+  const OperatorRegistry registry(SmallOperatorSpace());
+  const CostModel model(request.spec.query.get(), &registry,
+                        request.spec.objectives);
+  Arena arena;
+  DPPlanGenerator generator(&model, &registry, &arena);
+  generator.Run(*request.spec.query, DPOptions());
+  const MemoFrontier::Row last = real_entry->rows.back();
+  const uint32_t left_size = static_cast<uint32_t>(
+      generator.SetFor(TableSet(last.left_ranks)).size());
+  ASSERT_GT(left_size, 0u);
+  int index_nl = -1;
+  for (int config : registry.join_configs()) {
+    if (registry.config(config).type == OperatorType::kIndexNLJoin) {
+      index_nl = config;
+    }
+  }
+  ASSERT_GE(index_nl, 0);
+
+  struct Case {
+    const char* name;
+    MemoFrontier::Row row;
+  };
+  const auto with = [&last](auto change) {
+    MemoFrontier::Row row = last;
+    change(&row);
+    return row;
+  };
+  const Case cases[] = {
+      {"rank outside the set",
+       with([](MemoFrontier::Row* r) { r->left_ranks = uint64_t{1} << 40; })},
+      {"whole set", with([](MemoFrontier::Row* r) { r->left_ranks = 0b111; })},
+      {"empty ranks", with([](MemoFrontier::Row* r) { r->left_ranks = 0; })},
+      {"left row at the sub-frontier's size",
+       with([&](MemoFrontier::Row* r) { r->left_row = left_size; })},
+      {"scan config", with([&](MemoFrontier::Row* r) {
+         r->op_config = registry.scan_configs()[0];
+       })},
+      {"config past the registry", with([&](MemoFrontier::Row* r) {
+         r->op_config = registry.num_configs();
+       })},
+      {"index nested-loop join over a two-table inner side",
+       {index_nl, 0, 0, 0b001}},
+  };
+  options.persist.snapshot_on_shutdown = false;
   SubplanSignature signature;
   signature.key = real.key;
   signature.hash = real.hash;
-  const std::shared_ptr<const PlanSet> entry =
-      restored.subplan_memo()->Lookup(signature);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->plan(0)->tables, TableSet::Prefix(3));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MemoFrontier crafted = *real_entry;
+    crafted.rows.back() = c.row;
+    std::string payload;
+    ASSERT_TRUE(MemoEntryCodec::Encode(crafted, &payload));
+    SnapshotWriter writer(options.persist.catalog_epoch, kCostModelVersion);
+    writer.AddRecord(RecordKind::kMemoCandidates, real.key, real.hash, 0.0,
+                     payload);
+    ASSERT_TRUE(writer.WriteFile(dir + "/moqo.snapshot"));
+
+    OptimizationService restored(options);
+    ASSERT_EQ(restored.PersistStats().restored_memo_entries, 1u);
+    const ServiceResponse response = restored.SubmitAndWait(request);
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+    std::string bytes;
+    PlanSetCodec::Append(*response.plan_set(), &bytes);
+    EXPECT_EQ(bytes, expected_bytes);
+
+    const std::shared_ptr<const MemoFrontier> entry =
+        restored.subplan_memo()->Lookup(signature);
+    ASSERT_NE(entry, nullptr);
+    std::string replaced;
+    ASSERT_TRUE(MemoEntryCodec::Encode(*entry, &replaced));
+    EXPECT_EQ(replaced, real.payload);
+  }
 }
 
 TEST(PersistTest, RestoreSkipsWholeSnapshotOnEpochMismatch) {

@@ -345,35 +345,25 @@ TEST(TieredLruTest, SubplanMemoDemotesAndPromotesBitExactly) {
   sig_y.key = "subplan-y";
   sig_y.hash = 202;
 
-  Arena arena;
-  ParetoSet set;
-  for (int i = 0; i < 2; ++i) {
-    PlanNode* node = arena.New<PlanNode>();
-    node->op_config = i;
-    node->table = 0;
-    node->tables = TableSet(0b1);
-    node->cardinality = 3.5;
-    node->row_width = 16;
-    node->cost = CostVector(2);
-    node->cost[0] = i == 0 ? 1.0 / 3.0 : 4.0;
-    node->cost[1] = i == 0 ? 5.0 : -0.0;
-    set.Prune(node);
-  }
-  set.Seal();
-  std::shared_ptr<const PlanSet> frontier_x = PlanSet::FromParetoSet(set);
+  auto frontier_x = std::make_shared<MemoFrontier>();
+  frontier_x->rows = {{7, 0, 2, 0b01}, {-1, 0xFFFFFFFFu, 5, ~uint64_t{0}}};
+  auto frontier_y = std::make_shared<MemoFrontier>();
+  frontier_y->rows = {{3, 1, 1, 0b10}};
 
   memo.Insert(sig_x, frontier_x);
-  memo.Insert(sig_y, PlanSet::Empty());  // Evicts + demotes x.
+  memo.Insert(sig_y, frontier_y);  // Evicts + demotes x.
   EXPECT_EQ(tier->GetStats().demotions, 1u);
 
-  std::shared_ptr<const PlanSet> promoted = memo.Lookup(sig_x);
+  std::shared_ptr<const MemoFrontier> promoted = memo.Lookup(sig_x);
   ASSERT_NE(promoted, nullptr);
-  ASSERT_EQ(promoted->size(), frontier_x->size());
-  for (int i = 0; i < promoted->size(); ++i) {
-    for (int k = 0; k < promoted->cost(i).size(); ++k) {
-      EXPECT_EQ(DoubleBits(promoted->cost(i)[k]),
-                DoubleBits(frontier_x->cost(i)[k]));
-    }
+  ASSERT_EQ(promoted->rows.size(), frontier_x->rows.size());
+  for (size_t i = 0; i < promoted->rows.size(); ++i) {
+    const MemoFrontier::Row& got = promoted->rows[i];
+    const MemoFrontier::Row& want = frontier_x->rows[i];
+    EXPECT_EQ(got.op_config, want.op_config);
+    EXPECT_EQ(got.left_row, want.left_row);
+    EXPECT_EQ(got.right_row, want.right_row);
+    EXPECT_EQ(got.left_ranks, want.left_ranks);
   }
   const SubplanMemo::Stats stats = memo.GetStats();
   EXPECT_EQ(stats.tier_hits, 1u);

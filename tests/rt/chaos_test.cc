@@ -75,7 +75,6 @@ struct SiteSpec {
 
 constexpr SiteSpec kServiceSites[] = {
     {"arena.new_block", "oom"},     {"planset.snapshot", "oom"},
-    {"planset.snapshot.remap", "oom"},
     {"cache.insert", "return_error"}, {"memo.insert", "return_error"},
     {"pool.dispatch", "return_error"}, {"session.rung", "throw"},
     // PR 9: the persistence layer rides the same hot path — the one-slot

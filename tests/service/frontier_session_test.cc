@@ -484,7 +484,6 @@ TEST(FrontierSessionTest, LadderStepsReuseSubplanMemoAcrossSessions) {
 
   ServiceOptions options = SmallServiceOptions(1);
   options.subplan_memo.min_tables = 2;
-  options.subplan_memo.admission_epsilon = 0;  // Deterministic admission.
   OptimizationService service(options);
 
   SessionOptions session_options;

@@ -16,6 +16,7 @@
 #include "core/exa.h"
 #include "core/rta.h"
 #include "harness/service_experiment.h"
+#include "persist/plan_set_codec.h"
 #include "query/tpch_queries.h"
 #include "rt/failpoint.h"
 #include "service/policy.h"
@@ -390,7 +391,6 @@ TEST(ServiceTest, PreferenceDependentOverridesMatchDirectRuns) {
     SCOPED_TRACE(AlgorithmName(kind));
     ServiceOptions options = SmallServiceOptions(2);
     options.subplan_memo.min_tables = 2;  // Every multi-table set qualifies.
-    options.subplan_memo.admission_epsilon = 0;
     OptimizationService service(options);
 
     // An RTA run first, so the memo holds entries a memo-sharing
@@ -1033,7 +1033,6 @@ TEST(ServiceTest, SubplanMemoSharesAcrossOverlappingQueries) {
 
   ServiceOptions memo_on = SmallServiceOptions(1);
   memo_on.subplan_memo.min_tables = 2;
-  memo_on.subplan_memo.admission_epsilon = 0;  // Deterministic admission.
   OptimizationService service(memo_on);
   ASSERT_NE(service.subplan_memo(), nullptr);
 
@@ -1061,6 +1060,11 @@ TEST(ServiceTest, SubplanMemoSharesAcrossOverlappingQueries) {
   ASSERT_NE(reference_b.plan_set(), nullptr);
   EXPECT_EQ(response_b.plan_set()->costs(), reference_b.plan_set()->costs());
   EXPECT_EQ(response_b.result->cost, reference_b.result->cost);
+  std::string memo_on_bytes;
+  std::string memo_off_bytes;
+  persist::PlanSetCodec::Append(*response_b.plan_set(), &memo_on_bytes);
+  persist::PlanSetCodec::Append(*reference_b.plan_set(), &memo_off_bytes);
+  EXPECT_EQ(memo_on_bytes, memo_off_bytes);
   EXPECT_EQ(reference.Stats().memo_hits, 0u);
 }
 
@@ -1068,7 +1072,6 @@ TEST(ServiceTest, SubplanMemoInvalidatedOnCatalogEpochBump) {
   Catalog catalog = MakeServiceChainCatalog(5);
   ServiceOptions options = SmallServiceOptions(1);
   options.subplan_memo.min_tables = 2;
-  options.subplan_memo.admission_epsilon = 0;
   OptimizationService service(options);
 
   ASSERT_EQ(service.SubmitAndWait(ChainRequest(&catalog, 0, 3)).status,

@@ -3,11 +3,12 @@
 // Golden bytes for every byte-identity contract moqo keeps across
 // processes, disks and sockets: one wire frame per net::MsgType, a
 // two-record snapshot file, a PlanSet codec block, a plan-cache frontier
-// payload, and the ProblemSignature / SubplanSignature keys of a fixed
-// TPC-H query. The expected values were recorded from the encoders before
-// they moved onto the shared codec (util/byte_codec.h) and must never
-// change: a diff here is a wire, disk or cache-key format change, which
-// breaks deployed clients, restored snapshots and cache hit rates.
+// payload, a memo candidates payload, and the ProblemSignature /
+// SubplanSignature keys of a fixed TPC-H query. The expected values were
+// recorded from the encoders (all but the memo payload before they moved
+// onto the shared codec, util/byte_codec.h) and must never change: a diff
+// here is a wire, disk or cache-key format change, which breaks deployed
+// clients, restored snapshots and cache hit rates.
 //
 // The last block pins optimizer output itself: the PlanSetCodec bytes of
 // four TPC-H frontiers (by length and FNV-1a) and the candidates each run
@@ -29,12 +30,15 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "core/dp_driver.h"
 #include "core/exa.h"
 #include "core/optimizer.h"
 #include "core/pareto_set.h"
 #include "core/plan_set.h"
 #include "core/rta.h"
 #include "memo/subplan_key.h"
+#include "memo/subplan_memo.h"
+#include "model/cost_model.h"
 #include "net/wire.h"
 #include "persist/frontier_codec.h"
 #include "persist/plan_set_codec.h"
@@ -421,6 +425,50 @@ TEST(EncodingGoldenTest, TpchSubplanSignatures) {
   EXPECT_EQ(all.hash, 2228825081787535ull);
   // The member count leads the key.
   EXPECT_EQ(Hex(all.key.substr(0, 8)), "0600000000000000");
+}
+
+// ---- Memo candidates record. ----------------------------------------------
+
+TEST(EncodingGoldenTest, MemoCandidatesRecord) {
+  // The memo entry an exact DP publishes for TPC-H Q3's three-table set:
+  // a u32 row count, then per surviving candidate its config, its left
+  // and right operand rows and its left operand's rank mask.
+  const Catalog catalog = Catalog::TpcH(1.0);
+  const Query query = MakeTpcHQuery(&catalog, 3);
+  const OptimizerOptions options;
+  const OperatorRegistry registry(options.operators);
+  const CostModel model(&query, &registry, ThreeObjectives());
+  SubplanMemo memo;
+  Arena arena;
+  DPPlanGenerator generator(&model, &registry, &arena);
+  DPOptions dp;
+  dp.subplan_memo = &memo;
+  generator.Run(query, dp);
+  const SubplanKeyContext context(
+      query, ThreeObjectives(), 1.0, options.operators, /*bushy=*/true,
+      /*cartesian_heuristic=*/true, /*aggressive_delete=*/false,
+      /*skip_disconnected=*/true);
+  const std::shared_ptr<const MemoFrontier> entry =
+      memo.Lookup(context.SignatureFor(query.AllTables()));
+  ASSERT_NE(entry, nullptr);
+
+  EXPECT_EQ(static_cast<uint32_t>(MemoEntryCodec::kKind), 3u);
+  std::string payload;
+  ASSERT_TRUE(MemoEntryCodec::Encode(*entry, &payload));
+  // Five rows, each left operand {customer, orders} (ranks 0b011).
+  EXPECT_EQ(Hex(payload),
+            "050000001400000000000000000000000300000000000000"
+            "1600000000000000000000000300000000000000"
+            "1600000001000000000000000300000000000000"
+            "1400000002000000000000000300000000000000"
+            "1600000002000000000000000300000000000000");
+
+  const std::shared_ptr<const MemoFrontier> decoded =
+      MemoEntryCodec::Decode(payload, 0.0);
+  ASSERT_NE(decoded, nullptr);
+  std::string again;
+  ASSERT_TRUE(MemoEntryCodec::Encode(*decoded, &again));
+  EXPECT_EQ(again, payload);
 }
 
 // ---- Optimizer output. ---------------------------------------------------
