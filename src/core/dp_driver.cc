@@ -132,6 +132,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
       TraceSpan probe_span(options.tracer, "memo", "memo.probe",
                            options.trace_id);
       const long hits_before = stats_.memo_hits;
+      const long misses_before = stats_.memo_misses;
       probe_span.AddArg("probes", static_cast<int64_t>(level.size()));
       signatures.resize(level.size());
       for (size_t i = 0; i < level.size(); ++i) {
@@ -156,6 +157,8 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         }
       }
       probe_span.AddArg("hits", stats_.memo_hits - hits_before);
+      shared_memo->RecordProbes(stats_.memo_hits - hits_before,
+                                stats_.memo_misses - misses_before);
     }
 
     // The fan-out gate: the memo-miss sets' summed candidate pairs.

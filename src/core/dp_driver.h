@@ -51,9 +51,11 @@
 // the set's canonical signature (memo/subplan_key.h). A hit prices the
 // entry's candidates again from this run's sealed sub-frontiers, which the
 // key fixes row for row, so it builds exactly the nodes a local build
-// would. Newly sealed sets are published back *after* the level barrier,
-// on the caller thread, so in-flight tasks only ever read immutable memo
-// state. Frontiers are byte-identical with the memo on or off.
+// would; an entry whose rows do not fit is a miss. Each level's verdicts
+// go to the memo's hit/miss counters (SubplanMemo::RecordProbes). Newly
+// sealed sets are published back *after* the level barrier, on the
+// caller thread, so in-flight tasks only ever read immutable memo state.
+// Frontiers are byte-identical with the memo on or off.
 //
 // Postgres heuristics kept in place per Section 4: Cartesian-product splits
 // are considered only for table sets where no predicate-connected split

@@ -38,64 +38,6 @@ std::shared_ptr<const PlanSet> PlanSet::Empty() {
   return empty;
 }
 
-std::shared_ptr<const PlanSet> PlanSet::FromIndices(
-    const PlanSet& source, const std::vector<int>& indices) {
-  if (indices.empty()) return Empty();
-  struct Constructible : PlanSet {};
-  auto result = std::make_shared<Constructible>();
-  std::unordered_map<const PlanNode*, const PlanNode*> copied;
-  copied.reserve(indices.size() * 2);
-  result->plans_.reserve(indices.size());
-  result->costs_.reserve(indices.size());
-  for (int i : indices) {
-    result->plans_.push_back(
-        DeepCopyPlan(source.plan(i), &result->arena_, &copied));
-    result->costs_.push_back(source.cost(i));
-  }
-  return result;
-}
-
-std::shared_ptr<const PlanSet> CompactPlanSet(
-    std::shared_ptr<const PlanSet> set, double epsilon, int max_size) {
-  if (set == nullptr || set->size() <= 1) return set;
-  if (epsilon < 0) epsilon = 0;
-
-  // Greedy cover in stored order: keep a plan unless an already-kept one
-  // (1+eps)-dominates it. Every dropped plan is covered by construction;
-  // doubling eps shrinks the cover monotonically toward 1 (any plan covers
-  // everything for large enough eps, costs being finite and positive), so
-  // a max_size of >= 1 is always reachable.
-  std::vector<int> kept;
-  for (double eps = epsilon;; eps = eps > 0 ? eps * 2 : 0.01) {
-    kept.clear();
-    const double factor = 1.0 + eps;
-    for (int i = 0; i < set->size(); ++i) {
-      bool covered = false;
-      for (int k : kept) {
-        if (ApproxDominates(set->cost(k), set->cost(i), factor)) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) kept.push_back(i);
-      // Over the cap already: this pass's result is discarded, so don't
-      // finish the O(n * kept) scan — double eps and retry (huge
-      // frontiers are exactly the case this function exists for).
-      if (max_size > 0 && static_cast<int>(kept.size()) > max_size) break;
-    }
-    if (max_size <= 0 || static_cast<int>(kept.size()) <= max_size) break;
-    // Zero-component corner case: a dimension where some cost is 0 can
-    // keep plans mutually uncoverable at any eps; cap by truncation then
-    // (stored order, so the earliest — typically cheapest-found — stay).
-    if (eps > 1e12) {
-      kept.resize(max_size);
-      break;
-    }
-  }
-  if (static_cast<int>(kept.size()) == set->size()) return set;
-  return PlanSet::FromIndices(*set, kept);
-}
-
 PlanSelection SelectPlan(const PlanSet& set, const WeightVector& weights,
                          const BoundVector& bounds) {
   PlanSelection best_bounded;

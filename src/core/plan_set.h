@@ -44,12 +44,6 @@ class PlanSet {
   /// Shared empty singleton (no arena blocks).
   static std::shared_ptr<const PlanSet> Empty();
 
-  /// Deep-copies the plans at `indices` (in the given order) into a new
-  /// set, preserving DAG sharing among them. Building block of
-  /// CompactPlanSet; `indices` must be valid and duplicate-free.
-  static std::shared_ptr<const PlanSet> FromIndices(
-      const PlanSet& source, const std::vector<int>& indices);
-
   int size() const { return static_cast<int>(plans_.size()); }
   bool empty() const { return plans_.empty(); }
 
@@ -109,18 +103,6 @@ struct PlanSelection {
 /// turns a cached frontier into an answer for a fresh preference.
 PlanSelection SelectPlan(const PlanSet& set, const WeightVector& weights,
                          const BoundVector& bounds = BoundVector());
-
-/// Epsilon-coverage compaction for many-objective frontiers: returns a
-/// subset of `set` in which every dropped plan is approximately dominated
-/// with precision (1 + epsilon) by a kept plan, so the subset still
-/// (1 + epsilon)-covers everything the original covered (an alpha-
-/// approximate Pareto set compacts to an alpha*(1+epsilon)-approximate
-/// one). When the greedy cover still exceeds `max_size` (> 0), epsilon is
-/// doubled until it fits — frontier sizes explode with objective count
-/// (Section 5.1), and the cache would otherwise pin megabytes per entry.
-/// Returns `set` unchanged (no copy) when nothing is dropped.
-std::shared_ptr<const PlanSet> CompactPlanSet(
-    std::shared_ptr<const PlanSet> set, double epsilon, int max_size);
 
 }  // namespace moqo
 

@@ -26,12 +26,15 @@
 // persist::TieredLru the PlanCache is (persist/tiered_lru.h), over
 // MemoFrontier with the MemoEntryCodec below: entries are accounted by
 // their row footprint plus key/index overhead and tagged alpha 0, since
-// the key already carries the precision bit-exactly. This class keeps
-// only the memo's own policy: `min_tables` (small sets are cheaper to
-// rebuild than to look up) and per-catalog epochs — ObserveCatalog
-// flushes all entries when a known catalog's epoch advances
-// (Catalog::BumpEpoch after an in-place statistics refresh), evicting
-// entries whose content-derived keys just became unreachable.
+// the key already carries the precision bit-exactly. Lookup only hands
+// back the stored entry: whether it is a hit is decided by the DP, which
+// prices its rows, and the DP reports each level's verdicts through
+// RecordProbes. This class keeps only the memo's own policy: `min_tables`
+// (small sets are cheaper to rebuild than to look up) and per-catalog
+// epochs — ObserveCatalog flushes all entries when a known catalog's
+// epoch advances (Catalog::BumpEpoch after an in-place statistics
+// refresh), evicting entries whose content-derived keys just became
+// unreachable.
 
 #ifndef MOQO_MEMO_SUBPLAN_MEMO_H_
 #define MOQO_MEMO_SUBPLAN_MEMO_H_
@@ -111,8 +114,18 @@ class SubplanMemo {
   };
 
   struct Stats : persist::TieredStats {
+    /// The DP's probe verdicts (RecordProbes): a hit is a set sealed from
+    /// its entry; a miss is a probe that found no entry or one whose rows
+    /// did not fit the set.
+    Counter hits;
+    Counter misses;
     /// Epoch changes that flushed the memo.
     Counter invalidations;
+
+    double HitRate() const {
+      const uint64_t probes = hits + misses;
+      return probes == 0 ? 0 : static_cast<double>(hits) / probes;
+    }
   };
 
   SubplanMemo();  ///< Default Options.
@@ -125,10 +138,17 @@ class SubplanMemo {
   int min_tables() const { return options_.min_tables; }
 
   /// Returns the shared entry for `signature` (promoting it to
-  /// most-recently-used) or nullptr on miss; see TieredLru::Lookup.
+  /// most-recently-used) or nullptr; see TieredLru::Lookup. Counts
+  /// nothing: the caller judges the entry and reports via RecordProbes.
   std::shared_ptr<const MemoFrontier> Lookup(
       const SubplanSignature& signature) {
     return lru_.Lookup(signature);
+  }
+
+  /// Adds one batch of probe verdicts to Stats::hits and Stats::misses.
+  void RecordProbes(uint64_t hits, uint64_t misses) {
+    stats_.hits.Add(hits);
+    stats_.misses.Add(misses);
   }
 
   /// Inserts (or replaces) an entry, evicting LRU entries of the target

@@ -5,7 +5,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <vector>
 
 #include "persist/format.h"
 #include "rt/failpoint.h"
@@ -131,7 +133,7 @@ bool DiskTier::Put(RecordKind kind, uint64_t key_hash, std::string_view key,
   return true;
 }
 
-bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
+bool DiskTier::Take(uint64_t key_hash, std::string_view key,
                     std::string* payload_out, double* alpha_out) {
   if (!ok_) return false;
   if (MOQO_FAILPOINT_HIT("persist.tier.read")) {
@@ -140,13 +142,23 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
   }
   Shard& shard = ShardFor(key_hash);
   MutexLock lock(shard.mu);
+  std::vector<Index::iterator> candidates;
   auto range = shard.index.equal_range(key_hash);
-  for (auto it = range.first; it != range.second;) {
+  for (auto it = range.first; it != range.second; ++it) {
+    candidates.push_back(it);
+  }
+  // Tightest first, so the first record that verifies and carries `key`
+  // is the tightest verified one. Erasing an entry leaves the other
+  // candidates' iterators valid.
+  while (!candidates.empty()) {
+    const auto tightest = std::min_element(
+        candidates.begin(), candidates.end(),
+        [](Index::iterator a, Index::iterator b) {
+          return a->second.alpha < b->second.alpha;
+        });
+    const Index::iterator it = *tightest;
+    candidates.erase(tightest);
     const IndexEntry& entry = it->second;
-    if (!(entry.alpha <= max_alpha)) {
-      ++it;
-      continue;
-    }
     const size_t record_bytes = RecordBytes(entry.key_len, entry.payload_len);
     std::string record(record_bytes, '\0');
     size_t done = 0;
@@ -172,15 +184,12 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
       stats_->entries.Sub();
       stats_->bytes.Sub(record_bytes);
       shard.live_bytes -= record_bytes;
-      it = shard.index.erase(it);
+      shard.index.erase(it);
       continue;
     }
     // Full-key comparison: equal hashes with different keys must never
     // alias (the caches' identity contract).
-    if (view.key != key) {
-      ++it;
-      continue;
-    }
+    if (view.key != key) continue;
     payload_out->assign(view.payload);
     if (alpha_out != nullptr) *alpha_out = entry.alpha;
     shard.live_bytes -= record_bytes;

@@ -10,10 +10,13 @@
 // file offset, lengths, achieved alpha — a few dozen bytes (the
 // Trimma-style metadata-trimming idiom the ROADMAP names), so the
 // resident index for millions of demoted frontiers stays cheap. A later
-// miss probes the tier; a hit reads the record back, verifies checksum
-// and full key (hash collisions never alias — same contract as the
-// caches), removes the index entry, and the TieredLru re-inserts the
-// entry into RAM ("promotion"), surfacing as CacheOutcome::kTierHit.
+// RAM miss takes the key's tightest record: the tier reads it back,
+// verifies checksum and full key (hash collisions never alias — same
+// contract as the caches), removes the index entry, and the TieredLru
+// re-inserts the entry into RAM ("promotion"). The tier, like the cache,
+// is plain storage: it hands back its tightest record whatever alpha the
+// requester needs, and the requester judges it (the service surfaces an
+// answering promotion as CacheOutcome::kTierHit).
 //
 // Append-mostly: promotions and overwrites leave dead bytes behind; when
 // a shard's segment reaches its slice of the byte budget the whole shard
@@ -82,13 +85,14 @@ class DiskTier {
   bool Put(RecordKind kind, uint64_t key_hash, std::string_view key,
            double achieved_alpha, std::string_view payload);
 
-  /// Probes for `key` with achieved alpha <= `max_alpha` (the caches'
-  /// relaxed alpha identity). On a hit fills `payload_out` (+ optional
-  /// `alpha_out`), removes the entry (promotion is a move, not a copy),
-  /// and returns true. Checksum or key verification failures discard the
-  /// entry and keep scanning. The `persist.read` failpoint forces a miss.
-  bool Take(uint64_t key_hash, std::string_view key, double max_alpha,
-            std::string* payload_out, double* alpha_out);
+  /// Takes the tightest (lowest achieved alpha) verified record held for
+  /// `key`: fills `payload_out` (+ optional `alpha_out`), removes that
+  /// entry (promotion is a move, not a copy) and returns true. Looser
+  /// records of the key stay. A record failing checksum or shape
+  /// verification is discarded and the next tightest is tried. The
+  /// `persist.tier.read` failpoint forces a miss.
+  bool Take(uint64_t key_hash, std::string_view key, std::string* payload_out,
+            double* alpha_out);
 
   Stats GetStats() const { return *stats_; }
   std::shared_ptr<const Stats> shared_stats() const { return stats_; }
@@ -102,6 +106,8 @@ class DiskTier {
     double alpha = 0;
   };
 
+  using Index = std::unordered_multimap<uint64_t, IndexEntry>;
+
   struct Shard {
     Mutex mu;
     /// Opened at construction, closed at destruction, I/O under mu.
@@ -109,7 +115,7 @@ class DiskTier {
     uint64_t append_offset MOQO_GUARDED_BY(mu) = 0;
     /// Record bytes still reachable via index.
     uint64_t live_bytes MOQO_GUARDED_BY(mu) = 0;
-    std::unordered_multimap<uint64_t, IndexEntry> index MOQO_GUARDED_BY(mu);
+    Index index MOQO_GUARDED_BY(mu);
   };
 
   Shard& ShardFor(uint64_t key_hash);

@@ -6,18 +6,21 @@
 //
 // Both keep immutable shared frontiers under CanonicalKeys and want the
 // same behaviour around them: N independently locked shards, each an LRU
-// list with its own slice of the entry cap and byte budget; the relaxed
-// alpha identity (an entry serves every lookup whose required alpha is at
-// least the entry's tag) and equal-or-tighter replacement (a re-insert
-// replaces the stored value only if it is at least as tight, so refinement
-// never downgrades an entry); the optional RAM→disk DiskTier, demoting
-// evicted entries and promoting them back on a RAM miss; and snapshot
-// export and restore. This template is the only code that does any of
-// that. A value type supplies just a codec of static functions:
+// list with its own slice of the entry cap and byte budget;
+// equal-or-tighter replacement (a re-insert replaces the stored value only
+// if it is at least as tight, so refinement never downgrades an entry);
+// the optional RAM→disk DiskTier, demoting evicted entries and promoting
+// them back on a RAM miss; and snapshot export and restore. This template
+// is the only code that does any of that. It is plain storage: a lookup
+// hands back what the cache holds for a key, whatever its alpha tag, and
+// counts nothing. Whether an entry answers a request (an alpha-approximate
+// Pareto set is alpha'-approximate for every alpha' >= alpha) is the
+// caller's verdict, and the caller counts it. A value type supplies just a
+// codec of static functions:
 //
 //   static constexpr RecordKind kKind;      // its snapshot/tier record kind
-//   static double Alpha(const Value&);      // alpha tag; inline, because the
-//                                           // RAM-hit path calls it
+//   static double Alpha(const Value&);      // alpha tag, for the replace
+//                                           // rule and the tier record
 //   static size_t Plans(const Value&);      // summed into frontier_plans
 //   static size_t Footprint(const Value&);  // accounted bytes of the value
 //   static bool Encode(const Value&, std::string* out);
@@ -28,12 +31,12 @@
 //   static bool DropInsert();               // the owner's insert failpoint
 //
 // Memo entries carry their precision bit-exactly inside the key, so the
-// memo codec tags every entry alpha 0: any lookup admits it and any
-// re-insert replaces it — plain keyed identity falls out as a special
-// case. An entry is accounted at key.capacity() + sizeof(CanonicalKey) +
-// four pointers of index/list bookkeeping + the codec's Footprint. Keys
-// are stored exactly once, as map keys; the LRU list points at them
-// (unordered_map never moves its nodes).
+// memo codec tags every entry alpha 0 and any re-insert replaces it —
+// plain keyed identity falls out as a special case. An entry is accounted
+// at key.capacity() + sizeof(CanonicalKey) + four pointers of index/list
+// bookkeeping + the codec's Footprint. Keys are stored exactly once, as
+// map keys; the LRU list points at them (unordered_map never moves its
+// nodes).
 
 #ifndef MOQO_PERSIST_TIERED_LRU_H_
 #define MOQO_PERSIST_TIERED_LRU_H_
@@ -41,7 +44,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <list>
 #include <memory>
 #include <string>
@@ -60,29 +62,19 @@
 namespace moqo {
 namespace persist {
 
-/// Statistics of one TieredLru. The event counters are the cache's own
-/// cells; GetStats() copies them and sums the resident fields from the
-/// shards.
+/// Statistics of one TieredLru: its own events and occupancy. The event
+/// counters are the cache's own cells; GetStats() copies them and sums the
+/// resident fields from the shards. Lookups are not counted here: the
+/// caller that judges an entry counts its verdict.
 struct TieredStats {
-  Counter hits;
-  Counter misses;
   Counter insertions;
   Counter evictions;
-  /// Lookups that missed RAM but were served (and promoted back) from the
-  /// attached disk tier. Counted inside `hits` as well — a tier hit is
-  /// reclassified from the miss it first recorded.
-  Counter tier_hits;
   size_t entries = 0;
   /// Accounted bytes of all resident entries.
   size_t bytes = 0;
   /// Sum of resident entries' frontier sizes; bytes / entries and
   /// frontier_plans / entries are the per-entry means.
   size_t frontier_plans = 0;
-
-  double HitRate() const {
-    const uint64_t lookups = hits + misses;
-    return lookups == 0 ? 0 : static_cast<double>(hits) / lookups;
-  }
 };
 
 template <typename Value, typename Codec>
@@ -99,9 +91,6 @@ class TieredLru {
     int shards = 8;
   };
   using Stats = TieredStats;
-
-  /// Accepts any alpha tag (plain keyed lookup).
-  static constexpr double kAnyAlpha = std::numeric_limits<double>::infinity();
 
   TieredLru() : TieredLru(Options{}) {}
   explicit TieredLru(const Options& options)
@@ -124,57 +113,33 @@ class TieredLru {
   TieredLru(const TieredLru&) = delete;
   TieredLru& operator=(const TieredLru&) = delete;
 
-  /// Returns the value stored for `key` (promoting it to most recently
-  /// used) if its alpha tag is <= `max_alpha`, nullptr otherwise. A
-  /// present-but-too-loose entry counts as (and behaves like) a miss and
-  /// is not promoted; the caller's tighter run then upgrades it via
-  /// Insert. `record_stats` = false skips the hit/miss counters — the
-  /// service's coalescing re-probe uses it so each request records exactly
-  /// one lookup. With a tier attached, a RAM miss probes the tier under
-  /// the same alpha gate; a tier hit is re-inserted into RAM (it may
-  /// evict, and so demote, colder entries), reclassifies the recorded miss
-  /// as a hit (only when `record_stats` — an uncounted probe stays
-  /// uncounted), and sets `*from_tier`.
+  /// Returns the value stored for `key`, promoting it to most recently
+  /// used, or nullptr; RAM keeps the tightest value ever inserted (see
+  /// Insert). On a RAM miss with a tier attached, the tier's tightest
+  /// verified record for the key is re-inserted into RAM (it may evict,
+  /// and so demote, colder entries), returned, and `*from_tier` is set.
   std::shared_ptr<const Value> Lookup(const CanonicalKey& key,
-                                      double max_alpha = kAnyAlpha,
-                                      bool record_stats = true,
                                       bool* from_tier = nullptr) {
     if (from_tier != nullptr) *from_tier = false;
     {
       Shard& shard = ShardFor(key);
       MutexLock lock(shard.mu);
       auto it = shard.index.find(key);
-      if (it != shard.index.end() &&
-          Codec::Alpha(*it->second.value) <= max_alpha) {
+      if (it != shard.index.end()) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-        if (record_stats) stats_.hits.Add();
         return it->second.value;
       }
     }
-    if (record_stats) stats_.misses.Add();
     if (tier_ == nullptr) return nullptr;
 
     std::string payload;
     double alpha = 0;
-    if (!tier_->Take(key.hash, key.key, max_alpha, &payload, &alpha)) {
-      return nullptr;
-    }
+    if (!tier_->Take(key.hash, key.key, &payload, &alpha)) return nullptr;
     std::shared_ptr<const Value> value = Codec::Decode(payload, alpha);
     if (value == nullptr) return nullptr;
     Insert(key, value);
-    stats_.tier_hits.Add();
-    if (record_stats) ReclassifyMissAsHit();
     if (from_tier != nullptr) *from_tier = true;
     return value;
-  }
-
-  /// Converts one recorded miss into a hit. The service calls this when
-  /// its uncounted coalescing re-probe finds an entry inserted after the
-  /// request's first (miss-counted) lookup, so that request's net
-  /// contribution is one hit — preserving hits + misses == lookups.
-  void ReclassifyMissAsHit() {
-    stats_.misses.Sub();
-    stats_.hits.Add();
   }
 
   /// Inserts `value` for `key`, evicting least-recently-used entries of

@@ -92,25 +92,24 @@ ProblemSignature SessionKey(const ProblemSignature& base,
   return ExtendSignature(base, values);
 }
 
-/// Builds a result over `plan_set` with `base`'s cold-run metrics and the
-/// plan the preference selects from it. O(|plan_set|), no optimizer.
-std::shared_ptr<const OptimizerResult> ResultOverPlanSet(
-    const std::shared_ptr<const OptimizerResult>& base,
-    std::shared_ptr<const PlanSet> plan_set, const WeightVector& weights,
-    const BoundVector& bounds) {
-  auto result = std::make_shared<OptimizerResult>();
-  result->plan_set = std::move(plan_set);
-  result->metrics = base->metrics;
-  result->Select(weights, bounds);
-  return result;
-}
-
 /// Scalarizes `base`'s shared PlanSet for a new preference: same frontier
 /// and cold-run metrics, re-selected plan. O(|frontier|), no optimizer.
 std::shared_ptr<const OptimizerResult> ReselectResult(
     const std::shared_ptr<const OptimizerResult>& base,
     const WeightVector& weights, const BoundVector& bounds) {
-  return ResultOverPlanSet(base, base->plan_set, weights, bounds);
+  auto result = std::make_shared<OptimizerResult>();
+  result->plan_set = base->plan_set;
+  result->metrics = base->metrics;
+  result->Select(weights, bounds);
+  return result;
+}
+
+/// The open's verdict on a cache entry: it answers an open targeting
+/// `target` when it is at least as tight — an alpha-approximate Pareto set
+/// is alpha'-approximate for every alpha' >= alpha.
+bool Answers(const CachedFrontier* entry, double target) {
+  return entry != nullptr && entry->result != nullptr &&
+         entry->achieved_alpha <= target;
 }
 
 }  // namespace
@@ -266,36 +265,6 @@ OptimizerOptions OptimizationService::MakeOptimizerOptions(
   return opts;
 }
 
-std::shared_ptr<const CachedFrontier> OptimizationService::MakeCacheEntry(
-    const std::shared_ptr<const OptimizerResult>& result,
-    const WeightVector& weights, const BoundVector& bounds,
-    double achieved_alpha) {
-  auto cached = std::make_shared<CachedFrontier>();
-  cached->result = result;
-  if (options_.max_cached_frontier > 0 && result->plan_set != nullptr &&
-      result->plan_set->size() > options_.max_cached_frontier) {
-    // Cache a compacted epsilon-coverage copy so many-objective specs do
-    // not pin huge PlanSets; the selection stored with it must come from
-    // the compacted set (exact hits serve it verbatim). The entry keeps
-    // the UNcompacted run's alpha tag even though compaction degrades the
-    // true guarantee to alpha*(1+epsilon) — the documented PR-3 tradeoff
-    // of max_cached_frontier, unchanged by the relaxed alpha identity:
-    // a same-alpha hit (which must keep working, or compacted entries
-    // could never serve their own spec) overstates by exactly as much as
-    // any looser-alpha hit, and requests looser than alpha*(1+epsilon)
-    // are served within their actual tolerance.
-    cached->result = ResultOverPlanSet(
-        result,
-        CompactPlanSet(result->plan_set, options_.cache_compaction_epsilon,
-                       options_.max_cached_frontier),
-        weights, bounds);
-  }
-  cached->weights = weights;
-  cached->bounds = bounds;
-  cached->achieved_alpha = achieved_alpha;
-  return cached;
-}
-
 // ---------------------------------------------------------------------------
 // Anytime frontier sessions.
 
@@ -322,12 +291,11 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   TraceSpan open_span(&tracer_, "service", "request.open",
                       session->trace_id_);
 
-  // Invalid specs: no query, or a non-finite alpha (RTA cache keys are
-  // alpha-free, so a NaN tag would poison its key's entry for good — no
-  // lookup would admit it and no insert would replace it).
-  if (session->spec_.query == nullptr ||
-      (session->spec_.alpha && !std::isfinite(*session->spec_.alpha))) {
-    stats_.counters.internal_errors.Add();
+  // Every rejection at open ends here, counted under `reason`: the session
+  // is born done and failed, without a frontier. A rejected open never
+  // registers, so no joiner can share the session yet.
+  const auto reject = [&session, info](Counter& reason) {
+    reason.Add();
     info->rejected = true;
     {
       MutexLock lock(session->mu_);
@@ -335,6 +303,14 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     }
     session->MarkDone(nullptr, /*degraded=*/false, /*failed=*/true);
     return session;
+  };
+
+  // Invalid specs: no query, or a non-finite alpha (RTA cache keys are
+  // alpha-free, so a NaN tag would poison its key's entry for good — no
+  // open would accept it and no insert would replace it).
+  if (session->spec_.query == nullptr ||
+      (session->spec_.alpha && !std::isfinite(*session->spec_.alpha))) {
+    return reject(stats_.counters.internal_errors);
   }
 
   // Normalize the opener's preference against the spec: it seeds the
@@ -374,14 +350,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   // whole output depends on the preference need Submit's, which their
   // cache key (and so their session key) encodes.
   if (preference == nullptr && IsPreferenceDependent(decision.algorithm)) {
-    stats_.counters.internal_errors.Add();
-    info->rejected = true;
-    {
-      MutexLock lock(session->mu_);
-      session->rejected_ = true;
-    }
-    session->MarkDone(nullptr, /*degraded=*/false, /*failed=*/true);
-    return session;
+    return reject(stats_.counters.internal_errors);
   }
 
   // Resolve the refinement schedule: the explicit target, else the spec's
@@ -403,54 +372,36 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
       MakeOptimizerOptions(target, -1, /*parallelism=*/1, /*use_memo=*/false),
       &resolved.weights, &resolved.bounds);
 
-  // Stage 1: cache probe at the target precision. A hit (any entry at
-  // least as tight) makes the session born-done — the frontier is already
-  // as good as this ladder could make it.
+  // Stage 1: one cache probe before registration. The cache hands back
+  // whatever it holds for the key, and the open judges it against its
+  // target. An entry at least as tight answers the open: the session is
+  // born done, with no ladder. A looser one still beats the quick-mode
+  // prelude (it carries a real guarantee): it is published first, and the
+  // ladder keeps only the rungs below its alpha. This runs before the
+  // session becomes joinable, so the schedule is immutable once shared.
   if (options_.enable_cache) {
     TraceSpan probe_span(&tracer_, "service", "cache.probe",
                          session->trace_id_);
     bool from_tier = false;
     std::shared_ptr<const CachedFrontier> cached =
-        cache_.Lookup(session->cache_signature_, target,
-                      /*record_stats=*/true, &from_tier);
-    probe_span.AddArg("hit", cached != nullptr ? 1 : 0);
+        cache_.Lookup(session->cache_signature_, &from_tier);
+    const bool answers = Answers(cached.get(), target);
+    probe_span.AddArg("hit", answers ? 1 : 0);
     probe_span.End();
-    if (cached != nullptr && cached->result != nullptr) {
+    if (answers) {
       ServeSessionBornDone(session, cached, resolved, info, from_tier);
       return session;
     }
-  }
-
-  // Stage 2: seed from a looser cached frontier. An entry tighter than
-  // nothing-at-all but looser than the target still beats the quick-mode
-  // prelude (it carries a real guarantee), and the rungs it already
-  // satisfies are dropped from the ladder. Runs before the session
-  // becomes joinable so the schedule is immutable once shared. Uncounted:
-  // together with stage 1 each open records exactly one lookup — and if a
-  // tighter-than-target entry landed since stage 1, the recorded miss is
-  // reclassified and the session is born done after all.
-  if (options_.enable_cache) {
-    bool seed_from_tier = false;
-    std::shared_ptr<const CachedFrontier> seed = cache_.Lookup(
-        session->cache_signature_, PlanCache::kAnyAlpha,
-        /*record_stats=*/false, &seed_from_tier);
-    if (seed != nullptr && seed->result != nullptr &&
-        seed->result->plan_set != nullptr) {
-      if (seed->achieved_alpha <= target) {
-        cache_.ReclassifyMissAsHit();
-        ServeSessionBornDone(session, seed, resolved, info, seed_from_tier);
-        return session;
+    if (cached != nullptr && cached->result != nullptr &&
+        session->Publish(cached->achieved_alpha, cached->result->plan_set, 0,
+                         /*from_cache=*/true)) {
+      std::vector<double> trimmed;
+      for (double alpha : session->ladder_) {
+        if (alpha < cached->achieved_alpha) trimmed.push_back(alpha);
       }
-      if (session->Publish(seed->achieved_alpha, seed->result->plan_set, 0,
-                           /*from_cache=*/true)) {
-        std::vector<double> trimmed;
-        for (double alpha : session->ladder_) {
-          if (alpha < seed->achieved_alpha) trimmed.push_back(alpha);
-        }
-        // The target rung always survives (a seed at or below the target
-        // was served above), so the trimmed ladder is never empty.
-        if (!trimmed.empty()) session->ladder_ = std::move(trimmed);
-      }
+      // The target rung always survives (an entry at or below the target
+      // answered above), so the trimmed ladder is never empty.
+      if (!trimmed.empty()) session->ladder_ = std::move(trimmed);
     }
   }
 
@@ -460,23 +411,24 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
       SessionKey(session->cache_signature_, session->ladder_,
                  session_options.step_deadline_ms);
 
-  // Takes one admission slot, or marks the session shed. Shared by every
-  // stage-3 path so rejection bookkeeping cannot drift between them.
-  const auto try_admit = [this, &session, info]() -> bool {
+  // The cache has not answered this open: each exit below counts it as
+  // one miss, unless the stage-3 re-probe answers it after all.
+  const auto count_miss = [this] {
+    if (options_.enable_cache) stats_.counters.cache_misses.Add();
+  };
+  // Takes one admission slot; an open that gets none is shed.
+  const auto admit = [this] {
     const size_t prior = inflight_.fetch_add(1, std::memory_order_acq_rel);
     if (prior < options_.max_inflight) return true;
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    stats_.counters.admissions_rejected.Add();
-    info->rejected = true;
-    {
-      MutexLock lock(session->mu_);
-      session->rejected_ = true;
-    }
-    session->MarkDone(nullptr, /*degraded=*/false, /*failed=*/true);
     return false;
   };
+  const auto shed = [&] {
+    count_miss();
+    return reject(stats_.counters.admissions_rejected);
+  };
 
-  // Stage 3: coalesce onto a live identical refinement, or register as
+  // Stage 2: coalesce onto a live identical refinement, or register as
   // its primary. Admission happens under the lock, before the session
   // becomes joinable, so joiners only ever park behind admitted primaries.
   // Deadline-bounded opens stay private: a waiter cannot degrade to quick
@@ -492,19 +444,20 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     // FinishSession erases by pointer equality, so the replacement is
     // safe).
     if (it != sessions_by_key_.end() && !it->second->CancelRequested()) {
-      if (preference != nullptr && !try_admit()) return session;
+      if (preference != nullptr && !admit()) return shed();
+      count_miss();
       it->second->Attach();
       stats_.counters.sessions_coalesced.Add();
       info->joined = true;
       info->outcome = CacheOutcome::kCoalescedHit;
       return it->second;
     }
-    if (!try_admit()) return session;
+    if (!admit()) return shed();
     session->holds_slot_ = true;
     sessions_by_key_[session->session_key_] = session;
     session->registered_ = true;
   } else {
-    if (!try_admit()) return session;
+    if (!admit()) return shed();
     session->holds_slot_ = true;
   }
   admission_span.AddArg("inflight",
@@ -512,17 +465,15 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
                             inflight_.load(std::memory_order_relaxed)));
   admission_span.End();
 
-  // Stage 4: race-closing re-probe. A just-finished identical session
-  // inserts into the cache *before* unregistering, so a second uncounted
-  // probe here closes the found-no-session window; the recorded miss is
-  // reclassified so each open counts one lookup.
+  // Stage 3: race-closing re-probe. A finishing identical session inserts
+  // into the cache *before* it unregisters, so an entry that landed after
+  // stage 1 is visible here. It may only answer the open (born done); it
+  // never seeds, since joiners may already share this session.
   if (options_.enable_cache) {
-    bool reprobe_from_tier = false;
-    std::shared_ptr<const CachedFrontier> cached = cache_.Lookup(
-        session->cache_signature_, target, /*record_stats=*/false,
-        &reprobe_from_tier);
-    if (cached != nullptr && cached->result != nullptr) {
-      cache_.ReclassifyMissAsHit();
+    bool from_tier = false;
+    std::shared_ptr<const CachedFrontier> cached =
+        cache_.Lookup(session->cache_signature_, &from_tier);
+    if (Answers(cached.get(), target)) {
       if (session->registered_) {
         MutexLock lock(session_mu_);
         auto it = sessions_by_key_.find(session->session_key_);
@@ -533,13 +484,13 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
       }
       inflight_.fetch_sub(1, std::memory_order_acq_rel);
       session->holds_slot_ = false;
-      ServeSessionBornDone(session, cached, resolved, info,
-                           reprobe_from_tier);
+      ServeSessionBornDone(session, cached, resolved, info, from_tier);
       return session;
     }
   }
+  count_miss();
 
-  // Stage 5: quick-mode prelude — the Section 5.1 single-plan-per-set
+  // Stage 4: quick-mode prelude — the Section 5.1 single-plan-per-set
   // finish, run synchronously so OpenFrontier returns with a selectable
   // frontier in hand. No guarantee (alpha = infinity), but valid plans.
   // A failed prelude only costs the early frontier; the ladder still runs.
@@ -557,7 +508,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     watched_sessions_.push_back(session);
   }
 
-  // Stage 6: hand the first rung to the worker pool (each later rung
+  // Stage 5: hand the first rung to the worker pool (each later rung
   // reschedules itself — no worker is held across rungs).
   stats_.counters.sessions_active.Add();
   if (!pool_.Submit([this, session] { RunSessionRung(session, 0); })) {
@@ -580,6 +531,7 @@ void OptimizationService::ServeSessionBornDone(
     const std::shared_ptr<FrontierSession>& session,
     const std::shared_ptr<const CachedFrontier>& cached,
     const Preference& preference, OpenInfo* info, bool from_tier) {
+  stats_.counters.cache_hits.Add();
   const bool same_preference = cached->weights == preference.weights &&
                                cached->bounds == preference.bounds;
   // Provenance wins the label: a disk-tier promotion is surfaced as
@@ -729,7 +681,7 @@ void OptimizationService::RunSessionRung(
       }
     } else {
       OnSessionRung(session, static_cast<int>(rung), session->ladder_[rung],
-                    *result);
+                    std::move(result));
       completed_rung = true;
     }
   } catch (...) {
@@ -771,35 +723,33 @@ void OptimizationService::RunSessionRung(
   FinishSession(session, std::move(degraded_result), degraded, failed);
 }
 
-bool OptimizationService::OnSessionRung(
+void OptimizationService::OnSessionRung(
     const std::shared_ptr<FrontierSession>& session, int rung, double alpha,
-    const OptimizerResult& result) {
+    std::shared_ptr<const OptimizerResult> result) {
   const double achieved =
       AchievedAlpha(session->decision_.algorithm, alpha);
   TraceSpan rung_span(&tracer_, "session", "rung.publish",
                       session->trace_id_);
   rung_span.AddArg("rung", rung);
   rung_span.AddArg("alpha_milli", static_cast<int64_t>(achieved * 1000.0));
-  auto shared = std::make_shared<const OptimizerResult>(result);
   stats_.RecordLatency(session->decision_.algorithm,
-                       result.metrics.optimization_ms);
-  stats_.RecordRefinementStep(result.metrics.optimization_ms);
-  if (options_.enable_cache && !result.metrics.timed_out) {
+                       result->metrics.optimization_ms);
+  stats_.RecordRefinementStep(result->metrics.optimization_ms);
+  if (options_.enable_cache) {
     // Insert before publishing (and before the registry erase in
     // FinishSession): late identical opens that miss the registry must
     // find the entry on their re-probe.
     cache_.Insert(session->cache_signature_,
-                  MakeCacheEntry(shared, session->insert_preference_.weights,
-                                 session->insert_preference_.bounds,
-                                 achieved));
+                  std::make_shared<const CachedFrontier>(CachedFrontier{
+                      result, session->insert_preference_.weights,
+                      session->insert_preference_.bounds, achieved}));
   }
   {
     MutexLock lock(session->mu_);
-    session->final_result_ = shared;
+    session->final_result_ = result;
   }
-  session->Publish(achieved, shared->plan_set,
-                   result.metrics.optimization_ms, /*from_cache=*/false);
-  return !session->CancelRequested();
+  session->Publish(achieved, result->plan_set,
+                   result->metrics.optimization_ms, /*from_cache=*/false);
 }
 
 void OptimizationService::FinishSession(
@@ -992,10 +942,9 @@ void OptimizationService::CompleteOneStep(
 
 ServiceStatsSnapshot OptimizationService::Stats() const {
   ServiceStatsSnapshot snapshot = stats_.Snapshot();
-  // The cache is the single source of truth for its own counters.
+  // The cache is the single source of truth for its own events and
+  // occupancy; the open path counts its verdicts in ServiceCounters.
   const PlanCache::Stats cache_stats = cache_.GetStats();
-  snapshot.cache_hits = cache_stats.hits;
-  snapshot.cache_misses = cache_stats.misses;
   snapshot.cache_evictions = cache_stats.evictions;
   snapshot.cache_entries = cache_stats.entries;
   snapshot.cache_bytes = cache_stats.bytes;
@@ -1055,13 +1004,11 @@ void OptimizationService::RegisterMetrics() {
   });
 
   metrics_.AddCounter("moqo_cache_lookups_total", "PlanCache lookups",
-                      {{"result", "hit"}}, [this] {
-                        return static_cast<double>(cache_.GetStats().hits);
-                      });
+                      {{"result", "hit"}},
+                      CounterSampler(counters, &C::cache_hits));
   metrics_.AddCounter("moqo_cache_lookups_total", "PlanCache lookups",
-                      {{"result", "miss"}}, [this] {
-                        return static_cast<double>(cache_.GetStats().misses);
-                      });
+                      {{"result", "miss"}},
+                      CounterSampler(counters, &C::cache_misses));
   metrics_.AddGauge("moqo_cache_entries", "Resident PlanCache entries",
                     [this] {
                       return static_cast<double>(cache_.GetStats().entries);

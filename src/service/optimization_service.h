@@ -22,15 +22,18 @@
 //   - SubmitAndWait() is Submit().get(); its results are byte-identical
 //     to driving a one-step session by hand.
 //
-// Every path shares the PlanCache, which uses *relaxed alpha identity*:
+// Every path shares the PlanCache under *relaxed alpha identity*:
 // signatures of frontier-producing algorithms are alpha-free
 // (service/signature.h), entries are tagged with the alpha their run
-// achieved, and a tighter-alpha entry serves any looser-alpha request —
-// so a session's refinement ladder progressively upgrades one entry that
-// every later request benefits from, and a request under a tight deadline
-// (coarse policy alpha) is answered by any precise frontier already
-// cached. Exact-run identity, where it matters (the session registry that
-// coalescing uses), extends the signature with the ladder.
+// achieved, and the open path judges the entry the cache hands back — a
+// tighter-alpha entry answers any looser-alpha open, and a looser one
+// seeds the ladder. So a session's refinement ladder progressively
+// upgrades one entry that every later request benefits from, and a
+// request under a tight deadline (coarse policy alpha) is answered by any
+// precise frontier already cached. Each open that probes counts one cache
+// hit or miss (ServiceCounters). Exact-run identity, where it matters
+// (the session registry that coalescing uses), extends the signature with
+// the ladder.
 
 #ifndef MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
 #define MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
@@ -131,16 +134,6 @@ struct ServiceOptions {
   /// deadline-free requests (each duplicate then runs its own
   /// optimization).
   bool enable_coalescing = true;
-  /// Frontier compaction before caching: PlanSets larger than this are
-  /// shrunk to an epsilon-coverage subset (CompactPlanSet) before the
-  /// cache insert; 0 = cache the full frontier. The *response* that ran
-  /// the optimizer always carries the full frontier — only the cached
-  /// copy shrinks (its guarantee degrades from alpha to
-  /// alpha*(1+epsilon)).
-  int max_cached_frontier = 0;
-  /// Starting coverage slack for that compaction; doubled until the
-  /// frontier fits max_cached_frontier.
-  double cache_compaction_epsilon = 0.05;
   /// Cross-query subplan memo: a service-wide, byte-budgeted cache of
   /// table-set-level Pareto frontiers shared by ALL requests' DP runs —
   /// including every rung of every session's ladder, which is what makes
@@ -223,6 +216,8 @@ class OptimizationService {
 
   /// Counter snapshot including cache eviction counts.
   ServiceStatsSnapshot Stats() const;
+  /// The PlanCache's own events and occupancy; the open path's hits and
+  /// misses are in Stats().
   PlanCache::Stats CacheStats() const { return cache_.GetStats(); }
 
   /// Cross-query memo counters; all-zero when the memo is disabled.
@@ -319,12 +314,12 @@ class OptimizationService {
                        FrontierSession& session, const OpenInfo& info,
                        const StopWatch& since_open);
 
-  /// Serves a session directly from a cache entry (born done, no
-  /// ladder): classifies exact vs frontier hit against the opener's
-  /// preference, publishes the entry's frontier, and marks the session
-  /// done. Session fields are written under its lock — by the time the
-  /// post-registration re-probe calls this, joiners may already share
-  /// the session.
+  /// Serves a session directly from a cache entry that answers the open
+  /// (born done, no ladder): counts the cache hit, classifies tier vs
+  /// exact vs frontier hit against the opener's preference, publishes the
+  /// entry's frontier, and marks the session done. Session fields are
+  /// written under its lock — by the time the post-registration re-probe
+  /// calls this, joiners may already share the session.
   void ServeSessionBornDone(
       const std::shared_ptr<FrontierSession>& session,
       const std::shared_ptr<const CachedFrontier>& cached,
@@ -346,11 +341,11 @@ class OptimizationService {
   void RunSessionRung(const std::shared_ptr<FrontierSession>& session,
                       size_t rung);
 
-  /// Publishes one completed rung: per-rung stats, PlanCache insert
-  /// (tagged with the rung's alpha), session publish. Returns false to
-  /// stop the ladder (cancellation).
-  bool OnSessionRung(const std::shared_ptr<FrontierSession>& session,
-                     int rung, double alpha, const OptimizerResult& result);
+  /// Publishes one completed (not timed-out) rung: per-rung stats,
+  /// PlanCache insert (tagged with the rung's alpha), session publish.
+  void OnSessionRung(const std::shared_ptr<FrontierSession>& session,
+                     int rung, double alpha,
+                     std::shared_ptr<const OptimizerResult> result);
 
   /// Completes a session: final state, registry removal (after the last
   /// cache insert — the race-closing re-probe relies on that order; and
@@ -359,14 +354,6 @@ class OptimizationService {
   void FinishSession(const std::shared_ptr<FrontierSession>& session,
                      std::shared_ptr<const OptimizerResult> final_result,
                      bool degraded, bool failed);
-
-  /// Builds the cacheable entry for a completed run: compaction when
-  /// configured, the preference the stored selection answers, and the
-  /// achieved alpha tag.
-  std::shared_ptr<const CachedFrontier> MakeCacheEntry(
-      const std::shared_ptr<const OptimizerResult>& result,
-      const WeightVector& weights, const BoundVector& bounds,
-      double achieved_alpha);
 
   /// Computes and publishes the paper's Section 5.1 quick-mode frontier
   /// (alpha = infinity: no guarantee, but valid plans) serially and fully

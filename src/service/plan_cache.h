@@ -1,7 +1,7 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
 // PlanCache: the whole-query cache of optimization frontiers, keyed by
-// ProblemSignature with relaxed alpha identity.
+// ProblemSignature.
 //
 // The Pareto-frontier computation that MOQO amortizes here is orders of
 // magnitude more expensive than a lookup, so the cache sits in front of the
@@ -13,22 +13,23 @@
 // preference is a *frontier hit* (O(|frontier|) SelectPlan over the shared
 // PlanSet).
 //
-// Identity is relaxed over the precision alpha: signatures of
-// frontier-producing algorithms are alpha-free (service/signature.h) and
-// each entry is tagged with the alpha its run *achieved*. A lookup passes
-// the precision it needs; an entry whose achieved alpha is at most that
-// bound serves the request — an alpha-approximate Pareto set is an
-// alpha'-approximate Pareto set for every alpha' >= alpha. Re-inserting
-// under an existing key replaces the stored value only when the incoming
-// entry is at least as tight, so a session's refinement ladder upgrades the
-// entry and a later coarse run can never downgrade it.
+// Signatures of frontier-producing algorithms are alpha-free
+// (service/signature.h) and each entry is tagged with the alpha its run
+// *achieved*. A lookup hands back the entry whatever its tag; the service
+// applies the relaxed alpha identity — an alpha-approximate Pareto set is
+// an alpha'-approximate Pareto set for every alpha' >= alpha, so an entry
+// answers every open whose target is at least its tag — and counts the
+// verdict. Re-inserting under an existing key replaces the stored value
+// only when the incoming entry is at least as tight, so a session's
+// refinement ladder upgrades the entry and a later coarse run can never
+// downgrade it.
 //
-// All of that, plus sharding, LRU, the byte budget, the disk tier and
-// snapshot export/restore, is the shared persist::TieredLru
-// (persist/tiered_lru.h); this file supplies only the entry type and its
-// codec. Results own their plan storage via shared_ptr<const PlanSet>, so a
-// cached plan stays valid for as long as any response still references it,
-// even after eviction.
+// All of the storage — sharding, LRU, the byte budget, the replace rule,
+// the disk tier and snapshot export/restore — is the shared
+// persist::TieredLru (persist/tiered_lru.h); this file supplies only the
+// entry type and its codec. Results own their plan storage via
+// shared_ptr<const PlanSet>, so a cached plan stays valid for as long as
+// any response still references it, even after eviction.
 
 #ifndef MOQO_SERVICE_PLAN_CACHE_H_
 #define MOQO_SERVICE_PLAN_CACHE_H_
@@ -53,11 +54,7 @@ struct CachedFrontier {
   WeightVector weights;
   BoundVector bounds;
   /// The alpha guarantee of result->plan_set (1.0 for exact runs). The
-  /// entry serves any request whose required alpha is >= this. When the
-  /// service compacts cached frontiers (max_cached_frontier), the stored
-  /// copy's true guarantee is alpha*(1+epsilon) while the tag keeps the
-  /// run's alpha — the documented compaction tradeoff; see
-  /// OptimizationService::MakeCacheEntry.
+  /// entry answers any request whose required alpha is >= this.
   double achieved_alpha = 1.0;
 };
 

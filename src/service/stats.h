@@ -8,7 +8,10 @@
 // (obs/histogram.h), so the snapshot reports p50/p95/p99. First-frontier
 // latency (time from session open to the first published frontier) is a
 // first-class histogram here: it is the anytime API's headline metric and
-// the network front end's acceptance gauge (ROADMAP).
+// the network front end's acceptance gauge (ROADMAP). Cache hits and
+// misses are ServiceCounters cells too: the open path that judges a
+// plan-cache probe counts it, once per open, and the caches themselves
+// count only their own insertions and evictions.
 
 #ifndef MOQO_SERVICE_STATS_H_
 #define MOQO_SERVICE_STATS_H_
@@ -30,6 +33,12 @@ namespace moqo {
 /// ServiceStatsSnapshot carries a copy.
 struct ServiceCounters {
   Counter requests_total;
+  /// The open path's verdict on its cache probe, one per open that
+  /// probes (Submit or OpenFrontier with the cache enabled): a hit is an
+  /// open the cache answered (born done, from RAM or the tier); a miss is
+  /// one it did not — it ran, joined a running session, or was shed.
+  Counter cache_hits;
+  Counter cache_misses;
   /// Cache hits whose preference matched the cached selection verbatim.
   Counter exact_hits;
   /// Cache hits resolved by SelectPlan over the shared PlanSet (the
@@ -76,8 +85,6 @@ struct ServiceCounters {
 /// Plain-value snapshot of the service, safe to copy around: its own
 /// counters plus fields sampled from the components that own them.
 struct ServiceStatsSnapshot : ServiceCounters {
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   /// Resident cache footprint (sampled from the PlanCache at snapshot
   /// time): entry count, accounted bytes, and the summed frontier sizes of
@@ -87,8 +94,9 @@ struct ServiceStatsSnapshot : ServiceCounters {
   size_t cached_frontier_plans = 0;
   /// Cross-query subplan memo counters (sampled from the SubplanMemo at
   /// snapshot time; all zero when the memo is disabled). Hits/misses are
-  /// per *table set*, not per request — one optimization probes once per
-  /// big-enough table set of its DP.
+  /// the DP's verdicts per *table set*, not per request — one
+  /// optimization probes once per big-enough table set of its DP, and an
+  /// entry whose rows do not fit the set is a miss.
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
   uint64_t memo_insertions = 0;
@@ -153,10 +161,10 @@ class ServiceStatsRegistry {
   /// Records a session's open → first published frontier latency.
   void RecordFirstFrontier(double ms) { first_frontier_.Record(ms); }
 
-  /// The cache_*, memo_*, pool_*, and slow_queries snapshot fields are
-  /// sampled from their owning components (PlanCache, SubplanMemo,
-  /// ThreadPool, SlowQueryLog) by the service at snapshot time; this
-  /// registry leaves them zero/empty.
+  /// The cache_* fields outside ServiceCounters and the memo_*, pool_*,
+  /// and slow_queries snapshot fields are sampled from their owning
+  /// components (PlanCache, SubplanMemo, ThreadPool, SlowQueryLog) by the
+  /// service at snapshot time; this registry leaves them zero/empty.
   ServiceStatsSnapshot Snapshot() const;
 
  private:

@@ -148,66 +148,6 @@ TEST(PlanSetTest, SelectPlanMatchesParetoSetSelectBest) {
   }
 }
 
-TEST(PlanSetTest, CompactPlanSetCoversDroppedPlans) {
-  // A dense 2-D frontier; after compaction with slack 0.25, every original
-  // plan must be (1.25)-approximately dominated by a kept plan — the
-  // epsilon-coverage property the cache relies on.
-  Arena arena;
-  std::vector<std::pair<double, double>> costs;
-  for (int i = 0; i <= 40; ++i) {
-    costs.push_back({10.0 + i, 50.0 - i});
-  }
-  ParetoSet source = BuildSet(&arena, costs);
-  std::shared_ptr<const PlanSet> full = PlanSet::FromParetoSet(source);
-  ASSERT_EQ(full->size(), 41);
-
-  const double epsilon = 0.25;
-  std::shared_ptr<const PlanSet> compact =
-      CompactPlanSet(full, epsilon, /*max_size=*/0);
-  ASSERT_NE(compact, nullptr);
-  EXPECT_LT(compact->size(), full->size());
-  for (int i = 0; i < full->size(); ++i) {
-    bool covered = false;
-    for (int k = 0; k < compact->size(); ++k) {
-      if (ApproxDominates(compact->cost(k), full->cost(i), 1.0 + epsilon)) {
-        covered = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(covered) << "plan " << i << " uncovered";
-  }
-  // The compacted set owns its plans: costs stay index-aligned.
-  for (int k = 0; k < compact->size(); ++k) {
-    ASSERT_NE(compact->plan(k), nullptr);
-    EXPECT_EQ(compact->plan(k)->cost, compact->cost(k));
-  }
-}
-
-TEST(PlanSetTest, CompactPlanSetHonorsMaxSize) {
-  Arena arena;
-  std::vector<std::pair<double, double>> costs;
-  for (int i = 0; i <= 60; ++i) {
-    costs.push_back({10.0 + i, 80.0 - i});
-  }
-  std::shared_ptr<const PlanSet> full =
-      PlanSet::FromParetoSet(BuildSet(&arena, costs));
-  std::shared_ptr<const PlanSet> compact =
-      CompactPlanSet(full, 0.01, /*max_size=*/5);
-  ASSERT_NE(compact, nullptr);
-  EXPECT_LE(compact->size(), 5);
-  EXPECT_GE(compact->size(), 1);
-}
-
-TEST(PlanSetTest, CompactPlanSetNoopWhenNothingDropped) {
-  Arena arena;
-  std::shared_ptr<const PlanSet> full =
-      PlanSet::FromParetoSet(BuildSet(&arena, {{1, 9}, {9, 1}}));
-  // Widely separated plans: slack 0.01 covers nothing, so the same object
-  // comes back (no deep copy).
-  std::shared_ptr<const PlanSet> compact = CompactPlanSet(full, 0.01, 0);
-  EXPECT_EQ(compact.get(), full.get());
-}
-
 TEST(PlanSetTest, SelectPlanEmptyBoundsEqualsUnbounded) {
   Arena arena;
   ParetoSet source = BuildSet(&arena, {{1, 9}, {9, 1}});

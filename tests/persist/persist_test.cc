@@ -686,9 +686,9 @@ TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
   // one past that sub-frontier; its config is a scan, one past the
   // registry, or an index nested-loop join over a two-table inner side.
   // Each record restores (the codec checks sizes only), but the memo hit
-  // path must take it as a miss: the DP rebuilds the set, the frontier
-  // equals a memo-off service's byte for byte, and the set's publish
-  // replaces the entry with the real one.
+  // path must take it as a miss, and MemoStats() must count it as one: the
+  // DP rebuilds the set, the frontier equals a memo-off service's byte for
+  // byte, and the set's publish replaces the entry with the real one.
   const std::string dir = FreshDir("other_ranks");
   const Catalog tpch = Catalog::TpcH(0.01);
   ServiceRequest request;
@@ -795,6 +795,11 @@ TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
     std::string bytes;
     PlanSetCodec::Append(*response.plan_set(), &bytes);
     EXPECT_EQ(bytes, expected_bytes);
+    // The memo counts the DP's verdict on Q3's one probe: the refused
+    // entry is a miss, not a hit.
+    const SubplanMemo::Stats memo_stats = restored.MemoStats();
+    EXPECT_EQ(memo_stats.hits, 0u);
+    EXPECT_EQ(memo_stats.misses, 1u);
 
     const std::shared_ptr<const MemoFrontier> entry =
         restored.subplan_memo()->Lookup(signature);

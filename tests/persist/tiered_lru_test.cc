@@ -2,15 +2,16 @@
 //
 // RAM→disk tier tests (PR 9): the DiskTier container mechanics, then the
 // tier wired behind PlanCache and SubplanMemo — demotion on eviction,
-// promotion on a RAM miss (surfacing as a tier hit), the relaxed-alpha
-// gate on disk probes, and the stats-accounting regressions around
-// ReclassifyMissAsHit. Last, the ShardedLruTest cases pin TieredLru's own
-// shard mechanics through a minimal codec.
+// promotion of the key's tightest record on a RAM miss, alpha tags intact,
+// and caches that count no lookup (the caller judges and counts). Last,
+// the ShardedLruTest cases pin TieredLru's own shard mechanics through a
+// minimal codec.
 
 #include "persist/disk_tier.h"
 
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <charconv>
 #include <cstdint>
@@ -79,13 +80,13 @@ TEST(TieredLruTest, DiskTierRoundTripIsReadOnce) {
 
   std::string payload;
   double alpha = 0;
-  ASSERT_TRUE(tier.Take(42, "key", 2.0, &payload, &alpha));
+  ASSERT_TRUE(tier.Take(42, "key", &payload, &alpha));
   EXPECT_EQ(payload, "payload-bytes");
   EXPECT_EQ(DoubleBits(alpha), DoubleBits(1.25));
 
   // Promotion is a move: the entry is gone, its bytes reclaimed from the
   // live accounting.
-  EXPECT_FALSE(tier.Take(42, "key", 2.0, &payload, &alpha));
+  EXPECT_FALSE(tier.Take(42, "key", &payload, &alpha));
   const DiskTier::Stats stats = tier.GetStats();
   EXPECT_EQ(stats.demotions, 1u);
   EXPECT_EQ(stats.promotions, 1u);
@@ -95,17 +96,32 @@ TEST(TieredLruTest, DiskTierRoundTripIsReadOnce) {
 }
 
 TEST(TieredLruTest, DiskTierAlphaGateSkipsWithoutErasing) {
+  // Take gates on alpha only by order: it hands back the tightest record
+  // it holds for the key, whatever the requester needs (the requester
+  // judges it), and skips the looser one without erasing it.
   DiskTier tier(TierOptions(FreshDir("alpha")));
   ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
-                       7, "k", /*achieved_alpha=*/1.5, "p"));
+                       7, "k", /*achieved_alpha=*/2.0, "loose"));
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       7, "k", /*achieved_alpha=*/1.5, "tight"));
+  // A still tighter record of another key under the same hash must never
+  // answer for "k".
+  ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
+                       7, "other-key", /*achieved_alpha=*/1.0, "other"));
 
-  // A probe needing a tighter guarantee than the stored entry must miss —
-  // and must NOT consume the entry: a later, looser probe still hits.
   std::string payload;
-  EXPECT_FALSE(tier.Take(7, "k", /*max_alpha=*/1.2, &payload, nullptr));
-  EXPECT_EQ(tier.GetStats().entries, 1u);
-  EXPECT_TRUE(tier.Take(7, "k", /*max_alpha=*/1.5, &payload, nullptr));
-  EXPECT_EQ(payload, "p");
+  double alpha = 0;
+  ASSERT_TRUE(tier.Take(7, "k", &payload, &alpha));
+  EXPECT_EQ(payload, "tight");
+  EXPECT_EQ(DoubleBits(alpha), DoubleBits(1.5));
+  EXPECT_EQ(tier.GetStats().entries, 2u);  // The 2.0 record stays.
+  ASSERT_TRUE(tier.Take(7, "k", &payload, &alpha));
+  EXPECT_EQ(payload, "loose");
+  EXPECT_EQ(DoubleBits(alpha), DoubleBits(2.0));
+  EXPECT_FALSE(tier.Take(7, "k", &payload, &alpha));
+  ASSERT_TRUE(tier.Take(7, "other-key", &payload, &alpha));
+  EXPECT_EQ(payload, "other");
+  EXPECT_EQ(tier.GetStats().promotions, 3u);
 }
 
 TEST(TieredLruTest, DiskTierHashCollisionsNeverAlias) {
@@ -120,10 +136,10 @@ TEST(TieredLruTest, DiskTierHashCollisionsNeverAlias) {
   EXPECT_EQ(tier.GetStats().entries, 2u);
 
   std::string payload;
-  ASSERT_TRUE(tier.Take(99, "key-bee", 2.0, &payload, nullptr));
+  ASSERT_TRUE(tier.Take(99, "key-bee", &payload, nullptr));
   EXPECT_EQ(payload, "payload-bee");
-  EXPECT_FALSE(tier.Take(99, "key-c", 2.0, &payload, nullptr));
-  ASSERT_TRUE(tier.Take(99, "key-a", 2.0, &payload, nullptr));
+  EXPECT_FALSE(tier.Take(99, "key-c", &payload, nullptr));
+  ASSERT_TRUE(tier.Take(99, "key-a", &payload, nullptr));
   EXPECT_EQ(payload, "payload-a");
 
   // A SAME-shape collision (equal hash, key length, payload length, and
@@ -135,8 +151,8 @@ TEST(TieredLruTest, DiskTierHashCollisionsNeverAlias) {
   ASSERT_TRUE(tier.Put(RecordKind::kPlanCacheEntry,
                        77, "twin-2", 1.0, "payload-2"));
   EXPECT_EQ(tier.GetStats().entries, 1u);
-  EXPECT_FALSE(tier.Take(77, "twin-2", 2.0, &payload, nullptr));
-  ASSERT_TRUE(tier.Take(77, "twin-1", 2.0, &payload, nullptr));
+  EXPECT_FALSE(tier.Take(77, "twin-2", &payload, nullptr));
+  ASSERT_TRUE(tier.Take(77, "twin-1", &payload, nullptr));
   EXPECT_EQ(payload, "payload-1");
 }
 
@@ -191,7 +207,7 @@ TEST(TieredLruTest, DiskTierDropsACorruptRecord) {
   std::fclose(segment);
 
   std::string payload;
-  EXPECT_FALSE(tier.Take(11, "key", 2.0, &payload, nullptr));
+  EXPECT_FALSE(tier.Take(11, "key", &payload, nullptr));
   const DiskTier::Stats stats = tier.GetStats();
   EXPECT_EQ(stats.corrupt, 1u);
   EXPECT_EQ(stats.entries, 0u);
@@ -258,11 +274,10 @@ TEST(TieredLruTest, PlanCacheDemotesOnEvictionAndPromotesOnMiss) {
   EXPECT_EQ(tier->GetStats().demotions, 1u);
   EXPECT_EQ(tier->GetStats().entries, 1u);
 
-  // RAM miss on a → tier hit: promoted back (evicting + demoting b), the
-  // recorded miss reclassified, surfaced via from_tier.
+  // RAM miss on a → tier hit: promoted back (evicting + demoting b),
+  // surfaced via from_tier.
   bool from_tier = false;
-  auto hit = cache->Lookup(Sig("a"), PlanCache::kAnyAlpha,
-                           /*record_stats=*/true, &from_tier);
+  auto hit = cache->Lookup(Sig("a"), &from_tier);
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(from_tier);
   ASSERT_EQ(hit->result->plan_set->size(), 1);
@@ -271,63 +286,86 @@ TEST(TieredLruTest, PlanCacheDemotesOnEvictionAndPromotesOnMiss) {
   // with the stored uniform weights), not copied: 1*1.0 + 1*1.0.
   EXPECT_EQ(DoubleBits(hit->result->weighted_cost), DoubleBits(2.0));
 
-  PlanCache::Stats stats = cache->GetStats();
-  EXPECT_EQ(stats.hits, 1u);    // The miss was reclassified...
-  EXPECT_EQ(stats.misses, 0u);  // ...so the net contribution is one hit.
-  EXPECT_EQ(stats.tier_hits, 1u);
+  EXPECT_EQ(DoubleBits(hit->achieved_alpha), DoubleBits(1.0));
+
+  const PlanCache::Stats stats = cache->GetStats();
+  EXPECT_EQ(stats.insertions, 3u);  // a, b, and a again by the promotion.
+  EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(tier->GetStats().promotions, 1u);
   EXPECT_EQ(tier->GetStats().demotions, 2u);  // b demoted by the promotion.
 
   // A RAM hit on the promoted entry involves no tier traffic.
   from_tier = true;
-  ASSERT_NE(cache->Lookup(Sig("a"), PlanCache::kAnyAlpha, true, &from_tier),
-            nullptr);
+  ASSERT_NE(cache->Lookup(Sig("a"), &from_tier), nullptr);
   EXPECT_FALSE(from_tier);
   EXPECT_EQ(tier->GetStats().promotions, 1u);
 }
 
 TEST(TieredLruTest, PlanCacheTierProbeRespectsAlphaGate) {
+  // The caller's alpha gate judges what the tier hands back, so the tier
+  // must hand back the truth: a demoted entry comes back with its own
+  // alpha tag whatever the caller needs, and of two demoted generations of
+  // one key the tighter comes back while the looser stays on disk.
   auto tier = std::make_shared<DiskTier>(TierOptions(FreshDir("alphagate")));
   std::unique_ptr<PlanCache> cache = OneSlotCache(tier);
 
   cache->Insert(Sig("loose"), FrontierEntry(1.0, /*alpha=*/1.5));
   cache->Insert(Sig("other"), FrontierEntry(2.0));  // Demotes "loose".
-
-  // The demoted entry only guarantees alpha 1.5; a request needing 1.2
-  // must miss — without consuming the tier entry.
   bool from_tier = false;
-  EXPECT_EQ(cache->Lookup(Sig("loose"), /*max_alpha=*/1.2, true, &from_tier),
-            nullptr);
-  EXPECT_FALSE(from_tier);
-  EXPECT_EQ(cache->GetStats().misses, 1u);
-  EXPECT_EQ(tier->GetStats().entries, 1u);
-
-  // A looser request is served from the tier, alpha tag intact.
-  auto hit = cache->Lookup(Sig("loose"), /*max_alpha=*/2.0, true, &from_tier);
+  auto hit = cache->Lookup(Sig("loose"), &from_tier);
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(from_tier);
   EXPECT_EQ(DoubleBits(hit->achieved_alpha), DoubleBits(1.5));
+
+  // Two generations of "q" reach the tier: 2.0, then 1.2.
+  cache->Insert(Sig("q"), FrontierEntry(3.0, /*alpha=*/2.0));
+  cache->Insert(Sig("x"), FrontierEntry(4.0));  // Demotes q@2.0.
+  cache->Insert(Sig("q"), FrontierEntry(5.0, /*alpha=*/1.2));
+  cache->Insert(Sig("y"), FrontierEntry(6.0));  // Demotes q@1.2.
+  const uint64_t promotions = tier->GetStats().promotions;
+  hit = cache->Lookup(Sig("q"), &from_tier);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(from_tier);
+  EXPECT_EQ(DoubleBits(hit->achieved_alpha), DoubleBits(1.2));
+  EXPECT_EQ(DoubleBits(hit->result->plan_set->cost(0)[0]), DoubleBits(5.0));
+  EXPECT_EQ(tier->GetStats().promotions, promotions + 1);
+
+  // The looser generation stayed on disk.
+  std::string payload;
+  double alpha = 0;
+  ASSERT_TRUE(tier->Take(Sig("q").hash, Sig("q").key, &payload, &alpha));
+  EXPECT_EQ(DoubleBits(alpha), DoubleBits(2.0));
 }
 
 TEST(TieredLruTest, UncountedTierHitStaysUncounted) {
-  // Regression: ReclassifyMissAsHit must only fire for stats-recording
-  // lookups. The service's coalescing re-probe passes record_stats=false;
-  // if a tier promotion inside such a probe reclassified anyway, hits
-  // would exceed lookups and the hits+misses==lookups invariant breaks.
+  // The caches count no lookup: whether an entry answers is the caller's
+  // verdict, and the caller counts it. A tier hit therefore moves only the
+  // tier's promotion count and the cache's own events (the promotion's
+  // re-insert, and the eviction it causes); a RAM miss that finds nothing
+  // moves no cache counter at all.
   auto tier = std::make_shared<DiskTier>(TierOptions(FreshDir("uncounted")));
   std::unique_ptr<PlanCache> cache = OneSlotCache(tier);
   cache->Insert(Sig("a"), FrontierEntry(1.0));
   cache->Insert(Sig("b"), FrontierEntry(2.0));  // Demotes a.
+  const PlanCache::Stats before = cache->GetStats();
+  ASSERT_EQ(before.insertions, 2u);
+  ASSERT_EQ(before.evictions, 1u);
 
   bool from_tier = false;
-  auto hit = cache->Lookup(Sig("a"), PlanCache::kAnyAlpha,
-                           /*record_stats=*/false, &from_tier);
+  auto hit = cache->Lookup(Sig("a"), &from_tier);
   ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(from_tier);  // Still surfaced as a tier hit to the caller...
-  PlanCache::Stats stats = cache->GetStats();
-  EXPECT_EQ(stats.hits, 0u);  // ...but the counters never moved.
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.tier_hits, 1u);  // Tier traffic is real and counted.
+  EXPECT_TRUE(from_tier);  // Surfaced to the caller, which judges it.
+  PlanCache::Stats after = cache->GetStats();
+  EXPECT_EQ(after.insertions, before.insertions + 1);  // The re-insert...
+  EXPECT_EQ(after.evictions, before.evictions + 1);    // ...demoting b.
+  EXPECT_EQ(tier->GetStats().promotions, 1u);
+
+  EXPECT_EQ(cache->Lookup(Sig("absent"), &from_tier), nullptr);
+  EXPECT_FALSE(from_tier);
+  const PlanCache::Stats final_stats = cache->GetStats();
+  EXPECT_EQ(final_stats.insertions, after.insertions);
+  EXPECT_EQ(final_stats.evictions, after.evictions);
+  EXPECT_EQ(tier->GetStats().misses, 1u);
 }
 
 TEST(TieredLruTest, SubplanMemoDemotesAndPromotesBitExactly) {
@@ -365,10 +403,12 @@ TEST(TieredLruTest, SubplanMemoDemotesAndPromotesBitExactly) {
     EXPECT_EQ(got.right_row, want.right_row);
     EXPECT_EQ(got.left_ranks, want.left_ranks);
   }
-  const SubplanMemo::Stats stats = memo.GetStats();
-  EXPECT_EQ(stats.tier_hits, 1u);
-  EXPECT_GE(stats.hits, 1u);
   EXPECT_EQ(tier->GetStats().promotions, 1u);
+  // The memo's hits and misses are the DP's verdicts; a lookup counts
+  // nothing.
+  const SubplanMemo::Stats stats = memo.GetStats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
 }
 
 TEST(TieredLruTest, ConcurrentDemotePromoteHammer) {
@@ -381,17 +421,19 @@ TEST(TieredLruTest, ConcurrentDemotePromoteHammer) {
 
   constexpr int kThreads = 4;
   constexpr int kOps = 200;
+  std::atomic<uint64_t> tier_hits{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&cache, &tier_hits, t] {
       for (int i = 0; i < kOps; ++i) {
         const std::string name = "key" + std::to_string((t + i) % 8);
         if (i % 3 == 0) {
           cache->Insert(Sig(name), FrontierEntry(i + 1.0));
         } else {
           bool from_tier = false;
-          cache->Lookup(Sig(name), PlanCache::kAnyAlpha, true, &from_tier);
+          cache->Lookup(Sig(name), &from_tier);
+          if (from_tier) tier_hits.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -401,11 +443,13 @@ TEST(TieredLruTest, ConcurrentDemotePromoteHammer) {
   const DiskTier::Stats stats = tier->GetStats();
   EXPECT_GT(stats.demotions, 0u);
   EXPECT_GE(stats.demotions, stats.promotions);
+  // Every successful tier read surfaced to its caller as exactly one tier
+  // hit.
+  EXPECT_EQ(tier_hits.load(), stats.promotions);
+  // The cache's own events stay consistent under the churn: every entry
+  // ever inserted is resident or was evicted.
   const PlanCache::Stats cache_stats = cache->GetStats();
-  EXPECT_EQ(cache_stats.hits + cache_stats.misses,
-            uint64_t{kThreads} * (kOps - (kOps + 2) / 3));
-  // Every successful tier read surfaced as exactly one tier hit.
-  EXPECT_EQ(cache_stats.tier_hits, stats.promotions);
+  EXPECT_EQ(cache_stats.insertions, cache_stats.entries + cache_stats.evictions);
 }
 
 // ---- ShardedLru: the shard mechanics of TieredLru itself. ---------------
@@ -507,8 +551,6 @@ TEST(ShardedLruTest, LruEvictionOrderAndCounters) {
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.bytes, EntryBytes("a", 10) + EntryBytes("c", 10));
   EXPECT_EQ(stats.frontier_plans, 2u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(ShardedLruTest, ByteBudgetIsPrimaryLimit) {
@@ -548,20 +590,6 @@ TEST(ShardedLruTest, ShardCountRoundsToPowerOfTwo) {
   options.shards = 5;
   Lru lru(options);
   EXPECT_EQ(lru.num_shards(), 8);
-}
-
-TEST(ShardedLruTest, ReclassifyMissAsHitBalancesCounters) {
-  Lru lru(SingleShard(4));
-  EXPECT_EQ(lru.Lookup(Key("a")), nullptr);  // Miss.
-  lru.Insert(Key("a"), Value(1, 1));
-  // The race-closing re-probe pattern: uncounted lookup, then flip the
-  // recorded miss.
-  EXPECT_NE(lru.Lookup(Key("a"), Lru::kAnyAlpha, /*record_stats=*/false),
-            nullptr);
-  lru.ReclassifyMissAsHit();
-  const Lru::Stats stats = lru.GetStats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
 }
 
 TEST(ShardedLruTest, EvictionHookSeesVictimsColdestFirst) {
@@ -641,10 +669,11 @@ TEST(ShardedLruTest, ConcurrentMixedTraffic) {
   }
   for (std::thread& thread : threads) thread.join();
 
-  const int lookups_per_thread = kOpsPerThread - (kOpsPerThread + 2) / 3;
+  // Every entry ever inserted is resident or was evicted: no event is
+  // lost under concurrent inserts and evictions.
   const Lru::Stats stats = lru.GetStats();
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(kThreads) * lookups_per_thread);
+  EXPECT_EQ(stats.insertions, stats.entries + stats.evictions);
+  EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 64u + 8u);  // Capacity rounding headroom.
 }
 

@@ -2,7 +2,10 @@
 
 #include "service/optimization_service.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
@@ -450,46 +453,6 @@ TEST(ServiceTest, PreferenceDependentOverridesMatchDirectRuns) {
 // Coalescing (TSan-covered): duplicate cache misses on one signature
 // optimize once — later arrivals wait on the first miss and are served
 // from its frontier by selection.
-TEST(ServiceTest, CachedFrontierCompactedToEpsilonCover) {
-  Catalog catalog = MakeTinyCatalog();
-  ServiceOptions options = SmallServiceOptions(2);
-  options.max_cached_frontier = 4;
-  options.cache_compaction_epsilon = 0.1;
-  OptimizationService service(options);
-
-  ServiceRequest request = StarRequest(&catalog, 3, 3);
-  const ServiceResponse cold = service.SubmitAndWait(request);
-  ASSERT_EQ(cold.status, ResponseStatus::kCompleted);
-  ASSERT_NE(cold.result, nullptr);
-  // The cold response carries the full frontier...
-  const int full_size = cold.result->frontier_size();
-  ASSERT_GT(full_size, 4) << "fixture frontier too small to compact";
-
-  // ...while the cached copy was compacted: an exact hit serves a PlanSet
-  // within the cap whose plan is still a valid selection from it.
-  const ServiceResponse warm = service.SubmitAndWait(request);
-  ASSERT_EQ(warm.cache, CacheOutcome::kExactHit);
-  ASSERT_NE(warm.result, nullptr);
-  EXPECT_LE(warm.result->frontier_size(), 4);
-  EXPECT_GE(warm.result->frontier_size(), 1);
-  ASSERT_NE(warm.result->plan, nullptr);
-  EXPECT_EQ(warm.result->weighted_cost,
-            MinWeightedCost(*warm.result->plan_set,
-                            request.preference.weights));
-
-  // Every full-frontier plan is epsilon-covered by some cached plan at the
-  // epsilon CompactPlanSet settled on — spot-check the weighted optimum:
-  // compaction cannot cost more than the final coverage factor, which the
-  // stats registry sees as a small weighted-cost regression only.
-  EXPECT_GE(warm.result->weighted_cost,
-            MinWeightedCost(*cold.result->plan_set,
-                            request.preference.weights));
-
-  const ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_LE(stats.MeanCachedFrontier(), 4.0);
-  EXPECT_GT(stats.cache_bytes, 0u);
-}
-
 TEST(ServiceTest, CoalescedDuplicateMissesOptimizeOnce) {
   Catalog catalog = MakeTinyCatalog();
   OptimizationService service(SmallServiceOptions(1));
@@ -953,9 +916,114 @@ TEST(ServiceTest, NonFiniteAlphaIsRejectedAndLeavesTheCacheServing) {
     EXPECT_EQ(service.SubmitAndWait(request).status,
               ResponseStatus::kCompleted);
   }
-  const PlanCache::Stats cache = service.CacheStats();
-  EXPECT_EQ(cache.misses, 1u);
-  EXPECT_EQ(cache.hits, 2u);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+}
+
+/// A fresh directory path (not created: the service creates it).
+std::string FreshDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "moqo_service_" + tag +
+                          "_" + std::to_string(::getpid());
+  EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+  return dir;
+}
+
+/// A service whose plan cache holds one entry and overflows into a disk
+/// tier under `dir`; no snapshot is read or written.
+ServiceOptions OneEntryTierOptions(const std::string& dir) {
+  ServiceOptions options = SmallServiceOptions(1);
+  options.cache.capacity = 1;
+  options.cache.shards = 1;
+  options.persist.directory = dir;
+  options.persist.tier_capacity_bytes = size_t{8} << 20;
+  options.persist.restore_on_start = false;
+  options.persist.snapshot_on_shutdown = false;
+  return options;
+}
+
+std::string CodecBytes(const PlanSet& set) {
+  std::string bytes;
+  persist::PlanSetCodec::Append(set, &bytes);
+  return bytes;
+}
+
+TEST(ServiceTest, DemotedEntryAnswersAsATierHitCountedOnce) {
+  // The second query's entry demotes the first's from the one-entry cache;
+  // a looser request for the first query is then answered from the tier:
+  // kTierHit, the entry's own alpha, the run's frontier bit for bit, one
+  // counted cache hit and no optimizer run.
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(OneEntryTierOptions(FreshDir("tier_hit")));
+  ServiceRequest first = StarRequest(&catalog, 3, 3);
+  first.spec.algorithm = AlgorithmKind::kRta;
+  first.spec.alpha = 1.2;
+  const ServiceResponse cold = service.SubmitAndWait(first);
+  ASSERT_EQ(cold.status, ResponseStatus::kCompleted);
+  ASSERT_EQ(service.SubmitAndWait(StarRequest(&catalog, 2, 3)).status,
+            ResponseStatus::kCompleted);
+  ASSERT_EQ(service.CacheStats().evictions, 1u);
+
+  ServiceRequest looser = first;
+  looser.spec.alpha = 1.5;
+  const ServiceResponse warm = service.SubmitAndWait(looser);
+  ASSERT_EQ(warm.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(warm.cache, CacheOutcome::kTierHit);
+  EXPECT_DOUBLE_EQ(warm.alpha, 1.2);
+  ASSERT_NE(warm.plan_set(), nullptr);
+  EXPECT_EQ(CodecBytes(*warm.plan_set()), CodecBytes(*cold.plan_set()));
+
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.tier_hits, 1u);
+  EXPECT_EQ(OptimizerRuns(service), 2u);
+}
+
+TEST(ServiceTest, LooserDemotedEntrySeedsTheLadder) {
+  // An OpenFrontier whose only cache entry is a looser, demoted one: the
+  // probe promotes it from the tier and judges it too loose to answer (one
+  // counted miss); the session publishes it first, from_cache, and its
+  // ladder runs only the rungs below the entry's alpha.
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(OneEntryTierOptions(FreshDir("tier_seed")));
+  ServiceRequest loose = StarRequest(&catalog, 3, 3);
+  loose.spec.algorithm = AlgorithmKind::kRta;
+  loose.spec.alpha = 2.0;
+  const ServiceResponse cold = service.SubmitAndWait(loose);
+  ASSERT_EQ(cold.status, ResponseStatus::kCompleted);
+  ASSERT_EQ(service.SubmitAndWait(StarRequest(&catalog, 2, 3)).status,
+            ResponseStatus::kCompleted);
+  ASSERT_EQ(service.CacheStats().evictions, 1u);
+  const ServiceStatsSnapshot before = service.Stats();
+
+  // Ladder 4.0, 2.90, 2.10, 1.52, 1.1: the last two are below 2.0.
+  SessionOptions options;
+  options.alpha_start = 4.0;
+  options.alpha_target = 1.1;
+  options.max_steps = 5;
+  std::shared_ptr<FrontierSession> session =
+      service.OpenFrontier(loose.spec, options);
+  ASSERT_TRUE(session->AwaitTarget());
+  const std::vector<double>& ladder = session->ladder();
+  ASSERT_EQ(ladder.size(), 2u);
+  EXPECT_LT(ladder.front(), 2.0);
+  EXPECT_DOUBLE_EQ(ladder.back(), 1.1);
+  const std::vector<RefinedFrontier> history = session->History();
+  ASSERT_EQ(history.size(), 1 + ladder.size());
+  EXPECT_TRUE(history[0].from_cache);
+  EXPECT_DOUBLE_EQ(history[0].alpha, 2.0);
+  EXPECT_EQ(CodecBytes(*history[0].plan_set), CodecBytes(*cold.plan_set()));
+  for (size_t i = 1; i < history.size(); ++i) {
+    EXPECT_FALSE(history[i].from_cache) << i;
+    EXPECT_DOUBLE_EQ(history[i].alpha, ladder[i - 1]) << i;
+  }
+
+  const ServiceStatsSnapshot after = service.Stats();
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.cache_misses, before.cache_misses + 1);
+  EXPECT_EQ(OptimizerRuns(service), 2u + ladder.size());
+  session->Cancel();
 }
 
 TEST(ServiceTest, WorkloadDriverEndToEnd) {
