@@ -3,9 +3,10 @@
 // pricing of one operand pair's join configs, subset enumeration, and
 // end-to-end optimization of small queries — plus the per-request work
 // of a plan-cache hit: signature computation and extension, and
-// SelectPlan over a cached frontier — and the memo and persistence
-// layers: an all-hit DP re-run through the subplan memo, and the PlanSet
-// codec over a real frontier.
+// SelectPlan over a cached frontier — the memo and persistence layers:
+// all-hit DP re-runs through the subplan memo, and the PlanSet codec over
+// a real frontier — and the wire client's read side: one FRONTIER_UPDATE
+// split and decoded.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "core/rta.h"
 #include "memo/subplan_memo.h"
 #include "model/cost_model.h"
+#include "net/wire.h"
 #include "persist/plan_set_codec.h"
 #include "query/tpch_queries.h"
 #include "service/signature.h"
@@ -283,23 +285,25 @@ OperatorRegistry::Options BenchOperators() {
 }
 
 /// A memo hit's work, end to end: the DP over TPC-H Q8 (six objectives,
-/// bench operator space, RTA 1.5's internal precision) after a cold run
-/// published every set of three or more tables, so each of those is
-/// sealed by pricing its entry's candidates again. The `hits` counter
-/// reports the sets sealed from the memo per run.
-void BM_MemoWarmRun(benchmark::State& state) {
+/// bench operator space, RTA 1.5's internal precision) under `warm` after
+/// a cold run under `cold` published every set of three or more tables,
+/// so each of those is sealed by pricing its entry's candidates again.
+/// The `hits` counter reports the sets sealed from the memo per run.
+void MemoRerun(benchmark::State& state, const ObjectiveSet& cold,
+               const ObjectiveSet& warm) {
   const Catalog catalog = Catalog::TpcH(1.0);
   const Query query = MakeTpcHQuery(&catalog, 8);
   const OperatorRegistry registry(BenchOperators());
-  const CostModel model(&query, &registry, FirstObjectives(6));
   SubplanMemo memo;
   DPOptions options;
   options.alpha = RTAInternalPrecision(1.5, query.num_tables());
   options.subplan_memo = &memo;
   {
+    const CostModel model(&query, &registry, cold);
     Arena arena;
     DPPlanGenerator(&model, &registry, &arena).Run(query, options);
   }
+  const CostModel model(&query, &registry, warm);
   long hits = 0;
   for (auto _ : state) {
     Arena arena;
@@ -309,7 +313,21 @@ void BM_MemoWarmRun(benchmark::State& state) {
   }
   state.counters["hits"] = static_cast<double>(hits);
 }
+
+/// Re-runs in the cold run's objective order.
+void BM_MemoWarmRun(benchmark::State& state) {
+  MemoRerun(state, FirstObjectives(6), FirstObjectives(6));
+}
 BENCHMARK(BM_MemoWarmRun)->Unit(benchmark::kMicrosecond);
+
+/// Re-runs in the reversed order: memo keys name the objective set, so
+/// these hit as often as BM_MemoWarmRun's and price in their own order.
+void BM_MemoPermutedRun(benchmark::State& state) {
+  const std::vector<Objective> order = FirstObjectives(6).objectives();
+  MemoRerun(state, FirstObjectives(6),
+            ObjectiveSet(std::vector<Objective>(order.rbegin(), order.rend())));
+}
+BENCHMARK(BM_MemoPermutedRun)->Unit(benchmark::kMicrosecond);
 
 /// TPC-H Q8's RTA frontier (six objectives, alpha 1.5, bench operator
 /// space): what a plan-cache record or a snapshot carries.
@@ -354,6 +372,44 @@ void BM_PlanSetCodecDecode(benchmark::State& state) {
   state.counters["bytes"] = static_cast<double>(block.size());
 }
 BENCHMARK(BM_PlanSetCodecDecode)->Unit(benchmark::kMicrosecond);
+
+/// A wire client's read side for one FRONTIER_UPDATE the size of a
+/// wire_anytime rung (10-table chain windows at three objectives, bench
+/// operator space, alpha 4 to 1.5: 33-162 plans, 85 on average): a
+/// long-lived FrameDecoder is fed the frame, splits it off, and
+/// DecodeFrontierUpdate parses its payload. `bytes` is the frame's length.
+void BM_FrameDecoder(benchmark::State& state) {
+  constexpr int kPlans = 85;
+  constexpr uint32_t kDims = 3;
+  Xoshiro256 rng(11);
+  net::FrontierUpdateMsg update;
+  update.step = 3;
+  update.alpha = 1.5;
+  update.step_ms = 2.0;
+  update.dims = kDims;
+  for (uint32_t i = 0; i < kPlans * kDims; ++i) {
+    update.costs.push_back(rng.NextDouble() * 1e4);
+  }
+  const std::string frame = net::EncodeFrontierUpdate(update);
+  net::FrameDecoder decoder;
+  net::MsgType type;
+  std::vector<uint8_t> payload;
+  net::FrontierUpdateMsg decoded;
+  for (auto _ : state) {
+    decoder.Feed(frame.data(), frame.size());
+    if (decoder.Next(&type, &payload) != net::FrameDecoder::Status::kFrame ||
+        !net::DecodeFrontierUpdate(payload.data(), payload.size(),
+                                   &decoded)) {
+      state.SkipWithError("the frame did not decode");
+      break;
+    }
+    benchmark::DoNotOptimize(decoded.costs.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["plans"] = kPlans;
+  state.counters["bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_FrameDecoder);
 
 }  // namespace
 }  // namespace moqo

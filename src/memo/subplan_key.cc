@@ -80,12 +80,15 @@ SubplanKeyContext::SubplanKeyContext(
                                                 *y.right_column);
   });
 
-  // Run-wide suffix. alpha_i is encoded bit-exactly: the sealed frontier
-  // of every table set depends on the pruning precision, so "close" alphas
-  // must not share entries. The cost-model constants are fixed and not
-  // encoded (model/cost_model.cc).
-  PutU64(&suffix_, static_cast<uint64_t>(objectives.size()));
-  for (Objective objective : objectives) {
+  // Run-wide suffix. The objectives go in ascending order, so every order
+  // of one set keys alike (see header). alpha_i is encoded bit-exactly:
+  // the sealed frontier of every table set depends on the pruning
+  // precision, so "close" alphas must not share entries. The cost-model
+  // constants are fixed and not encoded (model/cost_model.cc).
+  std::vector<Objective> sorted(objectives.begin(), objectives.end());
+  std::sort(sorted.begin(), sorted.end());
+  PutU64(&suffix_, static_cast<uint64_t>(sorted.size()));
+  for (Objective objective : sorted) {
     PutU64(&suffix_, static_cast<uint64_t>(objective));
   }
   PutDouble(&suffix_, alpha);

@@ -19,25 +19,33 @@
 //     renumbered to dense ranks 0..k-1 (rank = position in ascending
 //     local-index order) and edges normalized and sorted, exactly like the
 //     whole-query encoding.
-//   * The objective set in order (fixes cost dimensions), the DP's
-//     *internal* pruning precision alpha_i bit-exactly (approximate
-//     frontiers depend on it — note the RTA derives alpha_i from the WHOLE
-//     query's table count, so only same-sized queries share RTA entries;
-//     exact runs share across all sizes), the plan-space switches
-//     (bushy, Cartesian heuristic, aggressive deletion), the operator
-//     space options (they determine the dense config-id mapping plans
-//     embed), and whether the run skips disconnected subsets (derived from
-//     whole-query connectivity, which changes which splits have sub-plans).
+//   * The objective set, in ascending Objective order whatever order the
+//     request lists it in. The set decides the costs; the order decides
+//     neither which candidates survive (pruning compares cost vectors one
+//     component at a time) nor an entry's contents (it holds no costs, and
+//     a hit prices its candidates in the run's own column order).
+//   * The DP's *internal* pruning precision alpha_i bit-exactly
+//     (approximate frontiers depend on it — note the RTA derives alpha_i
+//     from the WHOLE query's table count, so only same-sized queries share
+//     RTA entries; exact runs share across all sizes), the plan-space
+//     switches (bushy, Cartesian heuristic, aggressive deletion), the
+//     operator space options (they determine the dense config-id mapping
+//     plans embed), and whether the run skips disconnected subsets
+//     (derived from whole-query connectivity, which changes which splits
+//     have sub-plans).
 //
 // Invariances (tested in tests/memo/subplan_memo_test.cc): signatures are
 // independent of the query name, of join/filter *insertion order*, of
-// AddJoin argument order, and of index *translation* — the same subgraph
-// embedded at different local indices with the same relative order keys
-// identically (dense ranks). They are deliberately NOT invariant under
-// member *reordering*: the DP enumerates splits in mask order, approximate
-// pruning depends on that insertion order, and equal keys must guarantee
-// byte-identical frontiers — a reordered embedding builds a (equally
-// valid, but different) frontier and must therefore key differently.
+// AddJoin argument order, of the order of the objectives, and of index
+// *translation* — the same subgraph embedded at different local indices
+// with the same relative order keys identically (dense ranks). The
+// whole-query plan cache stays order-sensitive: a cached PlanSet keeps
+// its cost columns in its request's order. Signatures are deliberately
+// NOT invariant under member *reordering*: the DP enumerates splits in
+// mask order, approximate pruning depends on that insertion order, and
+// equal keys must guarantee byte-identical frontiers — a reordered
+// embedding builds a (equally valid, but different) frontier and must
+// therefore key differently.
 
 #ifndef MOQO_MEMO_SUBPLAN_KEY_H_
 #define MOQO_MEMO_SUBPLAN_KEY_H_
@@ -88,7 +96,7 @@ class SubplanKeyContext {
   /// induced subgraph of any set is a sorted subsequence, and dense-rank
   /// renumbering is order-preserving, so per-set edges need no re-sort.
   std::vector<Edge> edges_;
-  /// Objectives, alpha_i, plan-space/operator-space switches.
+  /// Objectives (ascending), alpha_i, plan-space/operator-space switches.
   std::string suffix_;
 };
 

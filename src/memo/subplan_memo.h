@@ -22,6 +22,10 @@
 // in-flight parallel tasks only ever read immutable entries. Frontiers
 // are byte-identical with the memo on or off, cold or warm.
 //
+// Since an entry holds no costs, a key names the objective set, not its
+// order: a request that permutes another's objectives seals the same
+// candidates, priced in its own column order.
+//
 // Storage, the disk tier and snapshot export/restore are the same
 // persist::TieredLru the PlanCache is (persist/tiered_lru.h), over
 // MemoFrontier with the MemoEntryCodec below: entries are accounted by

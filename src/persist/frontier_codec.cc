@@ -2,6 +2,8 @@
 
 #include "persist/frontier_codec.h"
 
+#include <cmath>
+
 #include "core/optimizer.h"
 #include "cost/objective.h"
 #include "persist/plan_set_codec.h"
@@ -28,6 +30,10 @@ bool EncodeFrontierPayload(const CachedFrontier& entry, std::string* out) {
 
 std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
     const void* data, size_t size, double achieved_alpha) {
+  // The service tags every entry with a finite alpha of at least 1. A NaN
+  // tag would never answer a request (NaN <= target is false) nor ever be
+  // replaced (alpha <= NaN is false), so it would pin its key to a miss.
+  if (!std::isfinite(achieved_alpha) || achieved_alpha < 1.0) return nullptr;
   ByteReader reader(data, size);
   uint32_t weights_size, bounds_size;
   if (!reader.GetU32(&weights_size) || !reader.GetU32(&bounds_size)) {

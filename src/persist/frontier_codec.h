@@ -36,8 +36,9 @@ namespace persist {
 /// plan_set) — degenerate values that were never worth persisting.
 bool EncodeFrontierPayload(const CachedFrontier& entry, std::string* out);
 
-/// Decodes a kPlanCacheEntry payload. Returns nullptr on any malformed
-/// input; never throws.
+/// Decodes a kPlanCacheEntry payload tagged `achieved_alpha`. Returns
+/// nullptr on any malformed input, including a tag that is not finite or
+/// is below 1; never throws.
 std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
     const void* data, size_t size, double achieved_alpha);
 

@@ -1,14 +1,16 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
 // Cross-query subplan memo: canonical table-set signatures (permutation /
-// translation invariance, collision resistance across predicates,
-// objectives and alpha), memo gating/eviction/epoch semantics, and the
-// tentpole guarantee — frontiers are byte-identical with the memo on or
-// off, cold and warm, serial and parallel, exact and approximate. The
-// concurrency tests run under TSan in CI.
+// translation / objective-order invariance, collision resistance across
+// predicates, objective sets and alpha), memo gating/eviction/epoch
+// semantics, and the tentpole guarantee — frontiers are byte-identical
+// with the memo on or off, cold and warm, serial and parallel, exact and
+// approximate, and in any objective order. The concurrency tests run
+// under TSan in CI.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "persist/disk_tier.h"
 #include "persist/plan_set_codec.h"
 #include "query/query.h"
+#include "query/tpch_queries.h"
 #include "testing/test_helpers.h"
 #include "util/thread_pool.h"
 
@@ -188,6 +191,35 @@ TEST(SubplanKeyTest, CollisionResistance) {
   EXPECT_EQ(MakeContext(benign).SignatureFor(TableSet(0b0111)), reference);
 }
 
+TEST(SubplanKeyTest, ObjectiveOrderIsNotPartOfTheKey) {
+  // A memo entry holds no costs, and which candidates survive pruning does
+  // not depend on the order of the cost columns: every order of one
+  // objective set keys alike, while the set itself is part of the key.
+  Catalog catalog = MakeChainCatalog(4);
+  const Query query = MakeChainQuery(&catalog, 0, 3);
+  const auto signature = [&query](const std::vector<Objective>& objectives) {
+    return SubplanKeyContext(query, ObjectiveSet(objectives), 1.0,
+                             testing::SmallOperatorSpace(), true, true, false,
+                             true)
+        .SignatureFor(query.AllTables());
+  };
+  std::vector<Objective> four = {Objective::kTotalTime, Objective::kIOLoad,
+                                 Objective::kEnergy, Objective::kTupleLoss};
+  const SubplanSignature reference = signature(four);
+  int orders = 0;
+  do {
+    EXPECT_EQ(signature(four), reference) << ObjectiveSet(four).ToString();
+    ++orders;
+  } while (std::next_permutation(four.begin(), four.end()));
+  EXPECT_EQ(orders, 24);
+
+  std::vector<Objective> added = four;
+  added.push_back(Objective::kCores);
+  EXPECT_NE(signature(added), reference);
+  const std::vector<Objective> dropped(four.begin() + 1, four.end());
+  EXPECT_NE(signature(dropped), reference);
+}
+
 // ---------------------------------------------------------------------------
 // Memo container semantics.
 
@@ -220,6 +252,33 @@ class SubplanMemoDpTest : public ::testing::Test {
       frontiers.push_back(generator.SetFor(TableSet(mask)).Frontier());
     }
     if (stats != nullptr) *stats = generator.stats();
+    return frontiers;
+  }
+
+  /// Runs the DP over `query` under `objectives` at `alpha`, returning
+  /// every table set's sealed frontier as PlanSetCodec bytes, by mask.
+  std::vector<std::string> RunDpBytes(const Query& query,
+                                      const ObjectiveSet& objectives,
+                                      double alpha, SubplanMemo* memo,
+                                      int parallelism, ThreadPool* pool,
+                                      DPStats* stats) {
+    const CostModel model(&query, &registry_, objectives);
+    Arena arena;
+    DPPlanGenerator generator(&model, &registry_, &arena);
+    DPOptions options;
+    options.alpha = alpha;
+    options.subplan_memo = memo;
+    options.parallelism = parallelism;
+    options.pool = pool;
+    generator.Run(query, options);
+    *stats = generator.stats();
+    std::vector<std::string> frontiers;
+    for (uint64_t mask = 1; mask <= query.AllTables().mask(); ++mask) {
+      std::string bytes;
+      persist::PlanSetCodec::Append(
+          *PlanSet::FromParetoSet(generator.SetFor(TableSet(mask))), &bytes);
+      frontiers.push_back(std::move(bytes));
+    }
     return frontiers;
   }
 
@@ -351,6 +410,53 @@ TEST_F(SubplanMemoDpTest, ParallelWarmRunMatchesSerialMemoOff) {
     EXPECT_GT(parallel_stats.memo_hits, 0) << window.name();
     EXPECT_GT(parallel_stats.parallel_levels, 0) << window.name();
     EXPECT_GT(parallel_stats.parallel_rounds, 0) << window.name();
+  }
+}
+
+TEST_F(SubplanMemoDpTest, PermutedObjectivesReplayTheMemo) {
+  // TPC-H Q5 at six objectives in the bench operator space: a cold run in
+  // one objective order publishes every memo-eligible set (min_tables or
+  // more members, connected). A run in the reversed order then seals each
+  // of them from the memo, priced in its own column order, serially and at
+  // parallelism 4, publishes nothing, and leaves every set's frontier
+  // byte-identical to a memo-off serial run of the reversed order.
+  const Catalog tpch = Catalog::TpcH(0.01);
+  const Query query = MakeTpcHQuery(&tpch, 5);
+  const std::vector<Objective> order = {
+      Objective::kTotalTime, Objective::kStartupTime, Objective::kIOLoad,
+      Objective::kCores,     Objective::kDiskFootprint, Objective::kTupleLoss};
+  const ObjectiveSet forward(order);
+  const ObjectiveSet reversed(
+      std::vector<Objective>(order.rbegin(), order.rend()));
+  const double alpha = RTAInternalPrecision(1.5, query.num_tables());
+
+  SubplanMemo memo;
+  long eligible = 0;
+  for (uint64_t mask = 1; mask <= query.AllTables().mask(); ++mask) {
+    const TableSet tables(mask);
+    if (tables.Cardinality() >= memo.min_tables() &&
+        query.InducedSubgraphConnected(tables)) {
+      ++eligible;
+    }
+  }
+  ASSERT_GT(eligible, 0);
+  DPStats cold;
+  RunDpBytes(query, forward, alpha, &memo, 1, nullptr, &cold);
+  EXPECT_EQ(cold.memo_publishes, eligible);
+
+  DPStats off_stats;
+  const std::vector<std::string> expected =
+      RunDpBytes(query, reversed, alpha, nullptr, 1, nullptr, &off_stats);
+  ThreadPool pool(3);
+  for (int parallelism : {1, 4}) {
+    SCOPED_TRACE(parallelism);
+    DPStats stats;
+    EXPECT_EQ(RunDpBytes(query, reversed, alpha, &memo, parallelism,
+                         parallelism > 1 ? &pool : nullptr, &stats),
+              expected);
+    EXPECT_EQ(stats.memo_hits, eligible);
+    EXPECT_EQ(stats.memo_misses, 0);
+    EXPECT_EQ(stats.memo_publishes, 0);
   }
 }
 

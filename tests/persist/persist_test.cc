@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -807,6 +808,66 @@ TEST(PersistTest, RestoredMemoEntryOverOtherRanksIsRebuiltNotServed) {
     std::string replaced;
     ASSERT_TRUE(MemoEntryCodec::Encode(*entry, &replaced));
     EXPECT_EQ(replaced, real.payload);
+  }
+}
+
+TEST(PersistTest, PlanCacheRecordWithAnUnusableAlphaTagIsNotRestored) {
+  // TPC-H Q3's checksum-valid RTA-1.5 plan-cache record, re-tagged NaN,
+  // +inf and 0.5. No tag the service writes is like these, and a NaN tag
+  // would pin its key to a miss: it answers no target (NaN <= target is
+  // false) and no insert replaces it (alpha <= NaN is false). So the
+  // restore refuses each record, the first request runs and its insert
+  // lands, and the second request is an exact hit.
+  const Catalog tpch = Catalog::TpcH(0.01);
+  ServiceRequest request;
+  request.spec.query = std::make_shared<Query>(MakeTpcHQuery(&tpch, 3));
+  request.spec.objectives = FirstObjectives(3);
+  request.spec.algorithm = AlgorithmKind::kRta;
+  request.spec.alpha = 1.5;
+  request.preference.weights = WeightVector::Uniform(3);
+
+  const std::string source = FreshDir("alpha_tag_source");
+  {
+    OptimizationService service(PersistServiceOptions(source));
+    ASSERT_EQ(service.SubmitAndWait(request).status,
+              ResponseStatus::kCompleted);
+  }
+  std::vector<OwnedRecord> plan_records;
+  for (const OwnedRecord& record : ReadRecords(source + "/moqo.snapshot")) {
+    if (record.kind == static_cast<uint32_t>(RecordKind::kPlanCacheEntry)) {
+      plan_records.push_back(record);
+    }
+  }
+  ASSERT_EQ(plan_records.size(), 1u);
+  const OwnedRecord& real = plan_records[0];
+  ASSERT_EQ(real.alpha_bits, DoubleBits(1.5));
+
+  for (const double tag : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.5}) {
+    SCOPED_TRACE(tag);
+    const std::string dir = FreshDir("alpha_tag");
+    ServiceOptions options = PersistServiceOptions(dir);
+    options.persist.snapshot_on_shutdown = false;
+    SnapshotWriter writer(options.persist.catalog_epoch, kCostModelVersion);
+    writer.AddRecord(RecordKind::kPlanCacheEntry, real.key, real.hash, tag,
+                     real.payload);
+    ASSERT_TRUE(writer.WriteFile(dir + "/moqo.snapshot"));
+
+    OptimizationService restored(options);
+    EXPECT_EQ(restored.PersistStats().restores_loaded, 1u);
+    EXPECT_EQ(restored.PersistStats().restored_plan_entries, 0u);
+    EXPECT_EQ(restored.CacheStats().entries, 0u);
+
+    const ServiceResponse first = restored.SubmitAndWait(request);
+    ASSERT_EQ(first.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(first.cache, CacheOutcome::kMiss);
+    EXPECT_EQ(restored.CacheStats().insertions, 1u);
+    EXPECT_EQ(restored.CacheStats().entries, 1u);
+
+    const ServiceResponse second = restored.SubmitAndWait(request);
+    ASSERT_EQ(second.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(second.cache, CacheOutcome::kExactHit);
+    EXPECT_EQ(second.alpha, 1.5);
   }
 }
 

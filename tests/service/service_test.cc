@@ -1136,6 +1136,47 @@ TEST(ServiceTest, SubplanMemoSharesAcrossOverlappingQueries) {
   EXPECT_EQ(reference.Stats().memo_hits, 0u);
 }
 
+TEST(ServiceTest, PermutedObjectivesMissTheCacheButReplayTheMemo) {
+  // The plan cache keys the objectives in request order (a cached
+  // PlanSet's cost columns follow it), the memo keys the objective set: a
+  // request that reverses another's objectives misses the cache, and its
+  // DP seals every memo-eligible set from the first run's entries. Its
+  // frontier equals a memo-disabled service's byte for byte.
+  Catalog catalog = MakeServiceChainCatalog(5);
+  const ServiceRequest forward = ChainRequest(&catalog, 0, 4);
+  const std::vector<Objective>& order = forward.spec.objectives.objectives();
+  ServiceRequest reversed = forward;
+  reversed.spec.objectives =
+      ObjectiveSet(std::vector<Objective>(order.rbegin(), order.rend()));
+
+  OptimizationService service(SmallServiceOptions(1));
+  ASSERT_EQ(service.SubmitAndWait(forward).status,
+            ResponseStatus::kCompleted);
+  const SubplanMemo::Stats cold = service.MemoStats();
+  EXPECT_GT(cold.insertions, 0u);
+
+  const ServiceResponse response = service.SubmitAndWait(reversed);
+  ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(response.cache, CacheOutcome::kMiss);
+  const SubplanMemo::Stats warm = service.MemoStats();
+  EXPECT_GT(warm.hits, cold.hits);
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.insertions, cold.insertions);
+
+  ServiceOptions memo_off = SmallServiceOptions(1);
+  memo_off.enable_subplan_memo = false;
+  OptimizationService reference(memo_off);
+  const ServiceResponse expected = reference.SubmitAndWait(reversed);
+  ASSERT_EQ(expected.status, ResponseStatus::kCompleted);
+  ASSERT_NE(response.plan_set(), nullptr);
+  ASSERT_NE(expected.plan_set(), nullptr);
+  std::string memo_on_bytes;
+  std::string memo_off_bytes;
+  persist::PlanSetCodec::Append(*response.plan_set(), &memo_on_bytes);
+  persist::PlanSetCodec::Append(*expected.plan_set(), &memo_off_bytes);
+  EXPECT_EQ(memo_on_bytes, memo_off_bytes);
+}
+
 TEST(ServiceTest, SubplanMemoInvalidatedOnCatalogEpochBump) {
   Catalog catalog = MakeServiceChainCatalog(5);
   ServiceOptions options = SmallServiceOptions(1);

@@ -425,6 +425,18 @@ TEST(EncodingGoldenTest, TpchSubplanSignatures) {
   EXPECT_EQ(all.hash, 2228825081787535ull);
   // The member count leads the key.
   EXPECT_EQ(Hex(all.key.substr(0, 8)), "0600000000000000");
+
+  // The key names the objective set, not its order.
+  const std::vector<Objective> three = ThreeObjectives().objectives();
+  const SubplanKeyContext reversed(
+      query, ObjectiveSet(std::vector<Objective>(three.rbegin(), three.rend())),
+      RTAInternalPrecision(1.5, query.num_tables()), options.operators,
+      /*bushy=*/true, /*cartesian_heuristic=*/true,
+      /*aggressive_delete=*/false, /*skip_disconnected=*/true);
+  const SubplanSignature reversed_all =
+      reversed.SignatureFor(TableSet::Prefix(query.num_tables()));
+  EXPECT_EQ(reversed_all.key.size(), 6612u);
+  EXPECT_EQ(reversed_all.hash, 2228825081787535ull);
 }
 
 // ---- Memo candidates record. ----------------------------------------------
