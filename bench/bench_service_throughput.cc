@@ -157,12 +157,16 @@ int Run() {
     std::printf("cached speedup: %.1fx (mean %.3f ms -> %.4f ms)\n",
                 speedup, cold.mean_service_ms, warm.mean_service_ms);
     std::printf("stats: %s\n", service.Stats().ToString().c_str());
+    const PlanCache::Stats cache = service.CacheStats();
     bench::Json phase = bench::Json::Object();
     phase.Set("cold", RunJson(cold))
         .Set("warm", RunJson(warm))
         .Set("cached_speedup", speedup)
-        .Set("cache_bytes", service.Stats().cache_bytes)
-        .Set("mean_cached_frontier", service.Stats().MeanCachedFrontier());
+        .Set("cache_bytes", cache.bytes)
+        .Set("mean_cached_frontier",
+             cache.entries == 0 ? 0.0
+                                : static_cast<double>(cache.frontier_plans) /
+                                      cache.entries);
     doc.Set("cache_amortization", std::move(phase));
     if (warm.cache_hits != warm.total) {
       std::printf("ERROR: warm pass expected all cache hits\n");
@@ -288,7 +292,7 @@ int Run() {
     memo_off.enable_subplan_memo = false;
     bool ok = true;
     std::vector<double> cold_ms, warm_ms;
-    ServiceStatsSnapshot memo_stats;
+    SubplanMemo::Stats memo_stats;
     {
       OptimizationService service(memo_off);
       cold_ms = DriveOverlap(&service, overlap_requests, &ok);
@@ -296,7 +300,7 @@ int Run() {
     if (ok) {
       OptimizationService service(base);
       warm_ms = DriveOverlap(&service, overlap_requests, &ok);
-      memo_stats = service.Stats();
+      memo_stats = service.MemoStats();
     }
     if (!ok) {
       std::printf("ERROR: overlapping-query request failed\n");
@@ -305,15 +309,15 @@ int Run() {
 
     const double cold_p50 = SnapshotOfSamples(cold_ms).PercentileMs(50);
     const double warm_p50 = SnapshotOfSamples(warm_ms).PercentileMs(50);
-    const double hit_rate = memo_stats.MemoHitRate();
+    const double hit_rate = memo_stats.HitRate();
     std::printf("\n-- overlapping queries (%d windows x %d tables, "
                 "%d objectives) --\n",
                 overlap_queries, overlap_tables, overlap_objectives);
     std::printf("memo: hits=%llu misses=%llu hit_rate=%.3f entries=%zu "
                 "bytes=%zu\n",
-                static_cast<unsigned long long>(memo_stats.memo_hits),
-                static_cast<unsigned long long>(memo_stats.memo_misses),
-                hit_rate, memo_stats.memo_entries, memo_stats.memo_bytes);
+                static_cast<unsigned long long>(memo_stats.hits),
+                static_cast<unsigned long long>(memo_stats.misses),
+                hit_rate, memo_stats.entries, memo_stats.bytes);
     std::printf("p50: memo-off %.2f ms -> memo-on %.2f ms (%.2fx)\n",
                 cold_p50, warm_p50,
                 warm_p50 > 0 ? cold_p50 / warm_p50 : 0);
@@ -321,11 +325,11 @@ int Run() {
     phase.Set("queries", overlap_queries)
         .Set("tables_per_query", overlap_tables)
         .Set("objectives", overlap_objectives)
-        .Set("memo_hits", static_cast<long long>(memo_stats.memo_hits))
-        .Set("memo_misses", static_cast<long long>(memo_stats.memo_misses))
+        .Set("memo_hits", static_cast<long long>(memo_stats.hits))
+        .Set("memo_misses", static_cast<long long>(memo_stats.misses))
         .Set("memo_hit_rate", hit_rate)
-        .Set("memo_entries", memo_stats.memo_entries)
-        .Set("memo_bytes", memo_stats.memo_bytes)
+        .Set("memo_entries", memo_stats.entries)
+        .Set("memo_bytes", memo_stats.bytes)
         .Set("memo_off_p50_ms", cold_p50)
         .Set("memo_on_p50_ms", warm_p50)
         .Set("p50_speedup", warm_p50 > 0 ? cold_p50 / warm_p50 : 0.0);
@@ -430,7 +434,8 @@ int Run() {
     if (!ok) return 1;
 
     const ServiceStatsSnapshot stats = service.Stats();
-    const double memo_hit_rate = stats.MemoHitRate();
+    const SubplanMemo::Stats memo = service.MemoStats();
+    const double memo_hit_rate = memo.HitRate();
     std::printf("\n-- anytime sessions (%d windows x %d tables, ladder "
                 "2.5 -> 1.25 in %d steps) --\n",
                 session_queries, session_tables, session_steps);
@@ -460,8 +465,8 @@ int Run() {
     }
     std::printf("memo across ladder steps: hits=%llu misses=%llu "
                 "hit_rate=%.3f; refinement_steps=%llu\n",
-                static_cast<unsigned long long>(stats.memo_hits),
-                static_cast<unsigned long long>(stats.memo_misses),
+                static_cast<unsigned long long>(memo.hits),
+                static_cast<unsigned long long>(memo.misses),
                 memo_hit_rate,
                 static_cast<unsigned long long>(stats.refinement_steps));
     bench::Json phase = bench::Json::Object();
@@ -479,14 +484,14 @@ int Run() {
         .Set("step_latency_p99_ms", stats.step_latency.PercentileMs(99))
         .Set("target_p50_ms", target.PercentileMs(50))
         .Set("per_step_p50", std::move(steps))
-        .Set("memo_hits", static_cast<long long>(stats.memo_hits))
+        .Set("memo_hits", static_cast<long long>(memo.hits))
         .Set("memo_hit_rate", memo_hit_rate)
         .Set("refinement_steps",
              static_cast<long long>(stats.refinement_steps))
         .Set("sessions_opened",
              static_cast<long long>(stats.sessions_opened));
     doc.Set("anytime_sessions", std::move(phase));
-    if (stats.memo_hits == 0) {
+    if (memo.hits == 0) {
       std::printf("ERROR: ladder steps never reused the subplan memo\n");
       return 1;
     }

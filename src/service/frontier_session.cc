@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "obs/trace.h"
 #include "service/stats.h"
@@ -12,34 +13,31 @@ namespace moqo {
 
 std::shared_ptr<const PlanSet> FrontierSession::BestFrontier() const {
   MutexLock lock(mu_);
-  return best_;
+  return history_.empty() ? nullptr : history_.back().plan_set;
 }
 
 double FrontierSession::BestAlpha() const {
   MutexLock lock(mu_);
-  return best_alpha_;
+  return history_.empty() ? std::numeric_limits<double>::infinity()
+                          : history_.back().alpha;
 }
 
 SessionSelection FrontierSession::Select(const Preference& preference) const {
   SessionSelection result;
-  std::shared_ptr<const PlanSet> frontier;
   {
     MutexLock lock(mu_);
-    if (best_ == nullptr) return result;
-    frontier = best_;
-    result.alpha = best_alpha_;
-    result.step = static_cast<int>(history_.size()) - 1;
+    if (history_.empty()) return result;
+    result.plan_set = history_.back().plan_set;
+    result.alpha = history_.back().alpha;
+    result.step = history_.back().step;
   }
   // Selection runs outside the lock over the immutable snapshot: a rung
-  // landing concurrently swaps best_ but never mutates this PlanSet.
-  WeightVector weights = preference.weights;
-  if (weights.size() != problem_.objectives.size()) {
-    weights = WeightVector::Uniform(problem_.objectives.size());
-  }
-  BoundVector bounds = preference.bounds;
-  if (bounds.size() != problem_.objectives.size()) bounds = BoundVector();
-  result.selection = SelectPlan(*frontier, weights, bounds);
-  result.plan_set = std::move(frontier);
+  // landing concurrently appends to history_ but never mutates this
+  // PlanSet.
+  const Preference resolved =
+      Resolved(preference, problem_.objectives.size());
+  result.selection =
+      SelectPlan(*result.plan_set, resolved.weights, resolved.bounds);
   return result;
 }
 
@@ -201,18 +199,17 @@ bool FrontierSession::Publish(double alpha,
     // publishes (e.g. a rung at the alpha a cache seed already provided).
     // done_ additionally fences a late rung racing a forced finish (the
     // watchdog path): once DONE is out, the history is frozen.
-    if (done_ || failed_ || (best_ != nullptr && alpha >= best_alpha_)) {
+    if (done_ || failed_ ||
+        (!history_.empty() && alpha >= history_.back().alpha)) {
       return false;
     }
     first_publish = history_.empty();
     frontier.step = static_cast<int>(history_.size());
     frontier.alpha = alpha;
-    frontier.plan_set = plan_set;
+    frontier.plan_set = std::move(plan_set);
     frontier.step_ms = step_ms;
     frontier.from_cache = from_cache;
     history_.push_back(frontier);
-    best_ = std::move(plan_set);
-    best_alpha_ = alpha;
     if (alpha <= target_alpha_) target_reached_ = true;
     callbacks = callbacks_;
   }
@@ -221,7 +218,7 @@ bool FrontierSession::Publish(double alpha,
     // (quick-mode, cache seed, or first rung — whichever landed first).
     const double first_ms = since_open_.ElapsedMillis();
     if (stats_registry_ != nullptr) {
-      stats_registry_->RecordFirstFrontier(first_ms);
+      stats_registry_->first_frontier.Record(first_ms);
     }
     if (tracer_ != nullptr) {
       tracer_->RecordEndingNow("session", "session.first_frontier",

@@ -57,7 +57,6 @@
 
 #include "core/optimizer.h"
 #include "core/plan_set.h"
-#include "service/plan_cache.h"
 #include "service/policy.h"
 #include "service/request.h"
 #include "service/signature.h"
@@ -93,7 +92,11 @@ struct SessionOptions {
   int64_t step_deadline_ms = -1;
   /// Publish a synchronous quick-mode frontier at open when the cache
   /// cannot seed one; the session then always has a valid plan before
-  /// OpenFrontier returns.
+  /// OpenFrontier returns. An open that coalesces onto a running session
+  /// that has published nothing yet runs quick mode on the shared
+  /// session: its +infinity frontier becomes that session's step 0,
+  /// visible to every opener, and a rung that lands later still
+  /// publishes over it.
   bool quick_first = true;
 };
 
@@ -226,8 +229,9 @@ class FrontierSession {
 
   // ---- Immutable after OpenFrontier (set by the service). ----
   ProblemSpec spec_;
-  /// Points into spec_; weights resolved to the opener's preference (or
-  /// uniform) for quick-mode and stored-selection purposes.
+  /// Points into spec_; weights and bounds are the opener's preference,
+  /// Resolved() against the spec: what quick mode optimizes for, what
+  /// cache inserts store, and what a cache hit's answer is selected for.
   MOQOProblem problem_;
   PolicyDecision decision_;
   /// Alpha-free cache key of the spec (relaxed identity).
@@ -238,9 +242,6 @@ class FrontierSession {
   std::vector<double> ladder_;
   double target_alpha_ = 1.0;
   SessionOptions session_options_;
-  /// Preference stored with cache inserts (the opener's, or uniform);
-  /// also the weights quick mode optimizes for.
-  Preference insert_preference_;
   /// Total budget from open in ms (< 0 = none); Submit's one-step
   /// sessions set it so queue wait counts against the request deadline.
   int64_t total_deadline_ms_ = -1;
@@ -260,10 +261,8 @@ class FrontierSession {
   // ---- Mutable session state. ----
   mutable Mutex mu_;
   mutable CondVar cv_;
+  /// Every published frontier; back() is the best one so far.
   std::vector<RefinedFrontier> history_ MOQO_GUARDED_BY(mu_);
-  std::shared_ptr<const PlanSet> best_ MOQO_GUARDED_BY(mu_);
-  double best_alpha_ MOQO_GUARDED_BY(mu_) =
-      std::numeric_limits<double>::infinity();
   bool done_ MOQO_GUARDED_BY(mu_) = false;
   bool target_reached_ MOQO_GUARDED_BY(mu_) = false;
   /// Optimizer error; no further publishes.
@@ -274,11 +273,12 @@ class FrontierSession {
   bool degraded_ MOQO_GUARDED_BY(mu_) = false;
   /// Refinement shed by overload mid-ladder.
   bool shed_ MOQO_GUARDED_BY(mu_) = false;
-  /// The cache entry a born-done session was served from (exact-hit
-  /// classification needs its stored preference).
-  std::shared_ptr<const CachedFrontier> cached_entry_ MOQO_GUARDED_BY(mu_);
-  /// The last completed rung's full result (or the degraded quick result
-  /// when nothing completed); what Submit answers from.
+  /// How the cache answered a session born done from it (exact, frontier
+  /// or tier hit); kMiss for every session that ran or was rejected.
+  CacheOutcome served_ MOQO_GUARDED_BY(mu_) = CacheOutcome::kMiss;
+  /// What Submit answers from: a cache hit's result selected for
+  /// problem_'s preference, the last completed rung's full result, or
+  /// the degraded quick result when nothing completed.
   std::shared_ptr<const OptimizerResult> final_result_ MOQO_GUARDED_BY(mu_);
   /// Open-to-ladder-pickup wall time.
   double queue_ms_ MOQO_GUARDED_BY(mu_) = 0;

@@ -271,13 +271,14 @@ OptimizerOptions OptimizationService::MakeOptimizerOptions(
 std::shared_ptr<FrontierSession> OptimizationService::OpenFrontier(
     ProblemSpec spec, SessionOptions options) {
   stats_.counters.sessions_opened.Add();
-  OpenInfo info;
-  return OpenSession(std::move(spec), options, /*preference=*/nullptr, &info);
+  bool joined = false;
+  return OpenSession(std::move(spec), options, /*preference=*/nullptr,
+                     &joined);
 }
 
 std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     ProblemSpec spec, const SessionOptions& session_options,
-    const Preference* preference, OpenInfo* info) {
+    const Preference* preference, bool* joined) {
   const int64_t deadline_ms =
       preference != nullptr ? preference->deadline_ms : -1;
   std::shared_ptr<FrontierSession> session(new FrontierSession());
@@ -294,9 +295,8 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   // Every rejection at open ends here, counted under `reason`: the session
   // is born done and failed, without a frontier. A rejected open never
   // registers, so no joiner can share the session yet.
-  const auto reject = [&session, info](Counter& reason) {
+  const auto reject = [&session](Counter& reason) {
     reason.Add();
-    info->rejected = true;
     {
       MutexLock lock(session->mu_);
       session->rejected_ = true;
@@ -313,18 +313,12 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     return reject(stats_.counters.internal_errors);
   }
 
-  // Normalize the opener's preference against the spec: it seeds the
+  // The opener's preference, resolved against the spec: it seeds the
   // quick-mode weights, the stored cache selection, and — for Submit's
   // one-step sessions — the final result's selection.
-  const int dims = session->spec_.objectives.size();
-  Preference& resolved = info->preference;
-  if (preference != nullptr) resolved = *preference;
-  if (resolved.weights.size() != dims) {
-    resolved.weights = WeightVector::Uniform(dims);
-  }
-  if (resolved.bounds.size() != dims) resolved.bounds = BoundVector();
-  session->insert_preference_ = resolved;
-
+  const Preference resolved =
+      Resolved(preference != nullptr ? *preference : Preference{},
+               session->spec_.objectives.size());
   session->problem_.query = session->spec_.query.get();
   session->problem_.objectives = session->spec_.objectives;
   session->problem_.weights = resolved.weights;
@@ -389,7 +383,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     probe_span.AddArg("hit", answers ? 1 : 0);
     probe_span.End();
     if (answers) {
-      ServeSessionBornDone(session, cached, resolved, info, from_tier);
+      ServeSessionBornDone(session, cached, from_tier);
       return session;
     }
     if (cached != nullptr && cached->result != nullptr &&
@@ -436,26 +430,40 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   TraceSpan admission_span(&tracer_, "service", "admission",
                            session->trace_id_);
   if (options_.enable_coalescing && deadline_ms < 0) {
-    MutexLock lock(session_mu_);
-    auto it = sessions_by_key_.find(session->session_key_);
-    // Never join a session whose every prior opener has already
-    // cancelled: its runner is mid-abort and will not reach the target,
-    // and attaching cannot un-cancel it. Register over it instead (its
-    // FinishSession erases by pointer equality, so the replacement is
-    // safe).
-    if (it != sessions_by_key_.end() && !it->second->CancelRequested()) {
-      if (preference != nullptr && !admit()) return shed();
-      count_miss();
-      it->second->Attach();
-      stats_.counters.sessions_coalesced.Add();
-      info->joined = true;
-      info->outcome = CacheOutcome::kCoalescedHit;
-      return it->second;
+    std::shared_ptr<FrontierSession> running;
+    {
+      MutexLock lock(session_mu_);
+      auto it = sessions_by_key_.find(session->session_key_);
+      // Never join a session whose every prior opener has already
+      // cancelled: its runner is mid-abort and will not reach the target,
+      // and attaching cannot un-cancel it. Register over it instead (its
+      // FinishSession erases by pointer equality, so the replacement is
+      // safe).
+      if (it != sessions_by_key_.end() && !it->second->CancelRequested()) {
+        if (preference != nullptr && !admit()) return shed();
+        count_miss();
+        it->second->Attach();
+        stats_.counters.sessions_coalesced.Add();
+        running = it->second;
+      } else {
+        if (!admit()) return shed();
+        session->holds_slot_ = true;
+        sessions_by_key_[session->session_key_] = session;
+        session->registered_ = true;
+      }
     }
-    if (!admit()) return shed();
-    session->holds_slot_ = true;
-    sessions_by_key_[session->session_key_] = session;
-    session->registered_ = true;
+    if (running != nullptr) {
+      // The primary may not have published yet (it opened without
+      // quick_first, or has not reached its prelude): a joiner that asked
+      // for quick_first runs quick mode on the shared session. A rung
+      // landing later is tighter and still publishes; a quick frontier
+      // landing after a rung is dropped.
+      if (session_options.quick_first && running->BestFrontier() == nullptr) {
+        RunQuickMode(running);
+      }
+      *joined = true;
+      return running;
+    }
   } else {
     if (!admit()) return shed();
     session->holds_slot_ = true;
@@ -474,17 +482,8 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     std::shared_ptr<const CachedFrontier> cached =
         cache_.Lookup(session->cache_signature_, &from_tier);
     if (Answers(cached.get(), target)) {
-      if (session->registered_) {
-        MutexLock lock(session_mu_);
-        auto it = sessions_by_key_.find(session->session_key_);
-        if (it != sessions_by_key_.end() && it->second == session) {
-          sessions_by_key_.erase(it);
-        }
-        session->registered_ = false;
-      }
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      session->holds_slot_ = false;
-      ServeSessionBornDone(session, cached, resolved, info, from_tier);
+      ReleaseSession(session);
+      ServeSessionBornDone(session, cached, from_tier);
       return session;
     }
   }
@@ -515,7 +514,6 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     // Shutdown raced the open; the session completes with whatever the
     // prelude published.
     stats_.counters.admissions_rejected.Add();
-    info->rejected = true;
     {
       // The session may already be registered and shared with joiners
       // when a shutdown race lands here, so the write must be locked.
@@ -529,27 +527,29 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
 
 void OptimizationService::ServeSessionBornDone(
     const std::shared_ptr<FrontierSession>& session,
-    const std::shared_ptr<const CachedFrontier>& cached,
-    const Preference& preference, OpenInfo* info, bool from_tier) {
+    const std::shared_ptr<const CachedFrontier>& cached, bool from_tier) {
   stats_.counters.cache_hits.Add();
-  const bool same_preference = cached->weights == preference.weights &&
-                               cached->bounds == preference.bounds;
-  // Provenance wins the label: a disk-tier promotion is surfaced as
-  // kTierHit even when the preference matches, so tier effectiveness is
-  // observable end to end.
-  info->outcome = from_tier          ? CacheOutcome::kTierHit
-                  : same_preference  ? CacheOutcome::kExactHit
-                                     : CacheOutcome::kFrontierHit;
+  const MOQOProblem& problem = session->problem_;
+  const bool same_preference =
+      cached->weights == problem.weights && cached->bounds == problem.bounds;
   {
     // Under the session lock: the post-registration re-probe path calls
-    // this on a session joiners may already share.
+    // this on a session joiners may already share. Provenance wins the
+    // label: a disk-tier promotion is surfaced as kTierHit even when the
+    // preference matches, so tier effectiveness is observable end to end.
     MutexLock lock(session->mu_);
-    session->cached_entry_ = cached;
+    session->served_ = from_tier         ? CacheOutcome::kTierHit
+                       : same_preference ? CacheOutcome::kExactHit
+                                         : CacheOutcome::kFrontierHit;
     session->target_reached_ = true;
   }
   session->Publish(cached->achieved_alpha, cached->result->plan_set,
                    /*step_ms=*/0, /*from_cache=*/true);
-  session->MarkDone(cached->result, /*degraded=*/false, /*failed=*/false);
+  session->MarkDone(same_preference ? cached->result
+                                    : ReselectResult(cached->result,
+                                                     problem.weights,
+                                                     problem.bounds),
+                    /*degraded=*/false, /*failed=*/false);
 }
 
 void OptimizationService::ScheduleSessionRung(
@@ -626,9 +626,8 @@ void OptimizationService::RunSessionRung(
   }
 
   std::shared_ptr<const OptimizerResult> degraded_result;
-  bool degraded = false;
-  bool failed = false;
   bool completed_rung = false;
+  bool threw = false;
   // Stamp the rung start for the watchdog; cleared after the try/catch.
   session->rung_started_us_.store(SteadyNowUs(), std::memory_order_release);
   try {
@@ -664,21 +663,12 @@ void OptimizationService::RunSessionRung(
         optimizer->Optimize(session->problem_));
     optimize_span.End();
     if (result->metrics.timed_out) {
-      // This rung's budget expired. Earlier completed rungs keep their
-      // guarantees and the ladder just ends; with nothing completed the
-      // session ends degraded, holding the quick-mode result for
-      // Submit. Never cached.
+      // This rung's budget expired; its quick-mode result is never
+      // cached.
       stats_.counters.deadline_timeouts.Add();
-      stats_.RecordLatency(decision.algorithm, run_watch.ElapsedMillis());
-      bool any_completed;
-      {
-        MutexLock lock(session->mu_);
-        any_completed = session->final_result_ != nullptr;
-      }
-      if (!any_completed) {
-        degraded = true;
-        degraded_result = std::move(result);
-      }
+      stats_.latency[static_cast<int>(decision.algorithm)].Record(
+          run_watch.ElapsedMillis());
+      degraded_result = std::move(result);
     } else {
       OnSessionRung(session, static_cast<int>(rung), session->ladder_[rung],
                     std::move(result));
@@ -686,26 +676,33 @@ void OptimizationService::RunSessionRung(
     }
   } catch (...) {
     stats_.counters.internal_errors.Add();
-    // Degrade, don't die (PR 8): whatever killed the rung (allocation
-    // failure, injected fault), the session must still reach a terminal
-    // state with a usable answer. An earlier completed rung already
-    // covers that; otherwise fall back to the paper's Section 5.1
-    // quick-mode frontier — "never return null". Only when even quick
-    // mode fails does the session end failed.
+    threw = true;
+  }
+  session->rung_started_us_.store(-1, std::memory_order_release);
+
+  // A rung that timed out or died ends the ladder, and an earlier
+  // completed rung's result stands (a death still reads degraded). With
+  // nothing completed, the session ends degraded with a usable answer for
+  // Submit: the timed-out run's quick-mode result, or — degrade, don't
+  // die — the paper's Section 5.1 quick-mode frontier: "never return
+  // null". Only when even quick mode fails does it end failed.
+  bool degraded = false;
+  bool failed = false;
+  if (!completed_rung) {
     bool any_completed;
     {
       MutexLock lock(session->mu_);
       any_completed = session->final_result_ != nullptr;
     }
     if (any_completed) {
-      degraded = true;
+      degraded = threw;
+      degraded_result = nullptr;
     } else {
-      degraded_result = RunQuickMode(session);
+      if (threw) degraded_result = RunQuickMode(session);
       degraded = degraded_result != nullptr;
       failed = degraded_result == nullptr;
     }
   }
-  session->rung_started_us_.store(-1, std::memory_order_release);
 
   if (session->watchdog_fired_.load(std::memory_order_relaxed)) {
     // The watchdog already force-finished this session; the late rung
@@ -713,7 +710,7 @@ void OptimizationService::RunSessionRung(
     degraded = true;
   }
 
-  if (completed_rung && !failed && rung + 1 < session->ladder_.size() &&
+  if (completed_rung && rung + 1 < session->ladder_.size() &&
       !session->CancelRequested()) {
     // Release this worker between rungs: the next rung queues behind
     // (and, with priority admission, below) any first-frontier work.
@@ -732,17 +729,18 @@ void OptimizationService::OnSessionRung(
                       session->trace_id_);
   rung_span.AddArg("rung", rung);
   rung_span.AddArg("alpha_milli", static_cast<int64_t>(achieved * 1000.0));
-  stats_.RecordLatency(session->decision_.algorithm,
-                       result->metrics.optimization_ms);
-  stats_.RecordRefinementStep(result->metrics.optimization_ms);
+  stats_.latency[static_cast<int>(session->decision_.algorithm)].Record(
+      result->metrics.optimization_ms);
+  stats_.counters.refinement_steps.Add();
+  stats_.step_latency.Record(result->metrics.optimization_ms);
   if (options_.enable_cache) {
     // Insert before publishing (and before the registry erase in
     // FinishSession): late identical opens that miss the registry must
     // find the entry on their re-probe.
     cache_.Insert(session->cache_signature_,
                   std::make_shared<const CachedFrontier>(CachedFrontier{
-                      result, session->insert_preference_.weights,
-                      session->insert_preference_.bounds, achieved}));
+                      result, session->problem_.weights,
+                      session->problem_.bounds, achieved}));
   }
   {
     MutexLock lock(session->mu_);
@@ -766,6 +764,34 @@ void OptimizationService::FinishSession(
   // (The cache inserts this ordering protects happened per rung, in
   // OnSessionRung — insert-before-unregister is what makes the open
   // path's race-closing re-probe sound.)
+  ReleaseSession(session);
+  stats_.counters.sessions_active.Sub();
+  if (!failed) {
+    // Slow-query log: one entry per ladder that actually ran (born-done
+    // cache hits never reach FinishSession and are never slow).
+    SlowQueryEntry entry;
+    entry.signature = session->cache_signature_.hash;
+    entry.algorithm = AlgorithmName(session->decision_.algorithm);
+    entry.total_ms = session->since_open_.ElapsedMillis();
+    entry.alpha = kInfiniteAlpha;
+    {
+      MutexLock lock(session->mu_);
+      entry.queue_ms = session->queue_ms_;
+      if (!session->history_.empty()) {
+        entry.alpha = session->history_.back().alpha;
+        entry.frontier_size = session->history_.back().plan_set->size();
+      }
+    }
+    entry.optimize_ms = entry.total_ms - entry.queue_ms;
+    entry.phase = entry.queue_ms > entry.optimize_ms ? "queue" : "optimize";
+    entry.sequence = slow_seq_.fetch_add(1, std::memory_order_relaxed);
+    slow_log_.Offer(entry);
+  }
+  session->MarkDone(std::move(final_result), degraded, failed);
+}
+
+void OptimizationService::ReleaseSession(
+    const std::shared_ptr<FrontierSession>& session) {
   if (session->registered_) {
     MutexLock lock(session_mu_);
     auto it = sessions_by_key_.find(session->session_key_);
@@ -776,27 +802,6 @@ void OptimizationService::FinishSession(
   if (session->holds_slot_) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  stats_.counters.sessions_active.Sub();
-  if (!failed) {
-    // Slow-query log: one entry per ladder that actually ran (born-done
-    // cache hits never reach FinishSession and are never slow).
-    SlowQueryEntry entry;
-    entry.signature = session->cache_signature_.hash;
-    entry.algorithm = AlgorithmName(session->decision_.algorithm);
-    entry.total_ms = session->since_open_.ElapsedMillis();
-    {
-      MutexLock lock(session->mu_);
-      entry.queue_ms = session->queue_ms_;
-      entry.alpha = session->best_alpha_;
-      entry.frontier_size =
-          session->best_ != nullptr ? session->best_->size() : 0;
-    }
-    entry.optimize_ms = entry.total_ms - entry.queue_ms;
-    entry.phase = entry.queue_ms > entry.optimize_ms ? "queue" : "optimize";
-    entry.sequence = slow_seq_.fetch_add(1, std::memory_order_relaxed);
-    slow_log_.Offer(entry);
-  }
-  session->MarkDone(std::move(final_result), degraded, failed);
 }
 
 // ---------------------------------------------------------------------------
@@ -835,47 +840,42 @@ void OptimizationService::OpenOneStep(
   one_step.max_steps = 1;
   one_step.quick_first = false;
   StopWatch since_open;
-  OpenInfo info;
+  bool joined = false;
   std::shared_ptr<FrontierSession> session =
-      OpenSession(call->spec, one_step, &call->preference, &info);
-  if (info.rejected || (!info.joined && info.outcome != CacheOutcome::kMiss)) {
-    // Rejected, or born done from the cache: already terminal.
-    CompleteOneStep(call, *session, info, since_open);
-    return;
-  }
-  // A run or a coalesced wait: answered when the session completes. The
-  // callback holds a plain pointer — a shared one would make the session
-  // own itself until MarkDone — which stays valid because MarkDone runs
-  // under a reference its caller holds (and OnDone on an already-done
-  // session calls back under `session` here).
+      OpenSession(call->spec, one_step, &call->preference, &joined);
+  // Answered when the session is done: at once for a cache hit or a
+  // rejection (OnDone calls back before it returns), otherwise when the
+  // run or the shared run completes. The callback holds a plain pointer —
+  // a shared one would make the session own itself until MarkDone —
+  // which stays valid because MarkDone runs under a reference its caller
+  // holds (and OnDone on an already-done session calls back under
+  // `session` here).
   FrontierSession* shared = session.get();
-  session->OnDone([this, call, shared, info, since_open] {
-    CompleteOneStep(call, *shared, info, since_open);
+  session->OnDone([this, call, shared, joined, since_open] {
+    CompleteOneStep(call, *shared, joined, since_open);
   });
 }
 
 void OptimizationService::CompleteOneStep(
     const std::shared_ptr<PendingSubmit>& call, FrontierSession& session,
-    const OpenInfo& info, const StopWatch& since_open) {
+    bool joined, const StopWatch& since_open) {
   std::shared_ptr<const OptimizerResult> result;
-  std::shared_ptr<const CachedFrontier> cached;
   bool failed = false, degraded = false, reached = false;
+  CacheOutcome served = CacheOutcome::kMiss;
   ServiceResponse response;
   response.algorithm = session.decision_.algorithm;
   response.alpha = session.decision_.alpha;
   {
     MutexLock lock(session.mu_);
     result = session.final_result_;
-    cached = session.cached_entry_;
     failed = session.failed_;
     degraded = session.degraded_;
     reached = session.target_reached_;
-    if (!info.joined) response.queue_ms = session.queue_ms_;
+    served = session.served_;
+    if (!joined) response.queue_ms = session.queue_ms_;
   }
 
-  if (info.rejected) {
-    response.status = ResponseStatus::kRejected;
-  } else if (info.joined) {
+  if (joined) {
     tracer_.RecordEndingNow(
         "service", "coalesce.wait", session.trace_id_,
         static_cast<int64_t>(since_open.ElapsedMillis() * 1000.0));
@@ -892,48 +892,44 @@ void OptimizationService::CompleteOneStep(
       OpenOneStep(call);
       return;
     }
+    const Preference preference =
+        Resolved(call->preference, session.problem_.objectives.size());
     response.status = ResponseStatus::kCompleted;
     response.cache = CacheOutcome::kCoalescedHit;
     response.alpha = session.BestAlpha();
-    response.result = ReselectResult(result, info.preference.weights,
-                                     info.preference.bounds);
+    response.result =
+        ReselectResult(result, preference.weights, preference.bounds);
     stats_.counters.coalesced_hits.Add();
     stats_.counters.completed.Add();
-  } else if (info.outcome != CacheOutcome::kMiss) {
-    response.status = ResponseStatus::kCompleted;
-    response.cache = info.outcome;
-    // Report the guarantee the served frontier actually carries — possibly
-    // tighter than requested under the relaxed alpha identity.
-    response.alpha = cached->achieved_alpha;
-    const bool same_preference = cached->weights == info.preference.weights &&
-                                 cached->bounds == info.preference.bounds;
-    response.result = same_preference
-                          ? cached->result
-                          : ReselectResult(cached->result,
-                                           info.preference.weights,
-                                           info.preference.bounds);
-    switch (info.outcome) {
+  } else if (failed || result == nullptr) {
+    response.status = ResponseStatus::kRejected;
+  } else {
+    // The session's own answer: a cache hit (selected for this
+    // preference when the session was served), a completed rung, or a
+    // quick-mode plan.
+    response.cache = served;
+    if (degraded || !reached) {
+      response.status = ResponseStatus::kCompletedQuick;
+    } else {
+      response.status = ResponseStatus::kCompleted;
+      // The guarantee the frontier actually carries: a cache hit's may
+      // be tighter than requested under the relaxed alpha identity.
+      response.alpha = session.BestAlpha();
+    }
+    response.result = std::move(result);
+    switch (served) {
       case CacheOutcome::kExactHit:
         stats_.counters.exact_hits.Add();
         break;
       case CacheOutcome::kFrontierHit:
         stats_.counters.frontier_hits.Add();
         break;
-      default:
+      case CacheOutcome::kTierHit:
         stats_.counters.tier_hits.Add();
         break;
+      default:
+        break;
     }
-    stats_.counters.completed.Add();
-  } else if (failed || result == nullptr) {
-    response.status = ResponseStatus::kRejected;
-  } else {
-    if (degraded || !reached) {
-      response.status = ResponseStatus::kCompletedQuick;
-    } else {
-      response.status = ResponseStatus::kCompleted;
-      response.alpha = session.BestAlpha();
-    }
-    response.result = std::move(result);
     stats_.counters.completed.Add();
   }
   response.service_ms = call->since_submit.ElapsedMillis();
@@ -942,23 +938,7 @@ void OptimizationService::CompleteOneStep(
 
 ServiceStatsSnapshot OptimizationService::Stats() const {
   ServiceStatsSnapshot snapshot = stats_.Snapshot();
-  // The cache is the single source of truth for its own events and
-  // occupancy; the open path counts its verdicts in ServiceCounters.
-  const PlanCache::Stats cache_stats = cache_.GetStats();
-  snapshot.cache_evictions = cache_stats.evictions;
-  snapshot.cache_entries = cache_stats.entries;
-  snapshot.cache_bytes = cache_stats.bytes;
-  snapshot.cached_frontier_plans = cache_stats.frontier_plans;
-  if (subplan_memo_ != nullptr) {
-    const SubplanMemo::Stats memo_stats = subplan_memo_->GetStats();
-    snapshot.memo_hits = memo_stats.hits;
-    snapshot.memo_misses = memo_stats.misses;
-    snapshot.memo_insertions = memo_stats.insertions;
-    snapshot.memo_evictions = memo_stats.evictions;
-    snapshot.memo_invalidations = memo_stats.invalidations;
-    snapshot.memo_entries = memo_stats.entries;
-    snapshot.memo_bytes = memo_stats.bytes;
-  }
+  snapshot.cache_evictions = cache_.GetStats().evictions;
   snapshot.pool_queue_depth = pool_.QueueDepth();
   snapshot.pool_queue_wait = pool_.QueueWaitSnapshot();
   if (ThreadPool* dp = dp_pool_ptr_.load(std::memory_order_acquire)) {
@@ -1056,17 +1036,17 @@ void OptimizationService::RegisterMetrics() {
                         });
   metrics_.AddHistogram("moqo_step_latency_ms",
                         "Per-rung refinement step latency", [this] {
-                          return stats_.Snapshot().step_latency;
+                          return stats_.step_latency.Snapshot();
                         });
   metrics_.AddHistogram("moqo_first_frontier_ms",
                         "Session open to first published frontier", [this] {
-                          return stats_.Snapshot().first_frontier_latency;
+                          return stats_.first_frontier.Snapshot();
                         });
   for (int i = 0; i < kNumAlgorithmKinds; ++i) {
     metrics_.AddHistogram(
         "moqo_request_latency_ms", "Fresh optimization latency by algorithm",
         {{"algorithm", AlgorithmName(static_cast<AlgorithmKind>(i))}},
-        [this, i] { return stats_.Snapshot().latency_by_algorithm[i]; });
+        [this, i] { return stats_.latency[i].Snapshot(); });
   }
 
   metrics_.AddGauge("moqo_slow_query_worst_ms",

@@ -14,11 +14,12 @@
 //   - Submit() opens a ONE-STEP session: ladder = {resolved alpha}, no
 //     quick prelude, the request deadline as the total budget (a rung
 //     that expires degrades to Section 5.1 quick mode). Its future is
-//     completed from the session — synchronously for a cache hit, from
-//     OnDone for a run or a coalesced wait. Identical deadline-free
-//     requests coalesce onto one session. The preference-dependent
-//     algorithms (IRA, weighted-sum) run the same way: their cache key,
-//     and so their session key, encodes alpha, weights and bounds.
+//     completed from the session's OnDone — before Submit returns for a
+//     cache hit or a rejection, which the session records as its answer.
+//     Identical deadline-free requests coalesce onto one session. The
+//     preference-dependent algorithms (IRA, weighted-sum) run the same
+//     way: their cache key, and so their session key, encodes alpha,
+//     weights and bounds.
 //   - SubmitAndWait() is Submit().get(); its results are byte-identical
 //     to driving a one-step session by hand.
 //
@@ -214,13 +215,15 @@ class OptimizationService {
 
   int num_workers() const { return pool_.num_threads(); }
 
-  /// Counter snapshot including cache eviction counts.
+  /// The service's own counters and histograms, pool and slow-log state,
+  /// and the PlanCache's eviction count.
   ServiceStatsSnapshot Stats() const;
   /// The PlanCache's own events and occupancy; the open path's hits and
   /// misses are in Stats().
   PlanCache::Stats CacheStats() const { return cache_.GetStats(); }
 
-  /// Cross-query memo counters; all-zero when the memo is disabled.
+  /// Cross-query memo counters and occupancy; all-zero when the memo is
+  /// disabled.
   SubplanMemo::Stats MemoStats() const {
     return subplan_memo_ ? subplan_memo_->GetStats() : SubplanMemo::Stats{};
   }
@@ -273,17 +276,6 @@ class OptimizationService {
  private:
   struct PendingSubmit;  // One Submit() call until its future resolves.
 
-  /// How OpenSession answered the caller.
-  struct OpenInfo {
-    CacheOutcome outcome = CacheOutcome::kMiss;
-    bool joined = false;    ///< Attached to an already-running session.
-    bool rejected = false;  ///< Shed by admission control / shutdown.
-    /// The opener's preference normalized against the spec (uniform
-    /// weights when empty or mis-sized, unbounded when mis-sized): what
-    /// selection and exact-hit classification compare against.
-    Preference preference;
-  };
-
   /// Optimizer options for one request given its remaining budget, its
   /// resolved intra-query parallelism (1 = serial, no pool attached), and
   /// whether its DP may use the cross-query subplan memo.
@@ -297,33 +289,40 @@ class OptimizationService {
   /// policy and bounds the whole ladder (a deadline-bounded open never
   /// coalesces — a waiter could not degrade to quick mode mid-wait), and
   /// a joiner takes an admission slot so Submit's waiters stay bounded.
+  /// `*joined` is set when the open attached to an already running
+  /// session; every other answer is recorded in the returned session.
   std::shared_ptr<FrontierSession> OpenSession(ProblemSpec spec,
                                                const SessionOptions& options,
                                                const Preference* preference,
-                                               OpenInfo* info);
+                                               bool* joined);
 
-  /// Opens `call`'s one-step session and completes its promise: at once
-  /// for a cache hit or a rejection, otherwise from the session's OnDone.
+  /// Opens `call`'s one-step session and completes its promise from the
+  /// session's OnDone — before this returns when the open already
+  /// answered it (a cache hit or a rejection).
   void OpenOneStep(const std::shared_ptr<PendingSubmit>& call);
 
-  /// Answers `call` from its done one-step session, as OpenSession
-  /// described it in `info`: a rejection, a cache hit, a primary's run,
-  /// or a joiner's selection over the shared frontier — or re-opens the
-  /// joiner when the shared run degraded or failed.
+  /// Answers `call` from its done one-step session: a joiner selects over
+  /// the shared frontier (or re-opens when the shared run degraded or
+  /// failed); every other opener gets the session's own answer — a cache
+  /// hit, a run, a quick-mode plan, or a rejection.
   void CompleteOneStep(const std::shared_ptr<PendingSubmit>& call,
-                       FrontierSession& session, const OpenInfo& info,
+                       FrontierSession& session, bool joined,
                        const StopWatch& since_open);
 
   /// Serves a session directly from a cache entry that answers the open
-  /// (born done, no ladder): counts the cache hit, classifies tier vs
-  /// exact vs frontier hit against the opener's preference, publishes the
-  /// entry's frontier, and marks the session done. Session fields are
-  /// written under its lock — by the time the post-registration re-probe
-  /// calls this, joiners may already share the session.
+  /// (born done, no ladder): counts the cache hit, records how the cache
+  /// served it (tier, exact or frontier hit against the opener's
+  /// preference), publishes the entry's frontier, and marks the session
+  /// done with the answer selected for that preference. Session fields
+  /// are written under its lock — by the time the post-registration
+  /// re-probe calls this, joiners may already share the session.
   void ServeSessionBornDone(
       const std::shared_ptr<FrontierSession>& session,
-      const std::shared_ptr<const CachedFrontier>& cached,
-      const Preference& preference, OpenInfo* info, bool from_tier);
+      const std::shared_ptr<const CachedFrontier>& cached, bool from_tier);
+
+  /// Takes the session out of the registry (if it is still the entry
+  /// there) and frees its admission slot, if it holds one.
+  void ReleaseSession(const std::shared_ptr<FrontierSession>& session);
 
   /// Enqueues rung `rung` of the session's ladder as its own pool task —
   /// no worker is held across rungs (PR 7). Rung 0 rides the interactive
@@ -347,10 +346,9 @@ class OptimizationService {
                      int rung, double alpha,
                      std::shared_ptr<const OptimizerResult> result);
 
-  /// Completes a session: final state, registry removal (after the last
+  /// Completes a session: final state, ReleaseSession (after the last
   /// cache insert — the race-closing re-probe relies on that order; and
-  /// before MarkDone — Submit's joiner retry relies on that one), slot
-  /// release, gauges.
+  /// before MarkDone — Submit's joiner retry relies on that one), gauges.
   void FinishSession(const std::shared_ptr<FrontierSession>& session,
                      std::shared_ptr<const OptimizerResult> final_result,
                      bool degraded, bool failed);
@@ -358,9 +356,10 @@ class OptimizationService {
   /// Computes and publishes the paper's Section 5.1 quick-mode frontier
   /// (alpha = infinity: no guarantee, but valid plans) serially and fully
   /// fenced. Serves both OpenSession's prelude — a selectable frontier
-  /// before the first rung — and the last-resort degradation when a rung
-  /// dies mid-flight (allocation failure, injected fault) with nothing
-  /// completed: "never return null". Null only if quick mode fails.
+  /// before the first rung, for a primary or a quick_first joiner — and
+  /// the last-resort degradation when a rung dies mid-flight (allocation
+  /// failure, injected fault) with nothing completed: "never return
+  /// null". Null only if quick mode fails.
   std::shared_ptr<const OptimizerResult> RunQuickMode(
       const std::shared_ptr<FrontierSession>& session);
 

@@ -62,6 +62,17 @@ struct Preference {
   int64_t deadline_ms = -1;
 };
 
+/// `preference` normalized against a spec of `dims` objectives: uniform
+/// weights when empty or mis-sized, unbounded when the bounds are
+/// mis-sized. Selection, quick mode and cache inserts all read this form.
+inline Preference Resolved(Preference preference, int dims) {
+  if (preference.weights.size() != dims) {
+    preference.weights = WeightVector::Uniform(dims);
+  }
+  if (preference.bounds.size() != dims) preference.bounds = BoundVector();
+  return preference;
+}
+
 /// One optimization request: a spec and a preference over its frontier.
 struct ServiceRequest {
   ProblemSpec spec;

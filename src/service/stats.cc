@@ -19,10 +19,10 @@ void AppendQuantiles(std::ostringstream* out, const HistogramSnapshot& h) {
 ServiceStatsSnapshot ServiceStatsRegistry::Snapshot() const {
   ServiceStatsSnapshot snapshot;
   static_cast<ServiceCounters&>(snapshot) = counters;
-  snapshot.step_latency = step_latency_.Snapshot();
-  snapshot.first_frontier_latency = first_frontier_.Snapshot();
-  for (int i = 0; i < kNumAlgorithms; ++i) {
-    snapshot.latency_by_algorithm[i] = latency_[i].Snapshot();
+  snapshot.step_latency = step_latency.Snapshot();
+  snapshot.first_frontier_latency = first_frontier.Snapshot();
+  for (int i = 0; i < kNumAlgorithmKinds; ++i) {
+    snapshot.latency_by_algorithm[i] = latency[i].Snapshot();
   }
   return snapshot;
 }
@@ -37,14 +37,6 @@ std::string ServiceStatsSnapshot::ToString() const {
       << " rejected=" << admissions_rejected
       << " errors=" << internal_errors << " timeouts=" << deadline_timeouts
       << " evictions=" << cache_evictions << "\n"
-      << "  cache: entries=" << cache_entries << " bytes=" << cache_bytes
-      << " frontier_plans=" << cached_frontier_plans
-      << " mean_frontier=" << MeanCachedFrontier() << "\n"
-      << "  memo: hits=" << memo_hits << " misses=" << memo_misses
-      << " hit_rate=" << MemoHitRate() << " entries=" << memo_entries
-      << " bytes=" << memo_bytes << " inserted=" << memo_insertions
-      << " evicted=" << memo_evictions
-      << " invalidations=" << memo_invalidations << "\n"
       << "  sessions: opened=" << sessions_opened
       << " coalesced=" << sessions_coalesced
       << " active=" << sessions_active

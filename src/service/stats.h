@@ -83,27 +83,12 @@ struct ServiceCounters {
 };
 
 /// Plain-value snapshot of the service, safe to copy around: its own
-/// counters plus fields sampled from the components that own them.
+/// counters and histograms, plus the pool and slow-log state sampled from
+/// their owners. The caches' statistics are CacheStats() and MemoStats().
 struct ServiceStatsSnapshot : ServiceCounters {
+  /// CacheStats().evictions, the one cache statistic copied here:
+  /// perfbench reads it from this snapshot.
   uint64_t cache_evictions = 0;
-  /// Resident cache footprint (sampled from the PlanCache at snapshot
-  /// time): entry count, accounted bytes, and the summed frontier sizes of
-  /// the cached PlanSets.
-  size_t cache_entries = 0;
-  size_t cache_bytes = 0;
-  size_t cached_frontier_plans = 0;
-  /// Cross-query subplan memo counters (sampled from the SubplanMemo at
-  /// snapshot time; all zero when the memo is disabled). Hits/misses are
-  /// the DP's verdicts per *table set*, not per request — one
-  /// optimization probes once per big-enough table set of its DP, and an
-  /// entry whose rows do not fit the set is a miss.
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-  uint64_t memo_insertions = 0;
-  uint64_t memo_evictions = 0;
-  uint64_t memo_invalidations = 0;
-  size_t memo_entries = 0;
-  size_t memo_bytes = 0;
   /// Optimize-pool state sampled at snapshot time: tasks waiting for a
   /// worker and the queue-wait distribution they experienced.
   size_t pool_queue_depth = 0;
@@ -123,54 +108,26 @@ struct ServiceStatsSnapshot : ServiceCounters {
     return lookups == 0 ? 0 : static_cast<double>(cache_hits) / lookups;
   }
 
-  /// Fraction of table-set probes answered by the cross-query memo.
-  double MemoHitRate() const {
-    const uint64_t lookups = memo_hits + memo_misses;
-    return lookups == 0 ? 0 : static_cast<double>(memo_hits) / lookups;
-  }
-
-  /// Mean plans per cached entry (how big the resident frontiers are).
-  double MeanCachedFrontier() const {
-    return cache_entries == 0
-               ? 0
-               : static_cast<double>(cached_frontier_plans) / cache_entries;
-  }
-
   /// Multi-line human-readable rendering for the bench harness.
   std::string ToString() const;
 };
 
+/// The live counters and histograms. Callers add and record in place; the
+/// metric samplers read each one directly, and Snapshot() copies them all.
 class ServiceStatsRegistry {
  public:
-  static constexpr int kNumAlgorithms = kNumAlgorithmKinds;
-
-  /// Incremented in place; Snapshot() and the metric samplers read it.
   ServiceCounters counters;
+  /// Fresh (non-cached) optimization latency, service side, indexed by
+  /// static_cast<int>(AlgorithmKind).
+  std::array<LatencyHistogram, kNumAlgorithmKinds> latency;
+  /// One sample per completed refinement step (ladder rung).
+  LatencyHistogram step_latency;
+  /// One sample per session: open → first published frontier.
+  LatencyHistogram first_frontier;
 
-  /// Records one completed refinement step (ladder rung) and its latency.
-  void RecordRefinementStep(double ms) {
-    counters.refinement_steps.Add();
-    step_latency_.Record(ms);
-  }
-
-  /// Records one fresh (non-cached) optimization's service-side latency.
-  void RecordLatency(AlgorithmKind algorithm, double ms) {
-    latency_[static_cast<int>(algorithm)].Record(ms);
-  }
-
-  /// Records a session's open → first published frontier latency.
-  void RecordFirstFrontier(double ms) { first_frontier_.Record(ms); }
-
-  /// The cache_* fields outside ServiceCounters and the memo_*, pool_*,
-  /// and slow_queries snapshot fields are sampled from their owning
-  /// components (PlanCache, SubplanMemo, ThreadPool, SlowQueryLog) by the
-  /// service at snapshot time; this registry leaves them zero/empty.
+  /// The snapshot's pool_*, slow_queries and cache_evictions fields are
+  /// sampled by the service from their owners; this leaves them empty.
   ServiceStatsSnapshot Snapshot() const;
-
- private:
-  std::array<LatencyHistogram, kNumAlgorithms> latency_;
-  LatencyHistogram step_latency_;
-  LatencyHistogram first_frontier_;
 };
 
 }  // namespace moqo

@@ -310,6 +310,41 @@ TEST(FrontierSessionTest, IdenticalSpecsCoalesceOntoOneLadder) {
   EXPECT_TRUE(second->Cancelled());
 }
 
+TEST(FrontierSessionTest, CoalescedQuickFirstOpenerHoldsAFrontier) {
+  // quick_first promises a frontier when OpenFrontier returns, also to an
+  // open that coalesces onto a session whose primary did not ask for one:
+  // the joiner publishes quick mode on the shared session, and the ladder
+  // still refines over it.
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+
+  // Pin the single worker behind a heavy one-shot, as
+  // IdenticalSpecsCoalesceOntoOneLadder does, so the shared ladder is
+  // still queued when the second open joins it.
+  ServiceRequest heavy;
+  heavy.spec.query = std::make_shared<Query>(MakeStarQuery(&catalog, 3));
+  heavy.spec.objectives = FirstObjectives(9);
+  heavy.spec.algorithm = AlgorithmKind::kExa;
+  heavy.preference.deadline_ms = 10000;
+  std::future<ServiceResponse> heavy_future = service.Submit(heavy);
+
+  SessionOptions options;
+  options.alpha_start = 2.5;
+  options.max_steps = 2;
+  options.quick_first = false;
+  const ProblemSpec spec = RtaStarSpec(&catalog, 3, 3, 1.2);
+  auto first = service.OpenFrontier(spec, options);
+  options.quick_first = true;
+  auto second = service.OpenFrontier(spec, options);
+  ASSERT_EQ(first.get(), second.get());
+  EXPECT_NE(second->BestFrontier(), nullptr);
+  EXPECT_NE(heavy_future.get().status, ResponseStatus::kRejected);
+
+  EXPECT_TRUE(second->AwaitTarget());
+  EXPECT_DOUBLE_EQ(second->BestAlpha(), 1.2);
+  EXPECT_EQ(service.Stats().sessions_coalesced, 1u);
+}
+
 TEST(FrontierSessionTest, SessionBornDoneFromTighterCachedEntry) {
   Catalog catalog = MakeTinyCatalog();
   OptimizationService service(SmallServiceOptions(1));
@@ -493,7 +528,7 @@ TEST(FrontierSessionTest, LadderStepsReuseSubplanMemoAcrossSessions) {
 
   auto first = service.OpenFrontier(specs[0], session_options);
   ASSERT_TRUE(first->AwaitTarget());
-  const uint64_t hits_after_first = service.Stats().memo_hits;
+  const uint64_t hits_after_first = service.MemoStats().hits;
 
   auto second = service.OpenFrontier(specs[1], session_options);
   ASSERT_TRUE(second->AwaitTarget());
@@ -502,7 +537,7 @@ TEST(FrontierSessionTest, LadderStepsReuseSubplanMemoAcrossSessions) {
   EXPECT_EQ(stats.cache_hits, 0u);
   // ...but every rung of the second ladder reuses the first's published
   // sub-frontiers at the matching precision.
-  EXPECT_GT(stats.memo_hits, hits_after_first);
+  EXPECT_GT(service.MemoStats().hits, hits_after_first);
   EXPECT_EQ(stats.refinement_steps, 4u);  // 2 sessions x 2 rungs.
 }
 

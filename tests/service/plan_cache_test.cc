@@ -295,7 +295,7 @@ TEST(PlanCacheTest, TighterAlphaEntryServesLooserRequest) {
   const ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.cache_hits, 3u);
   EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_EQ(stats.cache_entries, 1u);
+  EXPECT_EQ(service.CacheStats().entries, 1u);
 }
 
 TEST(PlanCacheTest, RefinementUpgradesEntryButNeverDowngrades) {

@@ -582,6 +582,41 @@ TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
   EXPECT_EQ(service.InFlight(), 0u);
 }
 
+TEST(ServiceTest, DispatchFailureRejectsAndLeavesNoSessionBehind) {
+  // A pool that refuses the first rung rejects the open after it
+  // registered: the session ends failed, gives back its slot and its
+  // registry entry, and the same request then runs as a fresh primary.
+  if (!rt::kFailpointsEnabled) {
+    GTEST_SKIP() << "built with MOQO_FAILPOINTS=OFF";
+  }
+  struct Disarm {
+    ~Disarm() { rt::FailpointRegistry::Global().DisarmAll(); }
+  } disarm;
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  const ServiceRequest request = StarRequest(&catalog, 2, 3);
+
+  ASSERT_TRUE(rt::FailpointRegistry::Global().Arm("pool.dispatch",
+                                                  "always:return_error"));
+  const ServiceResponse rejected = service.SubmitAndWait(request);
+  EXPECT_EQ(rejected.status, ResponseStatus::kRejected);
+  EXPECT_EQ(rejected.cache, CacheOutcome::kMiss);
+  EXPECT_EQ(rejected.result, nullptr);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.admissions_rejected, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.sessions_active, 0u);
+  EXPECT_EQ(service.InFlight(), 0u);
+
+  rt::FailpointRegistry::Global().DisarmAll();
+  const ServiceResponse fresh = service.SubmitAndWait(request);
+  EXPECT_EQ(fresh.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(fresh.cache, CacheOutcome::kMiss);
+  EXPECT_EQ(service.Stats().sessions_coalesced, 0u);
+  EXPECT_EQ(service.SubmitAndWait(request).cache, CacheOutcome::kExactHit);
+}
+
 TEST(ServiceTest, JoinersOfAFailedRungRetryAsOnePrimary) {
   // When the shared run itself fails, its waiters cannot be served from
   // it: each re-opens, and the re-opens coalesce again — ONE retry runs,
@@ -1106,15 +1141,15 @@ TEST(ServiceTest, SubplanMemoSharesAcrossOverlappingQueries) {
 
   const ServiceResponse response_a = service.SubmitAndWait(a);
   ASSERT_EQ(response_a.status, ResponseStatus::kCompleted);
-  EXPECT_EQ(service.Stats().memo_hits, 0u);
-  EXPECT_GT(service.Stats().memo_insertions, 0u);
+  EXPECT_EQ(service.MemoStats().hits, 0u);
+  EXPECT_GT(service.MemoStats().insertions, 0u);
 
   const ServiceResponse response_b = service.SubmitAndWait(b);
   ASSERT_EQ(response_b.status, ResponseStatus::kCompleted);
   // Distinct specs: the whole-query cache cannot help, the memo does.
   EXPECT_EQ(response_b.cache, CacheOutcome::kMiss);
-  EXPECT_GT(service.Stats().memo_hits, 0u);
-  EXPECT_GT(service.Stats().MemoHitRate(), 0.0);
+  EXPECT_GT(service.MemoStats().hits, 0u);
+  EXPECT_GT(service.MemoStats().HitRate(), 0.0);
 
   // The frontier served with memo sharing is byte-identical to a
   // memo-disabled service's.
@@ -1133,7 +1168,7 @@ TEST(ServiceTest, SubplanMemoSharesAcrossOverlappingQueries) {
   persist::PlanSetCodec::Append(*response_b.plan_set(), &memo_on_bytes);
   persist::PlanSetCodec::Append(*reference_b.plan_set(), &memo_off_bytes);
   EXPECT_EQ(memo_on_bytes, memo_off_bytes);
-  EXPECT_EQ(reference.Stats().memo_hits, 0u);
+  EXPECT_EQ(reference.MemoStats().hits, 0u);
 }
 
 TEST(ServiceTest, PermutedObjectivesMissTheCacheButReplayTheMemo) {
@@ -1185,16 +1220,16 @@ TEST(ServiceTest, SubplanMemoInvalidatedOnCatalogEpochBump) {
 
   ASSERT_EQ(service.SubmitAndWait(ChainRequest(&catalog, 0, 3)).status,
             ResponseStatus::kCompleted);
-  ASSERT_GT(service.Stats().memo_entries, 0u);
+  ASSERT_GT(service.MemoStats().entries, 0u);
 
   // Statistics refreshed in place: the next request must flush the memo
   // before probing, so stale sub-frontiers can never be served.
   catalog.BumpEpoch();
   ASSERT_EQ(service.SubmitAndWait(ChainRequest(&catalog, 1, 4)).status,
             ResponseStatus::kCompleted);
-  const ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.memo_invalidations, 1u);
-  EXPECT_EQ(stats.memo_hits, 0u);
+  const SubplanMemo::Stats stats = service.MemoStats();
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_EQ(stats.hits, 0u);
 }
 
 }  // namespace
