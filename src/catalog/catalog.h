@@ -6,7 +6,6 @@
 #ifndef MOQO_CATALOG_CATALOG_H_
 #define MOQO_CATALOG_CATALOG_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +16,8 @@ namespace moqo {
 
 /// A registry of base tables. Table ids are dense indexes into the registry
 /// and are what TableSet bits refer to after a Query binds names to ids.
+/// A registered table never changes, so keys that encode its content stay
+/// valid for the catalog's lifetime; new statistics make a new catalog.
 class Catalog {
  public:
   Catalog() = default;
@@ -30,16 +31,6 @@ class Catalog {
   /// Returns the table id for `name`, or -1 if absent.
   int FindTable(const std::string& name) const;
 
-  /// Monotone counter over *in-place* statistics changes: call BumpEpoch
-  /// after mutating registered tables' stats (ANALYZE-style refresh). The
-  /// serving layer watches it per catalog and flushes the cross-query
-  /// subplan memo on a change, evicting entries whose content-derived
-  /// keys just became unreachable. Deliberately NOT bumped by AddTable —
-  /// registering a new table cannot invalidate any existing entry (no key
-  /// referenced it), and flushing a warm memo for it would be pure waste.
-  uint64_t epoch() const { return epoch_; }
-  void BumpEpoch() { ++epoch_; }
-
   /// Builds the eight-table TPC-H schema at the given scale factor, with
   /// TPC-H-specified cardinalities (e.g. lineitem ~ 6M rows at SF 1),
   /// synthetic column statistics, and indexes on primary/foreign keys.
@@ -47,7 +38,6 @@ class Catalog {
 
  private:
   std::vector<std::unique_ptr<Table>> tables_;
-  uint64_t epoch_ = 0;
 };
 
 /// Dense ids of the TPC-H tables inside Catalog::TpcH(), in registration

@@ -54,15 +54,12 @@ class PlanSet {
   /// Pareto frontier of Figure 4.
   const std::vector<CostVector>& costs() const { return costs_; }
 
-  /// Arena + container footprint in bytes.
+  /// Arena + container footprint in bytes: what one cached entry costs
+  /// the byte-budget PlanCache. O(1): the arena tracks its reservation.
   size_t MemoryBytes() const {
     return arena_.reserved_bytes() + plans_.capacity() * sizeof(plans_[0]) +
            costs_.capacity() * sizeof(costs_[0]) + sizeof(*this);
   }
-
-  /// Resident footprint for cache accounting — what one cached entry costs
-  /// the byte-budget PlanCache. O(1): the arena tracks its reservation.
-  size_t ApproxBytes() const { return MemoryBytes(); }
 
   PlanSet(const PlanSet&) = delete;
   PlanSet& operator=(const PlanSet&) = delete;
@@ -79,7 +76,7 @@ class PlanSet {
   /// block size: snapshots live as long as a cache entry references them,
   /// and most frontiers are far smaller than one 64 KiB block — pinning
   /// one per entry would waste most of a byte-budgeted cache's capacity on
-  /// slack (the ApproxBytes the cache accounts is reserved, not allocated,
+  /// slack (the MemoryBytes the cache accounts is reserved, not allocated,
   /// bytes).
   Arena arena_{size_t{1} << 10, Arena::kDefaultBlockBytes};
   std::vector<const PlanNode*> plans_;

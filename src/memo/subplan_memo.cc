@@ -66,15 +66,6 @@ SubplanMemo::SubplanMemo(const Options& options)
   if (options_.min_tables < 2) options_.min_tables = 2;
 }
 
-void SubplanMemo::ObserveCatalog(const void* catalog, uint64_t epoch) {
-  MutexLock epoch_lock(epoch_mu_);
-  auto [it, first_sighting] = catalog_epochs_.try_emplace(catalog, epoch);
-  if (first_sighting || it->second == epoch) return;
-  it->second = epoch;
-  lru_.Clear();
-  stats_.invalidations.Add();
-}
-
 SubplanMemo::Stats SubplanMemo::GetStats() const {
   Stats stats = stats_;
   static_cast<persist::TieredStats&>(stats) = lru_.GetStats();

@@ -33,12 +33,10 @@
 // the key already carries the precision bit-exactly. Lookup only hands
 // back the stored entry: whether it is a hit is decided by the DP, which
 // prices its rows, and the DP reports each level's verdicts through
-// RecordProbes. This class keeps only the memo's own policy: `min_tables`
-// (small sets are cheaper to rebuild than to look up) and per-catalog
-// epochs — ObserveCatalog flushes all entries when a known catalog's
-// epoch advances (Catalog::BumpEpoch after an in-place statistics
-// refresh), evicting entries whose content-derived keys just became
-// unreachable.
+// RecordProbes. This class keeps only the memo's own policy, `min_tables`
+// (small sets are cheaper to rebuild than to look up). Nothing is ever
+// flushed: a key names each member table's full content, and registered
+// tables never change, so an entry can only answer its own sub-problem.
 
 #ifndef MOQO_MEMO_SUBPLAN_MEMO_H_
 #define MOQO_MEMO_SUBPLAN_MEMO_H_
@@ -47,15 +45,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "memo/subplan_key.h"
 #include "obs/counter.h"
 #include "persist/tiered_lru.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace moqo {
 
@@ -123,8 +118,6 @@ class SubplanMemo {
     /// did not fit the set.
     Counter hits;
     Counter misses;
-    /// Epoch changes that flushed the memo.
-    Counter invalidations;
 
     double HitRate() const {
       const uint64_t probes = hits + misses;
@@ -162,22 +155,6 @@ class SubplanMemo {
     lru_.Insert(signature, std::move(frontier));
   }
 
-  /// Declares that the catalog identified by `catalog` (any stable
-  /// identity token — the service passes the Catalog address) is now at
-  /// `epoch`. The first observation of an identity is adopted silently;
-  /// observing a *changed* epoch for a known identity flushes every shard
-  /// (counted as one invalidation). Thread-safe; cheap when unchanged.
-  ///
-  /// Note the flush is hygiene, not a correctness requirement: keys encode
-  /// full table content read at run start, so a run after an in-place
-  /// statistics change (Catalog::BumpEpoch) derives different keys and can
-  /// never be answered from pre-change entries — the flush just evicts the
-  /// newly unreachable ones instead of letting them rot until LRU
-  /// eviction. Scoping per identity keeps a service juggling several
-  /// catalogs (whose unrelated epoch counters differ) from flushing valid
-  /// entries on every alternation.
-  void ObserveCatalog(const void* catalog, uint64_t epoch);
-
   /// See TieredLru: the RAM→disk tier, snapshot export and restore.
   void AttachTier(std::shared_ptr<persist::DiskTier> tier) {
     lru_.AttachTier(std::move(tier));
@@ -195,12 +172,6 @@ class SubplanMemo {
  private:
   Options options_;
   persist::TieredLru<MemoFrontier, MemoEntryCodec> lru_;
-
-  /// Last-seen epoch per catalog identity; epoch_mu_ also serializes the
-  /// flush an epoch change triggers.
-  Mutex epoch_mu_;
-  std::unordered_map<const void*, uint64_t> catalog_epochs_
-      MOQO_GUARDED_BY(epoch_mu_);
 
   /// The memo's own cells; GetStats() overlays the TieredStats part from
   /// lru_.

@@ -39,8 +39,10 @@ std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
   if (!reader.GetU32(&weights_size) || !reader.GetU32(&bounds_size)) {
     return nullptr;
   }
+  // The service stores the preference resolved against the request's
+  // objectives: bounds are empty or one per weight.
   if (weights_size > static_cast<uint32_t>(kNumObjectives) ||
-      bounds_size > static_cast<uint32_t>(kNumObjectives)) {
+      (bounds_size != 0 && bounds_size != weights_size)) {
     return nullptr;
   }
   WeightVector weights(static_cast<int>(weights_size));
@@ -59,7 +61,13 @@ std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
   reader.GetView(reader.remaining(), &block);
   std::shared_ptr<const PlanSet> plan_set =
       PlanSetCodec::Decode(block.data(), block.size(), nullptr);
-  if (plan_set == nullptr) return nullptr;
+  // One weight per cost column, or SelectPlan would weigh a frontier of
+  // other objectives.
+  if (plan_set == nullptr ||
+      (!plan_set->empty() &&
+       plan_set->cost(0).size() != static_cast<int>(weights_size))) {
+    return nullptr;
+  }
 
   // Rebuild the stored selection the way the service builds frontier-hit
   // results: deterministic SelectPlan over the restored, bit-identical

@@ -38,7 +38,9 @@ bool EncodeFrontierPayload(const CachedFrontier& entry, std::string* out);
 
 /// Decodes a kPlanCacheEntry payload tagged `achieved_alpha`. Returns
 /// nullptr on any malformed input, including a tag that is not finite or
-/// is below 1; never throws.
+/// is below 1, a non-empty frontier whose cost columns differ from the
+/// weight count, or a bound count that is neither 0 nor the weight count;
+/// never throws.
 std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
     const void* data, size_t size, double achieved_alpha);
 

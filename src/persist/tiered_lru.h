@@ -253,18 +253,6 @@ class TieredLru {
     return total;
   }
 
-  /// Drops every entry without demoting any: Clear() is invalidation (the
-  /// memo's epoch flush), and flushed entries are stale by definition.
-  void Clear() {
-    for (const auto& shard : shards_) {
-      MutexLock lock(shard->mu);
-      shard->lru.clear();
-      shard->index.clear();
-      shard->bytes = 0;
-      shard->plans = 0;
-    }
-  }
-
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:

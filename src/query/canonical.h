@@ -40,7 +40,7 @@ void AppendCanonicalTable(std::string* out, const Table& table);
 /// differently — then join edges with endpoints ordered and the edge list
 /// sorted, then filters sorted. The query name is deliberately excluded.
 /// Encodes from scratch; Query::CanonicalForm() caches the result per
-/// query and catalog epoch.
+/// query.
 void AppendCanonicalQuery(std::string* out, const Query& query);
 
 /// Convenience wrapper returning a from-scratch encoding of just the

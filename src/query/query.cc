@@ -112,15 +112,13 @@ std::string Query::ToString() const {
 }
 
 std::shared_ptr<const CanonicalQueryForm> Query::CanonicalForm() const {
-  const uint64_t epoch = catalog_->epoch();
   MutexLock lock(canonical_.mu);
-  if (canonical_.form == nullptr || canonical_.epoch != epoch) {
+  if (canonical_.form == nullptr) {
     auto form = std::make_shared<CanonicalQueryForm>();
     AppendCanonicalQuery(&form->bytes, *this);
     form->hash =
         Fnv1a(form->bytes.data(), form->bytes.size(), kFnv1aOffsetBasis);
     canonical_.form = std::move(form);
-    canonical_.epoch = epoch;
   }
   return canonical_.form;
 }

@@ -36,9 +36,8 @@ struct CanonicalQueryForm {
 ///
 /// The canonical form is cached: encoded on the first CanonicalForm()
 /// call and reused until an edit (AddTable/AddJoin/AddFilter or
-/// assignment) drops it or the catalog's epoch changes. Concurrent const
-/// use, including CanonicalForm(), is safe. Copies and moves start
-/// without a cached form.
+/// assignment) drops it. Concurrent const use, including CanonicalForm(),
+/// is safe. Copies and moves start without a cached form.
 class Query {
  public:
   Query(const Catalog* catalog, std::string name)
@@ -55,7 +54,6 @@ class Query {
                std::string right_column);
   void AddFilter(FilterPredicate filter);
 
-  const Catalog& catalog() const { return *catalog_; }
   const std::string& name() const { return name_; }
   int num_tables() const { return static_cast<int>(table_ids_.size()); }
 
@@ -97,8 +95,8 @@ class Query {
   std::string ToString() const;
 
   /// The canonical form of this query, encoded on first use and rebuilt
-  /// only after an edit or a change of the catalog's epoch. Byte-identical
-  /// to a from-scratch AppendCanonicalQuery.
+  /// only after an edit. Byte-identical to a from-scratch
+  /// AppendCanonicalQuery.
   std::shared_ptr<const CanonicalQueryForm> CanonicalForm() const;
 
  private:
@@ -120,7 +118,6 @@ class Query {
 
     Mutex mu;
     std::shared_ptr<const CanonicalQueryForm> form MOQO_GUARDED_BY(mu);
-    uint64_t epoch MOQO_GUARDED_BY(mu) = 0;  ///< Catalog epoch of `form`.
   };
 
   const Catalog* catalog_;

@@ -104,12 +104,21 @@ std::shared_ptr<const OptimizerResult> ReselectResult(
   return result;
 }
 
-/// The open's verdict on a cache entry: it answers an open targeting
-/// `target` when it is at least as tight — an alpha-approximate Pareto set
-/// is alpha'-approximate for every alpha' >= alpha.
-bool Answers(const CachedFrontier* entry, double target) {
+/// Whether `entry` may serve a spec over `num_objectives` objectives. The
+/// service stores each preference resolved against its spec's objectives,
+/// so a weight count that differs names a frontier of other objectives (a
+/// restored record under the wrong key), which must never be selected.
+bool Fits(const CachedFrontier* entry, int num_objectives) {
   return entry != nullptr && entry->result != nullptr &&
-         entry->achieved_alpha <= target;
+         entry->weights.size() == num_objectives;
+}
+
+/// The open's verdict on a cache entry: it answers an open targeting
+/// `target` when it fits the spec and is at least as tight — an
+/// alpha-approximate Pareto set is alpha'-approximate for every
+/// alpha' >= alpha.
+bool Answers(const CachedFrontier* entry, int num_objectives, double target) {
+  return Fits(entry, num_objectives) && entry->achieved_alpha <= target;
 }
 
 }  // namespace
@@ -316,9 +325,9 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   // The opener's preference, resolved against the spec: it seeds the
   // quick-mode weights, the stored cache selection, and — for Submit's
   // one-step sessions — the final result's selection.
-  const Preference resolved =
-      Resolved(preference != nullptr ? *preference : Preference{},
-               session->spec_.objectives.size());
+  const int num_objectives = session->spec_.objectives.size();
+  const Preference resolved = Resolved(
+      preference != nullptr ? *preference : Preference{}, num_objectives);
   session->problem_.query = session->spec_.query.get();
   session->problem_.objectives = session->spec_.objectives;
   session->problem_.weights = resolved.weights;
@@ -332,11 +341,6 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   if (session->spec_.parallelism) {
     decision.parallelism =
         *session->spec_.parallelism < 1 ? 1 : *session->spec_.parallelism;
-  }
-  // An explicit weighted-sum override runs the single-plan DP, whose
-  // per-set output is preference-dependent — never memo-shared.
-  if (decision.algorithm == AlgorithmKind::kWeightedSum) {
-    decision.use_subplan_memo = false;
   }
   session->decision_ = decision;
 
@@ -379,14 +383,14 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     bool from_tier = false;
     std::shared_ptr<const CachedFrontier> cached =
         cache_.Lookup(session->cache_signature_, &from_tier);
-    const bool answers = Answers(cached.get(), target);
+    const bool answers = Answers(cached.get(), num_objectives, target);
     probe_span.AddArg("hit", answers ? 1 : 0);
     probe_span.End();
     if (answers) {
       ServeSessionBornDone(session, cached, from_tier);
       return session;
     }
-    if (cached != nullptr && cached->result != nullptr &&
+    if (Fits(cached.get(), num_objectives) &&
         session->Publish(cached->achieved_alpha, cached->result->plan_set, 0,
                          /*from_cache=*/true)) {
       std::vector<double> trimmed;
@@ -481,7 +485,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     bool from_tier = false;
     std::shared_ptr<const CachedFrontier> cached =
         cache_.Lookup(session->cache_signature_, &from_tier);
-    if (Answers(cached.get(), target)) {
+    if (Answers(cached.get(), num_objectives, target)) {
       ReleaseSession(session);
       ServeSessionBornDone(session, cached, from_tier);
       return session;
@@ -636,20 +640,13 @@ void OptimizationService::RunSessionRung(
     // watchdog.
     MOQO_FAILPOINT("session.rung");
 
-    // Epoch guard before the memo is read: a catalog whose statistics
-    // were bumped since the memo's entries were published flushes them.
-    if (subplan_memo_ != nullptr && decision.use_subplan_memo) {
-      const Catalog& catalog = session->spec_.query->catalog();
-      subplan_memo_->ObserveCatalog(&catalog, catalog.epoch());
-    }
-
     // One rung = one independent optimizer run at this rung's precision;
     // rungs share work only through the SubplanMemo (exactly the core
     // ladder's contract), so the published frontiers are byte-identical
     // to the monolithic runner's.
     OptimizerOptions opts = MakeOptimizerOptions(
         session->ladder_[rung], timeout_ms, decision.parallelism,
-        decision.use_subplan_memo);
+        /*use_memo=*/true);
     opts.cancel = &session->cancel_flag_;
     opts.tracer = &tracer_;
     opts.trace_id = session->trace_id_;

@@ -94,8 +94,9 @@ struct PersistOptions {
   /// PlanCache's and the SubplanMemo's tiers; 0 disables demotion (the
   /// snapshot path still works).
   size_t tier_capacity_bytes = 0;
-  /// Stamped into snapshot headers and compared on restore: a snapshot
-  /// written under a different catalog epoch is skipped wholesale (its
+  /// A deployment tag the caller sets, say a version of its table
+  /// statistics. Stamped into snapshot headers and compared on restore: a
+  /// snapshot written under a different tag is skipped wholesale (its
   /// content-derived keys are unreachable anyway; skipping just avoids
   /// loading dead weight).
   uint64_t catalog_epoch = 0;

@@ -18,7 +18,7 @@ size_t PlanCacheEntryCodec::Footprint(const CachedFrontier& entry) {
   if (entry.result != nullptr) {
     bytes += sizeof(OptimizerResult);
     if (entry.result->plan_set != nullptr) {
-      bytes += entry.result->plan_set->ApproxBytes();
+      bytes += entry.result->plan_set->MemoryBytes();
     }
   }
   return bytes;

@@ -42,10 +42,6 @@ PolicyDecision ChooseAlgorithm(const Query& query,
   const int num_tables = query.num_tables();
   const int num_objectives = objectives.size();
   decision.parallelism = ResolveParallelism(options);
-  // Every algorithm the policy routes to builds sub-problem-determined
-  // table-set frontiers, so all of them may share through the subplan
-  // memo; the service clears this for an explicit weighted-sum override.
-  decision.use_subplan_memo = true;
 
   if (num_objectives <= 1) {
     // Single-objective: the classic Selinger DP is exact and cheapest.

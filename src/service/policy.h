@@ -48,13 +48,6 @@ struct PolicyDecision {
   double alpha = 1.0;
   /// Intra-query DP threads for this spec (1 = serial).
   int parallelism = 1;
-  /// Whether this spec's DP runs may share table-set frontiers through the
-  /// service's cross-query SubplanMemo (subject to the service-level
-  /// enable flag). False for the weighted-sum baseline: its single-plan DP
-  /// output depends on the preference, so its "frontiers" are not
-  /// sub-problem-determined. Like `parallelism`, never part of any cache
-  /// key — the frontier is identical with the memo on or off.
-  bool use_subplan_memo = true;
 };
 
 /// Picks the algorithm and precision for optimizing `query` over

@@ -56,8 +56,8 @@ inline bool IsPreferenceDependent(AlgorithmKind algorithm) {
 /// always — they are ignored for frontier-producing algorithms, whose
 /// signatures are alpha- and preference-free by design). The query part
 /// of the key is copied from Query::CanonicalForm(), so a query is encoded
-/// once per catalog epoch and each call hashes only its short spec
-/// suffix, chained from the form's hash.
+/// once and each call hashes only its short spec suffix, chained from the
+/// form's hash.
 ProblemSignature ComputeSignature(const Query& query,
                                   const ObjectiveSet& objectives,
                                   AlgorithmKind algorithm, double alpha,

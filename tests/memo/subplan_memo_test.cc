@@ -2,16 +2,13 @@
 //
 // Cross-query subplan memo: canonical table-set signatures (permutation /
 // translation / objective-order invariance, collision resistance across
-// predicates, objective sets and alpha), memo gating/eviction/epoch
-// semantics, and the tentpole guarantee — frontiers are byte-identical
-// with the memo on or off, cold and warm, serial and parallel, exact and
-// approximate, and in any objective order. The concurrency tests run
-// under TSan in CI.
-
-#include <unistd.h>
+// predicates, table statistics, objective sets and alpha), memo
+// gating/eviction semantics, and the tentpole guarantee — frontiers are
+// byte-identical with the memo on or off, cold and warm, serial and
+// parallel, exact and approximate, and in any objective order. The
+// concurrency tests run under TSan in CI.
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +21,6 @@
 #include "core/plan_set.h"
 #include "memo/subplan_key.h"
 #include "memo/subplan_memo.h"
-#include "persist/disk_tier.h"
 #include "persist/plan_set_codec.h"
 #include "query/query.h"
 #include "query/tpch_queries.h"
@@ -34,22 +30,29 @@
 namespace moqo {
 namespace {
 
+/// How MakeChainCatalog's table r1 departs from the default statistics.
+enum class R1Stats { kDefault, kRowsTimesTen, kNdv25, kNoIndexOnJ };
+
 /// Chain-friendly catalog: n tables r0..r{n-1} with distinct cardinalities
 /// (so content-based fragments differ) and two indexed join columns.
-Catalog MakeChainCatalog(int tables) {
+Catalog MakeChainCatalog(int tables, R1Stats r1 = R1Stats::kDefault) {
   Catalog catalog;
   for (int i = 0; i < tables; ++i) {
-    const long rows = 400 * (1 + (i * 5) % 7);
+    const bool varied = i == 1;
+    const long rows = 400 * (1 + (i * 5) % 7) *
+                      (varied && r1 == R1Stats::kRowsTimesTen ? 10 : 1);
     Table table("r" + std::to_string(i), rows, 48);
-    for (const char* name : {"k", "j"}) {
+    for (const std::string name : {"k", "j"}) {
       ColumnStats column;
       column.name = name;
-      column.ndv = 50;
+      column.ndv = varied && r1 == R1Stats::kNdv25 ? 25 : 50;
       column.min_value = 0;
       column.max_value = 49;
       column.histogram = Histogram::Uniform(0, 49, 8, rows);
       table.AddColumn(column);
-      table.AddIndex(name);
+      if (!(varied && r1 == R1Stats::kNoIndexOnJ && name == "j")) {
+        table.AddIndex(name);
+      }
     }
     catalog.AddTable(std::move(table));
   }
@@ -175,6 +178,21 @@ TEST(SubplanKeyTest, CollisionResistance) {
 
   // Different alpha bucket (bit-exact).
   EXPECT_NE(MakeContext(base, 1.25).SignatureFor(all), reference);
+
+  // Different statistics of member r1: rows, ndv, or an index on a column
+  // no join reads. Each changes the chain's key, and none changes the key
+  // of {r0}, which does not read r1.
+  const TableSet r0(0b001);
+  const SubplanSignature r0_reference = MakeContext(base).SignatureFor(r0);
+  for (const R1Stats r1 : {R1Stats::kRowsTimesTen, R1Stats::kNdv25,
+                           R1Stats::kNoIndexOnJ}) {
+    SCOPED_TRACE(static_cast<int>(r1));
+    const Catalog changed = MakeChainCatalog(4, r1);
+    const Query query = MakeChainQuery(&changed, 0, 2);
+    const SubplanKeyContext context = MakeContext(query);
+    EXPECT_NE(context.SignatureFor(all), reference);
+    EXPECT_EQ(context.SignatureFor(r0), r0_reference);
+  }
 
   // A join predicate *outside* the set that touches a member on a new
   // column changes the member's scan space, hence its signature.
@@ -487,62 +505,6 @@ TEST_F(SubplanMemoDpTest, ByteBudgetEvictsLru) {
   const SubplanMemo::Stats memo_stats = memo.GetStats();
   EXPECT_GT(memo_stats.evictions, 0u);
   EXPECT_LT(memo_stats.entries, memo_stats.insertions);
-}
-
-TEST_F(SubplanMemoDpTest, EpochChangeFlushesOnce) {
-  SubplanMemo memo;
-  memo.ObserveCatalog(&catalog_, 7);
-  const Query query = MakeChainQuery(&catalog_, 0, 4);
-  DPStats stats;
-  RunDp(query, &memo, &stats);
-  ASSERT_GT(memo.size(), 0u);
-  EXPECT_EQ(memo.GetStats().invalidations, 0u);  // First sighting: adopted.
-
-  // A *different* catalog identity showing up must not flush: entries are
-  // content-keyed, and a service juggling two catalogs would otherwise
-  // thrash the memo on every alternation.
-  Catalog other = MakeChainCatalog(3);
-  memo.ObserveCatalog(&other, 99);
-  EXPECT_GT(memo.size(), 0u);
-  EXPECT_EQ(memo.GetStats().invalidations, 0u);
-
-  memo.ObserveCatalog(&catalog_, 8);
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.GetStats().invalidations, 1u);
-  memo.ObserveCatalog(&catalog_, 8);  // Unchanged: no further flush.
-  EXPECT_EQ(memo.GetStats().invalidations, 1u);
-
-  // After the flush the warm query misses everything again.
-  DPStats refill_stats;
-  RunDp(query, &memo, &refill_stats);
-  EXPECT_EQ(refill_stats.memo_hits, 0);
-  EXPECT_GT(refill_stats.memo_publishes, 0);
-}
-
-TEST_F(SubplanMemoDpTest, EpochFlushDemotesNothing) {
-  // A flush is invalidation, not cache pressure: the flushed entries are
-  // stale by definition and must never reach the disk tier.
-  const std::string dir = ::testing::TempDir() + "moqo_memo_flush_" +
-                          std::to_string(::getpid());
-  const std::string cmd = "rm -rf " + dir + " && mkdir -p " + dir;
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-  persist::DiskTier::Options tier_options;
-  tier_options.directory = dir;
-  tier_options.capacity_bytes = size_t{1} << 20;
-  auto tier = std::make_shared<persist::DiskTier>(tier_options);
-  SubplanMemo memo;
-  memo.AttachTier(tier);
-  memo.ObserveCatalog(&catalog_, 1);
-  DPStats stats;
-  RunDp(MakeChainQuery(&catalog_, 0, 4), &memo, &stats);
-  ASSERT_GT(memo.size(), 0u);
-  ASSERT_EQ(tier->GetStats().demotions, 0u);  // Nothing evicted yet.
-
-  memo.ObserveCatalog(&catalog_, 2);
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.GetStats().invalidations, 1u);
-  EXPECT_EQ(tier->GetStats().demotions, 0u);
-  EXPECT_EQ(tier->GetStats().entries, 0u);
 }
 
 TEST_F(SubplanMemoDpTest, ConcurrentDpRunsShareMemoSafely) {

@@ -325,6 +325,33 @@ TEST(PersistTest, FrontierPayloadRoundTripRebuildsSelection) {
   }
 }
 
+TEST(PersistTest,
+     FrontierPayloadWhosePreferenceDisagreesWithItsFrontierIsRefused) {
+  // The service stores each preference resolved against its request's
+  // objectives: one weight per cost column, and no bounds or one per
+  // weight. A payload that breaks either would have SelectPlan weigh a
+  // frontier of other objectives, so the decoder refuses it.
+  Arena arena;
+  auto result = std::make_shared<OptimizerResult>();
+  result->plan_set = MakeDagFrontier(&arena);  // Two cost columns.
+  const auto decodes = [&result](int num_weights, int num_bounds) {
+    CachedFrontier entry;
+    entry.result = result;
+    entry.weights = WeightVector::Uniform(num_weights);
+    entry.bounds = BoundVector(num_bounds);
+    std::string payload;
+    EXPECT_TRUE(persist::EncodeFrontierPayload(entry, &payload));
+    return persist::DecodeFrontierPayload(payload.data(), payload.size(),
+                                          1.0) != nullptr;
+  };
+  EXPECT_TRUE(decodes(2, 0));
+  EXPECT_TRUE(decodes(2, 2));
+  EXPECT_FALSE(decodes(3, 0));
+  EXPECT_FALSE(decodes(1, 0));
+  EXPECT_FALSE(decodes(2, 3));
+  EXPECT_FALSE(decodes(2, 1));
+}
+
 TEST(PersistTest, SnapshotWriterReaderRoundTrip) {
   const std::string dir = FreshDir("roundtrip");
   const std::string path = dir + "/snap";
@@ -868,6 +895,86 @@ TEST(PersistTest, PlanCacheRecordWithAnUnusableAlphaTagIsNotRestored) {
     ASSERT_EQ(second.status, ResponseStatus::kCompleted);
     EXPECT_EQ(second.cache, CacheOutcome::kExactHit);
     EXPECT_EQ(second.alpha, 1.5);
+  }
+}
+
+TEST(PersistTest, PlanCacheRecordOverOtherObjectivesIsNotServed) {
+  // A checksum-valid record under TPC-H Q3's three-objective RTA-1.5 key
+  // that carries the payload of the same query's two-objective run. The
+  // payload is sound on its own, so it restores, but its weights count
+  // other objectives than the key's spec: no open may answer from it or
+  // seed its ladder with it. Submit at the record's alpha runs and returns
+  // three cost columns; a session targeting a tighter alpha publishes only
+  // frontiers it computed, each with three cost columns.
+  const Catalog tpch = Catalog::TpcH(0.01);
+  const auto q3_over = [&tpch](int num_objectives) {
+    ServiceRequest request;
+    request.spec.query = std::make_shared<Query>(MakeTpcHQuery(&tpch, 3));
+    request.spec.objectives = FirstObjectives(num_objectives);
+    request.spec.algorithm = AlgorithmKind::kRta;
+    request.spec.alpha = 1.5;
+    request.preference.weights = WeightVector::Uniform(num_objectives);
+    return request;
+  };
+  const ServiceRequest three = q3_over(3);
+  const auto record_of = [](const ServiceRequest& request,
+                            const std::string& tag) {
+    const std::string source = FreshDir(tag);
+    {
+      OptimizationService service(PersistServiceOptions(source));
+      EXPECT_EQ(service.SubmitAndWait(request).status,
+                ResponseStatus::kCompleted);
+    }
+    std::vector<OwnedRecord> plan_records;
+    for (const OwnedRecord& record : ReadRecords(source + "/moqo.snapshot")) {
+      if (record.kind == static_cast<uint32_t>(RecordKind::kPlanCacheEntry)) {
+        plan_records.push_back(record);
+      }
+    }
+    EXPECT_EQ(plan_records.size(), 1u);
+    return plan_records.empty() ? OwnedRecord{} : plan_records[0];
+  };
+  const OwnedRecord key = record_of(three, "other_objectives_three");
+  const OwnedRecord payload = record_of(q3_over(2), "other_objectives_two");
+  ASSERT_EQ(key.alpha_bits, DoubleBits(1.5));
+  ASSERT_EQ(payload.alpha_bits, DoubleBits(1.5));
+  ASSERT_NE(key.payload, payload.payload);
+
+  const std::string dir = FreshDir("other_objectives");
+  ServiceOptions options = PersistServiceOptions(dir);
+  options.persist.snapshot_on_shutdown = false;
+  SnapshotWriter writer(options.persist.catalog_epoch, kCostModelVersion);
+  writer.AddRecord(RecordKind::kPlanCacheEntry, key.key, key.hash, 1.5,
+                   payload.payload);
+  ASSERT_TRUE(writer.WriteFile(dir + "/moqo.snapshot"));
+
+  {
+    OptimizationService restored(options);
+    ASSERT_EQ(restored.PersistStats().restored_plan_entries, 1u);
+    const ServiceResponse response = restored.SubmitAndWait(three);
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(response.cache, CacheOutcome::kMiss);
+    ASSERT_NE(response.plan_set(), nullptr);
+    ASSERT_FALSE(response.plan_set()->empty());
+    EXPECT_EQ(response.plan_set()->cost(0).size(), 3);
+    EXPECT_EQ(response.result->cost.size(), 3);
+  }
+  {
+    OptimizationService restored(options);
+    ASSERT_EQ(restored.PersistStats().restored_plan_entries, 1u);
+    SessionOptions session_options;
+    session_options.alpha_target = 1.2;
+    session_options.quick_first = false;
+    const std::shared_ptr<FrontierSession> session =
+        restored.OpenFrontier(three.spec, session_options);
+    ASSERT_TRUE(session->AwaitTarget());
+    const std::vector<RefinedFrontier> history = session->History();
+    ASSERT_FALSE(history.empty());
+    for (const RefinedFrontier& step : history) {
+      EXPECT_FALSE(step.from_cache) << "step " << step.step;
+      ASSERT_FALSE(step.plan_set->empty());
+      EXPECT_EQ(step.plan_set->cost(0).size(), 3) << "step " << step.step;
+    }
   }
 }
 

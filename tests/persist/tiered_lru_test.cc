@@ -456,11 +456,10 @@ TEST(TieredLruTest, ConcurrentDemotePromoteHammer) {
 //
 // These drive the template directly through a minimal int-valued codec,
 // so LRU order, the counters, the byte budget, the grown refresh, shard
-// rounding, the order evicted entries reach the tier in and Clear()
-// demoting nothing hold for any value type, not just the two real codecs
-// PlanCacheTest and SubplanMemoDpTest use. The attached tier is where
-// evictions go: each victim is handed to DiskTier::Put once the shard lock
-// is released.
+// rounding and the order evicted entries reach the tier in hold for any
+// value type, not just the two real codecs PlanCacheTest and
+// SubplanMemoDpTest use. The attached tier is where evictions go: each
+// victim is handed to DiskTier::Put once the shard lock is released.
 
 /// An int with the accounted footprint and plan count the codec reports.
 struct IntEntry {
@@ -626,20 +625,6 @@ TEST(ShardedLruTest, EvictionHookByteSqueezeDeliversAllVictimsInOrder) {
                               {"a", "1"}, {"b", "2"}, {"c", "3"}}));
   EXPECT_EQ(lru.GetStats().entries, 1u);
   EXPECT_EQ(lru.GetStats().evictions, 3u);
-}
-
-TEST(ShardedLruTest, ClearDoesNotFireEvictionHook) {
-  // Clear() is invalidation (epoch flush), not cache pressure: flushed
-  // entries are stale by definition and must never reach the tier.
-  const std::string dir = FreshDir("lru_clear");
-  Lru lru(SingleShard(4));
-  lru.AttachTier(std::make_shared<DiskTier>(TierOptions(dir)));
-  lru.Insert(Key("a"), Value(1, 1));
-  lru.Insert(Key("b"), Value(2, 1));
-  lru.Clear();
-  EXPECT_TRUE(Demoted(dir).empty());
-  EXPECT_EQ(lru.GetStats().entries, 0u);
-  EXPECT_EQ(lru.GetStats().evictions, 0u);
 }
 
 TEST(ShardedLruTest, ConcurrentMixedTraffic) {

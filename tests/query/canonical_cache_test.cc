@@ -3,7 +3,7 @@
 // Tests for the per-query cached canonical form (Query::CanonicalForm)
 // and the chained signature hashes built on it: every key and hash must
 // equal its from-scratch encoding, whatever the query's history — warm,
-// copied, edited, assigned, epoch-bumped, or shared across threads.
+// copied, edited, assigned, or shared across threads.
 
 #include <gtest/gtest.h>
 
@@ -146,24 +146,6 @@ TEST(QueryCanonicalCacheTest, EditingACopyLeavesTheOriginalUnchanged) {
   EXPECT_NE(RtaSignature(moved), reference);
   EXPECT_NE(RtaSignature(moved), three);
   EXPECT_EQ(RtaSignature(moved).hash, FromScratchHash(RtaSignature(moved)));
-}
-
-TEST(QueryCanonicalCacheTest, CatalogEpochBumpRebuildsIdenticalBytes) {
-  Catalog catalog = Catalog::TpcH(1.0);
-  const Query query = MakeTpcHQuery(&catalog, 5);
-  const std::shared_ptr<const CanonicalQueryForm> before =
-      query.CanonicalForm();
-  const ProblemSignature signature = RtaSignature(query);
-  EXPECT_EQ(query.CanonicalForm(), before);
-
-  catalog.BumpEpoch();
-  const std::shared_ptr<const CanonicalQueryForm> after =
-      query.CanonicalForm();
-  EXPECT_NE(after, before);
-  EXPECT_EQ(after->bytes, before->bytes);
-  EXPECT_EQ(after->hash, before->hash);
-  EXPECT_EQ(RtaSignature(query), signature);
-  EXPECT_EQ(query.CanonicalForm(), after);
 }
 
 TEST(QueryCanonicalCacheTest, ConcurrentSignaturesOfASharedQueryAgree) {

@@ -1091,11 +1091,12 @@ TEST(ServiceTest, WorkloadDriverEndToEnd) {
 // --------------------------------------------------------------------------
 // Cross-query subplan memo through the service.
 
-/// Chain catalog for overlap tests: distinct cardinalities, indexed key.
-Catalog MakeServiceChainCatalog(int tables) {
+/// Chain catalog for overlap tests: distinct cardinalities, each scaled by
+/// `row_scale`, and an indexed key.
+Catalog MakeServiceChainCatalog(int tables, long row_scale = 1) {
   Catalog catalog;
   for (int i = 0; i < tables; ++i) {
-    const long rows = 300 * (1 + (i * 3) % 5);
+    const long rows = row_scale * 300 * (1 + (i * 3) % 5);
     Table table("c" + std::to_string(i), rows, 40);
     ColumnStats key;
     key.name = "k";
@@ -1212,24 +1213,44 @@ TEST(ServiceTest, PermutedObjectivesMissTheCacheButReplayTheMemo) {
   EXPECT_EQ(memo_on_bytes, memo_off_bytes);
 }
 
-TEST(ServiceTest, SubplanMemoInvalidatedOnCatalogEpochBump) {
-  Catalog catalog = MakeServiceChainCatalog(5);
+TEST(ServiceTest, ChangedStatisticsNeverReplayTheMemo) {
+  // New statistics arrive as a new catalog. A memo key names each member
+  // table's content, so a window over the rescaled catalog replays none of
+  // the original's entries and serves a memo-disabled service's frontier
+  // byte for byte; the same window over the original catalog replays them.
+  const Catalog catalog = MakeServiceChainCatalog(5);
+  const Catalog scaled = MakeServiceChainCatalog(5, /*row_scale=*/10);
   ServiceOptions options = SmallServiceOptions(1);
   options.subplan_memo.min_tables = 2;
   OptimizationService service(options);
 
   ASSERT_EQ(service.SubmitAndWait(ChainRequest(&catalog, 0, 3)).status,
             ResponseStatus::kCompleted);
-  ASSERT_GT(service.MemoStats().entries, 0u);
+  const SubplanMemo::Stats cold = service.MemoStats();
+  ASSERT_GT(cold.entries, 0u);
 
-  // Statistics refreshed in place: the next request must flush the memo
-  // before probing, so stale sub-frontiers can never be served.
-  catalog.BumpEpoch();
+  const ServiceRequest rescaled = ChainRequest(&scaled, 1, 4);
+  const ServiceResponse response = service.SubmitAndWait(rescaled);
+  ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+  const SubplanMemo::Stats after_rescaled = service.MemoStats();
+  EXPECT_EQ(after_rescaled.hits, cold.hits);
+
+  ServiceOptions memo_off = SmallServiceOptions(1);
+  memo_off.enable_subplan_memo = false;
+  OptimizationService reference(memo_off);
+  const ServiceResponse expected = reference.SubmitAndWait(rescaled);
+  ASSERT_EQ(expected.status, ResponseStatus::kCompleted);
+  ASSERT_NE(response.plan_set(), nullptr);
+  ASSERT_NE(expected.plan_set(), nullptr);
+  std::string memo_on_bytes;
+  std::string memo_off_bytes;
+  persist::PlanSetCodec::Append(*response.plan_set(), &memo_on_bytes);
+  persist::PlanSetCodec::Append(*expected.plan_set(), &memo_off_bytes);
+  EXPECT_EQ(memo_on_bytes, memo_off_bytes);
+
   ASSERT_EQ(service.SubmitAndWait(ChainRequest(&catalog, 1, 4)).status,
             ResponseStatus::kCompleted);
-  const SubplanMemo::Stats stats = service.MemoStats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_GT(service.MemoStats().hits, after_rescaled.hits);
 }
 
 }  // namespace
