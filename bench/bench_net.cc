@@ -17,9 +17,10 @@
 //   3. Cancel storm. Every client cancels immediately after OPEN.
 //      Hard checks: every connection gets its DONE, server drains clean.
 //   4. Mixed fairness — the acceptance gate. Closed-loop interactive
-//      clients (single-rung ladders, quick_first=false so the first
-//      frontier rides the worker pool) measure OPEN -> first-frontier
-//      latency while background clients hold long refinement ladders.
+//      clients (single-rung ladders, quick_first=false, so the first
+//      frontier is the rung itself; like every first frontier, it rides
+//      the worker pool) measure OPEN -> first-frontier latency while
+//      background clients hold long refinement ladders.
 //      Three configs: floor (no background), FIFO (priority_admission
 //      off), priority (on). Hard checks: zero first-frontier rejects,
 //      priority sheds refinement (sheds > 0) while FIFO sheds nothing,

@@ -135,7 +135,7 @@ int main() {
   //   f64     alpha_target(<= 0: derive from alpha)
   //   i32     max_steps   (ladder length cap)
   //   i64     step_deadline_ms (-1 = none)
-  //   u8      quick_first (1 = publish a heuristic frontier at open)
+  //   u8      quick_first (1 = publish a heuristic frontier first)
   std::string open;
   raw::PutString(&open, "tpch_q3");
   raw::PutU8(&open, 3);     // three objectives...

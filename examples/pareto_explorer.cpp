@@ -79,9 +79,9 @@ int main(int argc, char** argv) {
   std::printf("finer alpha -> more points, closer to the true frontier\n\n");
 
   // Part 2: the anytime session. One OpenFrontier call replaces the
-  // pick-a-precision-and-wait loop above: the first plan is available
-  // before the call returns, and every published refinement is reported
-  // as it lands.
+  // pick-a-precision-and-wait loop above: the call returns at once, the
+  // quick-mode plan arrives first, and every published refinement is
+  // reported as it lands (the subscription replays what came before it).
   ServiceOptions service_options;
   service_options.operators.sampling_rates = {0.05, 0.02, 0.01};
   service_options.operators.dops = {1, 4};

@@ -57,7 +57,6 @@ constexpr int kChunksPerSlot = 8;
 
 const ParetoSet& DPPlanGenerator::Run(const Query& query,
                                       const DPOptions& options) {
-  query_ = &query;
   memo_.clear();
   row_of_.clear();
   stats_ = DPStats();
@@ -183,8 +182,8 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
     // The build: `built[i]` marks the sets built completely by this run.
     std::vector<char> built(level.size(), 0);
     if (slots > 1 && work.size() > 1) {
-      ProcessLevelParallel(query, level, options, slots, std::move(work),
-                           proxy, &built);
+      ProcessLevelParallel(level, options, slots, std::move(work), proxy,
+                           &built);
     } else {
       // At most one memo-miss set here when slots > 1: it builds in rounds.
       const int set_slots = options.aggressive_delete ? 1 : slots;
@@ -196,7 +195,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
             options.single_plan_mode) {
           break;
         }
-        built[i] = ProcessSetInto(query, level[i], options, /*slot=*/0,
+        built[i] = ProcessSetInto(level[i], options, /*slot=*/0,
                                   &memo_[level[i].mask()], set_slots);
         if (!built[i]) stats_.timed_out = true;
       }
@@ -221,7 +220,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         if (shared_memo != nullptr) RecordRows(SetFor(level[i]));
       } else {
         if (!options.single_plan_mode) stats_.timed_out = true;
-        ProcessSetQuick(query, level[i], options);
+        ProcessSetQuick(level[i], options);
       }
     }
 
@@ -338,8 +337,7 @@ uint64_t DPPlanGenerator::SplitWorkProxy(TableSet tables,
   return work;
 }
 
-void DPPlanGenerator::ProcessLevelParallel(const Query& query,
-                                           const std::vector<TableSet>& level,
+void DPPlanGenerator::ProcessLevelParallel(const std::vector<TableSet>& level,
                                            const DPOptions& options, int slots,
                                            std::vector<int> work,
                                            const std::vector<uint64_t>& proxy,
@@ -380,8 +378,7 @@ void DPPlanGenerator::ProcessLevelParallel(const Query& query,
         TraceSpan set_span(options.tracer, "dp", "dp.set", options.trace_id);
         set_span.AddArg("tables", level[index].Cardinality());
         set_span.AddArg("split_work", static_cast<int64_t>(proxy[index]));
-        if (ProcessSetInto(query, level[index], options, slot,
-                           outputs[index])) {
+        if (ProcessSetInto(level[index], options, slot, outputs[index])) {
           (*built)[index] = 1;
         } else {
           expired.store(true, std::memory_order_relaxed);
@@ -480,8 +477,7 @@ void DPPlanGenerator::ProcessSingletons(const Query& query,
 }
 
 std::vector<DPPlanGenerator::Split> DPPlanGenerator::SplitsOf(
-    const Query& query, TableSet tables, const DPOptions& options) const {
-  (void)query;
+    TableSet tables, const DPOptions& options) const {
   std::vector<Split> connected;
   std::vector<Split> all;
   for (SubsetIterator it(tables); !it.Done(); it.Next()) {
@@ -499,9 +495,9 @@ std::vector<DPPlanGenerator::Split> DPPlanGenerator::SplitsOf(
 }
 
 DPPlanGenerator::PairStream DPPlanGenerator::StreamOf(
-    const Query& query, TableSet tables, const DPOptions& options) const {
+    TableSet tables, const DPOptions& options) const {
   PairStream stream;
-  stream.splits = SplitsOf(query, tables, options);
+  stream.splits = SplitsOf(tables, options);
   for (Split& split : stream.splits) {
     split.left_plans = &SetFor(split.left);
     split.right_plans = &SetFor(split.right);
@@ -563,12 +559,12 @@ bool DPPlanGenerator::PriceRange(const PairStream& stream, uint64_t begin,
   return true;
 }
 
-bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
-                                     const DPOptions& options, int slot_index,
-                                     ParetoSet* set, int slots) {
+bool DPPlanGenerator::ProcessSetInto(TableSet tables, const DPOptions& options,
+                                     int slot_index, ParetoSet* set,
+                                     int slots) {
   const ParetoSet::PruneOptions prune{options.alpha,
                                       options.aggressive_delete};
-  const PairStream stream = StreamOf(query, tables, options);
+  const PairStream stream = StreamOf(tables, options);
   Slot& slot = slots_[slot_index];
   Arena* arena = slot_index == 0 ? arena_ : slot.arena.get();
   // A rejecter cache is valid for one set only.
@@ -691,14 +687,14 @@ bool DPPlanGenerator::RunRound(const PairStream& stream, uint64_t begin,
   return true;
 }
 
-void DPPlanGenerator::ProcessSetQuick(const Query& query, TableSet tables,
+void DPPlanGenerator::ProcessSetQuick(TableSet tables,
                                       const DPOptions& options) {
   const WeightVector weights = EffectiveWeights(options);
   ParetoSet& set = memo_[tables.mask()];
   set.clear();
   PlanNode best;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (const Split& split : SplitsOf(query, tables, options)) {
+  for (const Split& split : SplitsOf(tables, options)) {
     const PlanNode* left = SetFor(split.left).SelectBestWeighted(weights);
     const PlanNode* right = SetFor(split.right).SelectBestWeighted(weights);
     if (left == nullptr || right == nullptr) continue;

@@ -166,7 +166,7 @@ class DPPlanGenerator {
  public:
   DPPlanGenerator(const CostModel* model, const OperatorRegistry* registry,
                   Arena* arena)
-      : model_(model), registry_(registry), arena_(arena), query_(nullptr) {}
+      : model_(model), registry_(registry), arena_(arena) {}
 
   /// Runs the DP over all non-empty subsets of the query's tables and
   /// returns the plan set for the full set. The returned reference is
@@ -211,9 +211,8 @@ class DPPlanGenerator {
   /// plans allocated from the run arena. Returns false if the deadline
   /// expired mid-set (the caller discards the partial set and rebuilds it
   /// quickly).
-  bool ProcessSetInto(const Query& query, TableSet tables,
-                      const DPOptions& options, int slot, ParetoSet* set,
-                      int slots = 1);
+  bool ProcessSetInto(TableSet tables, const DPOptions& options, int slot,
+                      ParetoSet* set, int slots = 1);
 
   /// Calls fn(config, left, right, operands, cost) for every applicable
   /// candidate of pairs [begin, end) of `stream`, in stream order. Returns
@@ -237,8 +236,7 @@ class DPPlanGenerator {
   /// to shorten the barrier tail), and sets `built[i]` for each set i
   /// built completely. `proxy[i]` is set i's SplitWorkProxy. Bookkeeping
   /// and quick rebuilds are left to the caller.
-  void ProcessLevelParallel(const Query& query,
-                            const std::vector<TableSet>& level,
+  void ProcessLevelParallel(const std::vector<TableSet>& level,
                             const DPOptions& options, int slots,
                             std::vector<int> work,
                             const std::vector<uint64_t>& proxy,
@@ -270,17 +268,14 @@ class DPPlanGenerator {
   uint64_t SplitWorkProxy(TableSet tables, const DPOptions& options) const;
 
   /// Quick mode: single weighted-best plan for `tables`.
-  void ProcessSetQuick(const Query& query, TableSet tables,
-                       const DPOptions& options);
+  void ProcessSetQuick(TableSet tables, const DPOptions& options);
 
   /// Ordered splits of `tables` honouring the Cartesian heuristic and the
   /// bushy/left-deep switch, with SplitInfo computed once per split.
-  std::vector<Split> SplitsOf(const Query& query, TableSet tables,
-                              const DPOptions& options) const;
+  std::vector<Split> SplitsOf(TableSet tables, const DPOptions& options) const;
 
   /// SplitsOf(tables) with their operand frontiers and pair offsets.
-  PairStream StreamOf(const Query& query, TableSet tables,
-                      const DPOptions& options) const;
+  PairStream StreamOf(TableSet tables, const DPOptions& options) const;
 
   WeightVector EffectiveWeights(const DPOptions& options) const;
 
@@ -315,7 +310,6 @@ class DPPlanGenerator {
     long considered = 0;
   };
   std::vector<RoundChunk> round_chunks_;
-  const Query* query_;
   std::unordered_map<uint64_t, ParetoSet> memo_;
   /// Each complete set's plans -> their rows in it; filled only when a
   /// subplan memo is attached, to name a published candidate's operands.

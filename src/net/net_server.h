@@ -5,8 +5,9 @@
 // connection onto one FrontierSession and *server-pushes* every refined
 // frontier the session publishes, so a remote client gets the same
 // anytime contract an in-process caller gets from OnRefined: a first
-// frontier within quick-mode latency, then monotonically tightening
-// updates until the target alpha, a DONE frame, or cancellation.
+// frontier one pool hop plus quick-mode latency after the OPEN (the loop
+// runs no optimizer), then monotonically tightening updates until the
+// target alpha, a DONE frame, or cancellation.
 //
 // Design:
 //

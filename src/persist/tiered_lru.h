@@ -200,6 +200,19 @@ class TieredLru {
     }
   }
 
+  /// Drops the RAM entry for `key`, if any. Not an eviction: nothing is
+  /// counted or demoted to the tier.
+  void Erase(const CanonicalKey& key) {
+    Shard& shard = ShardFor(key);
+    MutexLock lock(shard.mu);
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) return;
+    shard.lru.erase(it->second.lru_pos);
+    shard.bytes -= it->second.bytes;
+    shard.plans -= it->second.plans;
+    shard.index.erase(it);
+  }
+
   /// Attaches the RAM→disk tier: evicted entries are encoded and appended
   /// to `tier`, RAM misses probe it. Call before concurrent use; nullptr
   /// detaches.

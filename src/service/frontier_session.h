@@ -7,12 +7,12 @@
 // (large-alpha) approximate Pareto set is cheap, and precision can be
 // bought *incrementally*. A FrontierSession turns that into the service's
 // primary serving shape. OptimizationService::OpenFrontier(spec, options)
-// returns immediately with a session that
+// runs no optimizer: it returns immediately with a session that
 //
-//   1. already holds a first frontier — a cached one when the PlanCache
-//      has an entry at (or tighter than) the target alpha, otherwise a
-//      Section 5.1 quick-mode frontier computed synchronously at open, so
-//      the first valid plan arrives within quick-mode latency;
+//   1. publishes a first frontier — at open, a cached one when the
+//      PlanCache holds an entry for the spec; otherwise a Section 5.1
+//      quick-mode frontier, which the first rung's pool task computes
+//      before the rung itself (one pool hop plus quick-mode latency);
 //   2. refines in the background over a geometric alpha ladder
 //      (alpha_start -> ... -> alpha_target), publishing each completed
 //      rung's PlanSet — every published frontier carries an alpha <= the
@@ -90,19 +90,16 @@ struct SessionOptions {
   /// Per-rung wall budget in ms; < 0 = none. A rung that exceeds it ends
   /// the ladder — the session keeps the guarantees it already published.
   int64_t step_deadline_ms = -1;
-  /// Publish a synchronous quick-mode frontier at open when the cache
-  /// cannot seed one; the session then always has a valid plan before
-  /// OpenFrontier returns. An open that coalesces onto a running session
-  /// that has published nothing yet runs quick mode on the shared
-  /// session: its +infinity frontier becomes that session's step 0,
-  /// visible to every opener, and a rung that lands later still
-  /// publishes over it.
+  /// Publish a quick-mode frontier (alpha = +infinity) as step 0 when the
+  /// cache cannot seed one: the first rung's pool task computes it before
+  /// the rung itself. Part of the session's identity — a quick_first open
+  /// coalesces only onto a session that publishes one, and the reverse.
   bool quick_first = true;
 };
 
 /// One published frontier: a refinement step's output.
 struct RefinedFrontier {
-  /// Publish index within the session (0 = the open-time quick/cached
+  /// Publish index within the session (0 = the cached or quick-mode
   /// frontier when one exists).
   int step = 0;
   /// The approximation guarantee of `plan_set`; +infinity for the
@@ -139,8 +136,8 @@ class FrontierSession {
   FrontierSession& operator=(const FrontierSession&) = delete;
 
   /// The best (tightest-alpha) frontier published so far; null until the
-  /// first publish (which, with quick_first or a cache seed, happens
-  /// before OpenFrontier returns).
+  /// first publish (before OpenFrontier returns only when the cache
+  /// answered or seeded the open; OnRefined reports it).
   std::shared_ptr<const PlanSet> BestFrontier() const;
 
   /// Guarantee of BestFrontier(): +infinity while only the quick-mode

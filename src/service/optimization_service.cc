@@ -81,14 +81,16 @@ std::vector<double> MakeAlphaLadder(double start, double target,
 }
 
 /// Exact identity of one refinement: the alpha-free cache key extended
-/// with every rung precision and the per-rung budget. Sessions coalesce
-/// only when the whole schedule matches — sharing a ladder that refines
-/// differently would change what a caller observes.
+/// with every rung precision, the per-rung budget and whether a quick-mode
+/// frontier comes first. Sessions coalesce only when the whole schedule
+/// matches — sharing a ladder that refines differently would change what a
+/// caller observes.
 ProblemSignature SessionKey(const ProblemSignature& base,
                             const std::vector<double>& ladder,
-                            int64_t step_deadline_ms) {
+                            const SessionOptions& options) {
   std::vector<double> values = ladder;
-  values.push_back(static_cast<double>(step_deadline_ms));
+  values.push_back(static_cast<double>(options.step_deadline_ms));
+  values.push_back(options.quick_first ? 1.0 : 0.0);
   return ExtendSignature(base, values);
 }
 
@@ -383,6 +385,11 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     bool from_tier = false;
     std::shared_ptr<const CachedFrontier> cached =
         cache_.Lookup(session->cache_signature_, &from_tier);
+    if (cached != nullptr && !Fits(cached.get(), num_objectives)) {
+      // No open of this key may use the entry, and the cache keeps the
+      // tighter of two entries, so a looser run could never replace it.
+      cache_.Erase(session->cache_signature_);
+    }
     const bool answers = Answers(cached.get(), num_objectives, target);
     probe_span.AddArg("hit", answers ? 1 : 0);
     probe_span.End();
@@ -406,8 +413,7 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   // Only a session that may run needs its exact identity: the key copies
   // the whole signature once more, which born-done hits never pay for.
   session->session_key_ =
-      SessionKey(session->cache_signature_, session->ladder_,
-                 session_options.step_deadline_ms);
+      SessionKey(session->cache_signature_, session->ladder_, session_options);
 
   // The cache has not answered this open: each exit below counts it as
   // one miss, unless the stage-3 re-probe answers it after all.
@@ -457,14 +463,6 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
       }
     }
     if (running != nullptr) {
-      // The primary may not have published yet (it opened without
-      // quick_first, or has not reached its prelude): a joiner that asked
-      // for quick_first runs quick mode on the shared session. A rung
-      // landing later is tighter and still publishes; a quick frontier
-      // landing after a rung is dropped.
-      if (session_options.quick_first && running->BestFrontier() == nullptr) {
-        RunQuickMode(running);
-      }
       *joined = true;
       return running;
     }
@@ -493,16 +491,6 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   }
   count_miss();
 
-  // Stage 4: quick-mode prelude — the Section 5.1 single-plan-per-set
-  // finish, run synchronously so OpenFrontier returns with a selectable
-  // frontier in hand. No guarantee (alpha = infinity), but valid plans.
-  // A failed prelude only costs the early frontier; the ladder still runs.
-  if (session_options.quick_first && session->BestFrontier() == nullptr) {
-    TraceSpan quick_span(&tracer_, "service", "quick.prelude",
-                         session->trace_id_);
-    RunQuickMode(session);
-  }
-
   // Watchdog registration (PR 8): ladders with a per-rung budget are
   // watched for wedged rungs. Weak refs only — the list must never keep a
   // session alive or delay its teardown.
@@ -511,21 +499,10 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     watched_sessions_.push_back(session);
   }
 
-  // Stage 5: hand the first rung to the worker pool (each later rung
+  // Stage 4: hand the first rung to the worker pool (each later rung
   // reschedules itself — no worker is held across rungs).
   stats_.counters.sessions_active.Add();
-  if (!pool_.Submit([this, session] { RunSessionRung(session, 0); })) {
-    // Shutdown raced the open; the session completes with whatever the
-    // prelude published.
-    stats_.counters.admissions_rejected.Add();
-    {
-      // The session may already be registered and shared with joiners
-      // when a shutdown race lands here, so the write must be locked.
-      MutexLock lock(session->mu_);
-      session->rejected_ = true;
-    }
-    FinishSession(session, nullptr, /*degraded=*/false, /*failed=*/true);
-  }
+  ScheduleSessionRung(session, 0);
   return session;
 }
 
@@ -584,9 +561,15 @@ void OptimizationService::ScheduleSessionRung(
                             : TaskLane::kRefinement;
   if (!pool_.Submit([this, session, rung] { RunSessionRung(session, rung); },
                     lane)) {
-    // Shutdown raced the reschedule; the session completes with the
-    // guarantees it already published.
-    FinishSession(session, nullptr, /*degraded=*/false, /*failed=*/false);
+    // Shutdown raced the dispatch. An open whose first rung never ran is
+    // rejected; a later rung's session completes with the guarantees it
+    // already published.
+    if (rung == 0) {
+      stats_.counters.admissions_rejected.Add();
+      MutexLock lock(session->mu_);  // Joiners may already share it.
+      session->rejected_ = true;
+    }
+    FinishSession(session, nullptr, /*degraded=*/false, /*failed=*/rung == 0);
   }
 }
 
@@ -613,6 +596,17 @@ void OptimizationService::RunSessionRung(
   if (session->CancelRequested()) {
     FinishSession(session, nullptr, /*degraded=*/false, /*failed=*/false);
     return;
+  }
+
+  // Quick-mode prelude — the Section 5.1 single-plan-per-set finish,
+  // published before the first rung when the cache seeded nothing: no
+  // guarantee (alpha = infinity), but valid plans. A failed prelude only
+  // costs the early frontier; the rung still runs.
+  if (rung == 0 && session->session_options_.quick_first &&
+      session->BestFrontier() == nullptr) {
+    TraceSpan quick_span(&tracer_, "service", "quick.prelude",
+                         session->trace_id_);
+    RunQuickMode(session);
   }
 
   // Remaining total budget (a one-step session's request deadline covers

@@ -4,10 +4,11 @@
 // optimizers, redesigned around anytime frontier sessions (PR 5).
 //
 // The primary API is OpenFrontier(ProblemSpec, SessionOptions) ->
-// FrontierSession: an anytime handle that immediately yields a first
-// frontier (cached or quick-mode), refines it in the background over a
-// geometric alpha ladder, answers Select(preference) at any moment in
-// O(|frontier|), and supports cancellation and per-rung deadlines (see
+// FrontierSession: an anytime handle that publishes a first frontier
+// (cached at open, or quick-mode from the first rung's pool task), refines
+// it in the background over a geometric alpha ladder, answers
+// Select(preference) at any moment in O(|frontier|), and supports
+// cancellation and per-rung deadlines (see
 // service/frontier_session.h for the full story). The one-shot calls ride
 // the same machinery — there is one request path:
 //
@@ -34,7 +35,7 @@
 // precise frontier already cached. Each open that probes counts one cache
 // hit or miss (ServiceCounters). Exact-run identity, where it matters
 // (the session registry that coalescing uses), extends the signature with
-// the ladder.
+// the ladder, the per-rung budget and quick_first.
 
 #ifndef MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
 #define MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
@@ -188,10 +189,11 @@ class OptimizationService {
   ~OptimizationService();
 
   /// Opens an anytime refinement session for `spec` (see
-  /// service/frontier_session.h). Returns immediately; the session
-  /// already holds a first frontier when the cache can seed one or
-  /// options.quick_first is set. Identical (spec, ladder) opens coalesce
-  /// onto one running session — each caller still owns one Cancel().
+  /// service/frontier_session.h). Returns immediately and runs no
+  /// optimizer: the session holds a frontier on return only when the cache
+  /// answered or seeded the open (subscribe with OnRefined for the rest).
+  /// Identical (spec, schedule) opens coalesce onto one running session —
+  /// each caller still owns one Cancel().
   /// Never returns null: invalid specs (null query, non-finite alpha,
   /// preference-dependent algorithm override) and admission rejections
   /// yield a session that is born Done() with no frontier.
@@ -328,8 +330,8 @@ class OptimizationService {
   /// Enqueues rung `rung` of the session's ladder as its own pool task —
   /// no worker is held across rungs (PR 7). Rung 0 rides the interactive
   /// lane; later rungs are refinement: low-priority lane plus the
-  /// overload shed check when priority_admission is on. Handles every
-  /// failure path (shed, shutdown race) by finishing the session.
+  /// overload shed check when priority_admission is on. Finishes the
+  /// session on a shed or a shutdown race (a refused rung 0 rejects it).
   void ScheduleSessionRung(const std::shared_ptr<FrontierSession>& session,
                            size_t rung);
 
@@ -356,11 +358,11 @@ class OptimizationService {
 
   /// Computes and publishes the paper's Section 5.1 quick-mode frontier
   /// (alpha = infinity: no guarantee, but valid plans) serially and fully
-  /// fenced. Serves both OpenSession's prelude — a selectable frontier
-  /// before the first rung, for a primary or a quick_first joiner — and
-  /// the last-resort degradation when a rung dies mid-flight (allocation
-  /// failure, injected fault) with nothing completed: "never return
-  /// null". Null only if quick mode fails.
+  /// fenced. Serves both the quick_first prelude — a selectable frontier
+  /// that rung 0's task publishes before the rung — and the last-resort
+  /// degradation when a rung dies mid-flight (allocation failure,
+  /// injected fault) with nothing completed: "never return null". Null
+  /// only if quick mode fails.
   std::shared_ptr<const OptimizerResult> RunQuickMode(
       const std::shared_ptr<FrontierSession>& session);
 

@@ -12,7 +12,9 @@
 #include "net/net_server.h"
 
 #include <chrono>
+#include <cmath>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/workload.h"
 #include "net/blocking_client.h"
 #include "rt/failpoint.h"
 #include "service/optimization_service.h"
@@ -215,6 +218,47 @@ TEST(NetServerTest, SelectOverWireMatchesInProcessSelect) {
   for (int i = 0; i < local.selection.cost.size(); ++i) {
     EXPECT_EQ(event.select_result.cost[i], local.selection.cost[i]);
   }
+  client.SendClose();
+}
+
+TEST(NetServerTest, OpenLeavesTheOptimizerToTheWorkers) {
+  // The event loop only registers an OPEN's session. With the one worker
+  // held by a heavy one-shot (a near-exact 12-table DP under a 200 ms
+  // deadline), a SELECT sent right after the OPEN is answered before any
+  // frontier exists, and the quick-mode frontier arrives from the pool.
+  SharedSubgraphOptions workload;
+  workload.num_queries = 1;
+  workload.tables_per_query = 12;
+  workload.num_objectives = 3;
+  const Catalog heavy_catalog = MakeSharedSubgraphCatalog(workload);
+  Harness harness(FreshRunOptions(1));
+  ASSERT_TRUE(harness.server->Start());
+  BlockingNetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()));
+
+  ServiceRequest heavy;
+  heavy.spec = BuildSharedSubgraphSpecs(&heavy_catalog, workload)[0];
+  heavy.spec.algorithm = AlgorithmKind::kRta;
+  heavy.spec.alpha = 1.0005;
+  heavy.spec.parallelism = 1;
+  heavy.preference.deadline_ms = 200;
+  std::future<ServiceResponse> heavy_future = harness.service->Submit(heavy);
+
+  ASSERT_TRUE(client.SendOpen(StarOpen("star3", 3)));
+  SelectMsg select;
+  select.tag = 9;
+  ASSERT_TRUE(client.SendSelect(select));
+  BlockingNetClient::Event event;
+  ASSERT_TRUE(client.NextEvent(&event, kEventTimeoutMs));
+  ASSERT_EQ(event.type, MsgType::kSelectResult);
+  EXPECT_EQ(event.select_result.step, -1);
+
+  ASSERT_TRUE(client.NextEvent(&event, kEventTimeoutMs));
+  ASSERT_EQ(event.type, MsgType::kFrontierUpdate);
+  EXPECT_TRUE(std::isinf(event.frontier.alpha));
+  ASSERT_TRUE(client.AwaitDone(&event, nullptr, kEventTimeoutMs));
+  EXPECT_EQ(event.done.target_reached, 1);
+  EXPECT_NE(heavy_future.get().status, ResponseStatus::kRejected);
   client.SendClose();
 }
 

@@ -905,7 +905,8 @@ TEST(PersistTest, PlanCacheRecordOverOtherObjectivesIsNotServed) {
   // other objectives than the key's spec: no open may answer from it or
   // seed its ladder with it. Submit at the record's alpha runs and returns
   // three cost columns; a session targeting a tighter alpha publishes only
-  // frontiers it computed, each with three cost columns.
+  // frontiers it computed, each with three cost columns; and the refused
+  // record leaves the cache, so a looser run's insert answers its repeat.
   const Catalog tpch = Catalog::TpcH(0.01);
   const auto q3_over = [&tpch](int num_objectives) {
     ServiceRequest request;
@@ -975,6 +976,16 @@ TEST(PersistTest, PlanCacheRecordOverOtherObjectivesIsNotServed) {
       ASSERT_FALSE(step.plan_set->empty());
       EXPECT_EQ(step.plan_set->cost(0).size(), 3) << "step " << step.step;
     }
+  }
+  {
+    OptimizationService restored(options);
+    ASSERT_EQ(restored.PersistStats().restored_plan_entries, 1u);
+    ServiceRequest loose = three;
+    loose.spec.alpha = 2.0;
+    EXPECT_EQ(restored.SubmitAndWait(loose).cache, CacheOutcome::kMiss);
+    const ServiceResponse repeat = restored.SubmitAndWait(loose);
+    EXPECT_EQ(repeat.cache, CacheOutcome::kExactHit);
+    EXPECT_DOUBLE_EQ(repeat.alpha, 2.0);
   }
 }
 

@@ -7,6 +7,7 @@
 #include "service/frontier_session.h"
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -67,9 +68,34 @@ uint64_t OptimizerRuns(const OptimizationService& service) {
   return runs;
 }
 
-TEST(FrontierSessionTest, FirstFrontierAvailableWhenOpenReturns) {
+/// Occupies a one-worker service's worker with a heavy one-shot, so the
+/// rungs of later opens wait in the queue (registered — registration
+/// happens at open) until it completes: what a test reads right after an
+/// open is then what the open itself did.
+std::future<ServiceResponse> PinOnlyWorker(OptimizationService& service,
+                                           const Catalog* catalog) {
+  ServiceRequest heavy;
+  heavy.spec.query = std::make_shared<Query>(MakeStarQuery(catalog, 3));
+  heavy.spec.objectives = FirstObjectives(9);
+  heavy.spec.algorithm = AlgorithmKind::kExa;
+  heavy.preference.deadline_ms = 10000;
+  return service.Submit(heavy);
+}
+
+/// Waits until the session has published a frontier or ended: an open
+/// runs no optimizer, so the first frontier comes from the worker pool.
+void AwaitFirstPublish(const FrontierSession& session) {
+  for (int i = 0; i < 30000 && session.StepsPublished() == 0 &&
+                  !session.Done();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(FrontierSessionTest, OpenRunsNoOptimizerAndQuickFrontierComesFirst) {
   Catalog catalog = MakeTinyCatalog();
-  OptimizationService service(SmallServiceOptions(2));
+  OptimizationService service(SmallServiceOptions(1));
+  std::future<ServiceResponse> heavy_future = PinOnlyWorker(service, &catalog);
 
   SessionOptions options;
   options.alpha_start = 3.0;
@@ -78,17 +104,23 @@ TEST(FrontierSessionTest, FirstFrontierAvailableWhenOpenReturns) {
       service.OpenFrontier(RtaStarSpec(&catalog, 3, 3, 1.25), options);
   ASSERT_NE(session, nullptr);
 
-  // quick_first guarantees a selectable frontier before OpenFrontier
-  // returned — the anytime property's step 0.
-  ASSERT_NE(session->BestFrontier(), nullptr);
+  // The open only registered the ladder: quick mode runs in the first
+  // rung's task, which waits behind the pinned worker.
+  EXPECT_EQ(session->StepsPublished(), 0);
   Preference preference;
   preference.weights = WeightVector::Uniform(3);
-  const SessionSelection selection = session->Select(preference);
-  ASSERT_NE(selection.selection.plan, nullptr);
-  EXPECT_GE(selection.step, 0);
+  EXPECT_EQ(session->Select(preference).selection.plan, nullptr);
+  EXPECT_NE(heavy_future.get().status, ResponseStatus::kRejected);
 
   EXPECT_TRUE(session->AwaitTarget());
   EXPECT_TRUE(session->Done());
+  // Step 0 is the quick-mode frontier, published before the first rung.
+  const RefinedFrontier first = session->History().front();
+  EXPECT_TRUE(std::isinf(first.alpha));
+  EXPECT_FALSE(first.from_cache);
+  const SessionSelection selection = session->Select(preference);
+  ASSERT_NE(selection.selection.plan, nullptr);
+  EXPECT_GE(selection.step, 0);
   EXPECT_DOUBLE_EQ(session->BestAlpha(), 1.25);
   session->Cancel();
 }
@@ -162,6 +194,7 @@ TEST(FrontierSessionTest, ConcurrentSelectDuringRefinementIsSafe) {
   options.max_steps = 4;
   auto session =
       service.OpenFrontier(RtaStarSpec(&catalog, 3, 4, 1.1), options);
+  AwaitFirstPublish(*session);
 
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
@@ -252,6 +285,7 @@ TEST(FrontierSessionTest, CancellationMidStepStopsRefinement) {
   options.quick_first = true;
   StopWatch watch;
   auto session = service.OpenFrontier(specs[0], options);
+  AwaitFirstPublish(*session);
   ASSERT_NE(session->BestFrontier(), nullptr);  // Quick frontier exists.
   session->Cancel();
   EXPECT_TRUE(session->Cancelled());
@@ -310,39 +344,37 @@ TEST(FrontierSessionTest, IdenticalSpecsCoalesceOntoOneLadder) {
   EXPECT_TRUE(second->Cancelled());
 }
 
-TEST(FrontierSessionTest, CoalescedQuickFirstOpenerHoldsAFrontier) {
-  // quick_first promises a frontier when OpenFrontier returns, also to an
-  // open that coalesces onto a session whose primary did not ask for one:
-  // the joiner publishes quick mode on the shared session, and the ladder
-  // still refines over it.
+TEST(FrontierSessionTest, QuickFirstIsPartOfTheSessionKey) {
+  // A quick_first session publishes a quick-mode frontier as step 0 and a
+  // plain one does not: opens of one ladder that differ in quick_first
+  // are two sessions, and each coalesces only with its own kind.
   Catalog catalog = MakeTinyCatalog();
   OptimizationService service(SmallServiceOptions(1));
-
-  // Pin the single worker behind a heavy one-shot, as
-  // IdenticalSpecsCoalesceOntoOneLadder does, so the shared ladder is
-  // still queued when the second open joins it.
-  ServiceRequest heavy;
-  heavy.spec.query = std::make_shared<Query>(MakeStarQuery(&catalog, 3));
-  heavy.spec.objectives = FirstObjectives(9);
-  heavy.spec.algorithm = AlgorithmKind::kExa;
-  heavy.preference.deadline_ms = 10000;
-  std::future<ServiceResponse> heavy_future = service.Submit(heavy);
+  std::future<ServiceResponse> heavy_future = PinOnlyWorker(service, &catalog);
 
   SessionOptions options;
   options.alpha_start = 2.5;
   options.max_steps = 2;
   options.quick_first = false;
   const ProblemSpec spec = RtaStarSpec(&catalog, 3, 3, 1.2);
-  auto first = service.OpenFrontier(spec, options);
+  auto plain = service.OpenFrontier(spec, options);
   options.quick_first = true;
-  auto second = service.OpenFrontier(spec, options);
-  ASSERT_EQ(first.get(), second.get());
-  EXPECT_NE(second->BestFrontier(), nullptr);
+  auto quick = service.OpenFrontier(spec, options);
+  auto quick_joiner = service.OpenFrontier(spec, options);
+  EXPECT_NE(plain.get(), quick.get());
+  EXPECT_EQ(quick.get(), quick_joiner.get());
+  EXPECT_EQ(service.Stats().sessions_coalesced, 1u);
   EXPECT_NE(heavy_future.get().status, ResponseStatus::kRejected);
 
-  EXPECT_TRUE(second->AwaitTarget());
-  EXPECT_DOUBLE_EQ(second->BestAlpha(), 1.2);
-  EXPECT_EQ(service.Stats().sessions_coalesced, 1u);
+  EXPECT_TRUE(quick->AwaitTarget());
+  EXPECT_TRUE(plain->AwaitTarget());
+  EXPECT_TRUE(std::isinf(quick->History().front().alpha));
+  EXPECT_FALSE(std::isinf(plain->History().front().alpha));
+  EXPECT_DOUBLE_EQ(quick->BestAlpha(), 1.2);
+  EXPECT_DOUBLE_EQ(plain->BestAlpha(), 1.2);
+  plain->Cancel();
+  quick->Cancel();
+  quick_joiner->Cancel();
 }
 
 TEST(FrontierSessionTest, SessionBornDoneFromTighterCachedEntry) {
@@ -583,15 +615,17 @@ TEST(FrontierSessionTest, OverloadShedsRefinementNotFirstFrontiers) {
     sessions.push_back(
         service.OpenFrontier(RtaStarSpec(&catalog, 3, 3, 1.05), options));
     ASSERT_NE(sessions.back(), nullptr);
-    // First frontier is never shed: it was published before open returned.
-    EXPECT_NE(sessions.back()->BestFrontier(), nullptr);
   }
   int sheds = 0;
   for (const auto& session : sessions) {
     session->AwaitTarget();
     EXPECT_TRUE(session->Done());
     EXPECT_FALSE(session->Rejected());
+    // First frontier is never shed: rung 0 publishes it before any
+    // refinement rung can be.
     EXPECT_NE(session->BestFrontier(), nullptr);
+    ASSERT_GE(session->StepsPublished(), 1);
+    EXPECT_TRUE(std::isinf(session->History().front().alpha));
     if (session->Shed()) {
       ++sheds;
       // Shed ends the ladder early, keeping published guarantees only.

@@ -102,7 +102,7 @@ TEST(ObservabilityTest, SessionTraceContainsTheWholeSpanChain) {
             std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"optimize\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"pool.task\""), std::string::npos);
-  // quick_first defaults on, so the synchronous prelude span exists too.
+  // quick_first defaults on, so rung 0's task records the prelude span too.
   EXPECT_NE(trace.find("\"name\":\"quick.prelude\""), std::string::npos);
   // Chrome trace-event envelope.
   EXPECT_EQ(trace.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0),
@@ -171,12 +171,11 @@ TEST(ObservabilityTest, FirstFrontierHistogramCountsSessions) {
   auto session =
       service.OpenFrontier(RtaStarSpec(&catalog, 2, 3, 1.25), session_options);
   ASSERT_NE(session, nullptr);
-  // quick_first publishes before OpenFrontier returns, so the histogram
-  // has its sample already.
+  session->AwaitTarget();
+  // One sample per session, taken at its first publish.
   const ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.first_frontier_latency.count, 1u);
   EXPECT_GT(stats.first_frontier_latency.max_ms, 0);
-  session->AwaitTarget();
   session->Cancel();
 }
 
