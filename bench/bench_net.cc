@@ -137,11 +137,17 @@ OpenFrontierMsg RefinementOpen(const std::string& query_id) {
   return open;
 }
 
+/// Waits until `want` connections are active, nothing is in flight and at
+/// least `accepted` connections were accepted. The last condition matters
+/// after clients that sent OPEN and closed: none of them is active before
+/// the loop has accepted it.
 bool AwaitActiveConnections(const NetBenchRig& rig, uint64_t want,
-                            int timeout_ms) {
+                            int timeout_ms, uint64_t accepted = 0) {
   StopWatch watch;
   while (watch.ElapsedMillis() < timeout_ms) {
-    if (rig.server->Stats().connections_active == want &&
+    const net::NetStatsSnapshot stats = rig.server->Stats();
+    if (stats.connections_active == want &&
+        stats.connections_accepted >= accepted &&
         rig.service->InFlight() == 0) {
       return true;
     }
@@ -198,10 +204,11 @@ int RunChurn(bench::Json* doc, const SharedSubgraphOptions& workload) {
   }
   for (std::thread& thread : clients) thread.join();
   const double wall_ms = watch.ElapsedMillis();
-  const bool drained = AwaitActiveConnections(rig, 0, 10000);
+  const int total = threads * conns;
+  const bool drained =
+      AwaitActiveConnections(rig, 0, 10000, static_cast<uint64_t>(total));
   const net::NetStatsSnapshot stats = rig.server->Stats();
 
-  const int total = threads * conns;
   const double opens_per_s = wall_ms > 0 ? total / (wall_ms / 1000.0) : 0;
   std::printf("-- churn (%d threads x %d conns) --\n", threads, conns);
   std::printf("%d opens in %.1f ms (%.0f opens/s), protocol_errors=%llu, "
@@ -370,10 +377,11 @@ int RunCancelStorm(bench::Json* doc, const SharedSubgraphOptions& workload) {
   }
   for (std::thread& thread : clients) thread.join();
   const double wall_ms = watch.ElapsedMillis();
-  const bool drained = AwaitActiveConnections(rig, 0, 10000);
+  const int total = threads * conns;
+  const bool drained =
+      AwaitActiveConnections(rig, 0, 10000, static_cast<uint64_t>(total));
   const net::NetStatsSnapshot stats = rig.server->Stats();
 
-  const int total = threads * conns;
   std::printf("\n-- cancel storm (%d cancels) --\n", total);
   std::printf("%d/%d DONEs in %.1f ms, protocol_errors=%llu, drained=%d\n",
               dones.load(), total, wall_ms,

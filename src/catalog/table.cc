@@ -13,7 +13,8 @@ const ColumnStats* Table::FindColumn(const std::string& column_name) const {
 
 bool Table::HasIndexOn(const std::string& column_name) const {
   return std::find(indexed_columns_.begin(), indexed_columns_.end(),
-                   column_name) != indexed_columns_.end();
+                   column_name) != indexed_columns_.end() &&
+         FindColumn(column_name) != nullptr;
 }
 
 }  // namespace moqo

@@ -40,7 +40,11 @@ class Table {
 
   /// Whether a B-tree index exists that can drive an IndexScan /
   /// Index-Nested-Loop join on `column_name`. TPC-H primary and foreign
-  /// keys are indexed in our synthetic physical design.
+  /// keys are indexed in our synthetic physical design. An index counts
+  /// only on a column with statistics: the canonical encoding records
+  /// index availability in each column's statistics record
+  /// (query/canonical.h), so cache keys see every index the plan space
+  /// uses.
   bool HasIndexOn(const std::string& column_name) const;
   void AddIndex(const std::string& column_name) {
     indexed_columns_.push_back(column_name);

@@ -7,14 +7,15 @@
 // Pareto set the DP builds for one table set — so that equal keys imply
 // byte-identical frontiers, across requests and across queries:
 //
-//   * Per member table, in ascending query-local order: the table's full
-//     canonical content (statistics, histograms, indexes — from
-//     query/canonical), its filter predicates, and the set of join columns
-//     incident to it ANYWHERE in the query. The last part is easy to get
-//     wrong: IndexScan applicability consults every join predicate touching
-//     a table, including joins to tables outside the set, so two
-//     occurrences of the same table joined on different columns have
-//     different singleton frontiers.
+//   * Per member table, in ascending query-local order, its fragment of
+//     the query's canonical form (query/canonical.h): the table's full
+//     canonical content (statistics, histograms, indexes), its filter
+//     predicates, and the set of join columns incident to it ANYWHERE in
+//     the query. The last part is easy to get wrong: IndexScan
+//     applicability consults every join predicate touching a table,
+//     including joins to tables outside the set, so two occurrences of the
+//     same table joined on different columns have different singleton
+//     frontiers.
 //   * The join-predicate subgraph induced by the set, with member tables
 //     renumbered to dense ranks 0..k-1 (rank = position in ascending
 //     local-index order) and edges normalized and sorted, exactly like the
@@ -51,8 +52,8 @@
 #define MOQO_MEMO_SUBPLAN_KEY_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "cost/objective.h"
 #include "plan/operators.h"
@@ -66,10 +67,12 @@ namespace moqo {
 /// equality, so hash collisions never alias two sub-problems).
 using SubplanSignature = CanonicalKey;
 
-/// Per-run context for building table-set signatures: the per-table and
-/// per-edge canonical fragments are encoded once per DP run, so each
-/// SignatureFor() is a concatenation plus one hash, not a re-encoding of
-/// catalog statistics. Bound to the query; must not outlive it.
+/// Per-run context for building table-set signatures. The per-table
+/// fragments and the normalized edges come from the query's cached
+/// canonical form (Query::CanonicalForm), built once per query; the
+/// context encodes only the run's suffix. So each SignatureFor() is a
+/// concatenation plus one hash, and no run re-encodes catalog statistics.
+/// The context shares ownership of the form, so it may outlive the query.
 class SubplanKeyContext {
  public:
   SubplanKeyContext(const Query& query, const ObjectiveSet& objectives,
@@ -81,21 +84,10 @@ class SubplanKeyContext {
   SubplanSignature SignatureFor(TableSet tables) const;
 
  private:
-  /// One canonical, pre-normalized join edge (smaller endpoint first).
-  struct Edge {
-    int left_table;
-    int right_table;
-    const std::string* left_column;
-    const std::string* right_column;
-  };
-
-  /// Canonical fragment of local table t: content + filters + incident
-  /// join columns.
-  std::vector<std::string> table_fragments_;
-  /// Normalized edges sorted by (left, left_col, right, right_col); the
-  /// induced subgraph of any set is a sorted subsequence, and dense-rank
+  /// The query's per-table fragments and its sorted edges: the induced
+  /// subgraph of any set is a sorted subsequence, and dense-rank
   /// renumbering is order-preserving, so per-set edges need no re-sort.
-  std::vector<Edge> edges_;
+  std::shared_ptr<const CanonicalQueryForm> form_;
   /// Objectives (ascending), alpha_i, plan-space/operator-space switches.
   std::string suffix_;
 };

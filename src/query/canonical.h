@@ -6,14 +6,17 @@
 // edges and filters — regardless of construction order of joins/filters or
 // the query's display name — produce byte-identical encodings. The service
 // layer keys its plan cache on this encoding (plus problem parameters), so
-// structurally identical requests share cached Pareto sets.
+// structurally identical requests share cached Pareto sets. The subplan
+// memo cuts its table-set keys from the same form (memo/subplan_key.h):
+// one builder normalizes a query for both caches, once per query.
 
 #ifndef MOQO_QUERY_CANONICAL_H_
 #define MOQO_QUERY_CANONICAL_H_
 
-#include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "plan/operators.h"
 #include "query/query.h"
 
 namespace moqo {
@@ -22,29 +25,27 @@ namespace moqo {
 /// and doubles go in through util/byte_codec.h (PutU64, PutDouble), and
 /// every canonical cache key (service/signature, memo/subplan_key) hashes
 /// with Fnv1a seeded by kFnv1aOffsetBasis.
-void AppendCanonicalString(std::string* out, const std::string& s);
+void AppendCanonicalString(std::string* out, std::string_view s);
 
-/// Appends the canonical *content* encoding of one catalog table:
-/// everything the cost model reads (name, cardinality, widths, per-column
-/// statistics and histograms, index availability). Identity is by content,
-/// so the same table id over a differently scaled or differently
-/// distributed catalog encodes differently. Shared by the whole-query
-/// encoding below and the table-set-level subplan memo keys.
-void AppendCanonicalTable(std::string* out, const Table& table);
+/// Appends the operator space's sampling rates and DOPs, in order: the
+/// lists both cache keys encode after their flag words, which differ.
+void AppendCanonicalOperatorLists(std::string* out,
+                                  const OperatorRegistry::Options& operators);
 
-/// Appends the canonical encoding of `query`'s structure to `out`:
-/// referenced tables in query-local order — including everything the cost
-/// model reads from the catalog (cardinality, widths, per-column
-/// statistics and histograms, index availability), so the same table ids
-/// over differently scaled or differently distributed catalogs encode
-/// differently — then join edges with endpoints ordered and the edge list
-/// sorted, then filters sorted. The query name is deliberately excluded.
-/// Encodes from scratch; Query::CanonicalForm() caches the result per
-/// query.
-void AppendCanonicalQuery(std::string* out, const Query& query);
+/// Builds `query`'s canonical form from scratch, in one pass that orients
+/// and sorts the edges once, sorts the filters once and encodes each table
+/// once. `bytes` holds the referenced tables in query-local order — catalog
+/// id, then everything the cost model reads from the catalog (name,
+/// cardinality, widths, per-column statistics and histograms, index
+/// availability), so the same table ids over differently scaled or
+/// differently distributed catalogs encode differently — then the sorted
+/// edges, then the sorted filters. The query name is deliberately
+/// excluded. A table's content bytes also start its `tables` fragment.
+/// Query::CanonicalForm() caches the result per query.
+CanonicalQueryForm BuildCanonicalQueryForm(const Query& query);
 
-/// Convenience wrapper returning a from-scratch encoding of just the
-/// query structure.
+/// The whole-query bytes of a from-scratch build: the reference the
+/// cached form is checked against.
 std::string CanonicalQueryEncoding(const Query& query);
 
 }  // namespace moqo

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "query/canonical.h"
-#include "util/byte_codec.h"
 
 namespace moqo {
 
@@ -114,11 +113,8 @@ std::string Query::ToString() const {
 std::shared_ptr<const CanonicalQueryForm> Query::CanonicalForm() const {
   MutexLock lock(canonical_.mu);
   if (canonical_.form == nullptr) {
-    auto form = std::make_shared<CanonicalQueryForm>();
-    AppendCanonicalQuery(&form->bytes, *this);
-    form->hash =
-        Fnv1a(form->bytes.data(), form->bytes.size(), kFnv1aOffsetBasis);
-    canonical_.form = std::move(form);
+    canonical_.form = std::make_shared<const CanonicalQueryForm>(
+        BuildCanonicalQueryForm(*this));
   }
   return canonical_.form;
 }

@@ -20,12 +20,34 @@
 
 namespace moqo {
 
-/// A query's canonical encoding (query/canonical.h) together with the
-/// FNV-1a state after hashing it from kFnv1aOffsetBasis, so a key that
-/// extends the encoding hashes only its own suffix (service/signature.h).
+/// A query's canonical form (query/canonical.h): what both cache keys are
+/// cut from. The plan-cache key extends `bytes` (service/signature.h); a
+/// memo key concatenates its members' `tables` fragments and its induced
+/// `edges` (memo/subplan_key.h). The form owns every byte it holds, so it
+/// may outlive an edit of its query, or the query itself.
 struct CanonicalQueryForm {
+  /// One query-local table's memo fragment: its content, which `bytes`
+  /// holds at [content_begin, content_begin + content_size), then `rest`:
+  /// its filters (sorted, table index elided) and its sorted incident join
+  /// columns. A form lives as long as its query, so the content is not
+  /// stored twice.
+  struct TableFragment {
+    size_t size() const { return content_size + rest.size(); }
+
+    size_t content_begin = 0;
+    size_t content_size = 0;
+    std::string rest;
+  };
+
+  /// The whole-query encoding.
   std::string bytes;
+  /// FNV-1a state after hashing `bytes` from kFnv1aOffsetBasis, so a key
+  /// that extends the encoding hashes only its own suffix.
   uint64_t hash = 0;
+  std::vector<TableFragment> tables;
+  /// Join edges, each with its smaller (table, column) endpoint first,
+  /// sorted by (left, left column, right, right column).
+  std::vector<JoinPredicate> edges;
 };
 
 /// A join query over tables of a Catalog.
@@ -34,10 +56,10 @@ struct CanonicalQueryForm {
 /// occurrences of the same base table, as in TPC-H Q21's self-joins of
 /// lineitem, get distinct local indexes).
 ///
-/// The canonical form is cached: encoded on the first CanonicalForm()
-/// call and reused until an edit (AddTable/AddJoin/AddFilter or
-/// assignment) drops it. Concurrent const use, including CanonicalForm(),
-/// is safe. Copies and moves start without a cached form.
+/// The canonical form is cached: built on the first CanonicalForm() call
+/// and reused until an edit (AddTable/AddJoin/AddFilter or assignment)
+/// drops it. Concurrent const use, including CanonicalForm(), is safe.
+/// Copies and moves start without a cached form.
 class Query {
  public:
   Query(const Catalog* catalog, std::string name)
@@ -94,9 +116,9 @@ class Query {
 
   std::string ToString() const;
 
-  /// The canonical form of this query, encoded on first use and rebuilt
-  /// only after an edit. Byte-identical to a from-scratch
-  /// AppendCanonicalQuery.
+  /// The canonical form of this query, built on first use and rebuilt
+  /// only after an edit. Equal to a from-scratch BuildCanonicalQueryForm;
+  /// every plan-cache key and every DP run's memo keys read it.
   std::shared_ptr<const CanonicalQueryForm> CanonicalForm() const;
 
  private:

@@ -5,6 +5,7 @@
 #include <bit>
 #include <limits>
 
+#include "query/canonical.h"
 #include "util/byte_codec.h"
 
 namespace moqo {
@@ -63,14 +64,7 @@ ProblemSignature ComputeSignature(const Query& query,
   // The IRA iteration cap is a constant, keyed anyway so that existing
   // keys and snapshots stay valid.
   PutU64(&key, static_cast<uint64_t>(kIraMaxIterations));
-  PutU64(&key, options.operators.sampling_rates.size());
-  for (double rate : options.operators.sampling_rates) {
-    PutDouble(&key, rate);
-  }
-  PutU64(&key, options.operators.dops.size());
-  for (int dop : options.operators.dops) {
-    PutU64(&key, static_cast<uint64_t>(dop));
-  }
+  AppendCanonicalOperatorLists(&key, options.operators);
 
   // Preference-dependent algorithms only: their frontier is tailored to
   // the given precision and weights/bounds, so equal keys must mean equal

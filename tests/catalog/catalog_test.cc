@@ -49,6 +49,10 @@ TEST(TableTest, ColumnLookupAndIndexes) {
   EXPECT_EQ(t.FindColumn("missing"), nullptr);
   EXPECT_TRUE(t.HasIndexOn("key"));
   EXPECT_FALSE(t.HasIndexOn("missing"));
+  // An index on a column without statistics is not used: cache keys
+  // record indexes only in column-statistics records.
+  t.AddIndex("no_stats");
+  EXPECT_FALSE(t.HasIndexOn("no_stats"));
 }
 
 TEST(TpcHCatalogTest, EightTablesWithSpecCardinalities) {
