@@ -5,6 +5,7 @@
 #include <cassert>
 #include <limits>
 
+#include "core/optimizer.h"
 #include "memo/subplan_memo.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -63,7 +64,6 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
 
   const TableSet all = query.AllTables();
   const int n = query.num_tables();
-  stats_.total_sets = (1 << n) - 1;
 
   // With a connected join graph, the Cartesian-product heuristic implies
   // that table sets inducing a disconnected subgraph are never needed: any
@@ -105,7 +105,6 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
     std::vector<TableSet> level;
     for (TableSet tables : SubsetsOfSize(all, k)) {
       if (skip_disconnected && !query.InducedSubgraphConnected(tables)) {
-        --stats_.total_sets;
         continue;
       }
       level.push_back(tables);
@@ -426,10 +425,10 @@ size_t DPPlanGenerator::MemoryBytes() const {
 
 WeightVector DPPlanGenerator::EffectiveWeights(
     const DPOptions& options) const {
-  if (options.quick_mode_weights.size() == model_->objectives().size()) {
-    return options.quick_mode_weights;
-  }
-  return WeightVector::Uniform(model_->objectives().size());
+  WeightVector weights = options.quick_mode_weights;
+  BoundVector no_bounds;
+  ResolvePreference(model_->objectives().size(), &weights, &no_bounds);
+  return weights;
 }
 
 void DPPlanGenerator::ProcessSingletons(const Query& query,

@@ -108,7 +108,8 @@ struct DPOptions {
   /// Wall-clock budget; infinite by default.
   Deadline deadline;
   /// Weights used to pick the representative plan in timeout quick-mode /
-  /// single-plan mode. Defaults to uniform when empty.
+  /// single-plan mode, read through ResolvePreference (core/optimizer.h):
+  /// uniform when empty or mis-sized.
   WeightVector quick_mode_weights;
   /// Intra-query parallelism: cooperating threads per DP level (the caller
   /// counts as one). 1 = serial; > 1 requires `pool`. The result is
@@ -142,7 +143,6 @@ struct DPStats {
   TableSet last_complete_set;
   /// Table sets fully processed before the deadline.
   int complete_sets = 0;
-  int total_sets = 0;
   /// Cross-query subplan memo traffic of this run (0 when no memo is
   /// attached): sets sealed from a memo entry, sets probed without a
   /// usable entry, and sets published after their level's barrier.

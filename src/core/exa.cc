@@ -3,21 +3,8 @@
 namespace moqo {
 
 OptimizerResult ExactMOQO::Optimize(const MOQOProblem& problem) {
-  StopWatch watch;
-  arena_.Reset();
-  CostModel model(problem.query, &registry_, problem.objectives);
-  DPPlanGenerator generator(&model, &registry_, &arena_);
-
-  DPOptions dp = MakeDPOptions(problem, /*internal_alpha=*/1.0,
-                               MakeDeadline());
-  const ParetoSet& pareto = generator.Run(*problem.query, dp);
-
-  // SelectBest over the full frontier; mis-sized bounds mean "unbounded".
-  const BoundVector select_bounds =
-      problem.bounds.size() == problem.objectives.size() ? problem.bounds
-                                                         : BoundVector();
-  return FinishResult(problem, generator, pareto, select_bounds,
-                      watch.ElapsedMillis());
+  // Algorithm 1: the exact DP, then SelectBest over the full frontier.
+  return RunOnce(problem, /*internal_alpha=*/1.0);
 }
 
 }  // namespace moqo

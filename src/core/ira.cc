@@ -46,8 +46,9 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
   StopWatch watch;
   const int l = problem.objectives.size();
   const int n = problem.query->num_tables();
-  const BoundVector bounds =
-      problem.bounds.size() == l ? problem.bounds : BoundVector::Unbounded(l);
+  WeightVector weights = problem.weights;
+  BoundVector bounds = problem.bounds;
+  ResolvePreference(l, &weights, &bounds);
   const Deadline deadline = MakeDeadline();
 
   CostModel model(problem.query, &registry_, problem.objectives);
@@ -68,12 +69,12 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
     DPOptions dp =
         MakeDPOptions(problem, RTAInternalPrecision(alpha, n), deadline);
     const ParetoSet& pareto = generator.Run(*problem.query, dp);
-    const PlanNode* popt = pareto.SelectBest(problem.weights, bounds);
+    const PlanNode* popt = pareto.SelectBest(weights, bounds);
 
     // Converged: the alpha_U guarantee of Theorem 6 holds (the exact
     // alpha <= 1 iteration trivially satisfies it).
     const bool converged =
-        StoppingConditionMet(pareto, problem.weights, bounds, popt, alpha,
+        StoppingConditionMet(pareto, weights, bounds, popt, alpha,
                              options_.alpha) ||
         alpha <= 1.0;
     const bool out_of_time =
@@ -82,9 +83,9 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
     // No kIraMaxIterations disjunct needed: at that iteration alpha is
     // forced to 1.0 above, which makes `converged` true.
     if (converged || out_of_time) {
-      // FinishResult's SelectPlan re-derives popt over the PlanSet copy:
-      // same weights, bounds, and iteration order, hence the same plan.
-      result = FinishResult(problem, generator, pareto, bounds,
+      // FinishResult's SelectPlan runs SelectBest's scan over the PlanSet
+      // copy under the same resolved preference, so it returns popt.
+      result = FinishResult(problem, generator, pareto,
                             watch.ElapsedMillis());
       result.metrics.iterations = iteration;
       // A deadline exit between iterations truncates refinement without

@@ -16,23 +16,37 @@ void OptimizerResult::Select(const WeightVector& weights,
   plan = selection.plan;
   cost = selection.cost;
   weighted_cost = selection.weighted_cost;
-  respects_bounds = bounds.size() == 0 || bounds.Respects(cost);
+  respects_bounds = bounds.Respects(cost);
+}
+
+void ResolvePreference(int dims, WeightVector* weights, BoundVector* bounds) {
+  if (weights->size() != dims) *weights = WeightVector::Uniform(dims);
+  if (bounds->size() != dims) *bounds = BoundVector();
+}
+
+OptimizerResult OptimizerBase::RunOnce(const MOQOProblem& problem,
+                                       double internal_alpha,
+                                       bool single_plan) {
+  StopWatch watch;
+  arena_.Reset();
+  CostModel model(problem.query, &registry_, problem.objectives);
+  DPPlanGenerator generator(&model, &registry_, &arena_);
+  DPOptions dp = MakeDPOptions(problem, internal_alpha, MakeDeadline());
+  dp.single_plan_mode = single_plan;
+  const ParetoSet& pareto = generator.Run(*problem.query, dp);
+  return FinishResult(problem, generator, pareto, watch.ElapsedMillis());
 }
 
 OptimizerResult OptimizerBase::FinishResult(const MOQOProblem& problem,
                                             const DPPlanGenerator& generator,
                                             const ParetoSet& final_set,
-                                            const BoundVector& select_bounds,
                                             double elapsed_ms) const {
+  WeightVector weights = problem.weights;
+  BoundVector bounds = problem.bounds;
+  ResolvePreference(problem.objectives.size(), &weights, &bounds);
   OptimizerResult result;
   result.plan_set = PlanSet::FromParetoSet(final_set);
-  result.Select(problem.weights, select_bounds);
-  // Feasibility is judged against the problem's bounds, whatever bounds
-  // the selection ran under.
-  if (result.plan != nullptr) {
-    result.respects_bounds = problem.bounds.size() == 0 ||
-                             problem.bounds.Respects(result.cost);
-  }
+  result.Select(weights, bounds);
   result.metrics.optimization_ms = elapsed_ms;
   result.metrics.memory_bytes =
       generator.MemoryBytes() + result.plan_set->MemoryBytes();

@@ -25,7 +25,9 @@ namespace moqo {
 
 /// A bounded-weighted MOQO problem instance I = <Q, W, B> (Definition 2).
 /// Leave `bounds` default-constructed (size 0) or all-infinite for the
-/// weighted MOQO problem I = <Q, W> (Definition 1).
+/// weighted MOQO problem I = <Q, W> (Definition 1). The preference rule
+/// (ResolvePreference): weights that are empty or mis-sized (not one per
+/// objective) read as uniform, and mis-sized bounds read as no bounds.
 struct MOQOProblem {
   const Query* query = nullptr;
   ObjectiveSet objectives;
@@ -37,6 +39,11 @@ struct MOQOProblem {
     return bounds.size() == 0 || bounds.AllUnbounded();
   }
 };
+
+/// Applies the preference rule over `dims` objectives, for every optimizer,
+/// the DP's quick mode and the service. No bounds stay an empty vector, not
+/// Unbounded(dims): plan-cache payloads store the resolved bounds' size.
+void ResolvePreference(int dims, WeightVector* weights, BoundVector* bounds);
 
 /// IRA: hard cap on refinement iterations (safety net; Theorem 8
 /// guarantees termination well before this in practice).
@@ -167,15 +174,20 @@ class OptimizerBase {
     return dp;
   }
 
+  /// One run of FindParetoPlans, the DP of Algorithm 1 pruning at
+  /// `internal_alpha` (1 = exact; each table set cut to its weighted-best
+  /// plan when `single_plan`), then FinishResult. EXA and Selinger pass 1,
+  /// the RTA its Algorithm-2 precision (RTAInternalPrecision).
+  OptimizerResult RunOnce(const MOQOProblem& problem, double internal_alpha,
+                          bool single_plan = false);
+
   /// Packages the generator state into a result: snapshots `final_set`
-  /// into a shared PlanSet and scalarizes it with the problem's weights
-  /// under `select_bounds` (pass an empty BoundVector for pure weighted
-  /// selection; `respects_bounds` is always judged against
-  /// `problem.bounds`).
+  /// into a shared PlanSet, resolves the problem's preference
+  /// (ResolvePreference), selects with it, and judges `respects_bounds`
+  /// against the same resolved bounds.
   OptimizerResult FinishResult(const MOQOProblem& problem,
                                const DPPlanGenerator& generator,
                                const ParetoSet& final_set,
-                               const BoundVector& select_bounds,
                                double elapsed_ms) const;
 
   OptimizerOptions options_;

@@ -282,41 +282,20 @@ std::vector<const PlanNode*> ParetoSet::plans() const {
 
 const PlanNode* ParetoSet::SelectBest(const WeightVector& weights,
                                       const BoundVector& bounds) const {
-  const PlanNode* best_bounded = nullptr;
-  double best_bounded_cost = kInf;
-  const PlanNode* best_any = nullptr;
-  double best_any_cost = kInf;
-  const double* costs = costs_.data();
-  const int bound_dims = std::min(dims_, bounds.size());
-  for (int i = 0; i < rows(); ++i) {
-    if (plans_[i] == nullptr) continue;
-    const double* row = costs + static_cast<size_t>(i) * dims_;
-    double weighted = 0;
-    for (int d = 0; d < dims_; ++d) weighted += weights[d] * row[d];
-    if (weighted < best_any_cost) {
-      best_any_cost = weighted;
-      best_any = plans_[i];
-    }
-    if (weighted < best_bounded_cost) {
-      bool respects = true;
-      for (int d = 0; d < bound_dims; ++d) {
-        if (row[d] > bounds[d]) {
-          respects = false;
-          break;
-        }
-      }
-      if (respects) {
-        best_bounded_cost = weighted;
-        best_bounded = plans_[i];
-      }
-    }
-  }
-  return best_bounded != nullptr ? best_bounded : best_any;
+  double weighted_cost = 0;
+  const int best = SelectBestRow(
+      rows(), dims_, weights, bounds,
+      [this](int i) -> const double* {
+        if (plans_[i] == nullptr) return nullptr;
+        return costs_.data() + static_cast<size_t>(i) * dims_;
+      },
+      &weighted_cost);
+  return best < 0 ? nullptr : plans_[best];
 }
 
 const PlanNode* ParetoSet::SelectBestWeighted(
     const WeightVector& weights) const {
-  return SelectBest(weights, BoundVector::Unbounded(weights.size()));
+  return SelectBest(weights, BoundVector());
 }
 
 std::vector<CostVector> ParetoSet::Frontier() const {

@@ -68,7 +68,9 @@
 #ifndef MOQO_CORE_PARETO_SET_H_
 #define MOQO_CORE_PARETO_SET_H_
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <vector>
 
 #include "cost/cost_vector.h"
@@ -195,9 +197,10 @@ class ParetoSet {
            sizeof(*this);
   }
 
-  /// SelectBest of Algorithm 1: the plan minimizing weighted cost among
-  /// plans respecting `bounds`; if none respects them, the plan minimizing
-  /// weighted cost overall. Returns nullptr iff the set is empty.
+  /// SelectBest of Algorithm 1 over the live plans (SelectBestRow): the
+  /// plan minimizing weighted cost among plans respecting `bounds`; if none
+  /// respects them, the plan minimizing weighted cost overall. Returns
+  /// nullptr iff the set is empty.
   const PlanNode* SelectBest(const WeightVector& weights,
                              const BoundVector& bounds) const;
 
@@ -257,6 +260,48 @@ class ParetoSet {
   std::vector<double> block_min_;
   std::vector<double> block_max_;
 };
+
+/// SelectBest of Algorithm 1 as one scan, run by both ParetoSet::SelectBest
+/// and SelectPlan: over `rows` rows of `dims` costs, where `row_at(i)` is
+/// row i or null to skip it, the index of the first row minimizing weighted
+/// cost among rows respecting `bounds`, else (none does, or no bound is
+/// finite) among all rows; -1 iff no weighted cost is below +inf. Stores the
+/// picked row's weighted cost in `*weighted_cost`.
+template <class RowAt>
+inline int SelectBestRow(int rows, int dims, const WeightVector& weights,
+                         const BoundVector& bounds, RowAt row_at,
+                         double* weighted_cost) {
+  const int bound_dims =
+      bounds.AllUnbounded() ? 0 : std::min(dims, bounds.size());
+  int best_bounded = -1;
+  double best_bounded_cost = std::numeric_limits<double>::infinity();
+  int best_any = -1;
+  double best_any_cost = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < rows; ++i) {
+    const double* row = row_at(i);
+    if (row == nullptr) continue;
+    double weighted = 0;
+    for (int d = 0; d < dims; ++d) weighted += weights[d] * row[d];
+    if (weighted < best_any_cost) {
+      best_any_cost = weighted;
+      best_any = i;
+    }
+    if (weighted < best_bounded_cost) {
+      int d = 0;  // As BoundVector::Respects: only c > B exceeds B.
+      while (d < bound_dims && !(row[d] > bounds[d])) ++d;
+      if (d == bound_dims) {
+        best_bounded_cost = weighted;
+        best_bounded = i;
+      }
+    }
+  }
+  if (best_bounded >= 0) {
+    *weighted_cost = best_bounded_cost;
+    return best_bounded;
+  }
+  if (best_any >= 0) *weighted_cost = best_any_cost;
+  return best_any;
+}
 
 }  // namespace moqo
 

@@ -2,7 +2,6 @@
 
 #include "core/plan_set.h"
 
-#include <limits>
 #include <unordered_map>
 
 #include "rt/failpoint.h"
@@ -40,25 +39,13 @@ std::shared_ptr<const PlanSet> PlanSet::Empty() {
 
 PlanSelection SelectPlan(const PlanSet& set, const WeightVector& weights,
                          const BoundVector& bounds) {
-  PlanSelection best_bounded;
-  double best_bounded_cost = std::numeric_limits<double>::infinity();
-  PlanSelection best_any;
-  double best_any_cost = std::numeric_limits<double>::infinity();
-  const bool use_bounds = bounds.size() > 0 && !bounds.AllUnbounded();
-  for (int i = 0; i < set.size(); ++i) {
-    const CostVector& cost = set.cost(i);
-    const double weighted = weights.WeightedCost(cost);
-    if (weighted < best_any_cost) {
-      best_any_cost = weighted;
-      best_any = PlanSelection{set.plan(i), i, cost, weighted};
-    }
-    if (use_bounds && weighted < best_bounded_cost && bounds.Respects(cost)) {
-      best_bounded_cost = weighted;
-      best_bounded = PlanSelection{set.plan(i), i, cost, weighted};
-    }
-  }
-  if (use_bounds && best_bounded.plan != nullptr) return best_bounded;
-  return best_any;
+  const int dims = set.empty() ? 0 : set.cost(0).size();
+  double weighted_cost = 0;
+  const int best = SelectBestRow(
+      set.size(), dims, weights, bounds,
+      [&set](int i) { return set.cost(i).data(); }, &weighted_cost);
+  if (best < 0) return PlanSelection();
+  return {set.plan(best), best, set.cost(best), weighted_cost};
 }
 
 }  // namespace moqo

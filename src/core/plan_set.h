@@ -93,11 +93,12 @@ struct PlanSelection {
   double weighted_cost = 0;
 };
 
-/// SelectBest of Algorithm 1, applied at request time over a finished
-/// frontier: the plan minimizing weighted cost among plans respecting
-/// `bounds`; if none respects them (or `bounds` is empty / all-infinite),
-/// the plan minimizing weighted cost overall. O(|set|) — the step that
-/// turns a cached frontier into an answer for a fresh preference.
+/// SelectBest of Algorithm 1 (SelectBestRow, ParetoSet::SelectBest's scan),
+/// applied at request time over a finished frontier: the plan minimizing
+/// weighted cost among plans respecting `bounds`; if none respects them (or
+/// `bounds` is empty / all-infinite), the plan minimizing weighted cost
+/// overall. O(|set|) — the step that turns a cached frontier into an answer
+/// for a fresh preference.
 PlanSelection SelectPlan(const PlanSet& set, const WeightVector& weights,
                          const BoundVector& bounds = BoundVector());
 

@@ -7,20 +7,8 @@ namespace moqo {
 OptimizerResult SelingerOptimizer::Optimize(const MOQOProblem& problem) {
   assert(problem.objectives.size() == 1 &&
          "SelingerOptimizer is single-objective");
-  StopWatch watch;
-  arena_.Reset();
-  CostModel model(problem.query, &registry_, problem.objectives);
-  DPPlanGenerator generator(&model, &registry_, &arena_);
-
   // One dimension: exact dominance pruning keeps exactly one plan per set.
-  DPOptions dp = MakeDPOptions(problem, /*internal_alpha=*/1.0,
-                               MakeDeadline());
-  const ParetoSet& best_set = generator.Run(*problem.query, dp);
-
-  MOQOProblem normalized = problem;
-  normalized.weights = WeightVector::Uniform(1);
-  return FinishResult(normalized, generator, best_set, BoundVector(),
-                      watch.ElapsedMillis());
+  return RunOnce(problem, /*internal_alpha=*/1.0);
 }
 
 double SelingerOptimizer::MinimumCost(const Query& query, Objective objective,
@@ -29,23 +17,13 @@ double SelingerOptimizer::MinimumCost(const Query& query, Objective objective,
   MOQOProblem problem;
   problem.query = &query;
   problem.objectives = ObjectiveSet::Only(objective);
-  problem.weights = WeightVector::Uniform(1);
   OptimizerResult result = optimizer.Optimize(problem);
   return result.plan != nullptr ? result.cost[0] : 0.0;
 }
 
 OptimizerResult WeightedSumOptimizer::Optimize(const MOQOProblem& problem) {
-  StopWatch watch;
-  arena_.Reset();
-  CostModel model(problem.query, &registry_, problem.objectives);
-  DPPlanGenerator generator(&model, &registry_, &arena_);
-
-  DPOptions dp = MakeDPOptions(problem, /*internal_alpha=*/1.0,
-                               MakeDeadline());
-  dp.single_plan_mode = true;  // Prune every table set down to argmin C_W.
-  const ParetoSet& best_set = generator.Run(*problem.query, dp);
-  return FinishResult(problem, generator, best_set, BoundVector(),
-                      watch.ElapsedMillis());
+  // Prune every table set down to argmin C_W.
+  return RunOnce(problem, /*internal_alpha=*/1.0, /*single_plan=*/true);
 }
 
 }  // namespace moqo

@@ -25,7 +25,9 @@
 namespace moqo {
 
 /// Exact single-objective optimizer (the problem.objectives selection must
-/// contain exactly one objective; weights are ignored).
+/// contain exactly one objective). The one weight scales the reported
+/// weighted cost, as a cache hit's reselection does; it cannot change the
+/// plan.
 class SelingerOptimizer : public OptimizerBase {
  public:
   explicit SelingerOptimizer(const OptimizerOptions& options)

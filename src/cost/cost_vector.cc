@@ -76,6 +76,7 @@ bool BoundVector::AllUnbounded() const {
 }
 
 bool BoundVector::Respects(const CostVector& c) const {
+  if (size_ == 0) return true;
   assert(c.size() == size_);
   for (int i = 0; i < size_; ++i) {
     if (c[i] > bounds_[i]) return false;
@@ -84,6 +85,7 @@ bool BoundVector::Respects(const CostVector& c) const {
 }
 
 bool BoundVector::RespectsRelaxed(const CostVector& c, double alpha) const {
+  if (size_ == 0) return true;
   assert(c.size() == size_);
   for (int i = 0; i < size_; ++i) {
     // inf * alpha stays inf; finite bounds relax multiplicatively.

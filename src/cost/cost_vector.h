@@ -49,6 +49,9 @@ class CostVector {
     return values_[i];
   }
 
+  /// The components as one contiguous row of size() doubles.
+  const double* data() const { return values_.data(); }
+
   /// True iff every component is finite and >= 0 (model invariant).
   bool IsValid() const;
 
@@ -148,7 +151,8 @@ class WeightVector {
 
 /// Non-negative per-objective upper bounds B; B[o] = +infinity means
 /// unbounded. "Cost vector c exceeds the bounds if there is at least one
-/// objective o with c[o] > B[o]" (Section 3).
+/// objective o with c[o] > B[o]" (Section 3). An empty vector bounds
+/// nothing: every cost respects it.
 class BoundVector {
  public:
   BoundVector() : size_(0), bounds_{} {}

@@ -62,14 +62,12 @@ struct Preference {
   int64_t deadline_ms = -1;
 };
 
-/// `preference` normalized against a spec of `dims` objectives: uniform
-/// weights when empty or mis-sized, unbounded when the bounds are
-/// mis-sized. Selection, quick mode and cache inserts all read this form.
+/// `preference` normalized against a spec of `dims` objectives by the rule
+/// every optimizer applies (ResolvePreference): uniform weights when empty
+/// or mis-sized, no bounds when the bounds are mis-sized. Selection, quick
+/// mode and cache inserts all read this form.
 inline Preference Resolved(Preference preference, int dims) {
-  if (preference.weights.size() != dims) {
-    preference.weights = WeightVector::Uniform(dims);
-  }
-  if (preference.bounds.size() != dims) preference.bounds = BoundVector();
+  ResolvePreference(dims, &preference.weights, &preference.bounds);
   return preference;
 }
 

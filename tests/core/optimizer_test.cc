@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "core/algorithm.h"
 #include "core/exa.h"
 #include "core/ira.h"
 #include "core/rta.h"
@@ -329,16 +332,65 @@ TEST_F(OptimizerTest, SelingerMatchesExaOnSingleObjective) {
   Query query = testing::MakeStarQuery(&catalog_, 2);
   for (Objective objective :
        {Objective::kTotalTime, Objective::kEnergy, Objective::kIOLoad}) {
-    MOQOProblem problem;
-    problem.query = &query;
-    problem.objectives = ObjectiveSet::Only(objective);
-    problem.weights = WeightVector::Uniform(1);
-    SelingerOptimizer selinger(testing::SmallOptions());
-    ExactMOQO exa(testing::SmallOptions());
-    OptimizerResult a = selinger.Optimize(problem);
-    OptimizerResult b = exa.Optimize(problem);
-    ASSERT_NE(a.plan, nullptr);
-    EXPECT_NEAR(a.cost[0], b.cost[0], 1e-9) << ObjectiveName(objective);
+    // The one weight cannot change the plan, but it scales the weighted
+    // cost, as it does for the EXA and for a cache hit's reselection.
+    for (double weight : {1.0, 2.0}) {
+      MOQOProblem problem;
+      problem.query = &query;
+      problem.objectives = ObjectiveSet::Only(objective);
+      problem.weights = WeightVector(1);
+      problem.weights[0] = weight;
+      SelingerOptimizer selinger(testing::SmallOptions());
+      ExactMOQO exa(testing::SmallOptions());
+      OptimizerResult a = selinger.Optimize(problem);
+      OptimizerResult b = exa.Optimize(problem);
+      ASSERT_NE(a.plan, nullptr);
+      EXPECT_NEAR(a.cost[0], b.cost[0], 1e-9) << ObjectiveName(objective);
+      EXPECT_NEAR(a.weighted_cost, b.weighted_cost, 1e-9)
+          << ObjectiveName(objective) << " weight " << weight;
+      EXPECT_EQ(a.weighted_cost, problem.weights.WeightedCost(a.cost));
+    }
+  }
+}
+
+TEST_F(OptimizerTest, EveryKindReadsAMisSizedPreferenceAsResolved) {
+  // ResolvePreference: empty or mis-sized weights read as uniform and
+  // mis-sized bounds as none, so each kind answers such a problem as it
+  // answers the resolved one, bounds respected.
+  Query query = testing::MakeStarQuery(&catalog_, 3);
+  for (int k = 0; k < kNumAlgorithmKinds; ++k) {
+    const AlgorithmKind kind = static_cast<AlgorithmKind>(k);
+    const int dims = kind == AlgorithmKind::kSelinger ? 1 : 3;
+    MOQOProblem resolved = MakeProblem(&query, dims, 71);
+    resolved.weights = WeightVector::Uniform(dims);
+    resolved.bounds = BoundVector();
+    const OptimizerResult want =
+        MakeOptimizer(kind, testing::SmallOptions(1.5))->Optimize(resolved);
+    ASSERT_NE(want.plan, nullptr) << AlgorithmName(kind);
+
+    BoundVector two_zero_bounds(2);
+    two_zero_bounds[0] = 0;
+    two_zero_bounds[1] = 0;
+    WeightVector two_weights(2);
+    two_weights[0] = 5;
+    two_weights[1] = 7;
+    const std::vector<std::pair<WeightVector, BoundVector>> preferences = {
+        {resolved.weights, two_zero_bounds},
+        {WeightVector(), two_zero_bounds},
+        {two_weights, BoundVector()},
+    };
+    for (size_t i = 0; i < preferences.size(); ++i) {
+      MOQOProblem problem = resolved;
+      problem.weights = preferences[i].first;
+      problem.bounds = preferences[i].second;
+      const OptimizerResult got =
+          MakeOptimizer(kind, testing::SmallOptions(1.5))->Optimize(problem);
+      ASSERT_NE(got.plan, nullptr) << AlgorithmName(kind) << " " << i;
+      EXPECT_EQ(got.cost, want.cost) << AlgorithmName(kind) << " " << i;
+      EXPECT_EQ(got.weighted_cost, want.weighted_cost)
+          << AlgorithmName(kind) << " " << i;
+      EXPECT_TRUE(got.respects_bounds) << AlgorithmName(kind) << " " << i;
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,6 +132,18 @@ std::shared_ptr<FrontierSession> OpenTwinSession(Harness* harness,
   return harness->service->OpenFrontier(std::move(spec), options);
 }
 
+/// `frame` with its payload's last byte cut and the header's length field
+/// (a little-endian u32 after magic, version and type) to match: a
+/// well-framed message whose payload is truncated.
+std::string Truncated(std::string frame) {
+  frame.pop_back();
+  const auto length = static_cast<uint32_t>(frame.size() - net::kHeaderBytes);
+  for (int i = 0; i < 4; ++i) {
+    frame[4 + i] = static_cast<char>(length >> (8 * i));
+  }
+  return frame;
+}
+
 /// Canonical frontier bytes: the encoded FRONTIER_UPDATE with step_ms
 /// zeroed (wall time is the one legitimately run-dependent field).
 std::string FrontierBytes(FrontierUpdateMsg msg) {
@@ -208,16 +221,38 @@ TEST(NetServerTest, SelectOverWireMatchesInProcessSelect) {
   const SessionSelection local = session->Select(preference);
   session->Cancel();
 
-  EXPECT_EQ(event.select_result.step, local.step);
-  EXPECT_EQ(event.select_result.alpha, local.alpha);
-  EXPECT_EQ(event.select_result.plan_index, local.selection.index);
-  EXPECT_EQ(event.select_result.weighted_cost,
-            local.selection.weighted_cost);
-  ASSERT_EQ(static_cast<int>(event.select_result.cost.size()),
-            local.selection.cost.size());
-  for (int i = 0; i < local.selection.cost.size(); ++i) {
-    EXPECT_EQ(event.select_result.cost[i], local.selection.cost[i]);
+  const auto expect_same = [](const net::SelectResultMsg& wire,
+                              const SessionSelection& local) {
+    EXPECT_EQ(wire.step, local.step);
+    EXPECT_EQ(wire.alpha, local.alpha);
+    EXPECT_EQ(wire.plan_index, local.selection.index);
+    EXPECT_EQ(wire.weighted_cost, local.selection.weighted_cost);
+    ASSERT_EQ(static_cast<int>(wire.cost.size()), local.selection.cost.size());
+    for (int i = 0; i < local.selection.cost.size(); ++i) {
+      EXPECT_EQ(wire.cost[i], local.selection.cost[i]);
+    }
+  };
+  expect_same(event.select_result, local);
+
+  // Bounds at another frontier plan's cost: the unbounded pick cannot
+  // respect them (no frontier plan dominates another), so the bounds
+  // decide the answer.
+  ASSERT_GE(local.plan_set->size(), 2);
+  const CostVector& other =
+      local.plan_set->cost(local.selection.index == 0 ? 1 : 0);
+  select.tag = 78;
+  preference.bounds = BoundVector(3);
+  for (int i = 0; i < 3; ++i) {
+    select.bounds.push_back(other[i]);
+    preference.bounds[i] = other[i];
   }
+  ASSERT_TRUE(client.SendSelect(select));
+  ASSERT_TRUE(client.NextEvent(&event, kEventTimeoutMs));
+  ASSERT_EQ(event.type, MsgType::kSelectResult);
+  EXPECT_EQ(event.select_result.tag, 78u);
+  const SessionSelection bounded = session->Select(preference);
+  EXPECT_NE(bounded.selection.index, local.selection.index);
+  expect_same(event.select_result, bounded);
   client.SendClose();
 }
 
@@ -332,6 +367,49 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorThenClose) {
     BlockingNetClient::Event event;
     client.NextEvent(&event, kEventTimeoutMs);  // ERROR or EOF.
     EXPECT_FALSE(client.NextEvent(&event, kEventTimeoutMs));
+  }
+
+  // Each validation branch, on its own connection: ERROR{protocol} (after
+  // any pushes of a session the frames opened), then EOF, and one more
+  // protocol error counted.
+  const std::string open = net::EncodeOpenFrontier(StarOpen("star3", 3));
+  OpenFrontierMsg bad_algorithm = StarOpen("star3", 3);
+  bad_algorithm.algorithm = static_cast<int8_t>(kNumAlgorithmKinds);
+  OpenFrontierMsg bad_objective = StarOpen("star3", 3);
+  bad_objective.objectives[2] = static_cast<uint8_t>(kNumObjectives);
+  SelectMsg too_wide;
+  too_wide.weights.assign(kNumObjectives + 1, 1.0);
+  using Frames = std::vector<std::string>;
+  const std::vector<std::pair<std::string, Frames>> cases = {
+      {"truncated OPEN", {Truncated(open)}},
+      {"second OPEN", {open, open}},
+      {"no objectives", {net::EncodeOpenFrontier(StarOpen("star3", 0))}},
+      {"ten objectives", {net::EncodeOpenFrontier(StarOpen("star3", 10))}},
+      {"algorithm 5", {net::EncodeOpenFrontier(bad_algorithm)}},
+      {"objective 9", {net::EncodeOpenFrontier(bad_objective)}},
+      {"CANCEL before OPEN", {net::EncodeCancel()}},
+      {"client FRONTIER_UPDATE", {EncodeFrontierUpdate({})}},
+      {"truncated SELECT", {Truncated(net::EncodeSelect(SelectMsg()))}},
+      {"ten weights", {open, net::EncodeSelect(too_wide)}},
+  };
+  for (const auto& [name, frames] : cases) {
+    const uint64_t errors_before = harness.server->Stats().protocol_errors;
+    BlockingNetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port())) << name;
+    for (const std::string& frame : frames) {
+      ASSERT_TRUE(client.SendRaw(frame)) << name;
+    }
+    BlockingNetClient::Event event;
+    do {
+      ASSERT_TRUE(client.NextEvent(&event, kEventTimeoutMs)) << name;
+    } while (event.type == MsgType::kFrontierUpdate ||
+             event.type == MsgType::kDone);
+    ASSERT_EQ(event.type, MsgType::kError) << name;
+    EXPECT_EQ(event.error.code, static_cast<uint8_t>(ErrorCode::kProtocol))
+        << name;
+    EXPECT_FALSE(client.NextEvent(&event, kEventTimeoutMs)) << name;
+    EXPECT_EQ(harness.server->Stats().protocol_errors, errors_before + 1)
+        << name;
   }
   EXPECT_TRUE(WaitFor(
       [&] { return harness.server->Stats().connections_active == 0; },

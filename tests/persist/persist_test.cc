@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -1021,6 +1022,32 @@ TEST(PersistTest, RestoreSkipsWholeSnapshotOnCostModelMismatch) {
   EXPECT_EQ(persisted.restored_entries(), 0u);
   EXPECT_EQ(persisted.restore_skipped_version, 1u);
   EXPECT_EQ(service.CacheStats().entries, 0u);
+
+  // A foreign format version, its 48-byte header's checksum recomputed so
+  // only the version gate can refuse it: the record layout is unknown, so
+  // RestoreNow loads no record and counts them all as skipped.
+  const std::string foreign_dir = FreshDir("foreign_format");
+  const std::string path = foreign_dir + "/moqo.snapshot";
+  SnapshotWriter foreign(/*catalog_epoch=*/0, kCostModelVersion);
+  foreign.AddRecord(RecordKind::kPlanCacheEntry, "a", 1, 1.0, "junk");
+  foreign.AddRecord(RecordKind::kPlanCacheEntry, "b", 2, 1.0, "junk");
+  ASSERT_TRUE(foreign.WriteFile(path));
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    char header[48];
+    ASSERT_TRUE(file.read(header, sizeof(header)));
+    header[8] ^= 0x40;  // format_version.
+    const uint64_t checksum = Fnv1a(header, 40, persist::kChecksumSeed);
+    std::memcpy(header + 40, &checksum, 8);
+    file.seekp(0);
+    ASSERT_TRUE(file.write(header, sizeof(header)));
+  }
+  OptimizationService restored(PersistServiceOptions(foreign_dir));
+  const persist::PersistStatsSnapshot foreign_stats = restored.PersistStats();
+  EXPECT_EQ(foreign_stats.restores_loaded, 1u);
+  EXPECT_EQ(foreign_stats.restored_entries(), 0u);
+  EXPECT_EQ(foreign_stats.restore_skipped_version, 2u);
+  EXPECT_EQ(restored.CacheStats().entries, 0u);
 }
 
 TEST(PersistTest, TornSnapshotRestoresPrefixAndStaysServing) {

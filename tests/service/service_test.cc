@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -237,6 +238,31 @@ TEST(ServiceTest, WeightOnlyChangeIsFrontierHitWithoutOptimizerRun) {
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.frontier_hits, static_cast<uint64_t>(kSweeps));
   EXPECT_EQ(stats.exact_hits, 0u);
+}
+
+// A one-objective spec routes to the Selinger DP. Its cold answer, an
+// exact hit and a frontier hit all weigh the cost by the request's weight,
+// so the weighted cost does not depend on which of them answered.
+TEST(ServiceTest, OneObjectiveAnswersWeighTheCostByTheRequest) {
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  ServiceRequest request = StarRequest(&catalog, 2, 1);
+  const std::vector<std::pair<double, CacheOutcome>> steps = {
+      {2.0, CacheOutcome::kMiss},
+      {2.0, CacheOutcome::kExactHit},
+      {3.0, CacheOutcome::kFrontierHit},
+  };
+  for (const auto& [weight, outcome] : steps) {
+    request.preference.weights[0] = weight;
+    const ServiceResponse response = service.SubmitAndWait(request);
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted) << weight;
+    EXPECT_EQ(response.algorithm, AlgorithmKind::kSelinger);
+    EXPECT_EQ(response.cache, outcome) << weight;
+    ASSERT_NE(response.result, nullptr);
+    EXPECT_EQ(response.result->weighted_cost,
+              request.preference.weights.WeightedCost(response.result->cost))
+        << weight;
+  }
 }
 
 // Property test: for randomized weight sweeps on TPC-H queries, SelectPlan
