@@ -20,8 +20,8 @@
 
 #include "memo/subplan_memo.h"
 #include "persist/format.h"
-#include "persist/frontier_codec.h"
 #include "persist/snapshot.h"
+#include "service/plan_cache.h"
 
 namespace moqo {
 namespace {
@@ -49,21 +49,12 @@ const char* KindName(persist::RecordKind kind) {
 int Inspect(const std::string& path, bool list_records) {
   KindTally plan_tally, memo_tally;
   uint64_t other_records = 0;
-  bool header_printed = false;
+  // The --records lines, printed after the header the read validates.
+  std::string record_lines;
 
+  // No expected header: inspection reads any catalog epoch and cost model.
   const persist::SnapshotReadResult result = persist::ReadSnapshot(
-      path,
-      [&](const persist::SnapshotHeader& header) {
-        std::printf("snapshot %s\n", path.c_str());
-        std::printf("  format_version      %u\n", header.format_version);
-        std::printf("  record_count        %u\n", header.record_count);
-        std::printf("  catalog_epoch       %" PRIu64 "\n",
-                    header.catalog_epoch);
-        std::printf("  cost_model_version  %" PRIu64 "\n",
-                    header.cost_model_version);
-        header_printed = true;
-        return true;  // Inspection ignores epoch/version gates.
-      },
+      path, /*expected=*/nullptr,
       [&](const persist::SnapshotRecordView& record) {
         KindTally* tally =
             record.kind == persist::RecordKind::kPlanCacheEntry
@@ -84,9 +75,8 @@ int Inspect(const std::string& path, bool list_records) {
         int plans = -1;
         if (record.kind == persist::RecordKind::kPlanCacheEntry) {
           std::shared_ptr<const CachedFrontier> entry =
-              persist::DecodeFrontierPayload(record.payload.data(),
-                                             record.payload.size(),
-                                             record.achieved_alpha);
+              PlanCacheEntryCodec::Decode(record.payload,
+                                          record.achieved_alpha);
           if (entry != nullptr && entry->result != nullptr) {
             plans = entry->result->plan_set->size();
           }
@@ -102,11 +92,14 @@ int Inspect(const std::string& path, bool list_records) {
           if (plans > tally->max_frontier) tally->max_frontier = plans;
         }
         if (list_records) {
-          std::printf(
+          char line[192];
+          std::snprintf(
+              line, sizeof(line),
               "  record kind=%-10s hash=%016" PRIx64
               " alpha=%-6g key=%zuB payload=%zuB frontier=%d\n",
               KindName(record.kind), record.key_hash, record.achieved_alpha,
               record.key.size(), record.payload.size(), plans);
+          record_lines += line;
         }
       });
 
@@ -117,19 +110,19 @@ int Inspect(const std::string& path, bool list_records) {
                  path.c_str());
     return 1;
   }
-  if (!header_printed) {
-    // A foreign format version stops the reader before the header
-    // callback; the validated header is still available on the result.
-    std::printf("snapshot %s\n", path.c_str());
-    std::printf("  format_version      %u  (this build reads %u: records "
-                "not parsed)\n",
-                result.header.format_version, persist::kFormatVersion);
-    std::printf("  record_count        %u\n", result.header.record_count);
-    std::printf("  catalog_epoch       %" PRIu64 "\n",
-                result.header.catalog_epoch);
-    std::printf("  cost_model_version  %" PRIu64 "\n",
-                result.header.cost_model_version);
+  std::printf("snapshot %s\n", path.c_str());
+  std::printf("  format_version      %u", result.header.format_version);
+  if (result.skipped_version > 0) {
+    // With no expected header, only a foreign format refuses the records.
+    std::printf("  (this build reads %u: records not parsed)",
+                persist::kFormatVersion);
   }
+  std::printf("\n  record_count        %u\n", result.header.record_count);
+  std::printf("  catalog_epoch       %" PRIu64 "\n",
+              result.header.catalog_epoch);
+  std::printf("  cost_model_version  %" PRIu64 "\n",
+              result.header.cost_model_version);
+  std::fputs(record_lines.c_str(), stdout);
 
   const auto print_tally = [](const char* name, const KindTally& tally) {
     std::printf("  %-12s %8" PRIu64 " records  %10" PRIu64

@@ -33,11 +33,6 @@ struct MOQOProblem {
   ObjectiveSet objectives;
   WeightVector weights;
   BoundVector bounds;
-
-  /// True iff no finite bound is set (weighted MOQO).
-  bool IsWeightedOnly() const {
-    return bounds.size() == 0 || bounds.AllUnbounded();
-  }
 };
 
 /// Applies the preference rule over `dims` objectives, for every optimizer,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 namespace moqo {
 namespace {
@@ -74,14 +75,29 @@ Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
   if (t_cache.tracer_id == tracer_id_) {
     return static_cast<ThreadBuffer*>(t_cache.buffer.get());
   }
-  auto buffer = std::make_shared<ThreadBuffer>();
+  const std::thread::id self = std::this_thread::get_id();
+  std::shared_ptr<ThreadBuffer> buffer;
   {
-    // The buffer is still private to this thread; locking is for the
-    // thread-safety analysis, not for exclusion.
-    MutexLock lock(buffer->mu);
-    buffer->ring.resize(options_.ring_capacity);
+    MutexLock registry_lock(buffers_mu_);
+    // A thread that recorded here before, then through another tracer,
+    // takes its own buffer back. (A new thread that inherits a dead one's
+    // id continues that thread's track; the two never overlap.)
+    for (const std::shared_ptr<ThreadBuffer>& registered : buffers_) {
+      if (registered->owner == self) {
+        buffer = registered;
+        break;
+      }
+    }
   }
-  {
+  if (buffer == nullptr) {
+    buffer = std::make_shared<ThreadBuffer>();
+    buffer->owner = self;
+    {
+      // The buffer is still private to this thread; locking is for the
+      // thread-safety analysis, not for exclusion.
+      MutexLock lock(buffer->mu);
+      buffer->ring.resize(options_.ring_capacity);
+    }
     // buffers_mu_ -> buffer->mu is the one nested order here; every other
     // path (Record, the exporters) takes the two locks disjointly.
     MutexLock registry_lock(buffers_mu_);

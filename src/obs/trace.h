@@ -31,7 +31,9 @@
 // (the service owns its tracer and joins its pools before destruction).
 // Thread-cached buffer handles are keyed by a process-unique tracer id,
 // so a thread outliving one tracer can never write into a later tracer's
-// storage by address reuse.
+// storage by address reuse. A thread caches only its last tracer's buffer;
+// switching back finds its registered buffer by thread id, so a thread
+// keeps one track per tracer however often it alternates.
 
 #ifndef MOQO_OBS_TRACE_H_
 #define MOQO_OBS_TRACE_H_
@@ -41,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/mutex.h"
@@ -132,6 +135,8 @@ class Tracer {
   friend class TraceSpan;
 
   struct ThreadBuffer {
+    /// The recording thread; set before the buffer is registered.
+    std::thread::id owner;
     Mutex mu;
     /// Sized once to ring_capacity.
     std::vector<TraceEvent> ring MOQO_GUARDED_BY(mu);
@@ -141,7 +146,8 @@ class Tracer {
     int tid MOQO_GUARDED_BY(mu) = 0;  ///< Stable per-tracer thread number.
   };
 
-  /// The calling thread's buffer, registering it on first use.
+  /// The calling thread's buffer, registering it on the thread's first
+  /// record through this tracer.
   ThreadBuffer* BufferForThisThread();
 
   TraceOptions options_;

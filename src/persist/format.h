@@ -59,11 +59,12 @@ inline constexpr uint64_t kChecksumSeed = 1469598103934665603ull;
 /// its key and payload.
 inline constexpr size_t kRecordHeaderBytes = 40;
 
-/// Record kinds in a snapshot file or tier segment.
+/// Record kinds in a snapshot file or tier segment. Each payload layout
+/// belongs to the codec of the value it stores, next to that value.
 enum class RecordKind : uint32_t {
-  kPlanCacheEntry = 1,  ///< Payload: preference block + PlanSet block.
+  kPlanCacheEntry = 1,  ///< PlanCacheEntryCodec (service/plan_cache.h).
   kMemoEntry = 2,       ///< Retired (a PlanSet block): no cache claims it.
-  kMemoCandidates = 3,  ///< Payload: memo candidate rows (subplan_memo.h).
+  kMemoCandidates = 3,  ///< MemoEntryCodec (memo/subplan_memo.h).
 };
 
 /// One decoded record, viewing the bytes it was read from.

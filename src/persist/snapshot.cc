@@ -72,8 +72,7 @@ bool SnapshotWriter::WriteFile(const std::string& path) {
 }
 
 SnapshotReadResult ReadSnapshot(
-    const std::string& path,
-    const std::function<bool(const SnapshotHeader&)>& header_cb,
+    const std::string& path, const SnapshotHeader* expected,
     const std::function<void(const SnapshotRecordView&)>& record_cb) {
   SnapshotReadResult result;
   if (MOQO_FAILPOINT_HIT("persist.read")) return result;
@@ -121,9 +120,21 @@ SnapshotReadResult ReadSnapshot(
     result.loaded = true;
     result.header = header;
     // A different format version means a different record layout: the
-    // header is trustworthy (magic + checksum), the records are not.
-    if (header.format_version != kFormatVersion) break;
-    if (header_cb && !header_cb(header)) break;
+    // header is trustworthy (magic + checksum), the records are not. A
+    // stale cost model makes every stored cost wrong, and another catalog
+    // epoch makes every content-derived key unreachable: either way the
+    // records are dead weight that would only pollute the caches.
+    if (header.format_version != kFormatVersion ||
+        (expected != nullptr &&
+         header.cost_model_version != expected->cost_model_version)) {
+      result.skipped_version = header.record_count;
+      break;
+    }
+    if (expected != nullptr &&
+        header.catalog_epoch != expected->catalog_epoch) {
+      result.skipped_epoch = header.record_count;
+      break;
+    }
     if (!record_cb) break;
 
     for (uint32_t i = 0; i < header.record_count; ++i) {

@@ -16,15 +16,19 @@
 //   records, record_count of: the format.h record, 40 bytes + key +
 //     payload each
 //
-// Validation matrix (every outcome is a clean skip, never a crash):
-//   bad magic / header checksum / short header  -> whole file ignored
-//   format_version mismatch                     -> records not parsed
-//   catalog_epoch / cost_model_version mismatch -> caller skips via the
-//                                                  header callback
-//   record checksum mismatch or torn tail       -> that record and the
-//                                                  rest of the file are
-//                                                  dropped (a torn write
-//                                                  corrupts a suffix)
+// Validation matrix, applied by ReadSnapshot top to bottom; the first
+// failing row wins, and every outcome is a clean skip, never a crash:
+//   bad magic / header checksum / short header -> whole file ignored
+//   format_version != kFormatVersion           -> records not parsed,
+//                                                 counted under version
+//   cost_model_version != expected             -> records not parsed,
+//                                                 counted under version
+//   catalog_epoch != expected                  -> records not parsed,
+//                                                 counted under epoch
+//   record checksum mismatch or torn tail      -> that record and the rest
+//                                                 of the file are dropped
+//                                                 (a torn write corrupts a
+//                                                 suffix)
 //
 // Writes go to `<path>.tmp` then rename(2), so a crash mid-snapshot
 // leaves the previous snapshot intact and a torn tmp file is never seen
@@ -89,17 +93,20 @@ struct SnapshotReadResult {
   uint64_t records_ok = 0;
   uint64_t skipped_checksum = 0;  ///< Records failing their checksum.
   uint64_t truncated = 0;         ///< Records lost to a torn/short tail.
+  /// A refused file's record count, by the matrix row that refused it: a
+  /// foreign format or cost-model version, or a foreign catalog epoch.
+  uint64_t skipped_version = 0;
+  uint64_t skipped_epoch = 0;
 };
 
-/// Reads `path`, validating as per the matrix above. `header_cb` (optional)
-/// sees the validated header first and may return false to stop before any
-/// record is parsed (epoch/version gating); `record_cb` is then called for
-/// every record whose checksum verifies. Records are never parsed when
-/// header.format_version != kFormatVersion. The `persist.read` failpoint
-/// fails the open.
+/// Reads `path`, applying every row of the matrix above, then calls
+/// `record_cb` for every record whose checksum verifies. `expected` names
+/// the cost-model version and catalog epoch the caller can use (its other
+/// fields are ignored); null gates neither. The format version always
+/// gates: another version's records have another layout. The
+/// `persist.read` failpoint fails the open.
 SnapshotReadResult ReadSnapshot(
-    const std::string& path,
-    const std::function<bool(const SnapshotHeader&)>& header_cb,
+    const std::string& path, const SnapshotHeader* expected,
     const std::function<void(const SnapshotRecordView&)>& record_cb);
 
 }  // namespace persist

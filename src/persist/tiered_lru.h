@@ -219,12 +219,16 @@ class TieredLru {
   void AttachTier(std::shared_ptr<DiskTier> tier) { tier_ = std::move(tier); }
 
   /// Adds one record per resident, persistable entry to `writer`, shard by
-  /// shard, most recently used first within a shard. Holds one shard lock
-  /// at a time, so a snapshot does not drain or block the cache.
+  /// shard, least recently used first within a shard: Restore inserts each
+  /// record as the most recently used, so restoring in file order rebuilds
+  /// every shard's recency, and a restore that overflows the cache evicts
+  /// (and demotes) the coldest records. Holds one shard lock at a time, so
+  /// a snapshot does not drain or block the cache.
   void ExportTo(SnapshotWriter* writer) const {
     for (const auto& shard : shards_) {
       MutexLock lock(shard->mu);
-      for (const CanonicalKey* key : shard->lru) {
+      for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
+        const CanonicalKey* key = *it;
         const Value& value = *shard->index.find(*key)->second.value;
         std::string payload;
         if (!Codec::Encode(value, &payload)) continue;

@@ -243,7 +243,6 @@ class FrontierSession {
   /// sessions set it so queue wait counts against the request deadline.
   int64_t total_deadline_ms_ = -1;
   bool registered_ = false;   ///< In the service's session registry.
-  bool holds_slot_ = false;   ///< Owns one admission (in-flight) slot.
   StopWatch since_open_;
   /// Observability (PR 6), set by the owning service before the session is
   /// shared. Safe to dereference from publish paths: publishes only run on
@@ -302,7 +301,7 @@ class FrontierSession {
   // ---- Robustness state (PR 8), owned by the service. ----
   /// Steady-clock microseconds when the currently executing rung started;
   /// -1 while no rung is on a worker. The watchdog compares it against
-  /// step_deadline_ms * watchdog_factor.
+  /// four times step_deadline_ms.
   std::atomic<int64_t> rung_started_us_{-1};
   /// The watchdog force-finished this session (wedged rung). Makes the
   /// outcome read degraded — not cancelled — and tells the late rung to

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -24,6 +25,11 @@ namespace moqo {
 namespace {
 
 constexpr double kInfiniteAlpha = std::numeric_limits<double>::infinity();
+
+/// The watchdog's sweep period, and how many of its step_deadline_ms a
+/// rung may run before the watchdog force-finishes its session.
+constexpr int64_t kWatchdogPollMs = 50;
+constexpr double kWatchdogFactor = 4.0;
 
 /// mkdir -p, best-effort: any real failure surfaces when the tier or the
 /// snapshot writer tries to create files inside.
@@ -159,18 +165,17 @@ OptimizationService::OptimizationService(ServiceOptions options)
       options_.persist.restore_on_start) {
     RestoreNow();
   }
-  if (options_.watchdog_poll_ms > 0) {
-    watchdog_ = std::thread([this] { WatchdogMain(); });
-  }
 }
 
 OptimizationService::~OptimizationService() {
+  std::thread watchdog;
   {
     MutexLock lock(watchdog_mu_);
     watchdog_stop_ = true;
+    watchdog = std::move(watchdog_);
   }
   watchdog_cv_.NotifyAll();
-  if (watchdog_.joinable()) watchdog_.join();
+  if (watchdog.joinable()) watchdog.join();
   pool_.Shutdown();
   // After the drain: the caches are quiescent and as warm as they will
   // ever be — the snapshot taken here is what the next process restores.
@@ -184,7 +189,7 @@ void OptimizationService::WatchdogMain() {
   watchdog_mu_.Lock();
   while (!watchdog_stop_) {
     watchdog_cv_.WaitFor(watchdog_mu_,
-                         std::chrono::milliseconds(options_.watchdog_poll_ms));
+                         std::chrono::milliseconds(kWatchdogPollMs));
     if (watchdog_stop_) break;
     // Sweep under the list lock, act outside it: the force-finish path
     // (FinishSession -> MarkDone -> subscriber callbacks) must not run
@@ -201,7 +206,7 @@ void OptimizationService::WatchdogMain() {
           session->rung_started_us_.load(std::memory_order_acquire);
       const int64_t budget_us = static_cast<int64_t>(
           static_cast<double>(session->session_options_.step_deadline_ms) *
-          options_.watchdog_factor * 1000.0);
+          kWatchdogFactor * 1000.0);
       if (started >= 0 && SteadyNowUs() - started > budget_us &&
           !session->watchdog_fired_.exchange(true)) {
         fired.push_back(std::move(session));
@@ -457,7 +462,6 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
         running = it->second;
       } else {
         if (!admit()) return shed();
-        session->holds_slot_ = true;
         sessions_by_key_[session->session_key_] = session;
         session->registered_ = true;
       }
@@ -466,9 +470,8 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
       *joined = true;
       return running;
     }
-  } else {
-    if (!admit()) return shed();
-    session->holds_slot_ = true;
+  } else if (!admit()) {
+    return shed();
   }
   admission_span.AddArg("inflight",
                         static_cast<int64_t>(
@@ -492,11 +495,22 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   count_miss();
 
   // Watchdog registration (PR 8): ladders with a per-rung budget are
-  // watched for wedged rungs. Weak refs only — the list must never keep a
-  // session alive or delay its teardown.
-  if (watchdog_.joinable() && session_options.step_deadline_ms >= 0) {
+  // watched for wedged rungs, and the first of them starts the thread.
+  // Weak refs only — the list must never keep a session alive or delay
+  // its teardown. Nothing starts once the destructor has stopped it.
+  if (session_options.step_deadline_ms >= 0) {
     MutexLock lock(watchdog_mu_);
-    watched_sessions_.push_back(session);
+    if (!watchdog_stop_) {
+      try {
+        if (!watchdog_.joinable()) {
+          watchdog_ = std::thread([this] { WatchdogMain(); });
+        }
+      } catch (const std::system_error&) {
+        // No thread to spare: this session runs unwatched until the next
+        // budgeted open starts the watchdog.
+      }
+      watched_sessions_.push_back(session);
+    }
   }
 
   // Stage 4: hand the first rung to the worker pool (each later rung
@@ -790,9 +804,7 @@ void OptimizationService::ReleaseSession(
       sessions_by_key_.erase(it);
     }
   }
-  if (session->holds_slot_) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  inflight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 // ---------------------------------------------------------------------------
@@ -1083,24 +1095,11 @@ size_t OptimizationService::RestoreNow() {
   stats.restores_attempted.Add();
   size_t restored = 0;
   uint64_t restored_bytes = 0;
+  persist::SnapshotHeader expected;
+  expected.catalog_epoch = options_.persist.catalog_epoch;
+  expected.cost_model_version = kCostModelVersion;
   const persist::SnapshotReadResult result = persist::ReadSnapshot(
-      SnapshotPath(),
-      [this, &stats](const persist::SnapshotHeader& header) {
-        // The two semantic gates of the validation matrix. Stale cost
-        // models make every stored cost wrong; a different catalog epoch
-        // makes every content-derived key unreachable — either way the
-        // snapshot is dead weight and restoring it would only pollute
-        // the caches.
-        if (header.cost_model_version != kCostModelVersion) {
-          stats.restore_skipped_version.Add(header.record_count);
-          return false;
-        }
-        if (header.catalog_epoch != options_.persist.catalog_epoch) {
-          stats.restore_skipped_epoch.Add(header.record_count);
-          return false;
-        }
-        return true;
-      },
+      SnapshotPath(), &expected,
       [this, &stats, &restored,
        &restored_bytes](const persist::SnapshotRecordView& record) {
         // Each cache restores only its own kind; a record no cache claims
@@ -1116,12 +1115,9 @@ size_t OptimizationService::RestoreNow() {
         ++restored;
         restored_bytes += record.payload.size();
       });
-  if (result.loaded) {
-    stats.restores_loaded.Add();
-    if (result.header.format_version != persist::kFormatVersion) {
-      stats.restore_skipped_version.Add(result.header.record_count);
-    }
-  }
+  if (result.loaded) stats.restores_loaded.Add();
+  stats.restore_skipped_version.Add(result.skipped_version);
+  stats.restore_skipped_epoch.Add(result.skipped_epoch);
   stats.restore_skipped_checksum.Add(result.skipped_checksum);
   stats.restore_truncated.Add(result.truncated);
   stats.restore_bytes.Add(restored_bytes);

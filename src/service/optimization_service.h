@@ -83,10 +83,9 @@ struct PersistOptions {
   /// Empty disables persistence entirely.
   std::string directory;
   /// Load `<directory>/moqo.snapshot` into the PlanCache and SubplanMemo
-  /// at construction. Validation (format version, checksums, catalog
-  /// epoch, cost-model version) follows the snapshot.h matrix: any
-  /// mismatch skips cleanly — a bad snapshot is a cold start, never a
-  /// crash.
+  /// at construction (RestoreNow). Any row of the snapshot.h validation
+  /// matrix that fails skips cleanly: a bad snapshot is a cold start,
+  /// never a crash.
   bool restore_on_start = true;
   /// Write the snapshot in the destructor, after workers drain (the
   /// caches are quiescent and maximally warm at that point).
@@ -160,18 +159,6 @@ struct ServiceOptions {
   /// Worst-N slow-request log surfaced in Stats().slow_queries, ToString,
   /// and the Prometheus export.
   int slow_query_log_size = 8;
-  /// Session watchdog (PR 8): a background thread that force-finishes any
-  /// session whose current rung has run longer than
-  /// step_deadline_ms * watchdog_factor — a wedged worker, a lost wakeup,
-  /// or an injected stall. The session completes DONE{degraded} with
-  /// whatever it already published (the anytime guarantee survives a
-  /// stuck rung); the rung itself is cancelled via the session's
-  /// cancellation token and its late output is dropped. Only sessions
-  /// with a per-rung deadline are watched. watchdog_poll_ms <= 0 disables
-  /// the thread entirely. Fires count in Stats().watchdog_fires and
-  /// moqo_watchdog_fires_total.
-  int64_t watchdog_poll_ms = 50;
-  double watchdog_factor = 4.0;
   /// Warm-state persistence (PR 9): snapshots across restarts and the
   /// RAM→disk tier. Off until persist.directory is set.
   PersistOptions persist;
@@ -263,11 +250,11 @@ class OptimizationService {
   /// the write failed (counted in snapshot_failures).
   bool SnapshotNow();
 
-  /// Loads the snapshot into the caches, validating per the snapshot.h
-  /// matrix (format version, checksums, catalog epoch, cost-model
-  /// version — any mismatch skips cleanly). Returns the number of
-  /// entries restored. Called automatically at construction when
-  /// persist.restore_on_start is set.
+  /// Loads the snapshot into the caches. persist::ReadSnapshot applies the
+  /// snapshot.h matrix against this build's cost-model version and
+  /// persist.catalog_epoch; this adds its per-reason skip counts to
+  /// PersistStats(). Returns the number of entries restored. Called
+  /// automatically at construction when persist.restore_on_start is set.
   size_t RestoreNow();
 
   /// Snapshot and restore counters; all-zero when persistence is
@@ -324,7 +311,9 @@ class OptimizationService {
       const std::shared_ptr<const CachedFrontier>& cached, bool from_tier);
 
   /// Takes the session out of the registry (if it is still the entry
-  /// there) and frees its admission slot, if it holds one.
+  /// there) and frees its admission slot. Only an admitted session is
+  /// released: the stage-3 re-probe and FinishSession both run after
+  /// admission.
   void ReleaseSession(const std::shared_ptr<FrontierSession>& session);
 
   /// Enqueues rung `rung` of the session's ladder as its own pool task —
@@ -366,7 +355,9 @@ class OptimizationService {
   std::shared_ptr<const OptimizerResult> RunQuickMode(
       const std::shared_ptr<FrontierSession>& session);
 
-  /// The watchdog thread body; see ServiceOptions::watchdog_poll_ms.
+  /// The watchdog thread body: every kWatchdogPollMs it force-finishes
+  /// the watched sessions whose rung has run past kWatchdogFactor times
+  /// their step_deadline_ms.
   void WatchdogMain();
 
   /// Registers every Prometheus metric once, at construction. Samplers
@@ -423,17 +414,23 @@ class OptimizationService {
   /// synchronizes the creating threads.
   std::atomic<ThreadPool*> dp_pool_ptr_{nullptr};
 
-  /// Watchdog state (PR 8). The watch list holds weak refs: a session
-  /// kept alive only by the list would never finish, and expired entries
-  /// self-prune on the next sweep. The thread is joined in the destructor
-  /// before pool_ shuts down (it may call FinishSession, which touches
-  /// the same state the workers do).
+  /// Session watchdog (PR 8): force-finishes a session whose rung runs
+  /// far past its step_deadline_ms (a wedged worker, a lost wakeup, an
+  /// injected stall). The session completes DONE{degraded} with whatever
+  /// it already published; the rung is cancelled through the session's
+  /// token and its late output dropped. Fires count in
+  /// Stats().watchdog_fires. Only sessions with a per-rung deadline are
+  /// watched, so the first of them starts the thread. The watch list
+  /// holds weak refs: a session kept alive only by the list would never
+  /// finish, and expired entries self-prune on the next sweep. The thread
+  /// is joined in the destructor before pool_ shuts down (it may call
+  /// FinishSession, which touches the same state the workers do).
   Mutex watchdog_mu_;
   CondVar watchdog_cv_;
   bool watchdog_stop_ MOQO_GUARDED_BY(watchdog_mu_) = false;
   std::vector<std::weak_ptr<FrontierSession>> watched_sessions_
       MOQO_GUARDED_BY(watchdog_mu_);
-  std::thread watchdog_;
+  std::thread watchdog_ MOQO_GUARDED_BY(watchdog_mu_);
 
   ThreadPool pool_;  ///< Last member: workers die before the state above.
 };

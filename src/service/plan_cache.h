@@ -58,8 +58,22 @@ struct CachedFrontier {
   double achieved_alpha = 1.0;
 };
 
-/// The TieredLru codec of a CachedFrontier: kPlanCacheEntry records with
-/// the persist/frontier_codec.h payload, tagged with the achieved alpha.
+/// The TieredLru codec of a CachedFrontier: kPlanCacheEntry records (in
+/// snapshots and disk-tier segments alike), tagged with the achieved alpha.
+/// The payload:
+///
+///   u32 weights_size, u32 bounds_size
+///   f64 weights[weights_size], f64 bounds[bounds_size]
+///   PlanSet block (persist/plan_set_codec.h)
+///
+/// The alpha travels in the record header, not the payload, so the tier
+/// can gate relaxed-alpha probes without touching disk. Decode rebuilds
+/// the OptimizerResult by re-running SelectPlan over the restored frontier
+/// with the stored preference: the scan is deterministic over
+/// bit-identical costs, so the restored selection (plan, cost, weighted
+/// cost) matches what the original entry served. Cold-run metrics are not
+/// persisted; a restored entry's metrics read zero, as this process never
+/// ran that optimization.
 struct PlanCacheEntryCodec {
   static constexpr persist::RecordKind kKind =
       persist::RecordKind::kPlanCacheEntry;
@@ -70,7 +84,12 @@ struct PlanCacheEntryCodec {
   /// The shared PlanSet (the dominant term — plans plus cost matrix) and
   /// the entry and result structs around it.
   static size_t Footprint(const CachedFrontier& entry);
+  /// False (nothing appended) for an entry with no frontier to restore.
   static bool Encode(const CachedFrontier& entry, std::string* out);
+  /// Null on any malformed payload, including an alpha that is not finite
+  /// or is below 1, a non-empty frontier whose cost columns differ from
+  /// the weight count, or a bound count that is neither 0 nor the weight
+  /// count; never throws.
   static std::shared_ptr<const CachedFrontier> Decode(std::string_view payload,
                                                       double alpha);
   /// The `cache.insert` failpoint; `return_error` drops the insert.

@@ -80,8 +80,8 @@ ProblemSignature ComputeSignature(const Query& query,
     }
     // A default-constructed (size-0) BoundVector and an explicit
     // all-unbounded one describe the same weighted-MOQO instance
-    // (MOQOProblem::IsWeightedOnly); canonicalize both to the empty
-    // encoding so they share cache entries.
+    // (Definition 1); canonicalize both to the empty encoding so they
+    // share cache entries.
     if (bounds == nullptr || bounds->AllUnbounded()) {
       PutU64(&key, 0);
     } else {

@@ -78,7 +78,7 @@ struct ServiceCounters {
   /// a shed caller still got an answer.
   Counter refinement_sheds;
   /// Sessions force-finished DONE{degraded} by the rung watchdog because
-  /// a rung exceeded step_deadline_ms * watchdog_factor (PR 8).
+  /// a rung ran past four times its step_deadline_ms (PR 8).
   Counter watchdog_fires;
 };
 

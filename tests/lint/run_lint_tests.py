@@ -24,6 +24,7 @@ CASES = {
     "naked_mutex": {"naked-mutex"},
     "nondet": {"nondeterminism"},
     "tsa_escape": {"tsa-escape"},
+    "layering": {"layering"},
 }
 
 RULE_RE = re.compile(r"^([a-z-]+):", re.M)

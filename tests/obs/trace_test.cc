@@ -200,6 +200,23 @@ TEST(TraceTest, SetEnabledFlipsRecordingAtRuntime) {
   EXPECT_EQ(json.find("\"name\":\"after\""), std::string::npos);
 }
 
+TEST(TraceTest, ThreadAlternatingTracersKeepsOneTrackInEach) {
+  // A thread caches only its last tracer's buffer; switching back must
+  // find the buffer it registered there, not register a new ring.
+  Tracer first(EnabledOptions(/*ring_capacity=*/128));
+  Tracer second(EnabledOptions(/*ring_capacity=*/128));
+  for (int i = 0; i < 100; ++i) {
+    { TraceSpan span(&first, "test", "first"); }
+    { TraceSpan span(&second, "test", "second"); }
+  }
+  for (const Tracer* tracer : {&first, &second}) {
+    EXPECT_EQ(tracer->recorded_events(), 100u);
+    EXPECT_EQ(tracer->dropped_events(), 0u);
+    EXPECT_EQ(CountOccurrences(tracer->ExportChromeTrace(), "\"thread_name\""),
+              1);
+  }
+}
+
 TEST(TraceTest, ThreadOutlivingOneTracerNeverWritesIntoTheNext) {
   // The TLS buffer cache is keyed by a process-unique tracer id: after
   // tracer A dies, the same OS thread recording through tracer B must

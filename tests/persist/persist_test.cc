@@ -20,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -31,12 +32,12 @@
 #include "memo/subplan_memo.h"
 #include "model/cost_model.h"
 #include "persist/format.h"
-#include "persist/frontier_codec.h"
 #include "persist/plan_set_codec.h"
 #include "persist/snapshot.h"
 #include "query/tpch_queries.h"
 #include "rt/failpoint.h"
 #include "service/optimization_service.h"
+#include "service/plan_cache.h"
 #include "testing/test_helpers.h"
 #include "util/arena.h"
 
@@ -307,9 +308,9 @@ TEST(PersistTest, FrontierPayloadRoundTripRebuildsSelection) {
   entry.achieved_alpha = 1.25;
 
   std::string payload;
-  ASSERT_TRUE(persist::EncodeFrontierPayload(entry, &payload));
+  ASSERT_TRUE(PlanCacheEntryCodec::Encode(entry, &payload));
   std::shared_ptr<const CachedFrontier> decoded =
-      persist::DecodeFrontierPayload(payload.data(), payload.size(), 1.25);
+      PlanCacheEntryCodec::Decode(payload, 1.25);
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(decoded->achieved_alpha, 1.25);
   ASSERT_EQ(decoded->weights.size(), 2);
@@ -321,7 +322,8 @@ TEST(PersistTest, FrontierPayloadRoundTripRebuildsSelection) {
   EXPECT_EQ(DoubleBits(decoded->result->weighted_cost),
             DoubleBits(result->weighted_cost));
   for (int len = static_cast<int>(payload.size()) - 1; len >= 0; len -= 7) {
-    EXPECT_EQ(persist::DecodeFrontierPayload(payload.data(), len, 1.25),
+    EXPECT_EQ(PlanCacheEntryCodec::Decode(
+                  std::string_view(payload.data(), len), 1.25),
               nullptr);
   }
 }
@@ -341,9 +343,8 @@ TEST(PersistTest,
     entry.weights = WeightVector::Uniform(num_weights);
     entry.bounds = BoundVector(num_bounds);
     std::string payload;
-    EXPECT_TRUE(persist::EncodeFrontierPayload(entry, &payload));
-    return persist::DecodeFrontierPayload(payload.data(), payload.size(),
-                                          1.0) != nullptr;
+    EXPECT_TRUE(PlanCacheEntryCodec::Encode(entry, &payload));
+    return PlanCacheEntryCodec::Decode(payload, 1.0) != nullptr;
   };
   EXPECT_TRUE(decodes(2, 0));
   EXPECT_TRUE(decodes(2, 2));
@@ -364,15 +365,11 @@ TEST(PersistTest, SnapshotWriterReaderRoundTrip) {
 
   std::vector<SnapshotRecordView> seen_kinds;
   std::vector<std::string> keys, payloads;
+  SnapshotHeader expected;
+  expected.catalog_epoch = 7;
+  expected.cost_model_version = kCostModelVersion;
   const SnapshotReadResult result = ReadSnapshot(
-      path,
-      [](const SnapshotHeader& header) {
-        EXPECT_EQ(header.catalog_epoch, 7u);
-        EXPECT_EQ(header.cost_model_version, kCostModelVersion);
-        EXPECT_EQ(header.record_count, 2u);
-        return true;
-      },
-      [&](const SnapshotRecordView& record) {
+      path, &expected, [&](const SnapshotRecordView& record) {
         keys.emplace_back(record.key);
         payloads.emplace_back(record.payload);
         if (keys.size() == 1) {
@@ -382,6 +379,9 @@ TEST(PersistTest, SnapshotWriterReaderRoundTrip) {
         }
       });
   EXPECT_TRUE(result.loaded);
+  EXPECT_EQ(result.header.catalog_epoch, 7u);
+  EXPECT_EQ(result.header.cost_model_version, kCostModelVersion);
+  EXPECT_EQ(result.header.record_count, 2u);
   EXPECT_EQ(result.records_ok, 2u);
   EXPECT_EQ(result.skipped_checksum, 0u);
   EXPECT_EQ(result.truncated, 0u);
@@ -452,6 +452,7 @@ TEST(PersistTest, SnapshotValidationMatrix) {
   EXPECT_TRUE(version.loaded);
   EXPECT_NE(version.header.format_version, persist::kFormatVersion);
   EXPECT_EQ(version.records_ok, 0u);
+  EXPECT_EQ(version.skipped_version, 3u);
 
   // Torn tail: drop the last 5 bytes — the final record is lost, the
   // prefix parses.
@@ -471,13 +472,28 @@ TEST(PersistTest, SnapshotValidationMatrix) {
   EXPECT_EQ(rot_result.records_ok, 2u);
   EXPECT_EQ(rot_result.skipped_checksum, 1u);
 
-  // Epoch gating is the caller's: header_cb false stops before records.
+  // Epoch gate: a snapshot of another catalog epoch than the expected
+  // header's stops before records, and its records count under epoch.
+  SnapshotHeader expected;
+  expected.catalog_epoch = 2;
+  expected.cost_model_version = kCostModelVersion;
   uint64_t gated_records = 0;
   SnapshotReadResult gated = ReadSnapshot(
-      path, [](const SnapshotHeader&) { return false; },
-      [&](const SnapshotRecordView&) { ++gated_records; });
+      path, &expected, [&](const SnapshotRecordView&) { ++gated_records; });
   EXPECT_TRUE(gated.loaded);
   EXPECT_EQ(gated_records, 0u);
+  EXPECT_EQ(gated.skipped_epoch, 3u);
+  EXPECT_EQ(gated.skipped_version, 0u);
+
+  // The first failing row wins: another cost model and another epoch
+  // count once, under version.
+  expected.cost_model_version = kCostModelVersion + 1;
+  SnapshotReadResult stale = ReadSnapshot(
+      path, &expected, [&](const SnapshotRecordView&) { ++gated_records; });
+  EXPECT_TRUE(stale.loaded);
+  EXPECT_EQ(gated_records, 0u);
+  EXPECT_EQ(stale.skipped_version, 3u);
+  EXPECT_EQ(stale.skipped_epoch, 0u);
 }
 
 // ---- Service-level warm restore. ---------------------------------------

@@ -316,11 +316,8 @@ TEST(ChaosTest, WatchdogForceFinishesWedgedRung) {
   if (!rt::kFailpointsEnabled) {
     GTEST_SKIP() << "built with MOQO_FAILPOINTS=OFF";
   }
-  ServiceOptions options = ChaosServiceOptions(2);
-  options.watchdog_poll_ms = 5;
-  options.watchdog_factor = 2.0;
-  ChaosHarness harness(std::move(options));
-  // The first rung wedges for far longer than step_deadline * factor; the
+  ChaosHarness harness(ChaosServiceOptions(2));
+  // The first rung wedges for far longer than four step deadlines; the
   // watchdog must force the session to DONE{degraded} long before the
   // worker wakes, and the late rung must stand down quietly.
   ASSERT_TRUE(rt::FailpointRegistry::Global().Arm(
@@ -336,7 +333,7 @@ TEST(ChaosTest, WatchdogForceFinishesWedgedRung) {
   SessionOptions session_options;
   session_options.alpha_start = 3.0;
   session_options.max_steps = 3;
-  session_options.step_deadline_ms = 50;  // Watchdog budget: 100 ms.
+  session_options.step_deadline_ms = 50;  // Watchdog budget: 200 ms.
   std::shared_ptr<FrontierSession> session =
       harness.service->OpenFrontier(std::move(spec), session_options);
   ASSERT_NE(session, nullptr);

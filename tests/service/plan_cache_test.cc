@@ -517,6 +517,39 @@ TEST(PlanCacheTest, ExportToExportsEveryResidentEntry) {
   EXPECT_EQ(exported, keys);
 }
 
+TEST(PlanCacheTest, RestoreKeepsEachShardsRecency) {
+  // A snapshot lists each shard coldest first and Restore inserts every
+  // record as the most recently used, so a warm restart keeps the order:
+  // the next eviction takes the entry that was coldest before the
+  // restart, not the hottest.
+  const std::string dir = FreshDir("recency");
+  PlanCache::Options options;
+  options.capacity = 4;
+  options.shards = 1;
+  PlanCache cache(options);
+  for (const char* key : {"a", "b", "c", "d"}) {
+    cache.Insert(Sig(key), TierEntry(1));
+  }
+  ASSERT_NE(cache.Lookup(Sig("a")), nullptr);  // Recency a > d > c > b.
+  persist::SnapshotWriter writer(/*catalog_epoch=*/0, kCostModelVersion);
+  cache.ExportTo(&writer);
+  ASSERT_TRUE(writer.WriteFile(dir + "/snap"));
+
+  PlanCache restored(options);
+  std::vector<std::string> file_order;
+  persist::ReadSnapshot(dir + "/snap", nullptr,
+                        [&](const persist::SnapshotRecordView& r) {
+                          file_order.emplace_back(r.key);
+                          EXPECT_TRUE(restored.Restore(r));
+                        });
+  EXPECT_EQ(file_order, (std::vector<std::string>{"b", "c", "d", "a"}));
+  restored.Insert(Sig("e"), TierEntry(1));  // Evicts the coldest: b.
+  EXPECT_EQ(restored.Lookup(Sig("b")), nullptr);
+  for (const char* key : {"a", "c", "d", "e"}) {
+    EXPECT_NE(restored.Lookup(Sig(key)), nullptr) << key;
+  }
+}
+
 TEST(PlanCacheTest, ConcurrentMixedTraffic) {
   PlanCache::Options options;
   options.capacity = 64;

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -940,6 +942,37 @@ TEST(ServiceTest, SustainsManyConcurrentInflightRequests) {
   }
   EXPECT_EQ(resolved, kRequests);
   EXPECT_EQ(service.InFlight(), 0u);
+}
+
+/// Threads of this process: one entry each under /proc/self/task.
+size_t ProcessThreads() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator{}));
+}
+
+TEST(ServiceTest, WatchdogThreadStartsWithTheFirstBudgetedSession) {
+  // The watchdog watches only sessions with a per-rung budget, so a
+  // service starts its thread when the first of them opens: Submit's
+  // one-step sessions have none.
+  Catalog catalog = MakeTinyCatalog();
+  ServiceOptions options = SmallServiceOptions(1);
+  options.policy.max_parallelism = 1;  // Never spawns the DP helper pool.
+  const size_t before = ProcessThreads();
+  OptimizationService service(options);
+  EXPECT_EQ(ProcessThreads(), before + 1);  // The one worker.
+  ASSERT_EQ(service.SubmitAndWait(StarRequest(&catalog, 2, 2)).status,
+            ResponseStatus::kCompleted);
+  EXPECT_EQ(ProcessThreads(), before + 1);
+
+  SessionOptions budgeted;
+  budgeted.step_deadline_ms = 30000;
+  std::shared_ptr<FrontierSession> session =
+      service.OpenFrontier(StarRequest(&catalog, 3, 2).spec, budgeted);
+  EXPECT_EQ(ProcessThreads(), before + 2);
+  session->AwaitFor(30000);
+  EXPECT_TRUE(session->Done());
+  EXPECT_FALSE(session->Degraded());
 }
 
 TEST(ServiceTest, NullQueryIsRejectedNotCrashed) {

@@ -40,10 +40,10 @@
 #include "memo/subplan_memo.h"
 #include "model/cost_model.h"
 #include "net/wire.h"
-#include "persist/frontier_codec.h"
 #include "persist/plan_set_codec.h"
 #include "persist/snapshot.h"
 #include "query/tpch_queries.h"
+#include "service/plan_cache.h"
 #include "service/signature.h"
 #include "util/arena.h"
 #include "util/byte_codec.h"
@@ -338,7 +338,7 @@ TEST(EncodingGoldenTest, FrontierPayload) {
   entry.achieved_alpha = 1.25;
 
   std::string payload;
-  ASSERT_TRUE(persist::EncodeFrontierPayload(entry, &payload));
+  ASSERT_TRUE(PlanCacheEntryCodec::Encode(entry, &payload));
   EXPECT_EQ(Hex(payload),
             "0200000002000000000000000000d03f000000000000e83f000000000000f07f00"
             "0000000000234002000000040000000200000000000000000000000000f83f0000"
@@ -352,10 +352,10 @@ TEST(EncodingGoldenTest, FrontierPayload) {
             "000000000058400000000000001840000000000000e03f");
 
   const std::shared_ptr<const CachedFrontier> decoded =
-      persist::DecodeFrontierPayload(payload.data(), payload.size(), 1.25);
+      PlanCacheEntryCodec::Decode(payload, 1.25);
   ASSERT_NE(decoded, nullptr);
   std::string again;
-  ASSERT_TRUE(persist::EncodeFrontierPayload(*decoded, &again));
+  ASSERT_TRUE(PlanCacheEntryCodec::Encode(*decoded, &again));
   EXPECT_EQ(again, payload);
 }
 

@@ -31,6 +31,10 @@ Rules (IDs are stable; tests/lint asserts them exactly):
   tsa-escape     MOQO_NO_THREAD_SAFETY_ANALYSIS needs a justifying comment
                  containing "TSA:" within the 3 lines above, and the total
                  count across src/ is capped (--max-tsa-escapes).
+  layering       Lower layers include nothing from the layers above them:
+                 src/persist/ nothing from service/, memo/, net/ or
+                 harness/; src/core/ and src/memo/ nothing from service/,
+                 net/ or harness/ (the LAYERING table).
 """
 
 import argparse
@@ -76,6 +80,13 @@ NAKED_MUTEX_RE = re.compile(
     r"std::condition_variable(?:_any)?\b")
 NONDET_RE = re.compile(r"std::random_device\b|(?<![\w:])s?rand\s*\(")
 ESCAPE_TOKEN = "MOQO_NO_THREAD_SAFETY_ANALYSIS"
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(\w+)/')
+# src/ directory -> the src/ directories its files must not include.
+LAYERING = {
+    "persist": {"service", "memo", "net", "harness"},
+    "core": {"service", "net", "harness"},
+    "memo": {"service", "net", "harness"},
+}
 
 
 class Finding:
@@ -223,6 +234,14 @@ def check_file(root, rel, findings, escapes):
             findings.append(Finding(
                 "nondeterminism", rel, line_no,
                 "unseeded randomness is banned; use a seeded generator"))
+
+        include = INCLUDE_RE.match(raw)
+        layer = rel.split("/")[1] if rel.count("/") >= 2 else ""
+        if include and include.group(1) in LAYERING.get(layer, ()):
+            findings.append(Finding(
+                "layering", rel, line_no,
+                f"src/{layer}/ must not include {include.group(1)}/ "
+                f"(a layer above it)"))
 
         if (ESCAPE_TOKEN in code and
                 rel != "src/util/thread_annotations.h"):
